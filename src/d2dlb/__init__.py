@@ -31,7 +31,6 @@ from .no_d2d import (
     yds_min_spectrum,
 )
 from .d2d_flow import (
-    build_min_spectrum_d2d,
     prune_equivalence_check,
     solve_min_overhead,
     solve_min_spectrum_d2d,

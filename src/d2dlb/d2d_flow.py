@@ -17,6 +17,16 @@ no variable lets a node other than the source transmit at the start slot.
 The flow equations alone leave that slot unconstrained for non-source nodes,
 admitting sourceless circulations that can fake cheaper deliveries on
 heterogeneous-rate instances.
+
+Each rule bounds a demand's usable slots from one side only, so the slots
+demand j may use on a link (u, v), self-links included, form one interval:
+[start_j + d_src_j(u), end_j - d_bs(v)] with pruning, where d_src_j counts
+hops from j's source and d_bs hops to the nearest BS, and
+[start_j + (u != source_j), end_j] without.  The start-slot rule needs no
+term of its own under pruning, because d_src_j(u) = 0 only at the source.
+Enumerating columns is therefore exact arithmetic: a (demand, link) pair gets
+hi - lo + 1 columns (none if that is not positive), one per slot of its
+interval, and no (demand, link, slot) triple is tested on its own.
 """
 
 from __future__ import annotations
@@ -24,6 +34,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import lp
 from .model import (
@@ -68,12 +80,26 @@ def hop_distances_to_bs(topology: Topology) -> dict[str, int]:
     return dist
 
 
+#: hop count standing for "no path"; large enough to empty any slot interval
+UNREACHABLE = 10**9
+
+
 @dataclass
 class TimeExpandedIndex:
-    """Column layout of one assembled flow LP."""
+    """Column layout of one assembled flow LP.
+
+    Flow column c carries demand ``flow_demand[c]`` over the link
+    ``(nodes[flow_src[c]], nodes[flow_dst[c]])`` in slot ``flow_slot[c]``;
+    flow columns come first in the LP, then the peaks, then the per-slot
+    alpha/beta pairs.
+    """
 
     problem: lp.LpProblem
-    flow_vars: dict[tuple[int, str, str, int], int]  # (demand, src, dst, slot) -> column
+    nodes: tuple[str, ...]
+    flow_demand: np.ndarray
+    flow_src: np.ndarray
+    flow_dst: np.ndarray
+    flow_slot: np.ndarray
     alpha_vars: dict[tuple[str, int], int]
     beta_vars: dict[tuple[str, int], int]
     peak_vars: dict[str, int]
@@ -81,15 +107,26 @@ class TimeExpandedIndex:
 
     @property
     def n_flow_variables(self) -> int:
-        return len(self.flow_vars)
+        return len(self.flow_slot)
 
     def extract_schedule(self, solution: lp.LpSolution) -> Schedule:
-        alloc = {
-            key: solution.value(col)
-            for key, col in self.flow_vars.items()
-            if solution.value(col) != 0.0
-        }
-        return Schedule(alloc)
+        if solution.x is None:
+            raise lp.LpError("no solution values available")
+        x = solution.x[: self.n_flow_variables]
+        used = np.flatnonzero(x != 0.0)
+        nodes = self.nodes
+        return Schedule(
+            {
+                (j, nodes[u], nodes[v], t): value
+                for j, u, v, t, value in zip(
+                    self.flow_demand[used].tolist(),
+                    self.flow_src[used].tolist(),
+                    self.flow_dst[used].tolist(),
+                    self.flow_slot[used].tolist(),
+                    x[used].tolist(),
+                )
+            }
+        )
 
 
 def build_flow_lp(
@@ -108,150 +145,183 @@ def build_flow_lp(
     reduced heuristic problem); residual_load adds a fixed per-(BS, slot)
     spectrum floor under the peak; objective is "spectrum" (sum of per-BS
     peaks) or "d2d_traffic"; spectrum_cap bounds the sum of peaks.
+
+    Columns: per demand (in subset order), per link (real links in
+    ``topology.rate_map`` order, then one self-link per node in
+    ``all_nodes()`` order), one column per slot of the link's interval; then
+    one peak per BS; then an (alpha, beta) pair per billed (BS, slot), in
+    (BS id, slot) order.  Rows: per demand its source row, its arrival row
+    and its nonempty conservation rows by (node, slot); then per billed
+    (BS, slot) its alpha, beta and peak rows; then the spectrum cap.
     """
     if objective not in ("spectrum", "d2d_traffic"):
         raise ModelError(f"unknown objective {objective!r}")
     demands.check_users(topology)
     active = tuple(demand_subset) if demand_subset is not None else demands.demands
     residual_load = dict(residual_load or {})
-    user_set = set(topology.user_ids)
-    dist_to_bs = hop_distances_to_bs(topology)
+
+    nodes = topology.all_nodes()
+    node_index = {v: i for i, v in enumerate(nodes)}
+    n_nodes, n_users = len(nodes), len(topology.user_ids)  # users first, then BSs
+    to_bs = hop_distances_to_bs(topology)
+    d_bs = np.array([to_bs.get(v, UNREACHABLE) for v in nodes], dtype=np.int64)
+
+    # links: the real ones, then one self-link per node
+    real = list(topology.rate_map.items())
+    n_real = len(real)
+    link_u = np.array([node_index[u] for (u, _), _ in real] + list(range(n_nodes)), np.int64)
+    link_v = np.array([node_index[v] for (_, v), _ in real] + list(range(n_nodes)), np.int64)
+    link_rate = np.array([float(r) for _, r in real] + [1.0] * n_nodes)
+
+    source = np.array([node_index[j.user] for j in active], dtype=np.int64)
+    start = np.array([j.start for j in active], dtype=np.int64)
+    end = np.array([j.end for j in active], dtype=np.int64)
+    volume = np.array([float(j.volume) for j in active])
+    late = np.flatnonzero(d_bs[source] > end - start + 1)
+    if late.size:
+        j = active[late[0]]
+        raise InfeasibleDemandError(
+            f"demand {j.id}: user {j.user!r} cannot reach any BS within its"
+            f" lifetime [{j.start}, {j.end}]"
+        )
+
+    # (demand, link) pairs whose slot interval [lo, hi] is nonempty; demands
+    # sharing a source share the hop distances, so they go in one block
+    if not pruning:
+        d_bs = np.zeros(n_nodes, dtype=np.int64)
+    blocks = [np.zeros((4, 0), dtype=np.int64)]  # rows: demand, link, lo, count
+    for s in np.unique(source):
+        ks = np.flatnonzero(source == s)
+        if pruning:
+            from_src = hop_distances_from(topology, nodes[s])
+            d_src = np.array([from_src.get(v, UNREACHABLE) for v in nodes], dtype=np.int64)
+        else:
+            d_src = (np.arange(n_nodes) != s).astype(np.int64)
+        lo = start[ks, None] + d_src[link_u]
+        count = end[ks, None] - d_bs[link_v] - lo + 1
+        kk, ll = np.nonzero(count > 0)
+        blocks.append(np.stack([ks[kk], ll, lo[kk, ll], count[kk, ll]]))
+    pairs = np.concatenate(blocks, axis=1)
+    pair_k, pair_l, pair_lo, pair_n = pairs[:, np.lexsort((pairs[1], pairs[0]))]
+
+    # one column per (demand, link, slot)
+    n_flow = int(pair_n.sum())
+    k = np.repeat(pair_k, pair_n)
+    link = np.repeat(pair_l, pair_n)
+    t = np.repeat(pair_lo - (np.cumsum(pair_n) - pair_n), pair_n) + np.arange(n_flow)
+    u, v, rate = link_u[link], link_v[link], link_rate[link]
+    col = np.arange(n_flow)
+
+    # flow rows, numbered by sorting integer keys:
+    # per demand: 0 source, 1 arrival, 2 + node * horizon + (slot - 1) conservation
+    horizon = demands.horizon
+    stride = 2 + n_nodes * horizon
+    n_active = len(active)
+    demand_key = np.arange(n_active, dtype=np.int64) * stride
+    is_source = (u == source[k]) & (t == start[k])
+    is_arrival = (v >= n_users) & (t == end[k])
+    inflow = t < end[k]  # +rate into (v, t)
+    outflow = t > start[k]  # -rate out of (u, t - 1)
+    keys = np.concatenate(
+        [
+            demand_key,
+            demand_key + 1,
+            demand_key[k[inflow]] + 2 + v[inflow] * horizon + t[inflow] - 1,
+            demand_key[k[outflow]] + 2 + u[outflow] * horizon + t[outflow] - 2,
+        ]
+    )
+    flow_keys, row_of = np.unique(keys, return_inverse=True)
+    n_flow_rows = len(flow_keys)
+    n_in = int(inflow.sum())
+    flow_rhs = np.zeros(n_flow_rows)
+    flow_rhs[row_of[:n_active]] = volume
+    flow_rhs[row_of[n_active : 2 * n_active]] = volume
+
+    # billing: a real link into a BS counts toward its alpha, into a user
+    # toward the beta of the user's home BS
+    bs_sorted = sorted(topology.bs_ids)
+    bs_rank = {b: i for i, b in enumerate(bs_sorted)}
+    billed_rank = np.array(
+        [bs_rank[topology.home_bs[x]] for x in topology.user_ids]
+        + [bs_rank[b] for b in topology.bs_ids],
+        dtype=np.int64,
+    )
+    slot_span = max([horizon, *(s for _, s in residual_load)]) + 1
+    real_col = col[link < n_real]
+    bill_key = billed_rank[v[real_col]] * slot_span + t[real_col]
+    residual_key = np.array(
+        [bs_rank[b] * slot_span + s for b, s in residual_load], dtype=np.int64
+    )
+    billed = np.unique(np.concatenate([bill_key, residual_key]))
+    n_billed = len(billed)
+    billed_bs = [bs_sorted[r] for r in (billed // slot_span).tolist()]
+    billed_slot = (billed % slot_span).tolist()
+    billed_keys = list(zip(billed_bs, billed_slot))
 
     problem = lp.LpProblem(name)
-    flow_vars: dict[tuple[int, str, str, int], int] = {}
-    real_links = list(topology.rate_map.items())
+    problem.add_variables(n_flow)
+    peak0 = problem.add_variables(len(topology.bs_ids))
+    pair0 = problem.add_variables(2 * n_billed)
+    peak_vars = {b: peak0 + i for i, b in enumerate(topology.bs_ids)}
+    alpha_col = pair0 + 2 * np.arange(n_billed)
+    peak_col = np.array([peak_vars[b] for b in billed_bs], dtype=np.int64)
 
-    for j in active:
-        dist_src = hop_distances_from(topology, j.user)
-        span = j.end - j.start + 1
-        if dist_to_bs.get(j.user, 10**9) > span:
-            raise InfeasibleDemandError(
-                f"demand {j.id}: user {j.user!r} cannot reach any BS within its"
-                f" lifetime [{j.start}, {j.end}]"
-            )
-
-        def admissible(u: str, v: str, t: int) -> bool:
-            if t == j.start and u != j.user:
-                return False  # only the source holds the data at the start slot
-            if not pruning:
-                return True
-            if dist_src.get(u, 10**9) > t - j.start:
-                return False
-            return dist_to_bs.get(v, 10**9) <= j.end - t
-
-        for (u, v), _rate in real_links:
-            for t in range(j.start, j.end + 1):
-                if admissible(u, v, t):
-                    flow_vars[(j.id, u, v, t)] = problem.add_variable(
-                        f"x_j{j.id}_{u}_{v}_t{t}"
-                    )
-        for node in topology.all_nodes():
-            for t in range(j.start, j.end + 1):
-                if admissible(node, node, t):
-                    flow_vars[(j.id, node, node, t)] = problem.add_variable(
-                        f"x_j{j.id}_{node}_{node}_t{t}"
-                    )
-
-    def rate(u: str, v: str) -> float:
-        return 1.0 if u == v else float(topology.rate_map[(u, v)])
-
-    # per-demand flow constraints
-    in_real = topology.in_neighbors
-    out_real = topology.out_neighbors
-    for j in active:
-        source_terms = {}
-        for v in (*out_real.get(j.user, ()), j.user):
-            col = flow_vars.get((j.id, j.user, v, j.start))
-            if col is not None:
-                source_terms[col] = rate(j.user, v)
-        problem.add_constraint(source_terms, "=", float(j.volume), f"source_j{j.id}")
-
-        arrival_terms = {}
-        for b in topology.bs_ids:
-            for v in (*in_real.get(b, ()), b):
-                col = flow_vars.get((j.id, v, b, j.end))
-                if col is not None:
-                    arrival_terms[col] = rate(v, b)
-        problem.add_constraint(arrival_terms, "=", float(j.volume), f"arrival_j{j.id}")
-
-        for node in topology.all_nodes():
-            for t in range(j.start, j.end):
-                terms: dict[int, float] = {}
-                for w in (*in_real.get(node, ()), node):
-                    col = flow_vars.get((j.id, w, node, t))
-                    if col is not None:
-                        terms[col] = terms.get(col, 0.0) + rate(w, node)
-                for w in (*out_real.get(node, ()), node):
-                    col = flow_vars.get((j.id, node, w, t + 1))
-                    if col is not None:
-                        terms[col] = terms.get(col, 0.0) - rate(node, w)
-                if terms:
-                    problem.add_constraint(terms, "=", 0.0, f"conserve_j{j.id}_{node}_t{t}")
-
-    # per-(BS, slot) billing: alpha = uplink into b, beta = D2D into users of b
-    alpha_members: dict[tuple[str, int], dict[int, float]] = {}
-    beta_members: dict[tuple[str, int], dict[int, float]] = {}
-    for (jid, u, v, t), col in flow_vars.items():
-        if u == v:
-            continue
-        if v in user_set:
-            beta_members.setdefault((topology.home_bs[v], t), {})[col] = 1.0
-        else:
-            alpha_members.setdefault((v, t), {})[col] = 1.0
-
-    peak_vars = {b: problem.add_variable(f"peak_{b}") for b in topology.bs_ids}
-    billed_slots = sorted(
-        set(alpha_members) | set(beta_members) | set(residual_load), key=lambda k: (k[0], k[1])
+    # per billed slot i: alpha row 3i, beta row 3i + 1, peak row 3i + 2
+    bill_row = n_flow_rows + 3 * np.arange(n_billed)
+    into_user = v[real_col] < n_users  # billed to beta, one row below alpha
+    members_row = bill_row[np.searchsorted(billed, bill_key)] + into_user
+    ones = np.ones(n_billed)
+    first_in = 2 * n_active
+    entries = [  # (rows, cols, values), one block per kind of nonzero
+        (row_of[k[is_source]], col[is_source], rate[is_source]),
+        (row_of[n_active + k[is_arrival]], col[is_arrival], rate[is_arrival]),
+        (row_of[first_in : first_in + n_in], col[inflow], rate[inflow]),
+        (row_of[first_in + n_in :], col[outflow], -rate[outflow]),
+        (members_row, real_col, np.ones(len(real_col))),
+        (bill_row, alpha_col, -ones),
+        (bill_row + 1, alpha_col + 1, -ones),
+        (bill_row + 2, alpha_col, ones),
+        (bill_row + 2, alpha_col + 1, ones),
+        (bill_row + 2, peak_col, -ones),
+    ]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    bill_rhs = np.zeros((n_billed, 3))
+    bill_rhs[:, 2] = [-float(residual_load.get(key, 0.0)) for key in billed_keys]
+    problem.add_constraints(
+        rows,
+        cols,
+        vals,
+        np.concatenate([flow_rhs, bill_rhs.ravel()]),
+        np.concatenate([np.ones(n_flow_rows, bool), np.tile([True, True, False], n_billed)]),
     )
-    alpha_vars: dict[tuple[str, int], int] = {}
-    beta_vars: dict[tuple[str, int], int] = {}
-    for b, t in billed_slots:
-        a_col = problem.add_variable(f"alpha_{b}_t{t}")
-        b_col = problem.add_variable(f"beta_{b}_t{t}")
-        alpha_vars[(b, t)] = a_col
-        beta_vars[(b, t)] = b_col
-        problem.add_constraint(
-            {**alpha_members.get((b, t), {}), a_col: -1.0}, "=", 0.0, f"alpha_{b}_t{t}"
-        )
-        problem.add_constraint(
-            {**beta_members.get((b, t), {}), b_col: -1.0}, "=", 0.0, f"beta_{b}_t{t}"
-        )
-        problem.add_constraint(
-            {a_col: 1.0, b_col: 1.0, peak_vars[b]: -1.0},
-            "<=",
-            -float(residual_load.get((b, t), 0.0)),
-            f"peak_{b}_t{t}",
-        )
 
     if spectrum_cap is not None:
         problem.add_constraint(
-            {col: 1.0 for col in peak_vars.values()}, "<=", float(spectrum_cap), "total_cap"
+            {p: 1.0 for p in peak_vars.values()}, "<=", float(spectrum_cap), "total_cap"
         )
 
+    c = np.zeros(problem.n_variables)
     if objective == "spectrum":
-        problem.set_objective({col: 1.0 for col in peak_vars.values()})
+        c[list(peak_vars.values())] = 1.0
     else:
-        demand_end = {j.id: j.end for j in active}
-        obj: dict[int, float] = {}
-        for (jid, u, v, t), col in flow_vars.items():
-            if u != v and v in user_set and t <= demand_end[jid] - 1:
-                obj[col] = rate(u, v)
-        problem.set_objective(obj)
+        relayed = (link < n_real) & (v < n_users) & inflow
+        c[col[relayed]] = rate[relayed]
+    problem.set_objective(c)
 
+    alpha_vars = {key: pair0 + 2 * i for i, key in enumerate(billed_keys)}
+    beta_vars = {key: pair0 + 2 * i + 1 for i, key in enumerate(billed_keys)}
     return TimeExpandedIndex(
         problem=problem,
-        flow_vars=flow_vars,
+        nodes=nodes,
+        flow_demand=np.array([j.id for j in active], dtype=np.int64)[k],
+        flow_src=u,
+        flow_dst=v,
+        flow_slot=t,
         alpha_vars=alpha_vars,
         beta_vars=beta_vars,
         peak_vars=peak_vars,
         demand_ids=tuple(j.id for j in active),
     )
-
-
-def build_min_spectrum_d2d(
-    topology: Topology, demands: DemandSet, pruning: bool = True
-) -> TimeExpandedIndex:
-    return build_flow_lp(topology, demands, pruning=pruning)
 
 
 @dataclass(frozen=True)
@@ -269,7 +339,7 @@ def solve_min_spectrum_d2d(
     options: lp.LpOptions | None = None,
 ) -> D2DSolveOutcome:
     """Minimum total spectrum with D2D and an optimal schedule."""
-    index = build_min_spectrum_d2d(topology, demands, pruning)
+    index = build_flow_lp(topology, demands, pruning=pruning)
     solution = lp.solve(index.problem, options)
     if not solution.optimal:
         raise lp.LpError(f"Min-Spectrum-D2D terminated with status {solution.status}")

@@ -1,8 +1,8 @@
 """Solver-agnostic linear programs with a reference simplex implementation.
 
-The problem container is deliberately tiny: nonnegative (boxed) variables, a
-sparse minimization objective, and sparse ``=`` / ``<=`` constraints.  Two
-backends ship with the package:
+The problem container holds arrays: nonnegative (boxed) variables, a dense
+minimization objective, and ``=`` / ``<=`` rows whose matrix is kept as
+sparse (row, column, value) triplets.  Two backends ship with the package:
 
   * ``reference``: a revised simplex written here (two phases, dense numpy
     basis handling, Bland's anti-cycling rule once degeneracy is detected),
@@ -18,7 +18,7 @@ Problems can be dumped to the fixed LP text format for external debugging.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -42,89 +42,267 @@ class LpOptions:
 DEFAULT_LEXICO_SLACK = 1e-9
 
 
-@dataclass
-class LpProblem:
-    """Minimization LP with sparse rows; variables default to [0, +inf)."""
+class _Vector:
+    """Append-only 1-D array: scalars and arrays go in, one numpy array comes out."""
 
-    name: str = "lp"
-    var_names: list[str] = field(default_factory=list)
-    lower: list[float] = field(default_factory=list)
-    upper: list[float] = field(default_factory=list)
-    objective: dict[int, float] = field(default_factory=dict)
-    # each constraint: (coeffs, sense, rhs, name) with sense in {"=", "<="}
-    constraints: list[tuple[dict[int, float], str, float, str]] = field(default_factory=list)
+    __slots__ = ("_dtype", "_parts", "_tail", "size")
+
+    def __init__(self, dtype: type, values: np.ndarray | None = None):
+        self._dtype = dtype
+        self._parts = [np.zeros(0, dtype) if values is None else np.asarray(values, dtype)]
+        self._tail: list = []
+        self.size = self._parts[0].size
+
+    def append(self, value) -> None:
+        self._tail.append(value)
+        self.size += 1
+
+    def extend(self, values: list | np.ndarray) -> None:
+        if isinstance(values, list):
+            self._tail.extend(values)
+        else:
+            self._flush()
+            self._parts.append(np.asarray(values, self._dtype))
+        self.size += len(values)
+
+    def _flush(self) -> None:
+        if self._tail:
+            self._parts.append(np.array(self._tail, self._dtype))
+            self._tail = []
+
+    def array(self) -> np.ndarray:
+        self._flush()
+        if len(self._parts) != 1:
+            self._parts = [np.concatenate(self._parts)]
+        return self._parts[0]
+
+
+class LpProblem:
+    """Minimization LP ``min c'x  s.t.  A x (= or <=) b,  lower <= x <= upper``.
+
+    The problem is held as arrays: the constraint matrix as sparse
+    (row, column, value) triplets, one rhs and one sense per row, a dense
+    objective vector and per-variable bounds.  Variables and rows are
+    numbered in the order they are added; variables default to [0, +inf).
+    ``add_variable``/``add_constraint`` append one at a time,
+    ``add_variables``/``add_constraints`` append whole blocks.  Names are
+    optional and only used by ``to_lp_format``: an unnamed variable prints as
+    ``x<i>``, an unnamed row as ``c<i>``.
+    """
+
+    def __init__(self, name: str = "lp"):
+        self.name = name
+        self.var_names: dict[int, str] = {}
+        self.row_names: dict[int, str] = {}
+        self._lower = _Vector(float)
+        self._upper = _Vector(float)
+        self._cost = _Vector(float)
+        self._rows = _Vector(np.int64)
+        self._cols = _Vector(np.int64)
+        self._vals = _Vector(float)
+        self._rhs = _Vector(float)
+        self._eq = _Vector(bool)
 
     @property
     def n_variables(self) -> int:
-        return len(self.var_names)
+        return self._lower.size
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return self._rhs.size
 
-    def add_variable(self, name: str, lower: float = 0.0, upper: float = math.inf) -> int:
+    @property
+    def lower(self) -> np.ndarray:
+        return self._lower.array()
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self._upper.array()
+
+    @property
+    def objective(self) -> np.ndarray:
+        """Dense cost vector, one entry per variable."""
+        return self._cost.array()
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self._rhs.array()
+
+    @property
+    def equality(self) -> np.ndarray:
+        """Per row: True for ``=``, False for ``<=``."""
+        return self._eq.array()
+
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, column, value) arrays of the constraint matrix's entries."""
+        return self._rows.array(), self._cols.array(), self._vals.array()
+
+    def var_name(self, i: int) -> str:
+        return self.var_names.get(i, f"x{i}")
+
+    def row_name(self, r: int) -> str:
+        return self.row_names.get(r, f"c{r}")
+
+    @staticmethod
+    def _check_bounds(name: str, lower: float, upper: float) -> None:
         if lower < 0:
             raise LpError(f"variable {name!r}: lower bound must be >= 0")
         if upper < lower:
             raise LpError(f"variable {name!r}: empty bound interval")
-        self.var_names.append(name)
-        self.lower.append(lower)
-        self.upper.append(upper)
-        return len(self.var_names) - 1
 
-    def set_objective(self, coeffs: Mapping[int, float]) -> None:
-        self.objective = {int(i): float(c) for i, c in coeffs.items() if c != 0.0}
+    def add_variable(self, name: str, lower: float = 0.0, upper: float = math.inf) -> int:
+        self._check_bounds(name, lower, upper)
+        i = self.n_variables
+        self._lower.append(lower)
+        self._upper.append(upper)
+        self._cost.append(0.0)
+        self.var_names[i] = name
+        return i
+
+    def add_variables(self, count: int, lower: float = 0.0, upper: float = math.inf) -> int:
+        """Append ``count`` unnamed variables with common bounds; returns the first index."""
+        first = self.n_variables
+        self._check_bounds(f"x{first}..", lower, upper)
+        self._lower.extend(np.full(count, lower))
+        self._upper.extend(np.full(count, upper))
+        self._cost.extend(np.zeros(count))
+        return first
+
+    def set_objective(self, coeffs: Mapping[int, float] | np.ndarray) -> None:
+        """Replace the objective by a {variable: cost} map or a dense cost vector."""
+        n = self.n_variables
+        if isinstance(coeffs, np.ndarray):
+            if coeffs.shape != (n,):
+                raise LpError(f"objective vector has shape {coeffs.shape}, expected ({n},)")
+            c = coeffs.astype(float)
+        else:
+            c = np.zeros(n)
+            for i, coef in coeffs.items():
+                if not (0 <= i < n):
+                    raise LpError(f"objective references unknown variable index {i}")
+                c[i] = coef
+        self._cost = _Vector(float, c)
 
     def add_constraint(
         self, coeffs: Mapping[int, float], sense: str, rhs: float, name: str = ""
     ) -> int:
         if sense not in ("=", "<="):
             raise LpError(f"unsupported sense {sense!r}")
-        row = {int(i): float(c) for i, c in coeffs.items() if c != 0.0}
-        self.constraints.append((row, sense, float(rhs), name or f"c{len(self.constraints)}"))
-        return len(self.constraints) - 1
+        r = self.n_constraints
+        terms = [(int(i), float(c)) for i, c in coeffs.items() if c != 0.0]
+        self._rows.extend([r] * len(terms))
+        self._cols.extend([i for i, _ in terms])
+        self._vals.extend([c for _, c in terms])
+        self._rhs.append(float(rhs))
+        self._eq.append(sense == "=")
+        if name:
+            self.row_names[r] = name
+        return r
+
+    def add_constraints(
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        vals: np.ndarray,
+        rhs: np.ndarray,
+        equality: np.ndarray,
+    ) -> int:
+        """Append a block of unnamed rows given as triplets; returns the first row index.
+
+        ``rows`` numbers the block's rows from 0; ``rhs`` and ``equality``
+        hold one entry per row of the block.
+        """
+        first = self.n_constraints
+        m = len(rhs)
+        if len(equality) != m:
+            raise LpError("rhs and equality differ in length")
+        if len(rows) and not (0 <= rows.min() and rows.max() < m):
+            raise LpError("constraint block references a row outside the block")
+        keep = vals != 0.0
+        self._rows.extend(rows[keep] + first)
+        self._cols.extend(cols[keep])
+        self._vals.extend(vals[keep])
+        self._rhs.extend(rhs)
+        self._eq.extend(equality)
+        return first
 
     def validate(self) -> None:
         n = self.n_variables
-        for i, c in self.objective.items():
-            if not (0 <= i < n):
-                raise LpError(f"objective references unknown variable index {i}")
-            if not math.isfinite(c):
-                raise LpError("objective has non-finite coefficient")
-        for row, _sense, rhs, cname in self.constraints:
-            if not math.isfinite(rhs):
-                raise LpError(f"constraint {cname}: non-finite rhs")
-            for i, c in row.items():
-                if not (0 <= i < n):
-                    raise LpError(f"constraint {cname}: unknown variable index {i}")
-                if not math.isfinite(c):
-                    raise LpError(f"constraint {cname}: non-finite coefficient")
+        if not np.isfinite(self.objective).all():
+            raise LpError("objective has non-finite coefficient")
+        rows, cols, vals = self.triplets()
+        bad_rhs = np.flatnonzero(~np.isfinite(self.rhs))
+        if bad_rhs.size:
+            raise LpError(f"constraint {self.row_name(int(bad_rhs[0]))}: non-finite rhs")
+        bad = np.flatnonzero((cols < 0) | (cols >= n))
+        if bad.size:
+            k = int(bad[0])
+            raise LpError(
+                f"constraint {self.row_name(int(rows[k]))}: unknown variable index {cols[k]}"
+            )
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise LpError(
+                f"constraint {self.row_name(int(rows[bad[0]]))}: non-finite coefficient"
+            )
 
     def copy(self) -> "LpProblem":
-        return LpProblem(
-            name=self.name,
-            var_names=list(self.var_names),
-            lower=list(self.lower),
-            upper=list(self.upper),
-            objective=dict(self.objective),
-            constraints=[(dict(r), s, rhs, nm) for r, s, rhs, nm in self.constraints],
-        )
+        other = LpProblem(self.name)
+        other.var_names = dict(self.var_names)
+        other.row_names = dict(self.row_names)
+        for attr in ("_lower", "_upper", "_cost", "_rows", "_cols", "_vals", "_rhs", "_eq"):
+            vec = getattr(self, attr)
+            setattr(other, attr, _Vector(vec._dtype, vec.array().copy()))
+        return other
 
     def objective_value(self, x: np.ndarray) -> float:
-        return float(sum(c * x[i] for i, c in self.objective.items()))
+        return float(self.objective @ x)
 
     def max_residual(self, x: np.ndarray) -> float:
         """Largest constraint/bound violation at x."""
+        x = np.asarray(x, dtype=float)
         worst = 0.0
-        for i in range(self.n_variables):
-            worst = max(worst, self.lower[i] - x[i], x[i] - self.upper[i])
-        for row, sense, rhs, _ in self.constraints:
-            lhs = sum(c * x[i] for i, c in row.items())
-            if sense == "=":
-                worst = max(worst, abs(lhs - rhs))
-            else:
-                worst = max(worst, lhs - rhs)
-        return float(worst)
+        if self.n_variables:
+            worst = max(worst, float(np.max(self.lower - x)), float(np.max(x - self.upper)))
+        if self.n_constraints:
+            rows, cols, vals = self.triplets()
+            activity = np.bincount(rows, weights=vals * x[cols], minlength=self.n_constraints)
+            excess = activity - self.rhs
+            excess = np.where(self.equality, np.abs(excess), excess)
+            worst = max(worst, float(np.max(excess)))
+        return worst
+
+    def linprog_arguments(self) -> dict:
+        """This LP as keyword arguments of ``scipy.optimize.linprog``.
+
+        ``A_ub``/``b_ub`` and ``A_eq``/``b_eq`` hold the ``<=`` and ``=`` rows
+        in problem order, the matrices in CSR form (both None when there is
+        no row of that sense); ``bounds`` is an (n, 2) array.
+        """
+        n = self.n_variables
+        rows, cols, vals = self.triplets()
+        eq = self.equality
+
+        def block(mask: np.ndarray) -> tuple:
+            if not mask.any():
+                return None, None
+            renumber = np.cumsum(mask) - 1
+            keep = mask[rows]
+            matrix = scipy.sparse.csr_matrix(
+                (vals[keep], (renumber[rows[keep]], cols[keep])), shape=(int(mask.sum()), n)
+            )
+            return matrix, self.rhs[mask]
+
+        a_ub, b_ub = block(~eq)
+        a_eq, b_eq = block(eq)
+        return {
+            "c": self.objective.copy(),
+            "A_ub": a_ub,
+            "b_ub": b_ub,
+            "A_eq": a_eq,
+            "b_eq": b_eq,
+            "bounds": np.column_stack([self.lower, self.upper]),
+        }
 
     def to_lp_format(self) -> str:
         """Render in the fixed LP text format (CPLEX dialect)."""
@@ -133,20 +311,28 @@ class LpProblem:
             sign = "-" if c < 0 else "+"
             return f"{sign} {abs(c):.17g} {name}"
 
+        n, m = self.n_variables, self.n_constraints
+        names = [self.var_name(i) for i in range(n)]
         lines = [f"\\ Problem: {self.name}", "Minimize", " obj:"]
-        if self.objective:
-            body = " ".join(term(c, self.var_names[i]) for i, c in sorted(self.objective.items()))
+        c = self.objective
+        used = np.flatnonzero(c)
+        if used.size:
+            body = " ".join(term(c[i], names[i]) for i in used)
             lines[-1] += " " + body.lstrip("+ ")
         else:
-            lines[-1] += " 0 " + (self.var_names[0] if self.var_names else "x0")
+            lines[-1] += " 0 " + (names[0] if names else "x0")
         lines.append("Subject To")
-        for row, sense, rhs, cname in self.constraints:
-            body = " ".join(term(c, self.var_names[i]) for i, c in sorted(row.items()))
-            op = "=" if sense == "=" else "<="
-            lines.append(f" {cname}: {body.lstrip('+ ')} {op} {rhs:.17g}")
+        rows, cols, vals = self.triplets()
+        matrix = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, n))
+        for r in range(m):
+            lo, hi = matrix.indptr[r], matrix.indptr[r + 1]
+            body = " ".join(
+                term(coef, names[i]) for i, coef in zip(matrix.indices[lo:hi], matrix.data[lo:hi])
+            )
+            op = "=" if self.equality[r] else "<="
+            lines.append(f" {self.row_name(r)}: {body.lstrip('+ ')} {op} {self.rhs[r]:.17g}")
         lines.append("Bounds")
-        for i, name in enumerate(self.var_names):
-            lo, hi = self.lower[i], self.upper[i]
+        for name, lo, hi in zip(names, self.lower, self.upper):
             if math.isinf(hi):
                 if lo != 0.0:
                     lines.append(f" {name} >= {lo:.17g}")
@@ -328,51 +514,31 @@ class _Simplex:
 
 def _to_standard_form(
     problem: LpProblem,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Shift lower bounds out, add rows for finite upper bounds and slacks.
 
     Returns (A, b, c, row_signs, n_original); row_signs[i] is +-1 recording
     rhs sign flips so duals can be mapped back.
     """
-    n = problem.n_variables
-    lower = np.array(problem.lower)
-    c_orig = np.zeros(n)
-    for i, coef in problem.objective.items():
-        c_orig[i] = coef
-
-    rows: list[dict[int, float]] = []
-    senses: list[str] = []
-    rhs: list[float] = []
-    for row, sense, r, _ in problem.constraints:
-        shifted = r - sum(coef * lower[i] for i, coef in row.items())
-        rows.append(dict(row))
-        senses.append(sense)
-        rhs.append(shifted)
-    for i in range(n):
-        if math.isfinite(problem.upper[i]):
-            rows.append({i: 1.0})
-            senses.append("<=")
-            rhs.append(problem.upper[i] - lower[i])
-
-    m = len(rows)
-    n_slack = sum(1 for s in senses if s == "<=")
+    n, m0 = problem.n_variables, problem.n_constraints
+    lower, upper = problem.lower, problem.upper
+    rows, cols, vals = problem.triplets()
+    boxed = np.flatnonzero(np.isfinite(upper))
+    m = m0 + boxed.size
+    # every <= row, bound rows included, gets its own slack column
+    has_slack = np.concatenate([~problem.equality, np.ones(boxed.size, dtype=bool)])
+    n_slack = int(has_slack.sum())
     A = np.zeros((m, n + n_slack))
-    b = np.zeros(m)
-    c = np.concatenate([c_orig, np.zeros(n_slack)])
-    slack_at = n
-    row_signs = [1] * m
-    for r_idx, (row, sense, rv) in enumerate(zip(rows, senses, rhs)):
-        for i, coef in row.items():
-            A[r_idx, i] = coef
-        if sense == "<=":
-            A[r_idx, slack_at] = 1.0
-            slack_at += 1
-        b[r_idx] = rv
-        if b[r_idx] < 0:
-            A[r_idx] *= -1.0
-            b[r_idx] *= -1.0
-            row_signs[r_idx] = -1
-    return A, b, c, row_signs, n
+    np.add.at(A, (rows, cols), vals)
+    A[m0 + np.arange(boxed.size), boxed] = 1.0
+    A[np.flatnonzero(has_slack), n + np.arange(n_slack)] = 1.0
+    shift = np.bincount(rows, weights=vals * lower[cols], minlength=m0)
+    b = np.concatenate([problem.rhs - shift, upper[boxed] - lower[boxed]])
+    c = np.concatenate([problem.objective, np.zeros(n_slack)])
+    flip = b < 0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+    return A, b, c, np.where(flip, -1.0, 1.0), n
 
 
 def _solve_reference(problem: LpProblem, options: LpOptions) -> LpSolution:
@@ -382,12 +548,9 @@ def _solve_reference(problem: LpProblem, options: LpOptions) -> LpSolution:
     status, x_std, duals = simplex.solve()
     if status != "optimal":
         return LpSolution(status, None, None, None, iterations=simplex.iterations)
-    x = x_std[:n] + np.array(problem.lower)
+    x = x_std[:n] + problem.lower
     # undo rhs sign flips; drop rows added for upper bounds
-    y = None
-    if duals is not None:
-        y = np.array([duals[i] * row_signs[i] for i in range(len(row_signs))])
-        y = y[: problem.n_constraints]
+    y = (duals * row_signs)[: problem.n_constraints]
     return LpSolution(
         status="optimal",
         objective=problem.objective_value(x),
@@ -408,26 +571,28 @@ def dual_certificate_gap(problem: LpProblem, solution: LpSolution) -> float:
     if solution.duals is None or solution.x is None:
         raise LpError("solution carries no dual multipliers")
     y = solution.duals
-    n = problem.n_variables
     tol = 1e-6 * (1.0 + abs(solution.objective or 0.0))
-    dual_obj = 0.0
-    col_dual = np.zeros(n)
-    for r_idx, (row, sense, rhs, _) in enumerate(problem.constraints):
-        if sense == "<=" and y[r_idx] > 1e-7:
-            raise LpError(f"dual multiplier of <= row {r_idx} is positive: {y[r_idx]}")
-        dual_obj += y[r_idx] * rhs
-        for i, coef in row.items():
-            col_dual[i] += y[r_idx] * coef
-    for i in range(n):
-        c_i = problem.objective.get(i, 0.0)
-        reduced = c_i - col_dual[i]
-        if math.isinf(problem.upper[i]):
-            if reduced < -1e-6:
-                raise LpError(f"reduced cost of variable {i} negative: {reduced}")
-            dual_obj += max(reduced, 0.0) * problem.lower[i]
-        else:
-            # boxed variable: the binding bound absorbs either sign
-            dual_obj += reduced * (problem.lower[i] if reduced >= 0 else problem.upper[i])
+    positive = np.flatnonzero(~problem.equality & (y > 1e-7))
+    if positive.size:
+        r = int(positive[0])
+        raise LpError(f"dual multiplier of <= row {r} is positive: {y[r]}")
+    rows, cols, vals = problem.triplets()
+    col_dual = np.bincount(cols, weights=y[rows] * vals, minlength=problem.n_variables)
+    reduced = problem.objective - col_dual
+    lower, upper = problem.lower, problem.upper
+    free_above = np.isinf(upper)
+    negative = np.flatnonzero(free_above & (reduced < -1e-6))
+    if negative.size:
+        i = int(negative[0])
+        raise LpError(f"reduced cost of variable {i} negative: {reduced[i]}")
+    # the binding bound absorbs the reduced cost: the lower one unless a
+    # boxed variable's reduced cost is negative
+    bound_terms = np.where(
+        free_above,
+        np.maximum(reduced, 0.0) * lower,
+        reduced * np.where(reduced >= 0, lower, upper),
+    )
+    dual_obj = float(y @ problem.rhs) + float(bound_terms.sum())
     gap = abs((solution.objective or 0.0) - dual_obj)
     if gap > tol:
         raise LpError(f"duality gap {gap} exceeds tolerance {tol}")
@@ -441,39 +606,13 @@ def dual_certificate_gap(problem: LpProblem, solution: LpSolution) -> float:
 
 def _solve_scipy(problem: LpProblem, options: LpOptions) -> LpSolution:
     problem.validate()
-    n = problem.n_variables
-    c = np.zeros(n)
-    for i, coef in problem.objective.items():
-        c[i] = coef
-    eq_rows, eq_rhs, ub_rows, ub_rhs = [], [], [], []
-    for row, sense, rhs, _ in problem.constraints:
-        if sense == "=":
-            eq_rows.append(row)
-            eq_rhs.append(rhs)
-        else:
-            ub_rows.append(row)
-            ub_rhs.append(rhs)
-
-    def sparse(rows: list[dict[int, float]]):
-        data, ri, ci = [], [], []
-        for k, row in enumerate(rows):
-            for i, coef in row.items():
-                ri.append(k)
-                ci.append(i)
-                data.append(coef)
-        return scipy.sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
-
     res = scipy.optimize.linprog(
-        c,
-        A_ub=sparse(ub_rows) if ub_rows else None,
-        b_ub=np.array(ub_rhs) if ub_rhs else None,
-        A_eq=sparse(eq_rows) if eq_rows else None,
-        b_eq=np.array(eq_rhs) if eq_rhs else None,
-        bounds=list(zip(problem.lower, [None if math.isinf(u) else u for u in problem.upper])),
+        **problem.linprog_arguments(),
         method="highs",
         options={
             "primal_feasibility_tolerance": min(options.tolerance, 1e-9),
             "dual_feasibility_tolerance": min(options.optimality_tolerance, 1e-9),
+            "maxiter": options.max_iterations,
         },
     )
     status = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}.get(
@@ -535,7 +674,9 @@ def solve_lexicographic(
     second = problem_primary.copy()
     second.name = problem_primary.name + "+secondary"
     cap = primary.objective + slack * max(1.0, abs(primary.objective))
-    second.add_constraint(dict(problem_primary.objective), "<=", cap, "primary_cap")
+    c = problem_primary.objective
+    used = np.flatnonzero(c)
+    second.add_constraint(dict(zip(used.tolist(), c[used].tolist())), "<=", cap, "primary_cap")
     second.set_objective(objective_secondary)
     secondary = solve(second, options)
     return primary, secondary

@@ -323,7 +323,7 @@ def fill_storage(
                 out[(j.id, node, node, j.start)] = store_prev
             for t in range(j.start + 1, j.end + 1):
                 store_t = store_prev + received.get((node, t - 1), 0) - sent.get((node, t), 0)
-                if store_t < -FLOW_ABS_TOL:
+                if store_t < -FLOW_ABS_TOL * max(1.0, float(j.volume)):
                     raise ModelError(
                         f"demand {j.id}: node {node!r} slot {t}: sends more than it holds"
                     )

@@ -52,6 +52,20 @@ def random_feasible_lp(rng: np.random.Generator, n_max: int = 200) -> LpProblem:
     return p
 
 
+def loop_max_residual(p: LpProblem, x: np.ndarray) -> float:
+    """Largest constraint/bound violation, one variable and one row at a time."""
+    rows: list[dict[int, float]] = [{} for _ in range(p.n_constraints)]
+    for r, i, c in zip(*p.triplets()):
+        rows[r][int(i)] = float(c)
+    worst = 0.0
+    for i in range(p.n_variables):
+        worst = max(worst, p.lower[i] - x[i], x[i] - p.upper[i])
+    for row, eq, rhs in zip(rows, p.equality, p.rhs):
+        lhs = sum(c * x[i] for i, c in row.items())
+        worst = max(worst, abs(lhs - rhs) if eq else lhs - rhs)
+    return float(worst)
+
+
 class TestReferenceSolver:
     def test_minimize_above_bound(self):
         s = solve(lower_bounded_min(), REFERENCE)
@@ -87,12 +101,16 @@ class TestReferenceSolver:
         p.set_objective({x: -1.0})
         assert solve(p, REFERENCE).status == "unbounded"
 
-    def test_iteration_limit_reported(self):
+
+    @pytest.mark.parametrize("backend", ["reference", "scipy"])
+    def test_iteration_limit_reported(self, backend):
         rng = np.random.default_rng(5)
         p = random_feasible_lp(rng, n_max=60)
-        s = solve(p, LpOptions(backend="reference", max_iterations=2))
+        assert solve(p, LpOptions(backend=backend)).status == "optimal"
+        s = solve(p, LpOptions(backend=backend, max_iterations=2))
         assert s.status == "iteration_limit"
         assert s.x is None
+        assert s.iterations == 2
 
     def test_finite_upper_bounds(self):
         p = LpProblem("boxed")
@@ -179,6 +197,13 @@ class TestProblemContainer:
         assert text.startswith("\\ Problem: min_x_above_3")
         assert "Minimize" in text and "Subject To" in text and text.rstrip().endswith("End")
         assert "- 1 x" in text  # the flipped >= constraint
+
+    def test_max_residual_matches_loop(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            p = random_feasible_lp(rng)
+            for x in (rng.normal(size=p.n_variables), solve(p, SCIPY).x):
+                assert p.max_residual(x) == loop_max_residual(p, x)
 
     def test_unknown_backend(self):
         with pytest.raises(LpError, match="unknown backend"):

@@ -19,6 +19,8 @@ from d2dlb.no_d2d import (
 from d2dlb.scenario import toy_two_cell
 from d2dlb.bounds import build_ring_instance
 
+from conftest import draw_instance
+
 
 def toy_cell_alpha() -> CellInstance:
     topology, demands = toy_two_cell()
@@ -210,3 +212,18 @@ class TestPerNetworkTotals:
         f_yds, _ = yds_min_spectrum(cell)
         f_lp, _ = min_spectrum_nd_lp(cell)
         assert f_lp == pytest.approx(f_yds, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(1000, 1005))
+def test_scaled_totals_scale_linearly(seed):
+    # the storage fill judges "sends more than it holds" relative to the
+    # demand's volume; an absolute tolerance trips on 1e9-bit demands
+    topology, demands = draw_instance(np.random.default_rng(seed))
+    base = float(min_spectrum_no_d2d(topology, demands)[0].total)
+    for scale in (1e-6, 1e3, 1e6, 1e9):
+        scaled = DemandSet.build(
+            demands.horizon,
+            [(j.user, j.start, j.end, float(j.volume) * scale) for j in demands.demands],
+        )
+        total = float(min_spectrum_no_d2d(topology, scaled)[0].total)
+        assert total / scale == pytest.approx(base, rel=1e-9), scale
