@@ -2,20 +2,18 @@
 
 Generates a diurnal-offset trace for a row of overlapping cells, synthesizes
 delay-constrained demands, and sweeps the heuristic's split level, writing
-spectrum reduction, overhead, and LP-size columns per level.
+spectrum reduction, overhead, and LP-size columns per level.  Levels with
+the same D2D-eligible set share one solve.
 
 Usage: python3 scripts/lambda_sweep.py [--cells 6] [--seed 2027] [--out sweep.csv]
 """
 
 import argparse
 import csv
-import time
 
 import numpy as np
 
-from d2dlb.heuristic import heuristic_min_overhead, heuristic_min_spectrum
-from d2dlb.model import compute_volumes
-from d2dlb.no_d2d import min_spectrum_no_d2d
+from d2dlb.heuristic import heuristic_sweep
 from d2dlb.scenario import GeoParams, generate_topology, synthesize_demands, synthesize_trace
 
 
@@ -50,29 +48,25 @@ def main() -> None:
         records, topology, np.random.default_rng(args.seed + 2),
         splits=args.splits, slot_seconds=slot_seconds,
     )
-    nd_result, _, _ = min_spectrum_no_d2d(topology, demands)
-    f_nd = float(nd_result.total)
-    print(f"{len(demands.demands)} demands over {demands.horizon} slots; no-D2D total {f_nd:g}")
+    levels = [float(v) for v in args.levels.split(",")]
+    sweep = heuristic_sweep(topology, demands, levels)
+    print(
+        f"{len(demands.demands)} demands over {demands.horizon} slots;"
+        f" no-D2D total {sweep.f_nd:g}, full-problem rho {sweep.rho:.4f}"
+    )
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["lambda", "total_spectrum", "rho", "eta", "n_d2d_demands", "step3_variables", "wall_seconds"]
         )
-        for level in (float(v) for v in args.levels.split(",")):
-            t0 = time.perf_counter()
-            outcome = heuristic_min_spectrum(topology, demands, level)
-            schedule, _ = heuristic_min_overhead(topology, demands, level, outcome)
-            wall = time.perf_counter() - t0
-            v_d2d, v_bs = compute_volumes(schedule, topology)
-            rho = (f_nd - outcome.total_spectrum) / f_nd
-            eta = float(v_d2d / (v_d2d + v_bs))
+        for row in sweep.levels:
             writer.writerow(
-                [level, outcome.total_spectrum, rho, eta,
-                 len(outcome.split.d2d_demand_ids), outcome.step3_variables, f"{wall:.3f}"]
+                [row.level, row.total_spectrum, row.rho, row.eta,
+                 row.n_d2d_demands, row.step3_variables, f"{row.wall_seconds:.3f}"]
             )
-            print(f"level {level:.2f}: rho {rho:.4f} eta {eta:.5f}"
-                  f" |eligible| {len(outcome.split.d2d_demand_ids)} ({wall:.1f}s)")
+            print(f"level {row.level:.2f}: rho {row.rho:.4f} eta {row.eta:.5f}"
+                  f" |eligible| {row.n_d2d_demands} ({row.wall_seconds:.1f}s)")
     print(f"wrote {args.out}")
 
 

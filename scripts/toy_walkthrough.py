@@ -28,7 +28,7 @@ def main() -> None:
     print(f"  total {float(nd_result.total):g} Hz")
 
     outcome = solve_min_spectrum_d2d(topology, demands)
-    schedule, v_d2d, _ = solve_min_overhead(topology, demands, outcome.result.total)
+    schedule, v_d2d, _ = solve_min_overhead(topology, outcome)
     assert validate_schedule(schedule, topology, demands, flow_abs_tol=1e-6).ok
     vd, vb = compute_volumes(schedule, topology)
     metrics = compute_metrics(nd_result.total, outcome.result.total, vd, vb)

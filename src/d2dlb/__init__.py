@@ -39,6 +39,7 @@ from .heuristic import (
     check_heuristic_bounds,
     heuristic_min_overhead,
     heuristic_min_spectrum,
+    heuristic_sweep,
     split_demands,
 )
 from .bounds import (

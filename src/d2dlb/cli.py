@@ -18,7 +18,6 @@ import csv
 import hashlib
 import json
 import sys
-import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -27,7 +26,15 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import lp
 from .d2d_flow import solve_min_overhead, solve_min_spectrum_d2d
-from .heuristic import check_heuristic_bounds, heuristic_min_overhead, heuristic_min_spectrum
+
+# heuristic_min_spectrum and heuristic_min_overhead are not called here, but
+# benchmark/spans.py traces the heuristic layer under these names
+from .heuristic import (  # noqa: F401
+    check_heuristic_bounds,
+    heuristic_min_overhead,
+    heuristic_min_spectrum,
+    heuristic_sweep,
+)
 from .model import (
     DemandSet,
     ModelError,
@@ -195,9 +202,7 @@ def cmd_d2d(config: ExperimentConfig, options: lp.LpOptions) -> int:
     _emit_instance(config, topology, demands)
     nd_result, _, _ = min_spectrum_no_d2d(topology, demands, method="yds")
     outcome = solve_min_spectrum_d2d(topology, demands, pruning=config.pruning, options=options)
-    schedule, v_d2d, _ = solve_min_overhead(
-        topology, demands, outcome.result.total, pruning=config.pruning, options=options
-    )
+    schedule, v_d2d, _ = solve_min_overhead(topology, outcome, options=options)
     report = validate_schedule(schedule, topology, demands, flow_abs_tol=1e-6)
     if not report.ok:
         print(report.summary(), file=sys.stderr)
@@ -229,39 +234,28 @@ def cmd_d2d(config: ExperimentConfig, options: lp.LpOptions) -> int:
 def cmd_heuristic(config: ExperimentConfig, options: lp.LpOptions) -> int:
     topology, demands = load_instance(config)
     _emit_instance(config, topology, demands)
-    nd_result, _, _ = min_spectrum_no_d2d(topology, demands, method="yds")
-    full = solve_min_spectrum_d2d(topology, demands, pruning=config.pruning, options=options)
-    rho = float((nd_result.total - full.result.total) / nd_result.total)
+    sweep = heuristic_sweep(
+        topology, demands, config.lambda_grid, pruning=config.pruning, options=options
+    )
     rows = []
     worst = EXIT_OK
-    for level in config.lambda_grid:
-        t0 = time.perf_counter()
-        outcome = heuristic_min_spectrum(
-            topology, demands, level, pruning=config.pruning, options=options
-        )
-        schedule, v_d2d = heuristic_min_overhead(
-            topology, demands, level, outcome, pruning=config.pruning, options=options
-        )
-        wall = time.perf_counter() - t0
-        vd, vb = compute_volumes(schedule, topology)
-        rho_h = float((nd_result.total - outcome.total_spectrum) / nd_result.total)
-        eta_h = float(vd / (vd + vb)) if vd + vb > 0 else 0.0
+    for row in sweep.levels:
         bound_report = check_heuristic_bounds(
-            demands, level, rho, rho_h, eta_h, outcome.split.d2d_demand_ids
+            demands, row.level, sweep.rho, row.rho, row.eta, row.split.d2d_demand_ids
         )
         if not bound_report.ok:
             for v in bound_report.violations:
-                print(f"heuristic level={level}: BOUND VIOLATION {v}", file=sys.stderr)
+                print(f"heuristic level={row.level}: BOUND VIOLATION {v}", file=sys.stderr)
             worst = EXIT_VIOLATION
         rows.append(
             [
-                level,
-                repr(outcome.total_spectrum),
-                repr(rho_h),
-                repr(eta_h),
-                len(outcome.split.d2d_demand_ids),
-                outcome.step3_variables,
-                f"{wall:.4f}",
+                row.level,
+                repr(row.total_spectrum),
+                repr(row.rho),
+                repr(row.eta),
+                row.n_d2d_demands,
+                row.step3_variables,
+                f"{row.wall_seconds:.4f}",
             ]
         )
     _write_csv(
@@ -270,7 +264,7 @@ def cmd_heuristic(config: ExperimentConfig, options: lp.LpOptions) -> int:
         rows,
         _provenance(config, options),
     )
-    print(f"heuristic: {len(rows)} levels, rho(full)={rho!r}")
+    print(f"heuristic: {len(rows)} levels, rho(full)={sweep.rho!r}")
     return worst
 
 
@@ -279,9 +273,7 @@ def cmd_bounds(config: ExperimentConfig, options: lp.LpOptions) -> int:
     _emit_instance(config, topology, demands)
     nd_result, _, _ = min_spectrum_no_d2d(topology, demands, method="yds")
     outcome = solve_min_spectrum_d2d(topology, demands, pruning=config.pruning, options=options)
-    schedule, v_d2d, _ = solve_min_overhead(
-        topology, demands, outcome.result.total, pruning=config.pruning, options=options
-    )
+    schedule, v_d2d, _ = solve_min_overhead(topology, outcome, options=options)
     vd, vb = compute_volumes(schedule, topology)
     metrics = compute_metrics(nd_result.total, outcome.result.total, vd, vb)
     rho, eta = float(metrics.spectrum_reduction), float(metrics.overhead_ratio)

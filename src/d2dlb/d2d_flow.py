@@ -91,7 +91,9 @@ class TimeExpandedIndex:
     Flow column c carries demand ``flow_demand[c]`` over the link
     ``(nodes[flow_src[c]], nodes[flow_dst[c]])`` in slot ``flow_slot[c]``;
     flow columns come first in the LP, then the peaks, then the per-slot
-    alpha/beta pairs.
+    alpha/beta pairs.  ``relay_cost[c]`` is the column's cost in the
+    overhead stage: its rate when it relays into a user before the demand's
+    deadline, else 0.
     """
 
     problem: lp.LpProblem
@@ -100,6 +102,7 @@ class TimeExpandedIndex:
     flow_src: np.ndarray
     flow_dst: np.ndarray
     flow_slot: np.ndarray
+    relay_cost: np.ndarray
     alpha_vars: dict[tuple[str, int], int]
     beta_vars: dict[tuple[str, int], int]
     peak_vars: dict[str, int]
@@ -135,16 +138,14 @@ def build_flow_lp(
     demand_subset: Sequence[Demand] | None = None,
     pruning: bool = True,
     residual_load: Mapping[tuple[str, int], float] | None = None,
-    objective: str = "spectrum",
-    spectrum_cap: float | None = None,
     name: str = "min-spectrum-d2d",
 ) -> TimeExpandedIndex:
-    """Assemble the flow-over-time LP.
+    """Assemble the flow-over-time LP minimizing the sum of per-BS peaks.
 
     demand_subset restricts the flow variables to a subset of demands (the
     reduced heuristic problem); residual_load adds a fixed per-(BS, slot)
-    spectrum floor under the peak; objective is "spectrum" (sum of per-BS
-    peaks) or "d2d_traffic"; spectrum_cap bounds the sum of peaks.
+    spectrum floor under the peak.  ``overhead_problem`` derives the second
+    stage's model from the result.
 
     Columns: per demand (in subset order), per link (real links in
     ``topology.rate_map`` order, then one self-link per node in
@@ -152,10 +153,8 @@ def build_flow_lp(
     one peak per BS; then an (alpha, beta) pair per billed (BS, slot), in
     (BS id, slot) order.  Rows: per demand its source row, its arrival row
     and its nonempty conservation rows by (node, slot); then per billed
-    (BS, slot) its alpha, beta and peak rows; then the spectrum cap.
+    (BS, slot) its alpha, beta and peak rows.
     """
-    if objective not in ("spectrum", "d2d_traffic"):
-        raise ModelError(f"unknown objective {objective!r}")
     demands.check_users(topology)
     active = tuple(demand_subset) if demand_subset is not None else demands.demands
     residual_load = dict(residual_load or {})
@@ -295,17 +294,8 @@ def build_flow_lp(
         np.concatenate([np.ones(n_flow_rows, bool), np.tile([True, True, False], n_billed)]),
     )
 
-    if spectrum_cap is not None:
-        problem.add_constraint(
-            {p: 1.0 for p in peak_vars.values()}, "<=", float(spectrum_cap), "total_cap"
-        )
-
     c = np.zeros(problem.n_variables)
-    if objective == "spectrum":
-        c[list(peak_vars.values())] = 1.0
-    else:
-        relayed = (link < n_real) & (v < n_users) & inflow
-        c[col[relayed]] = rate[relayed]
+    c[list(peak_vars.values())] = 1.0
     problem.set_objective(c)
 
     alpha_vars = {key: pair0 + 2 * i for i, key in enumerate(billed_keys)}
@@ -317,11 +307,47 @@ def build_flow_lp(
         flow_src=u,
         flow_dst=v,
         flow_slot=t,
+        relay_cost=np.where((link < n_real) & (v < n_users) & inflow, rate, 0.0),
         alpha_vars=alpha_vars,
         beta_vars=beta_vars,
         peak_vars=peak_vars,
         demand_ids=tuple(j.id for j in active),
     )
+
+
+def overhead_problem(
+    index: TimeExpandedIndex,
+    total_spectrum: float,
+    slack: float = lp.DEFAULT_LEXICO_SLACK,
+) -> lp.LpProblem:
+    """The overhead stage's model, derived from the spectrum model of ``index``.
+
+    A copy of ``index.problem`` with the sum of peaks capped at
+    ``total_spectrum`` plus a relative ``slack`` and the relayed traffic as
+    its cost; the columns keep their layout, so ``index`` still reads the
+    schedule off a solution of it.
+    """
+    c = np.zeros(index.problem.n_variables)
+    c[: index.n_flow_variables] = index.relay_cost
+    return lp.secondary_problem(index.problem, total_spectrum, c, slack)
+
+
+def solve_overhead_stage(
+    index: TimeExpandedIndex,
+    spectrum: lp.LpSolution,
+    slack: float = lp.DEFAULT_LEXICO_SLACK,
+    options: lp.LpOptions | None = None,
+    stage: str = "Min-Overhead",
+) -> tuple[lp.LpSolution, Schedule]:
+    """Minimize the relayed traffic at the spectrum optimum ``spectrum`` of ``index.problem``.
+
+    Returns the overhead-stage solution and its flow schedule; ``stage``
+    names the stage in the error raised when the solve is not optimal.
+    """
+    solution = lp.solve(overhead_problem(index, spectrum.objective, slack), options)
+    if not solution.optimal:
+        raise lp.LpError(f"{stage} terminated with status {solution.status}")
+    return solution, index.extract_schedule(solution)
 
 
 @dataclass(frozen=True)
@@ -330,6 +356,19 @@ class D2DSolveOutcome:
     schedule: Schedule
     index: TimeExpandedIndex
     solution: lp.LpSolution
+
+
+def _spectrum_result(
+    topology: Topology, schedule: Schedule, per_bs: dict[str, float], total: float
+) -> SpectrumResult:
+    v_d2d, v_bs = compute_volumes(schedule, topology)
+    return SpectrumResult(
+        per_bs_peak=per_bs,
+        total=total,
+        v_d2d=v_d2d,
+        v_bs=v_bs,
+        per_slot_load=per_slot_loads(schedule, topology),
+    )
 
 
 def solve_min_spectrum_d2d(
@@ -345,53 +384,31 @@ def solve_min_spectrum_d2d(
         raise lp.LpError(f"Min-Spectrum-D2D terminated with status {solution.status}")
     schedule = index.extract_schedule(solution)
     per_bs = {b: solution.value(col) for b, col in index.peak_vars.items()}
-    v_d2d, v_bs = compute_volumes(schedule, topology)
-    result = SpectrumResult(
-        per_bs_peak=per_bs,
-        total=float(solution.objective),
-        v_d2d=v_d2d,
-        v_bs=v_bs,
-        per_slot_load=per_slot_loads(schedule, topology),
-    )
+    result = _spectrum_result(topology, schedule, per_bs, float(solution.objective))
     return D2DSolveOutcome(result, schedule, index, solution)
 
 
 def solve_min_overhead(
     topology: Topology,
-    demands: DemandSet,
-    total_spectrum: float,
-    pruning: bool = True,
+    outcome: D2DSolveOutcome,
     slack: float = lp.DEFAULT_LEXICO_SLACK,
     options: lp.LpOptions | None = None,
 ) -> tuple[Schedule, float, D2DSolveOutcome]:
-    """Minimize D2D traffic subject to the given total-spectrum budget.
+    """Minimize D2D traffic subject to the spectrum optimum of ``outcome``.
 
-    ``total_spectrum`` is the Min-Spectrum-D2D optimum; the budget constraint
-    binds at the returned optimum (up to the numeric slack).
+    ``outcome`` is the Min-Spectrum-D2D solve; its model is reused, so no LP
+    is built here.  The budget constraint binds at the returned optimum (up
+    to the numeric slack).  Returns the schedule, the relayed traffic, and
+    the overhead stage's outcome (same ``index``, its own solution).
     """
-    cap = total_spectrum + slack * max(1.0, abs(total_spectrum))
-    index = build_flow_lp(
-        topology,
-        demands,
-        pruning=pruning,
-        objective="d2d_traffic",
-        spectrum_cap=cap,
-        name="min-overhead",
+    solution, schedule = solve_overhead_stage(outcome.index, outcome.solution, slack, options)
+    per_bs = {b: solution.value(col) for b, col in outcome.index.peak_vars.items()}
+    result = _spectrum_result(topology, schedule, per_bs, sum(per_bs.values()))
+    return (
+        schedule,
+        float(solution.objective),
+        D2DSolveOutcome(result, schedule, outcome.index, solution),
     )
-    solution = lp.solve(index.problem, options)
-    if not solution.optimal:
-        raise lp.LpError(f"Min-Overhead terminated with status {solution.status}")
-    schedule = index.extract_schedule(solution)
-    per_bs = {b: solution.value(col) for b, col in index.peak_vars.items()}
-    v_d2d, v_bs = compute_volumes(schedule, topology)
-    result = SpectrumResult(
-        per_bs_peak=per_bs,
-        total=sum(per_bs.values()),
-        v_d2d=v_d2d,
-        v_bs=v_bs,
-        per_slot_load=per_slot_loads(schedule, topology),
-    )
-    return schedule, float(solution.objective), D2DSolveOutcome(result, schedule, index, solution)
 
 
 @dataclass(frozen=True)

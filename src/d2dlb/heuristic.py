@@ -7,17 +7,23 @@ its no-D2D allocation.  Step III re-solves the flow LP for the D2D-eligible
 demands only, on top of the kept allocations.
 
 level=0 reduces to the full problem, level=1 to the pure no-D2D solution;
-in between the split trades LP size against spectrum.
+in between the split trades LP size against spectrum.  ``heuristic_sweep``
+runs a grid of levels and solves each distinct reduced problem once.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import lp
-from .d2d_flow import build_flow_lp
+from .d2d_flow import (
+    TimeExpandedIndex,
+    build_flow_lp,
+    solve_min_spectrum_d2d,
+    solve_overhead_stage,
+)
 from .model import (
     Demand,
     DemandSet,
@@ -98,6 +104,75 @@ def split_demands(
 
 
 @dataclass(frozen=True)
+class Step3Solve:
+    """Spectrum stage of a reduced problem.
+
+    The D2D-eligible set fixes the reduced problem (its flows and, through
+    the kept allocations, its residual load), so every split with the same
+    eligible set shares this solve.  With no eligible demand there is no
+    flow to place and no LP: each peak is the largest kept load of its BS,
+    and ``index``/``solution`` are None.
+    """
+
+    per_bs_peak: dict[str, float]
+    total: float
+    index: TimeExpandedIndex | None = None
+    solution: lp.LpSolution | None = None
+
+    @property
+    def n_variables(self) -> int:
+        return self.index.n_flow_variables if self.index is not None else 0
+
+    def flow_schedule(self) -> Schedule:
+        if self.index is None:
+            return Schedule({})
+        return self.index.extract_schedule(self.solution)
+
+
+def _solve_step3(
+    topology: Topology,
+    demands: DemandSet,
+    split: SplitResult,
+    pruning: bool,
+    options: lp.LpOptions | None,
+) -> Step3Solve:
+    if not split.d2d_demand_ids:
+        peaks = {b: 0.0 for b in topology.bs_ids}
+        for (b, _t), load in split.residual_load.items():
+            peaks[b] = max(peaks[b], load)
+        return Step3Solve(peaks, sum(peaks.values()))
+    index = build_flow_lp(
+        topology,
+        demands,
+        demand_subset=tuple(j for j in demands.demands if j.id in split.d2d_demand_ids),
+        pruning=pruning,
+        residual_load=split.residual_load,
+        name=f"heuristic-spectrum-level{split.level}",
+    )
+    solution = lp.solve(index.problem, options)
+    if not solution.optimal:
+        raise lp.LpError(f"heuristic step III terminated with status {solution.status}")
+    per_bs = {b: solution.value(col) for b, col in index.peak_vars.items()}
+    return Step3Solve(per_bs, float(solution.objective), index, solution)
+
+
+def _min_overhead_step3(
+    topology: Topology,
+    demands: DemandSet,
+    split: SplitResult,
+    step3: Step3Solve,
+    slack: float,
+    options: lp.LpOptions | None,
+) -> tuple[Schedule, float]:
+    if step3.index is None:
+        return _combined_schedule(topology, demands, split, Schedule({})), 0.0
+    solution, flows = solve_overhead_stage(
+        step3.index, step3.solution, slack, options, stage="heuristic overhead step"
+    )
+    return _combined_schedule(topology, demands, split, flows), float(solution.objective)
+
+
+@dataclass(frozen=True)
 class HeuristicOutcome:
     total_spectrum: float
     schedule: Schedule  # combined: kept ND allocations plus Step-III flows
@@ -107,6 +182,7 @@ class HeuristicOutcome:
     step3_wall_seconds: float
     f_nd: float
     per_bs_nd: dict[str, float]
+    step3: Step3Solve
 
 
 def _combined_schedule(
@@ -142,71 +218,128 @@ def heuristic_min_spectrum(
     """Run the three steps; returns the reduced-problem spectrum and schedule."""
     nd_result, nd_schedule, _ = min_spectrum_no_d2d(topology, demands, method=nd_method)
     split = split_demands(topology, demands, nd_schedule, level)
-    d2d_subset = tuple(j for j in demands.demands if j.id in split.d2d_demand_ids)
     t0 = time.perf_counter()
-    index = build_flow_lp(
-        topology,
-        demands,
-        demand_subset=d2d_subset,
-        pruning=pruning,
-        residual_load=split.residual_load,
-        name=f"heuristic-spectrum-level{level}",
-    )
-    solution = lp.solve(index.problem, options)
+    step3 = _solve_step3(topology, demands, split, pruning, options)
     wall = time.perf_counter() - t0
-    if not solution.optimal:
-        raise lp.LpError(f"heuristic step III terminated with status {solution.status}")
-    d2d_schedule = index.extract_schedule(solution)
-    schedule = _combined_schedule(topology, demands, split, d2d_schedule)
-    per_bs = {b: solution.value(col) for b, col in index.peak_vars.items()}
+    schedule = _combined_schedule(topology, demands, split, step3.flow_schedule())
     v_d2d, v_bs = compute_volumes(schedule, topology)
     result = SpectrumResult(
-        per_bs_peak=per_bs,
-        total=float(solution.objective),
+        per_bs_peak=step3.per_bs_peak,
+        total=step3.total,
         v_d2d=v_d2d,
         v_bs=v_bs,
         per_slot_load=per_slot_loads(schedule, topology),
     )
     return HeuristicOutcome(
-        total_spectrum=float(solution.objective),
+        total_spectrum=step3.total,
         schedule=schedule,
         split=split,
         result=result,
-        step3_variables=index.n_flow_variables,
+        step3_variables=step3.n_variables,
         step3_wall_seconds=wall,
         f_nd=float(nd_result.total),
         per_bs_nd={b: float(f) for b, f in nd_result.per_bs_peak.items()},
+        step3=step3,
     )
 
 
 def heuristic_min_overhead(
     topology: Topology,
     demands: DemandSet,
-    level: float,
     outcome: HeuristicOutcome,
-    pruning: bool = True,
     slack: float = lp.DEFAULT_LEXICO_SLACK,
     options: lp.LpOptions | None = None,
 ) -> tuple[Schedule, float]:
-    """Minimize the D2D traffic of the reduced problem at its spectrum optimum."""
-    split = outcome.split
-    d2d_subset = tuple(j for j in demands.demands if j.id in split.d2d_demand_ids)
-    cap = outcome.total_spectrum + slack * max(1.0, abs(outcome.total_spectrum))
-    index = build_flow_lp(
-        topology,
-        demands,
-        demand_subset=d2d_subset,
-        pruning=pruning,
-        residual_load=split.residual_load,
-        objective="d2d_traffic",
-        spectrum_cap=cap,
-        name=f"heuristic-overhead-level{level}",
-    )
-    solution = lp.solve(index.problem, options)
-    if not solution.optimal:
-        raise lp.LpError(f"heuristic overhead step terminated with status {solution.status}")
-    schedule = _combined_schedule(topology, demands, split, index.extract_schedule(solution))
-    return schedule, float(solution.objective)
+    """Minimize the D2D traffic of the reduced problem at its spectrum optimum.
+
+    Runs on the model ``heuristic_min_spectrum`` solved; returns the combined
+    schedule and the relayed traffic.
+    """
+    return _min_overhead_step3(topology, demands, outcome.split, outcome.step3, slack, options)
+
+
+def overhead_ratio(v_d2d: float, v_bs: float) -> float:
+    """Share of the transmitted traffic carried on D2D hops; 0 when nothing moves."""
+    return float(v_d2d / (v_d2d + v_bs)) if v_d2d + v_bs > 0 else 0.0
+
+
+@dataclass(frozen=True)
+class SweepLevel:
+    """One split level of a sweep; ``wall_seconds`` of a reused level is lookup time."""
+
+    level: float
+    split: SplitResult
+    total_spectrum: float
+    rho: float
+    eta: float
+    step3_variables: int  # flow columns of the LP the row's numbers come from
+    wall_seconds: float
+    reused: bool  # an earlier level had the same eligible set
+
+    @property
+    def n_d2d_demands(self) -> int:
+        return len(self.split.d2d_demand_ids)
+
+
+@dataclass(frozen=True)
+class HeuristicSweep:
+    f_nd: float
+    rho: float  # the full problem's spectrum reduction
+    levels: tuple[SweepLevel, ...]
+
+
+def heuristic_sweep(
+    topology: Topology,
+    demands: DemandSet,
+    levels: Sequence[float],
+    pruning: bool = True,
+    options: lp.LpOptions | None = None,
+) -> HeuristicSweep:
+    """Both stages of the reduced problem at each split level, each distinct LP solved once.
+
+    The no-D2D baseline is computed once.  Levels with the same eligible set
+    share one two-stage solve, and a level that makes every demand eligible
+    reuses the full problem's spectrum stage, which the sweep solves anyway
+    for the full reduction.
+    """
+    nd_result, nd_schedule, _ = min_spectrum_no_d2d(topology, demands)
+    f_nd = float(nd_result.total)
+    if f_nd == 0:
+        raise ModelError("spectrum reduction undefined: no-D2D total is zero")
+    full = solve_min_spectrum_d2d(topology, demands, pruning=pruning, options=options)
+    all_ids = frozenset(j.id for j in demands.demands)
+    full_step3 = Step3Solve(full.result.per_bs_peak, full.result.total, full.index, full.solution)
+    solved: dict[frozenset[int], tuple[float, float, int]] = {}
+    rows = []
+    for level in levels:
+        t0 = time.perf_counter()
+        split = split_demands(topology, demands, nd_schedule, level)
+        key = split.d2d_demand_ids
+        reused = key in solved
+        if not reused:
+            if key == all_ids:
+                step3 = full_step3
+            else:
+                step3 = _solve_step3(topology, demands, split, pruning, options)
+            schedule, _ = _min_overhead_step3(
+                topology, demands, split, step3, lp.DEFAULT_LEXICO_SLACK, options
+            )
+            eta = overhead_ratio(*compute_volumes(schedule, topology))
+            solved[key] = (step3.total, eta, step3.n_variables)
+        total, eta, n_variables = solved[key]
+        rows.append(
+            SweepLevel(
+                level=level,
+                split=split,
+                total_spectrum=total,
+                rho=(f_nd - total) / f_nd,
+                eta=eta,
+                step3_variables=n_variables,
+                wall_seconds=time.perf_counter() - t0,
+                reused=reused,
+            )
+        )
+    return HeuristicSweep(f_nd, (f_nd - full.result.total) / f_nd, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -268,6 +401,11 @@ __all__ = [
     "HeuristicOutcome",
     "heuristic_min_spectrum",
     "heuristic_min_overhead",
+    "Step3Solve",
+    "SweepLevel",
+    "HeuristicSweep",
+    "heuristic_sweep",
+    "overhead_ratio",
     "HeuristicBoundReport",
     "check_heuristic_bounds",
 ]

@@ -656,6 +656,29 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
     return backend(problem, options)
 
 
+def secondary_problem(
+    problem_primary: LpProblem,
+    primary_optimum: float,
+    objective_secondary: Mapping[int, float] | np.ndarray,
+    slack: float = DEFAULT_LEXICO_SLACK,
+) -> LpProblem:
+    """The second stage of a lexicographic solve, on a copy of the primary model.
+
+    The copy gains one row capping the primary objective at
+    ``primary_optimum`` plus ``slack`` (relative, at least absolute), and
+    ``objective_secondary`` replaces its cost; variables and the other rows
+    are unchanged, so a primary solution's layout applies to it as well.
+    """
+    second = problem_primary.copy()
+    second.name = problem_primary.name + "+secondary"
+    cap = primary_optimum + slack * max(1.0, abs(primary_optimum))
+    c = problem_primary.objective
+    used = np.flatnonzero(c)
+    second.add_constraint(dict(zip(used.tolist(), c[used].tolist())), "<=", cap, "primary_cap")
+    second.set_objective(objective_secondary)
+    return second
+
+
 def solve_lexicographic(
     problem_primary: LpProblem,
     objective_secondary: Mapping[int, float],
@@ -671,12 +694,5 @@ def solve_lexicographic(
     primary = solve(problem_primary, options)
     if not primary.optimal:
         return primary, primary
-    second = problem_primary.copy()
-    second.name = problem_primary.name + "+secondary"
-    cap = primary.objective + slack * max(1.0, abs(primary.objective))
-    c = problem_primary.objective
-    used = np.flatnonzero(c)
-    second.add_constraint(dict(zip(used.tolist(), c[used].tolist())), "<=", cap, "primary_cap")
-    second.set_objective(objective_secondary)
-    secondary = solve(second, options)
-    return primary, secondary
+    second = secondary_problem(problem_primary, primary.objective, objective_secondary, slack)
+    return primary, solve(second, options)

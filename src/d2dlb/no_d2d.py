@@ -9,6 +9,7 @@ the acceptance suite.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -135,28 +136,38 @@ def edf_feasible(
     unfinished demands in ascending (deadline, id) order.  A demand finishes
     once its residual work drops below a relative rounding tolerance.  On
     success the witness schedule, storage entries included, is returned.
+
+    Released demands wait in a heap keyed (deadline, id); a demand leaves it
+    once finished, so a slot only touches the demands it serves, and the
+    deadline check looks only at the demands due in that slot.
     """
     if capacity < 0:
         raise ModelError("capacity must be nonnegative")
     remaining = {j.id: cell.work(j) for j in cell.demands}
     tol = {j.id: completion_rel_tol * max(cell.work(j), 1e-300) for j in cell.demands}
+    released: dict[int, list[Demand]] = {}
+    due: dict[int, list[Demand]] = {}
+    for j in cell.demands:
+        released.setdefault(j.start, []).append(j)
+        due.setdefault(j.end, []).append(j)
     alloc: dict[tuple[int, str, str, int], float] = {}
     slots = sorted({t for j in cell.demands for t in range(j.start, j.end + 1)})
-    by_deadline = sorted(cell.demands, key=lambda j: (j.end, j.id))
+    waiting: list[tuple[int, int, Demand]] = []
     for t in slots:
+        for j in released.get(t, ()):
+            heapq.heappush(waiting, (j.end, j.id, j))
         free = capacity
-        for j in by_deadline:
-            if free <= 0:
-                break
-            if not (j.start <= t <= j.end) or remaining[j.id] <= tol[j.id]:
-                continue
-            grant = min(free, remaining[j.id])
-            if grant > 0:
-                alloc[(j.id, j.user, cell.bs, t)] = alloc.get((j.id, j.user, cell.bs, t), 0.0) + grant
+        while waiting and free > 0:
+            j = waiting[0][2]
+            if remaining[j.id] > tol[j.id]:
+                grant = min(free, remaining[j.id])
+                alloc[(j.id, j.user, cell.bs, t)] = grant
                 remaining[j.id] -= grant
                 free -= grant
-        for j in by_deadline:
-            if j.end == t and remaining[j.id] > tol[j.id]:
+            if remaining[j.id] <= tol[j.id]:
+                heapq.heappop(waiting)
+        for j in due.get(t, ()):
+            if remaining[j.id] > tol[j.id]:
                 return False, None
     return True, _with_cell_storage(cell, alloc)
 

@@ -76,7 +76,7 @@ def solve_instance(seed: int) -> SolvedInstance:
     topology, demands = draw_instance(rng)
     nd_result, _, _ = min_spectrum_no_d2d(topology, demands, method="yds")
     outcome = solve_min_spectrum_d2d(topology, demands)
-    schedule, _, _ = solve_min_overhead(topology, demands, outcome.result.total)
+    schedule, _, _ = solve_min_overhead(topology, outcome)
     v_d2d, v_bs = compute_volumes(schedule, topology)
     f_nd = float(nd_result.total)
     f_d2d = float(outcome.result.total)

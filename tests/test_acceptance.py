@@ -79,7 +79,7 @@ def test_criterion_1_toy_example():
         assert outcome.result.total == pytest.approx(4.0, abs=1e-9)
         rho = (float(nd_result.total) - outcome.result.total) / float(nd_result.total)
         assert rho == pytest.approx(1 / 3, abs=1e-9)
-        schedule, _, _ = solve_min_overhead(topology, demands, outcome.result.total)
+        schedule, _, _ = solve_min_overhead(topology, outcome)
         v_d2d, v_bs = compute_volumes(schedule, topology)
         eta = float(v_d2d / (v_d2d + v_bs))
         assert eta == pytest.approx(0.25, abs=1e-6)
@@ -164,9 +164,7 @@ def test_criterion_6_heuristic_sandwich():
         for inst in get_bound_suite():
             for level in (0.0, 0.25, 0.5, 0.75, 1.0):
                 outcome = heuristic_min_spectrum(inst.topology, inst.demands, level)
-                schedule, _ = heuristic_min_overhead(
-                    inst.topology, inst.demands, level, outcome
-                )
+                schedule, _ = heuristic_min_overhead(inst.topology, inst.demands, outcome)
                 v_d2d, v_bs = compute_volumes(schedule, inst.topology)
                 rho_h = (inst.f_nd - outcome.total_spectrum) / inst.f_nd
                 eta_h = float(v_d2d / (v_d2d + v_bs))
@@ -256,7 +254,7 @@ def test_criterion_8_synthetic_day():
             curve[level] = (f_nd - outcome.total_spectrum) / f_nd
             assert outcome.total_spectrum == pytest.approx(SYNTHETIC_F_H[level], rel=1e-6)
             if level == 0.5:
-                schedule, _ = heuristic_min_overhead(topology, demands, level, outcome)
+                schedule, _ = heuristic_min_overhead(topology, demands, outcome)
                 v_d2d, v_bs = compute_volumes(schedule, topology)
                 eta_h = float(v_d2d / (v_d2d + v_bs))
         # the headline behavior: positive reduction at tiny overhead

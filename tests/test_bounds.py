@@ -201,7 +201,7 @@ class TestObservedAgainstBounds:
     def test_toy_overhead_under_bound(self, toy_instance):
         topology, demands = toy_instance
         outcome = solve_min_spectrum_d2d(topology, demands)
-        schedule, _, _ = solve_min_overhead(topology, demands, outcome.result.total)
+        schedule, _, _ = solve_min_overhead(topology, outcome)
         v_d2d, v_bs = compute_volumes(schedule, topology)
         eta = float(v_d2d / (v_d2d + v_bs))
         assert eta <= overhead_upper_bound(demands.max_delay) + 1e-6

@@ -90,6 +90,13 @@ class TestHeuristic:
         # the level-0 row matches the full solve
         assert float(by_level[0.0]["rho"]) == pytest.approx(0.25, rel=1e-6)
 
+    def test_zero_no_d2d_total_is_config_error(self, tmp_path, capsys):
+        code = main(
+            ["heuristic", "--generate", "cells=2,users=1,demands=0,T=5", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_CONFIG
+        assert "no-D2D total is zero" in capsys.readouterr().err
+
     def test_bad_lambda_grid_is_config_error(self, tmp_path):
         code = main(
             ["heuristic", "--fixture", "toy-fig1", "--lambda-grid", "0,2.5", "--out", str(tmp_path)]

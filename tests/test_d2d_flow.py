@@ -11,6 +11,7 @@ from d2dlb.d2d_flow import (
     build_flow_lp,
     hop_distances_from,
     hop_distances_to_bs,
+    overhead_problem,
     prune_equivalence_check,
     solve_min_overhead,
     solve_min_spectrum_d2d,
@@ -132,7 +133,7 @@ class TestMinOverhead:
     def test_toy_overhead_is_four_packets(self, toy_instance):
         topology, demands = toy_instance
         outcome = solve_min_spectrum_d2d(topology, demands)
-        schedule, v_d2d, second = solve_min_overhead(topology, demands, outcome.result.total)
+        schedule, v_d2d, second = solve_min_overhead(topology, outcome)
         assert v_d2d == pytest.approx(4.0, rel=1e-6)
         report = validate_schedule(schedule, topology, demands, flow_abs_tol=1e-7)
         assert report.ok, report.summary()
@@ -145,13 +146,13 @@ class TestMinOverhead:
     def test_no_d2d_topology_zero_overhead(self):
         topology, demands = no_d2d_topology()
         outcome = solve_min_spectrum_d2d(topology, demands)
-        _, v_d2d, _ = solve_min_overhead(topology, demands, outcome.result.total)
+        _, v_d2d, _ = solve_min_overhead(topology, outcome)
         assert v_d2d == pytest.approx(0.0, abs=1e-9)
 
     def test_complete_two_cell_overhead_ratio(self):
         inst = build_complete_instance(2, 2, volume=6)
         outcome = solve_min_spectrum_d2d(inst.topology, inst.demands)
-        schedule, _, _ = solve_min_overhead(inst.topology, inst.demands, outcome.result.total)
+        schedule, _, _ = solve_min_overhead(inst.topology, outcome)
         v_d2d, v_bs = compute_volumes(schedule, inst.topology)
         eta = float(v_d2d) / float(v_d2d + v_bs)
         assert eta == pytest.approx(0.25, abs=1e-6)
@@ -214,8 +215,8 @@ class TestStructuralProperties:
 
     def test_min_overhead_lp_dump_smoke(self, toy_instance):
         topology, demands = toy_instance
-        index = build_flow_lp(topology, demands, objective="d2d_traffic", spectrum_cap=4.0)
-        text = index.problem.to_lp_format()
-        assert "total_cap" in text
-        solution = solve(index.problem)
+        problem = overhead_problem(build_flow_lp(topology, demands), 4.0)
+        text = problem.to_lp_format()
+        assert "primary_cap" in text
+        solution = solve(problem)
         assert solution.status == "optimal"

@@ -4,7 +4,9 @@
 time, the way the flow LP was first written; ``build_flow_lp`` derives the
 same columns from one slot interval per (demand, link).  Both must hand the
 solver the same model: the same matrices, right-hand sides, costs and bounds,
-with columns and rows in the same order.
+with columns and rows in the same order.  The overhead stage is derived from
+the spectrum model by ``overhead_problem``; it must equal the reference's
+direct build with the relayed-traffic objective and the spectrum cap.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from d2dlb.d2d_flow import (
     build_flow_lp,
     hop_distances_from,
     hop_distances_to_bs,
+    overhead_problem,
+    solve_min_spectrum_d2d,
 )
 from d2dlb.heuristic import split_demands
 from d2dlb.model import Demand, DemandSet, ModelError, Topology
@@ -157,6 +161,23 @@ def loop_flow_lp(
     return problem, flow_vars, alpha_vars, beta_vars, peak_vars
 
 
+def assert_same_problem(got: lp.LpProblem, want: lp.LpProblem) -> None:
+    got, want = got.linprog_arguments(), want.linprog_arguments()
+    for name in ("c", "b_ub", "b_eq", "bounds"):
+        assert (got[name] is None) == (want[name] is None), name
+        if want[name] is not None:
+            assert got[name].shape == want[name].shape, name
+            assert np.array_equal(got[name], want[name]), name
+    for name in ("A_ub", "A_eq"):
+        assert (got[name] is None) == (want[name] is None), name
+        if want[name] is not None:
+            a, b = got[name], want[name]
+            assert a.shape == b.shape, name
+            assert np.array_equal(a.indptr, b.indptr), name
+            assert np.array_equal(a.indices, b.indices), name
+            assert np.array_equal(a.data, b.data), name
+
+
 def assert_same_model(topology: Topology, demands: DemandSet, **kwargs) -> None:
     index = build_flow_lp(topology, demands, **kwargs)
     ref, flow_vars, alpha_vars, beta_vars, peak_vars = loop_flow_lp(topology, demands, **kwargs)
@@ -175,21 +196,23 @@ def assert_same_model(topology: Topology, demands: DemandSet, **kwargs) -> None:
     assert index.alpha_vars == alpha_vars
     assert index.beta_vars == beta_vars
     assert index.peak_vars == peak_vars
+    assert_same_problem(index.problem, ref)
 
-    got, want = index.problem.linprog_arguments(), ref.linprog_arguments()
-    for name in ("c", "b_ub", "b_eq", "bounds"):
-        assert (got[name] is None) == (want[name] is None), name
-        if want[name] is not None:
-            assert got[name].shape == want[name].shape, name
-            assert np.array_equal(got[name], want[name]), name
-    for name in ("A_ub", "A_eq"):
-        assert (got[name] is None) == (want[name] is None), name
-        if want[name] is not None:
-            a, b = got[name], want[name]
-            assert a.shape == b.shape, name
-            assert np.array_equal(a.indptr, b.indptr), name
-            assert np.array_equal(a.indices, b.indices), name
-            assert np.array_equal(a.data, b.data), name
+
+def assert_same_overhead_model(
+    topology: Topology,
+    demands: DemandSet,
+    total_spectrum: float,
+    slack: float = lp.DEFAULT_LEXICO_SLACK,
+    **kwargs,
+) -> None:
+    """The overhead stage derived from the spectrum model equals a direct build of it."""
+    problem = overhead_problem(build_flow_lp(topology, demands, **kwargs), total_spectrum, slack)
+    cap = total_spectrum + slack * max(1.0, abs(total_spectrum))
+    ref, *_ = loop_flow_lp(
+        topology, demands, objective="d2d_traffic", spectrum_cap=cap, **kwargs
+    )
+    assert_same_problem(problem, ref)
 
 
 def ring3() -> tuple[Topology, DemandSet]:
@@ -212,11 +235,17 @@ def test_named_instances(instance, pruning):
 
 
 def test_d2d_traffic_objective_with_cap(toy_instance):
+    # the overhead stage on the spectrum model, against the direct build
     topology, demands = toy_instance
     for pruning in (True, False):
-        assert_same_model(
-            topology, demands, pruning=pruning, objective="d2d_traffic", spectrum_cap=4.0
-        )
+        for slack in (0.0, lp.DEFAULT_LEXICO_SLACK):
+            assert_same_overhead_model(topology, demands, 4.0, slack, pruning=pruning)
+
+
+def test_overhead_stage_at_the_solved_optimum(toy_instance):
+    topology, demands = toy_instance
+    outcome = solve_min_spectrum_d2d(topology, demands)
+    assert_same_overhead_model(topology, demands, outcome.solution.objective)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.booleans())
@@ -233,9 +262,7 @@ def test_random_multicell(seed, pruning):
         d2d_link_prob=float(rng.uniform(0.1, 0.6)),
     )
     assert_same_model(topology, demands, pruning=pruning)
-    assert_same_model(
-        topology, demands, pruning=pruning, objective="d2d_traffic", spectrum_cap=3.5
-    )
+    assert_same_overhead_model(topology, demands, 3.5, pruning=pruning)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([0.0, 0.25, 0.5, 0.9]))
@@ -256,14 +283,13 @@ def test_heuristic_step3_subset_with_residual(seed, level):
             pruning=pruning,
             residual_load=split.residual_load,
         )
-        assert_same_model(
+        assert_same_overhead_model(
             topology,
             demands,
+            10.0,
             demand_subset=subset,
             pruning=pruning,
             residual_load=split.residual_load,
-            objective="d2d_traffic",
-            spectrum_cap=10.0,
         )
 
 

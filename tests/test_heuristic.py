@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dlb.d2d_flow import solve_min_spectrum_d2d
+from d2dlb import lp
+from d2dlb.d2d_flow import build_flow_lp, solve_min_spectrum_d2d
 from d2dlb.heuristic import (
     check_heuristic_bounds,
     heuristic_min_overhead,
     heuristic_min_spectrum,
+    heuristic_sweep,
+    overhead_ratio,
     split_demands,
 )
 from d2dlb.model import ModelError, compute_volumes, validate_schedule
 from d2dlb.no_d2d import min_spectrum_no_d2d
-from d2dlb.scenario import heuristic_six_task, random_multicell_instance
+from d2dlb.scenario import heuristic_six_task, random_multicell_instance, toy_two_cell
 
 # demand ids in the six-task fixture, in build order
 TASK_A, TASK_B, TASK_C, TASK_D, TASK_E, TASK_F = range(6)
@@ -81,7 +84,7 @@ class TestThreeSteps:
         topology, demands = heuristic_six_task()
         outcome = heuristic_min_spectrum(topology, demands, 1.0)
         assert outcome.total_spectrum == pytest.approx(outcome.f_nd, rel=1e-9)
-        _, v_d2d = heuristic_min_overhead(topology, demands, 1.0, outcome)
+        _, v_d2d = heuristic_min_overhead(topology, demands, outcome)
         assert v_d2d == pytest.approx(0.0, abs=1e-12)
 
     def test_level_zero_equals_full_problem(self):
@@ -93,7 +96,7 @@ class TestThreeSteps:
     def test_toy_level_zero_overhead_is_four(self, toy_instance):
         topology, demands = toy_instance
         outcome = heuristic_min_spectrum(topology, demands, 0.0)
-        schedule, v_d2d = heuristic_min_overhead(topology, demands, 0.0, outcome)
+        schedule, v_d2d = heuristic_min_overhead(topology, demands, outcome)
         assert v_d2d == pytest.approx(4.0, rel=1e-6)
         report = validate_schedule(schedule, topology, demands, flow_abs_tol=1e-7)
         assert report.ok, report.summary()
@@ -120,7 +123,7 @@ class TestBounds:
         rho = (f_nd - full.result.total) / f_nd
         for level in (0.0, 0.5, 1.0):
             outcome = heuristic_min_spectrum(topology, demands, level)
-            schedule, _ = heuristic_min_overhead(topology, demands, level, outcome)
+            schedule, _ = heuristic_min_overhead(topology, demands, outcome)
             v_d2d, v_bs = compute_volumes(schedule, topology)
             rho_h = (f_nd - outcome.total_spectrum) / f_nd
             eta_h = float(v_d2d / (v_d2d + v_bs))
@@ -164,4 +167,82 @@ class TestBounds:
                 full.result.total - 1e-6
                 <= outcome.total_spectrum
                 <= float(nd_result.total) + 1e-6
+            )
+
+
+SWEEP_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def level_alone(topology, demands, level) -> tuple:
+    """A sweep row's numbers, from the level solved on its own with nothing reused."""
+    nd_result, _, _ = min_spectrum_no_d2d(topology, demands)
+    f_nd = float(nd_result.total)
+    outcome = heuristic_min_spectrum(topology, demands, level)
+    schedule, _ = heuristic_min_overhead(topology, demands, outcome)
+    return (
+        outcome.total_spectrum,
+        (f_nd - outcome.total_spectrum) / f_nd,
+        overhead_ratio(*compute_volumes(schedule, topology)),
+        len(outcome.split.d2d_demand_ids),
+        outcome.step3_variables,
+    )
+
+
+def assert_sweep_equals_levels_alone(topology, demands, levels=SWEEP_LEVELS):
+    sweep = heuristic_sweep(topology, demands, levels)
+    for row in sweep.levels:
+        got = (row.total_spectrum, row.rho, row.eta, row.n_d2d_demands, row.step3_variables)
+        assert got == level_alone(topology, demands, row.level), row.level
+
+
+class TestSweep:
+    @pytest.mark.parametrize("instance", [heuristic_six_task, toy_two_cell])
+    def test_rows_equal_levels_solved_alone(self, instance):
+        assert_sweep_equals_levels_alone(*instance())
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_rows_equal_levels_solved_alone_property(self, seed):
+        rng = np.random.default_rng(seed)
+        topology, demands = random_multicell_instance(
+            rng,
+            n_cells=int(rng.integers(2, 4)),
+            users_per_cell=int(rng.integers(2, 4)),
+            n_demands=int(rng.integers(6, 18)),
+            horizon=int(rng.integers(8, 14)),
+            delays=(1, 2, 3, 4),
+        )
+        assert_sweep_equals_levels_alone(topology, demands)
+
+    def test_toy_sweep_solves_two_lps(self, monkeypatch):
+        # levels 0-0.75 make every demand eligible, so they share the full
+        # problem's two stages; level 1 makes none eligible and needs no LP
+        calls = []
+        solve = lp.solve
+
+        def counting_solve(problem, options=None):
+            calls.append(problem.name)
+            return solve(problem, options)
+
+        monkeypatch.setattr(lp, "solve", counting_solve)
+        topology, demands = toy_two_cell()
+        sweep = heuristic_sweep(topology, demands, SWEEP_LEVELS)
+        assert [row.n_d2d_demands for row in sweep.levels] == [4, 4, 4, 4, 0]
+        assert [row.reused for row in sweep.levels] == [False, True, True, True, False]
+        assert calls == ["min-spectrum-d2d", "min-spectrum-d2d+secondary"]
+
+    @pytest.mark.parametrize("instance", [heuristic_six_task, toy_two_cell])
+    def test_empty_eligible_set_matches_its_lp(self, instance):
+        # with no flow to place, the reduced LP's optimum is the kept load's peaks
+        topology, demands = instance()
+        outcome = heuristic_min_spectrum(topology, demands, 1.0)
+        assert outcome.step3_variables == 0
+        index = build_flow_lp(
+            topology, demands, demand_subset=(), residual_load=outcome.split.residual_load
+        )
+        solution = lp.solve(index.problem)
+        assert solution.objective == pytest.approx(outcome.total_spectrum, rel=1e-12)
+        for b, col in index.peak_vars.items():
+            assert solution.value(col) == pytest.approx(
+                outcome.result.per_bs_peak[b], rel=1e-12, abs=1e-12
             )

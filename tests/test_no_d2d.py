@@ -6,9 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dlb.lp import LpOptions
-from d2dlb.model import DemandSet, ModelError, Topology, per_slot_loads, validate_schedule
+from d2dlb.model import (
+    DemandSet,
+    ModelError,
+    Schedule,
+    Topology,
+    per_slot_loads,
+    validate_schedule,
+)
 from d2dlb.no_d2d import (
     CellInstance,
+    _with_cell_storage,
     binary_search_min_spectrum,
     edf_feasible,
     intensity,
@@ -100,6 +108,34 @@ class TestYds:
         assert interval == (1, 2)
 
 
+def scan_edf_feasible(
+    cell: CellInstance, capacity: float, completion_rel_tol: float = 1e-9
+) -> tuple[bool, Schedule | None]:
+    """Reference EDF: every slot scans all demands in (deadline, id) order."""
+    remaining = {j.id: cell.work(j) for j in cell.demands}
+    tol = {j.id: completion_rel_tol * max(cell.work(j), 1e-300) for j in cell.demands}
+    alloc: dict[tuple[int, str, str, int], float] = {}
+    slots = sorted({t for j in cell.demands for t in range(j.start, j.end + 1)})
+    by_deadline = sorted(cell.demands, key=lambda j: (j.end, j.id))
+    for t in slots:
+        free = capacity
+        for j in by_deadline:
+            if free <= 0:
+                break
+            if not (j.start <= t <= j.end) or remaining[j.id] <= tol[j.id]:
+                continue
+            grant = min(free, remaining[j.id])
+            if grant > 0:
+                key = (j.id, j.user, cell.bs, t)
+                alloc[key] = alloc.get(key, 0.0) + grant
+                remaining[j.id] -= grant
+                free -= grant
+        for j in by_deadline:
+            if j.end == t and remaining[j.id] > tol[j.id]:
+                return False, None
+    return True, _with_cell_storage(cell, alloc)
+
+
 class TestEdf:
     def test_toy_cell_feasible_at_three(self):
         feasible, schedule = edf_feasible(toy_cell_alpha(), 3.0)
@@ -147,6 +183,21 @@ class TestEdf:
     def test_rejects_negative_capacity(self):
         with pytest.raises(ModelError):
             edf_feasible(toy_cell_alpha(), -1.0)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_heap_equals_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        cell = random_cell(
+            rng, n_demands=int(rng.integers(1, 40)), horizon=int(rng.integers(3, 40))
+        )
+        f_min, _ = yds_min_spectrum(cell)
+        for capacity in (f_min, 0.999 * f_min, 1.5 * f_min + 1.0):
+            feasible, witness = edf_feasible(cell, capacity)
+            want_feasible, want_witness = scan_edf_feasible(cell, capacity)
+            assert feasible == want_feasible, capacity
+            if feasible:
+                assert witness.allocations == want_witness.allocations, capacity
 
 
 class TestLpRoute:
