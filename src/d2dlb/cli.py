@@ -7,8 +7,8 @@ plus overhead minimization), ``heuristic`` (split-level sweep), and
 JSON files under --out, each carrying a provenance header with the config
 hash, seed, backend, and tolerances.
 
-Exit codes: 0 success, 2 invariant or bound violation, 3 solver failure,
-4 configuration error.
+Exit codes: 0 success, 2 invariant or bound violation, 3 solver or
+numerical failure, 4 configuration error or infeasible instance.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import lp
-from .d2d_flow import solve_min_overhead, solve_min_spectrum_d2d
+from .d2d_flow import InfeasibleDemandError, solve_min_overhead, solve_min_spectrum_d2d
 
 # heuristic_min_spectrum and heuristic_min_overhead are not called here, but
 # benchmark/spans.py traces the heuristic layer under these names
@@ -37,6 +37,7 @@ from .heuristic import (  # noqa: F401
 )
 from .model import (
     DemandSet,
+    FlowResidualError,
     ModelError,
     Topology,
     compute_metrics,
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--instance", help="instance JSON produced by this package")
         p.add_argument("--generate", help="random instance spec, e.g. cells=3,users=3,demands=30,T=30")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--backend", default="scipy", choices=["reference", "scipy", "external"])
+        p.add_argument("--backend", default="scipy", choices=["reference", "scipy"])
         p.add_argument("--pruning", default="on", choices=["on", "off"])
         p.add_argument("--out", default="out")
         p.add_argument("--users-per-cell", type=int, default=4, dest="users_per_cell")
@@ -393,6 +394,12 @@ def main(argv: list[str] | None = None) -> int:
             "bounds": cmd_bounds,
         }[config.command]
         return handler(config, options)
+    except InfeasibleDemandError as exc:
+        print(f"infeasible instance: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except FlowResidualError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except ModelError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,22 +8,28 @@ sparse (row, column, value) triplets.  Two backends ship with the package:
     basis handling, Bland's anti-cycling rule once degeneracy is detected),
     suitable for desk-scale instances and used to cross-check the other
     backend;
-  * ``scipy``: scipy.optimize.linprog with the HiGHS engine, the default for
-    larger instances.  ``external`` is accepted as an alias so callers can
-    swap in an industrial solver via register_backend without code changes.
+  * ``scipy``: HiGHS, the default for larger instances.  ``run_highs`` runs
+    it on the engine scipy ships (``scipy.optimize._highspy._core``), with
+    the model and options ``scipy.optimize.linprog(method="highs")`` would
+    build and ``linprog``'s reading of the result, without ``linprog``'s
+    input cleaning and bound-marginal copies.
 
-Problems can be dumped to the fixed LP text format for external debugging.
+Both backends return row duals, so every optimum can be certified by
+``dual_certificate_gap``.  ``register_backend`` plugs in other solvers, and
+problems can be dumped to the fixed LP text format for external debugging.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
+from scipy.optimize import OptimizeWarning
+from scipy.optimize._highspy import _core as _highs
 
 
 class LpError(ValueError):
@@ -272,38 +278,6 @@ class LpProblem:
             worst = max(worst, float(np.max(excess)))
         return worst
 
-    def linprog_arguments(self) -> dict:
-        """This LP as keyword arguments of ``scipy.optimize.linprog``.
-
-        ``A_ub``/``b_ub`` and ``A_eq``/``b_eq`` hold the ``<=`` and ``=`` rows
-        in problem order, the matrices in CSR form (both None when there is
-        no row of that sense); ``bounds`` is an (n, 2) array.
-        """
-        n = self.n_variables
-        rows, cols, vals = self.triplets()
-        eq = self.equality
-
-        def block(mask: np.ndarray) -> tuple:
-            if not mask.any():
-                return None, None
-            renumber = np.cumsum(mask) - 1
-            keep = mask[rows]
-            matrix = scipy.sparse.csr_matrix(
-                (vals[keep], (renumber[rows[keep]], cols[keep])), shape=(int(mask.sum()), n)
-            )
-            return matrix, self.rhs[mask]
-
-        a_ub, b_ub = block(~eq)
-        a_eq, b_eq = block(eq)
-        return {
-            "c": self.objective.copy(),
-            "A_ub": a_ub,
-            "b_ub": b_ub,
-            "A_eq": a_eq,
-            "b_eq": b_eq,
-            "bounds": np.column_stack([self.lower, self.upper]),
-        }
-
     def to_lp_format(self) -> str:
         """Render in the fixed LP text format (CPLEX dialect)."""
 
@@ -350,7 +324,7 @@ class LpSolution:
     objective: float | None
     x: np.ndarray | None
     max_primal_residual: float | None
-    duals: np.ndarray | None = None  # row multipliers (reference backend)
+    duals: np.ndarray | None = None  # row multipliers y, reduced costs c - A'y
     iterations: int = 0
 
     @property
@@ -562,7 +536,7 @@ def _solve_reference(problem: LpProblem, options: LpOptions) -> LpSolution:
 
 
 def dual_certificate_gap(problem: LpProblem, solution: LpSolution) -> float:
-    """Weak-duality certificate from the reference solver's row multipliers.
+    """Weak-duality certificate from a solution's row multipliers (either backend).
 
     Checks that the multipliers are dual feasible (nonpositive on <= rows,
     reduced costs >= 0 taking bounds into account) and returns the absolute
@@ -600,33 +574,106 @@ def dual_certificate_gap(problem: LpProblem, solution: LpSolution) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scipy backend
+# scipy backend: HiGHS, run on the engine scipy ships
 # ---------------------------------------------------------------------------
 
+#: HiGHS model statuses as ``linprog`` reports them; any other is an error
+_HIGHS_STATUS = {
+    _highs.HighsModelStatus.kOptimal: "optimal",
+    _highs.HighsModelStatus.kTimeLimit: "iteration_limit",
+    _highs.HighsModelStatus.kIterationLimit: "iteration_limit",
+    _highs.HighsModelStatus.kInfeasible: "infeasible",
+    _highs.HighsModelStatus.kModelError: "infeasible",
+    _highs.HighsModelStatus.kUnbounded: "unbounded",
+}
 
-def _solve_scipy(problem: LpProblem, options: LpOptions) -> LpSolution:
+#: an "optimal" point violating a bound or row by more than this is an error
+#: (``linprog``'s post-solve check: ten times the square root of its 1e-9 tol)
+RESULT_CHECK_TOL = 10.0 * math.sqrt(1e-9)
+
+
+def _highs_options(options: LpOptions) -> dict:
+    """The HiGHS options ``linprog(method="highs")`` sets for these LpOptions."""
+    return {
+        "output_flag": False,
+        "log_to_console": False,
+        "highs_debug_level": int(_highs.HighsDebugLevel.kHighsDebugLevelNone),
+        "presolve": "on",
+        "simplex_strategy": int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+        "primal_feasibility_tolerance": min(options.tolerance, 1e-9),
+        "dual_feasibility_tolerance": min(options.optimality_tolerance, 1e-9),
+        "simplex_iteration_limit": options.max_iterations,
+        "ipm_iteration_limit": options.max_iterations,
+    }
+
+
+def run_highs(problem: LpProblem, options: LpOptions) -> LpSolution:
+    """Solve ``problem`` with HiGHS as ``scipy.optimize.linprog(method="highs")`` would.
+
+    HiGHS runs on ``scipy.optimize._highspy._core``, the engine ``linprog``
+    calls, with the same model and options, so it takes the same path; only
+    the primal point, the row duals and the iteration count are read back.
+    Statuses map as in ``linprog``, and an optimum that fails its post-solve
+    check (a NaN, or a residual above ``RESULT_CHECK_TOL``) is an "error".
+    ``duals`` are the row duals in problem row order (``c - A'y`` are the
+    reduced costs).
+    """
     problem.validate()
-    res = scipy.optimize.linprog(
-        **problem.linprog_arguments(),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": min(options.tolerance, 1e-9),
-            "dual_feasibility_tolerance": min(options.optimality_tolerance, 1e-9),
-            "maxiter": options.max_iterations,
-        },
+    n, m = problem.n_variables, problem.n_constraints
+    if n == 0:
+        raise LpError(f"{problem.name}: no variables")  # linprog refuses it too
+    rows, cols, vals = problem.triplets()
+    eq = problem.equality
+    # linprog stacks the <= rows above the = rows, each group in problem order
+    order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
+    position = np.empty(m, np.int64)
+    position[order] = np.arange(m)
+    matrix = scipy.sparse.csc_array((vals, (position[rows], cols)), shape=(m, n))
+    rhs = problem.rhs[order]
+    highs = _highs._Highs()
+    for name, value in _highs_options(options).items():
+        # like linprog: a value outside the option's range warns and HiGHS
+        # keeps its default
+        if highs.setOptionValue(name, value) != _highs.HighsStatus.kOk:
+            warnings.warn(f"HiGHS option {name}={value!r} refused", OptimizeWarning, stacklevel=2)
+    passed = highs.passModel(
+        n,
+        m,
+        matrix.nnz,
+        int(_highs.MatrixFormat.kColwise),
+        int(_highs.ObjSense.kMinimize),
+        0.0,  # objective offset
+        problem.objective,
+        problem.lower,
+        np.where(np.isinf(problem.upper), _highs.kHighsInf, problem.upper),
+        np.where(eq[order], rhs, -_highs.kHighsInf),
+        rhs,
+        matrix.indptr.astype(np.int32, copy=False),
+        matrix.indices.astype(np.int32, copy=False),
+        matrix.data,
+        np.zeros(n, np.int32),  # every column continuous: an LP, as in linprog
     )
-    status = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}.get(
-        res.status, "error"
-    )
+    if passed == _highs.HighsStatus.kError:  # linprog's kModelError: "infeasible"
+        return LpSolution("infeasible", None, None, None)
+    if highs.run() == _highs.HighsStatus.kError:
+        return LpSolution(_HIGHS_STATUS.get(highs.getModelStatus(), "error"), None, None, None)
+    info = highs.getInfo()
+    iterations = info.simplex_iteration_count or info.ipm_iteration_count
+    status = _HIGHS_STATUS.get(highs.getModelStatus(), "error")
     if status != "optimal":
-        return LpSolution(status, None, None, None, iterations=int(getattr(res, "nit", 0)))
-    x = np.asarray(res.x)
+        return LpSolution(status, None, None, None, iterations=iterations)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    residual = problem.max_residual(x)
+    if not residual <= RESULT_CHECK_TOL:  # a NaN in x makes the residual NaN
+        return LpSolution("error", None, None, None, iterations=iterations)
     return LpSolution(
         status="optimal",
         objective=problem.objective_value(x),
         x=x,
-        max_primal_residual=problem.max_residual(x),
-        iterations=int(getattr(res, "nit", 0)),
+        max_primal_residual=residual,
+        duals=np.array(solution.row_dual)[position],
+        iterations=iterations,
     )
 
 
@@ -638,8 +685,7 @@ Backend = Callable[[LpProblem, LpOptions], LpSolution]
 
 _BACKENDS: dict[str, Backend] = {
     "reference": _solve_reference,
-    "scipy": _solve_scipy,
-    "external": _solve_scipy,  # shipped implementation of the external-solver interface
+    "scipy": run_highs,
 }
 
 

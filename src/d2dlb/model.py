@@ -32,6 +32,15 @@ class ModelError(ValueError):
     """Raised when input data violates a structural invariant."""
 
 
+class FlowResidualError(ModelError):
+    """A computed schedule sends more than a node holds, beyond tolerance.
+
+    Raised by ``fill_storage`` when the transmissions it completes do not
+    conserve the volume: a numerical failure of the solve that produced
+    them, not a fault of the input.
+    """
+
+
 # ---------------------------------------------------------------------------
 # Topology
 # ---------------------------------------------------------------------------
@@ -285,9 +294,10 @@ def fill_storage(
     """Complete a schedule of real-link transmissions with self-link storage.
 
     Self-link values are the unique ones making per-node flow conservation
-    hold, given the real transmissions.  Raises ModelError if conservation
-    would need negative storage or if a non-source node transmits at the
-    demand's start slot.
+    hold, given the real transmissions.  Raises FlowResidualError if
+    conservation would need negative storage, and ModelError if a non-source
+    node transmits at the demand's start slot or a user still holds volume
+    at the deadline.
     """
     by_demand: dict[int, dict[tuple[str, str, int], Number]] = {}
     for (j, u, v, t), x in schedule.allocations.items():
@@ -317,14 +327,16 @@ def fill_storage(
         for node in nodes:
             store_prev = j.volume - sent.get((node, j.start), 0) if node == j.user else 0
             if store_prev < -FLOW_ABS_TOL * max(1.0, float(j.volume)):
-                raise ModelError(f"demand {j.id}: source sends more than its volume at start")
+                raise FlowResidualError(
+                    f"demand {j.id}: source sends more than its volume at start"
+                )
             store_prev = max(store_prev, 0)
             if store_prev > 0:
                 out[(j.id, node, node, j.start)] = store_prev
             for t in range(j.start + 1, j.end + 1):
                 store_t = store_prev + received.get((node, t - 1), 0) - sent.get((node, t), 0)
                 if store_t < -FLOW_ABS_TOL * max(1.0, float(j.volume)):
-                    raise ModelError(
+                    raise FlowResidualError(
                         f"demand {j.id}: node {node!r} slot {t}: sends more than it holds"
                     )
                 store_t = max(store_t, 0)

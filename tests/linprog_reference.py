@@ -1,0 +1,66 @@
+"""The path HiGHS used to be reached by: ``scipy.optimize.linprog``.
+
+``reference_arguments`` turns an ``LpProblem`` into ``linprog`` keyword
+arguments, and ``reference_solve`` runs ``linprog(method="highs")`` with the
+options the scipy backend gives HiGHS.  Tests hold the backend's driver to
+this path: same status, iterations, point and objective.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.optimize
+import scipy.sparse
+
+from d2dlb.lp import LpOptions, LpProblem
+
+
+def reference_arguments(problem: LpProblem) -> dict:
+    """This LP as keyword arguments of ``scipy.optimize.linprog``.
+
+    ``A_ub``/``b_ub`` and ``A_eq``/``b_eq`` hold the ``<=`` and ``=`` rows
+    in problem order, the matrices in CSR form (both None when there is
+    no row of that sense); ``bounds`` is an (n, 2) array.
+    """
+    n = problem.n_variables
+    rows, cols, vals = problem.triplets()
+    eq = problem.equality
+
+    def block(mask: np.ndarray) -> tuple:
+        if not mask.any():
+            return None, None
+        renumber = np.cumsum(mask) - 1
+        keep = mask[rows]
+        matrix = scipy.sparse.csr_matrix(
+            (vals[keep], (renumber[rows[keep]], cols[keep])), shape=(int(mask.sum()), n)
+        )
+        return matrix, problem.rhs[mask]
+
+    a_ub, b_ub = block(~eq)
+    a_eq, b_eq = block(eq)
+    return {
+        "c": problem.objective.copy(),
+        "A_ub": a_ub,
+        "b_ub": b_ub,
+        "A_eq": a_eq,
+        "b_eq": b_eq,
+        "bounds": np.column_stack([problem.lower, problem.upper]),
+    }
+
+
+def reference_solve(problem: LpProblem, options: LpOptions | None = None):
+    """``linprog``'s result for ``problem`` under the scipy backend's HiGHS options."""
+    options = options or LpOptions()
+    return scipy.optimize.linprog(
+        **reference_arguments(problem),
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": min(options.tolerance, 1e-9),
+            "dual_feasibility_tolerance": min(options.optimality_tolerance, 1e-9),
+            "maxiter": options.max_iterations,
+        },
+    )
+
+
+#: ``linprog``'s integer statuses in the backend's words
+STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded", 4: "error"}

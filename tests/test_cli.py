@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from d2dlb.cli import EXIT_CONFIG, EXIT_OK, main
-from d2dlb.model import Schedule, validate_schedule
+from d2dlb import cli, no_d2d
+from d2dlb.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+from d2dlb.model import DemandSet, Schedule, Topology, instance_to_json, validate_schedule
 from d2dlb.scenario import fixture, synthesize_trace, write_trace_csv
 
 
@@ -137,6 +138,42 @@ class TestConfigHandling:
 
     def test_no_source_rejected(self, tmp_path):
         assert main(["d2d", "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+class TestErrorTaxonomy:
+    def test_unreachable_demand_is_infeasible_instance(self, tmp_path, capsys, monkeypatch):
+        # user w has no route to any BS.  The no-D2D stage needs a direct
+        # link to the home BS and would stop first, so it is stubbed out and
+        # the flow LP's builder meets the demand.
+        topology = Topology(
+            bs_ids=("b1",),
+            user_ids=("u", "w"),
+            home_bs={"u": "b1", "w": "b1"},
+            links=(("u", "b1", 1), ("u", "w", 1)),
+        )
+        path = tmp_path / "instance.json"
+        path.write_text(instance_to_json(topology, DemandSet.build(4, [("w", 1, 3, 1.0)])))
+        monkeypatch.setattr(cli, "min_spectrum_no_d2d", lambda *args, **kwargs: (None, None, None))
+        code = main(["d2d", "--instance", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible instance: demand 0: user 'w' cannot reach any BS")
+
+    def test_storage_residual_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        # an EDF witness granting 1 % more than each demand holds stands in
+        # for a solve whose flow does not conserve volume
+        edf_feasible = no_d2d.edf_feasible
+
+        def overgranting(cell, capacity):
+            feasible, schedule = edf_feasible(cell, capacity)
+            return feasible, Schedule({k: 1.01 * x for k, x in schedule.allocations.items()})
+
+        monkeypatch.setattr(no_d2d, "edf_feasible", overgranting)
+        code = main(["d2d", "--fixture", "toy-fig1", "--out", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: demand ")
+        assert "sends more than" in err
 
 
 class TestDeterminism:

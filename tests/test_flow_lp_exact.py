@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from linprog_reference import reference_arguments
 
 from d2dlb import lp
 from d2dlb.bounds import build_complete_instance, build_ring_instance
@@ -162,7 +163,7 @@ def loop_flow_lp(
 
 
 def assert_same_problem(got: lp.LpProblem, want: lp.LpProblem) -> None:
-    got, want = got.linprog_arguments(), want.linprog_arguments()
+    got, want = reference_arguments(got), reference_arguments(want)
     for name in ("c", "b_ub", "b_eq", "bounds"):
         assert (got[name] is None) == (want[name] is None), name
         if want[name] is not None:
