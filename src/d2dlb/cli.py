@@ -1,14 +1,16 @@
 """Command-line experiment harness.
 
 Subcommands mirror the analysis pipeline: ``nd`` (per-cell minima without
-D2D, interval search cross-checked against the LP), ``d2d`` (full flow LP
-plus overhead minimization), ``heuristic`` (split-level sweep), and
-``bounds`` (closed-form bounds against observed values).  Outputs are CSV or
-JSON files under --out, each carrying a provenance header with the config
-hash, seed, backend, and tolerances.
+D2D, interval search cross-checked against the LP), ``d2d`` (the full flow
+LP, solved once for the least total spectrum and, at it, the least relayed
+traffic), ``heuristic`` (split-level sweep), and ``bounds`` (closed-form
+bounds against observed values).  Every LP is solved by HiGHS.  Outputs are
+CSV or JSON files under --out, each carrying a provenance header with the
+config hash, seed, and tolerances.
 
-Exit codes: 0 success, 2 invariant or bound violation, 3 solver or
-numerical failure, 4 configuration error or infeasible instance.
+Exit codes: 0 success, 2 invariant or bound violation (including a ``d2d``
+or ``bounds`` schedule that fails validation), 3 solver or numerical
+failure, 4 configuration error or infeasible instance.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .model import (
     DemandSet,
     FlowResidualError,
     ModelError,
+    Schedule,
     Topology,
     compute_metrics,
     compute_volumes,
@@ -75,7 +78,6 @@ class ExperimentConfig:
     generate: str | None = None
     seed: int = 0
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
-    backend: str = "scipy"
     pruning: bool = True
     out: str = "out"
     users_per_cell: int = 4
@@ -99,7 +101,6 @@ def _provenance(config: ExperimentConfig, options: lp.LpOptions) -> list[str]:
     return [
         f"config_hash={config.hash()}",
         f"seed={config.seed}",
-        f"backend={options.backend}",
         f"tolerance={options.tolerance}",
         f"optimality_tolerance={options.optimality_tolerance}",
     ]
@@ -169,6 +170,14 @@ def _emit_instance(config: ExperimentConfig, topology: Topology, demands: Demand
     (out / "instance.json").write_text(instance_to_json(topology, demands))
 
 
+def _schedule_valid(schedule: Schedule, topology: Topology, demands: DemandSet) -> bool:
+    """Validate a schedule the command derives its outputs from; print the report if it fails."""
+    report = validate_schedule(schedule, topology, demands, flow_abs_tol=1e-6)
+    if not report.ok:
+        print(report.summary(), file=sys.stderr)
+    return report.ok
+
+
 def cmd_nd(config: ExperimentConfig, options: lp.LpOptions) -> int:
     topology, demands = load_instance(config)
     _emit_instance(config, topology, demands)
@@ -203,10 +212,8 @@ def cmd_d2d(config: ExperimentConfig, options: lp.LpOptions) -> int:
     _emit_instance(config, topology, demands)
     nd_result, _, _ = min_spectrum_no_d2d(topology, demands, method="yds")
     outcome = solve_min_spectrum_d2d(topology, demands, pruning=config.pruning, options=options)
-    schedule, v_d2d, _ = solve_min_overhead(topology, outcome, options=options)
-    report = validate_schedule(schedule, topology, demands, flow_abs_tol=1e-6)
-    if not report.ok:
-        print(report.summary(), file=sys.stderr)
+    schedule, _, _ = solve_min_overhead(topology, outcome)
+    if not _schedule_valid(schedule, topology, demands):
         return EXIT_VIOLATION
     vd, vb = compute_volumes(schedule, topology)
     metrics = compute_metrics(nd_result.total, outcome.result.total, vd, vb)
@@ -274,7 +281,9 @@ def cmd_bounds(config: ExperimentConfig, options: lp.LpOptions) -> int:
     _emit_instance(config, topology, demands)
     nd_result, _, _ = min_spectrum_no_d2d(topology, demands, method="yds")
     outcome = solve_min_spectrum_d2d(topology, demands, pruning=config.pruning, options=options)
-    schedule, v_d2d, _ = solve_min_overhead(topology, outcome, options=options)
+    schedule, _, _ = solve_min_overhead(topology, outcome)
+    if not _schedule_valid(schedule, topology, demands):
+        return EXIT_VIOLATION
     vd, vb = compute_volumes(schedule, topology)
     metrics = compute_metrics(nd_result.total, outcome.result.total, vd, vb)
     rho, eta = float(metrics.spectrum_reduction), float(metrics.overhead_ratio)
@@ -332,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--instance", help="instance JSON produced by this package")
         p.add_argument("--generate", help="random instance spec, e.g. cells=3,users=3,demands=30,T=30")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--backend", default="scipy", choices=["reference", "scipy"])
         p.add_argument("--pruning", default="on", choices=["on", "off"])
         p.add_argument("--out", default="out")
         p.add_argument("--users-per-cell", type=int, default=4, dest="users_per_cell")
@@ -365,7 +373,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         generate=args.generate,
         seed=args.seed,
         lambda_grid=grid,
-        backend=args.backend,
         pruning=args.pruning == "on",
         out=args.out,
         users_per_cell=args.users_per_cell,
@@ -386,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-        options = lp.LpOptions(backend=config.backend)
+        options = lp.LpOptions()
         handler = {
             "nd": cmd_nd,
             "d2d": cmd_d2d,

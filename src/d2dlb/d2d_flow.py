@@ -91,9 +91,9 @@ class TimeExpandedIndex:
     Flow column c carries demand ``flow_demand[c]`` over the link
     ``(nodes[flow_src[c]], nodes[flow_dst[c]])`` in slot ``flow_slot[c]``;
     flow columns come first in the LP, then the peaks, then the per-slot
-    alpha/beta pairs.  ``relay_cost[c]`` is the column's cost in the
-    overhead stage: its rate when it relays into a user before the demand's
-    deadline, else 0.
+    alpha/beta pairs.  ``relay_cost`` is the relayed-traffic cost over all
+    columns: a flow column's rate when it relays into a user before the
+    demand's deadline, else 0.
     """
 
     problem: lp.LpProblem
@@ -111,6 +111,12 @@ class TimeExpandedIndex:
     @property
     def n_flow_variables(self) -> int:
         return len(self.flow_slot)
+
+    def peaks(self, solution: lp.LpSolution) -> dict[str, float]:
+        return {b: solution.value(col) for b, col in self.peak_vars.items()}
+
+    def relayed_traffic(self, solution: lp.LpSolution) -> float:
+        return float(self.relay_cost @ solution.x)
 
     def extract_schedule(self, solution: lp.LpSolution) -> Schedule:
         if solution.x is None:
@@ -144,8 +150,7 @@ def build_flow_lp(
 
     demand_subset restricts the flow variables to a subset of demands (the
     reduced heuristic problem); residual_load adds a fixed per-(BS, slot)
-    spectrum floor under the peak.  ``overhead_problem`` derives the second
-    stage's model from the result.
+    spectrum floor under the peak.
 
     Columns: per demand (in subset order), per link (real links in
     ``topology.rate_map`` order, then one self-link per node in
@@ -307,7 +312,12 @@ def build_flow_lp(
         flow_src=u,
         flow_dst=v,
         flow_slot=t,
-        relay_cost=np.where((link < n_real) & (v < n_users) & inflow, rate, 0.0),
+        relay_cost=np.concatenate(
+            [
+                np.where((link < n_real) & (v < n_users) & inflow, rate, 0.0),
+                np.zeros(problem.n_variables - n_flow),
+            ]
+        ),
         alpha_vars=alpha_vars,
         beta_vars=beta_vars,
         peak_vars=peak_vars,
@@ -315,39 +325,29 @@ def build_flow_lp(
     )
 
 
-def overhead_problem(
-    index: TimeExpandedIndex,
-    total_spectrum: float,
-    slack: float = lp.DEFAULT_LEXICO_SLACK,
-) -> lp.LpProblem:
-    """The overhead stage's model, derived from the spectrum model of ``index``.
-
-    A copy of ``index.problem`` with the sum of peaks capped at
-    ``total_spectrum`` plus a relative ``slack`` and the relayed traffic as
-    its cost; the columns keep their layout, so ``index`` still reads the
-    schedule off a solution of it.
-    """
-    c = np.zeros(index.problem.n_variables)
-    c[: index.n_flow_variables] = index.relay_cost
-    return lp.secondary_problem(index.problem, total_spectrum, c, slack)
-
-
-def solve_overhead_stage(
-    index: TimeExpandedIndex,
-    spectrum: lp.LpSolution,
-    slack: float = lp.DEFAULT_LEXICO_SLACK,
+def solve_flow_lp(
+    topology: Topology,
+    demands: DemandSet,
+    demand_subset: Sequence[Demand] | None = None,
+    pruning: bool = True,
+    residual_load: Mapping[tuple[str, int], float] | None = None,
+    name: str = "min-spectrum-d2d",
     options: lp.LpOptions | None = None,
-    stage: str = "Min-Overhead",
-) -> tuple[lp.LpSolution, Schedule]:
-    """Minimize the relayed traffic at the spectrum optimum ``spectrum`` of ``index.problem``.
+) -> tuple[TimeExpandedIndex, lp.LpSolution]:
+    """Build the flow LP and solve it lexicographically: least total spectrum, then least relaying.
 
-    Returns the overhead-stage solution and its flow schedule; ``stage``
-    names the stage in the error raised when the solve is not optimal.
+    One ``lp.solve_lexicographic`` call yields both numbers: the sum of peaks
+    is the solution's objective, and among the schedules reaching it, the
+    solution relays the least traffic (``TimeExpandedIndex.relayed_traffic``).
+    The full problem has no subset and no residual load; the heuristic's
+    step III passes both.  Raises ``LpError`` naming ``name`` when the solve
+    is not optimal.
     """
-    solution = lp.solve(overhead_problem(index, spectrum.objective, slack), options)
+    index = build_flow_lp(topology, demands, demand_subset, pruning, residual_load, name)
+    solution = lp.solve_lexicographic(index.problem, index.relay_cost, options)
     if not solution.optimal:
-        raise lp.LpError(f"{stage} terminated with status {solution.status}")
-    return solution, index.extract_schedule(solution)
+        raise lp.LpError(f"{name} terminated with status {solution.status}")
+    return index, solution
 
 
 @dataclass(frozen=True)
@@ -358,57 +358,35 @@ class D2DSolveOutcome:
     solution: lp.LpSolution
 
 
-def _spectrum_result(
-    topology: Topology, schedule: Schedule, per_bs: dict[str, float], total: float
-) -> SpectrumResult:
-    v_d2d, v_bs = compute_volumes(schedule, topology)
-    return SpectrumResult(
-        per_bs_peak=per_bs,
-        total=total,
-        v_d2d=v_d2d,
-        v_bs=v_bs,
-        per_slot_load=per_slot_loads(schedule, topology),
-    )
-
-
 def solve_min_spectrum_d2d(
     topology: Topology,
     demands: DemandSet,
     pruning: bool = True,
     options: lp.LpOptions | None = None,
 ) -> D2DSolveOutcome:
-    """Minimum total spectrum with D2D and an optimal schedule."""
-    index = build_flow_lp(topology, demands, pruning=pruning)
-    solution = lp.solve(index.problem, options)
-    if not solution.optimal:
-        raise lp.LpError(f"Min-Spectrum-D2D terminated with status {solution.status}")
+    """Minimum total spectrum with D2D, and at it a schedule relaying the least traffic."""
+    index, solution = solve_flow_lp(topology, demands, pruning=pruning, options=options)
     schedule = index.extract_schedule(solution)
-    per_bs = {b: solution.value(col) for b, col in index.peak_vars.items()}
-    result = _spectrum_result(topology, schedule, per_bs, float(solution.objective))
+    v_d2d, v_bs = compute_volumes(schedule, topology)
+    result = SpectrumResult(
+        per_bs_peak=index.peaks(solution),
+        total=float(solution.objective),
+        v_d2d=v_d2d,
+        v_bs=v_bs,
+        per_slot_load=per_slot_loads(schedule, topology),
+    )
     return D2DSolveOutcome(result, schedule, index, solution)
 
 
 def solve_min_overhead(
-    topology: Topology,
-    outcome: D2DSolveOutcome,
-    slack: float = lp.DEFAULT_LEXICO_SLACK,
-    options: lp.LpOptions | None = None,
+    topology: Topology, outcome: D2DSolveOutcome
 ) -> tuple[Schedule, float, D2DSolveOutcome]:
-    """Minimize D2D traffic subject to the spectrum optimum of ``outcome``.
+    """The least relayed traffic at the spectrum optimum of ``outcome``.
 
-    ``outcome`` is the Min-Spectrum-D2D solve; its model is reused, so no LP
-    is built here.  The budget constraint binds at the returned optimum (up
-    to the numeric slack).  Returns the schedule, the relayed traffic, and
-    the overhead stage's outcome (same ``index``, its own solution).
+    ``solve_min_spectrum_d2d`` already minimized it, so nothing is solved
+    here.  Returns the schedule, the relayed traffic, and ``outcome``.
     """
-    solution, schedule = solve_overhead_stage(outcome.index, outcome.solution, slack, options)
-    per_bs = {b: solution.value(col) for b, col in outcome.index.peak_vars.items()}
-    result = _spectrum_result(topology, schedule, per_bs, sum(per_bs.values()))
-    return (
-        schedule,
-        float(solution.objective),
-        D2DSolveOutcome(result, schedule, outcome.index, solution),
-    )
+    return outcome.schedule, outcome.index.relayed_traffic(outcome.solution), outcome
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,13 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import lp
-from .d2d_flow import (
+# build_flow_lp is not called here (solve_flow_lp builds the reduced LP), but
+# benchmark/spans.py traces the flow-LP layer under this name too
+from .d2d_flow import (  # noqa: F401
     TimeExpandedIndex,
     build_flow_lp,
+    solve_flow_lp,
     solve_min_spectrum_d2d,
-    solve_overhead_stage,
 )
 from .model import (
     Demand,
@@ -105,13 +107,13 @@ def split_demands(
 
 @dataclass(frozen=True)
 class Step3Solve:
-    """Spectrum stage of a reduced problem.
+    """The lexicographic solve of a reduced problem: least spectrum, then least relaying.
 
     The D2D-eligible set fixes the reduced problem (its flows and, through
     the kept allocations, its residual load), so every split with the same
     eligible set shares this solve.  With no eligible demand there is no
     flow to place and no LP: each peak is the largest kept load of its BS,
-    and ``index``/``solution`` are None.
+    nothing is relayed, and ``index``/``solution`` are None.
     """
 
     per_bs_peak: dict[str, float]
@@ -122,6 +124,10 @@ class Step3Solve:
     @property
     def n_variables(self) -> int:
         return self.index.n_flow_variables if self.index is not None else 0
+
+    @property
+    def relayed_traffic(self) -> float:
+        return self.index.relayed_traffic(self.solution) if self.index is not None else 0.0
 
     def flow_schedule(self) -> Schedule:
         if self.index is None:
@@ -141,35 +147,16 @@ def _solve_step3(
         for (b, _t), load in split.residual_load.items():
             peaks[b] = max(peaks[b], load)
         return Step3Solve(peaks, sum(peaks.values()))
-    index = build_flow_lp(
+    index, solution = solve_flow_lp(
         topology,
         demands,
         demand_subset=tuple(j for j in demands.demands if j.id in split.d2d_demand_ids),
         pruning=pruning,
         residual_load=split.residual_load,
         name=f"heuristic-spectrum-level{split.level}",
+        options=options,
     )
-    solution = lp.solve(index.problem, options)
-    if not solution.optimal:
-        raise lp.LpError(f"heuristic step III terminated with status {solution.status}")
-    per_bs = {b: solution.value(col) for b, col in index.peak_vars.items()}
-    return Step3Solve(per_bs, float(solution.objective), index, solution)
-
-
-def _min_overhead_step3(
-    topology: Topology,
-    demands: DemandSet,
-    split: SplitResult,
-    step3: Step3Solve,
-    slack: float,
-    options: lp.LpOptions | None,
-) -> tuple[Schedule, float]:
-    if step3.index is None:
-        return _combined_schedule(topology, demands, split, Schedule({})), 0.0
-    solution, flows = solve_overhead_stage(
-        step3.index, step3.solution, slack, options, stage="heuristic overhead step"
-    )
-    return _combined_schedule(topology, demands, split, flows), float(solution.objective)
+    return Step3Solve(index.peaks(solution), float(solution.objective), index, solution)
 
 
 @dataclass(frozen=True)
@@ -247,15 +234,13 @@ def heuristic_min_overhead(
     topology: Topology,
     demands: DemandSet,
     outcome: HeuristicOutcome,
-    slack: float = lp.DEFAULT_LEXICO_SLACK,
-    options: lp.LpOptions | None = None,
 ) -> tuple[Schedule, float]:
-    """Minimize the D2D traffic of the reduced problem at its spectrum optimum.
+    """The least D2D traffic of the reduced problem at its spectrum optimum.
 
-    Runs on the model ``heuristic_min_spectrum`` solved; returns the combined
-    schedule and the relayed traffic.
+    ``heuristic_min_spectrum`` already minimized it, so nothing is solved
+    here; returns the combined schedule and the relayed traffic.
     """
-    return _min_overhead_step3(topology, demands, outcome.split, outcome.step3, slack, options)
+    return outcome.schedule, outcome.step3.relayed_traffic
 
 
 def overhead_ratio(v_d2d: float, v_bs: float) -> float:
@@ -295,12 +280,12 @@ def heuristic_sweep(
     pruning: bool = True,
     options: lp.LpOptions | None = None,
 ) -> HeuristicSweep:
-    """Both stages of the reduced problem at each split level, each distinct LP solved once.
+    """Spectrum and overhead of the reduced problem at each split level, each LP solved once.
 
     The no-D2D baseline is computed once.  Levels with the same eligible set
-    share one two-stage solve, and a level that makes every demand eligible
-    reuses the full problem's spectrum stage, which the sweep solves anyway
-    for the full reduction.
+    share one lexicographic solve, and a level that makes every demand
+    eligible reuses the full problem's, which the sweep solves anyway for the
+    full reduction.
     """
     nd_result, nd_schedule, _ = min_spectrum_no_d2d(topology, demands)
     f_nd = float(nd_result.total)
@@ -321,9 +306,7 @@ def heuristic_sweep(
                 step3 = full_step3
             else:
                 step3 = _solve_step3(topology, demands, split, pruning, options)
-            schedule, _ = _min_overhead_step3(
-                topology, demands, split, step3, lp.DEFAULT_LEXICO_SLACK, options
-            )
+            schedule = _combined_schedule(topology, demands, split, step3.flow_schedule())
             eta = overhead_ratio(*compute_volumes(schedule, topology))
             solved[key] = (step3.total, eta, step3.n_variables)
         total, eta, n_variables = solved[key]

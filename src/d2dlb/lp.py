@@ -1,22 +1,21 @@
-"""Solver-agnostic linear programs with a reference simplex implementation.
+"""Linear programs and their one solver, HiGHS.
 
 The problem container holds arrays: nonnegative (boxed) variables, a dense
 minimization objective, and ``=`` / ``<=`` rows whose matrix is kept as
-sparse (row, column, value) triplets.  Two backends ship with the package:
+sparse (row, column, value) triplets.
 
-  * ``reference``: a revised simplex written here (two phases, dense numpy
-    basis handling, Bland's anti-cycling rule once degeneracy is detected),
-    suitable for desk-scale instances and used to cross-check the other
-    backend;
-  * ``scipy``: HiGHS, the default for larger instances.  ``run_highs`` runs
-    it on the engine scipy ships (``scipy.optimize._highspy._core``), with
-    the model and options ``scipy.optimize.linprog(method="highs")`` would
-    build and ``linprog``'s reading of the result, without ``linprog``'s
-    input cleaning and bound-marginal copies.
+``solve`` (``run_highs``) runs HiGHS on the engine scipy ships
+(``scipy.optimize._highspy._core``), with the model and options
+``scipy.optimize.linprog(method="highs")`` would build and ``linprog``'s
+reading of the result, without ``linprog``'s input cleaning and
+bound-marginal copies.  ``solve_lexicographic`` minimizes a second cost
+among the minimizers of the first with one model on one HiGHS object: a
+weighted solve, then a re-run of its basis on the first cost alone as the
+certificate, and, only if that re-run iterates, a capped second stage.
 
-Both backends return row duals, so every optimum can be certified by
-``dual_certificate_gap``.  ``register_backend`` plugs in other solvers, and
-problems can be dumped to the fixed LP text format for external debugging.
+Every optimum carries row duals, so ``dual_certificate_gap`` certifies it,
+and problems can be dumped to the fixed LP text format for external
+debugging.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse
@@ -41,11 +40,6 @@ class LpOptions:
     tolerance: float = 1e-9  # primal feasibility
     optimality_tolerance: float = 1e-7
     max_iterations: int = 100_000
-    backend: str = "scipy"
-
-
-#: relative slack applied to the primary optimum in lexicographic solves
-DEFAULT_LEXICO_SLACK = 1e-9
 
 
 class _Vector:
@@ -252,15 +246,6 @@ class LpProblem:
                 f"constraint {self.row_name(int(rows[bad[0]]))}: non-finite coefficient"
             )
 
-    def copy(self) -> "LpProblem":
-        other = LpProblem(self.name)
-        other.var_names = dict(self.var_names)
-        other.row_names = dict(self.row_names)
-        for attr in ("_lower", "_upper", "_cost", "_rows", "_cols", "_vals", "_rhs", "_eq"):
-            vec = getattr(self, attr)
-            setattr(other, attr, _Vector(vec._dtype, vec.array().copy()))
-        return other
-
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.objective @ x)
 
@@ -326,6 +311,7 @@ class LpSolution:
     max_primal_residual: float | None
     duals: np.ndarray | None = None  # row multipliers y, reduced costs c - A'y
     iterations: int = 0
+    fallback: bool = False  # solve_lexicographic's certificate failed; the capped stage ran
 
     @property
     def optimal(self) -> bool:
@@ -337,206 +323,8 @@ class LpSolution:
         return float(self.x[index])
 
 
-# ---------------------------------------------------------------------------
-# Reference backend: two-phase revised simplex
-# ---------------------------------------------------------------------------
-
-
-class _Simplex:
-    """Dense two-phase simplex on the standard form min c'x, Ax = b, x >= 0.
-
-    The basis inverse is kept explicitly and updated with rank-1 pivots,
-    refactorized periodically for stability.  Dantzig pricing by default;
-    Bland's rule takes over after a run of degenerate pivots to rule out
-    cycling.
-    """
-
-    DEGENERATE_STREAK = 40
-    REFACTOR_EVERY = 60
-
-    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, options: LpOptions):
-        self.A = A
-        self.b = b
-        self.c = c
-        self.m, self.n = A.shape
-        self.opt = options
-        self.iterations = 0
-
-    def solve(self) -> tuple[str, np.ndarray | None, np.ndarray | None]:
-        """Returns (status, x over original columns, duals per original row)."""
-        m, n = self.m, self.n
-        # Phase 1: artificial variables form the initial identity basis.
-        A1 = np.hstack([self.A, np.eye(m)])
-        c1 = np.concatenate([np.zeros(n), np.ones(m)])
-        basis = list(range(n, n + m))
-        status, basis = self._iterate(A1, self.b, c1, basis)
-        if status != "optimal":
-            return status, None, None
-        xB = np.linalg.solve(A1[:, basis], self.b) if m else np.zeros(0)
-        phase1_obj = float(c1[basis] @ xB)
-        scale = 1.0 + (float(np.abs(self.b).max()) if m else 0.0)
-        if phase1_obj > max(self.opt.tolerance, 1e-7) * scale:
-            return "infeasible", None, None
-        A2, b2, basis, keep_rows = self._drop_artificials(A1, basis, n)
-        status, basis = self._iterate(A2, b2, self.c, basis)
-        if status != "optimal":
-            return status, None, None
-        x = np.zeros(n)
-        if basis:
-            x[basis] = np.linalg.solve(A2[:, basis], b2)
-            y_kept = np.linalg.solve(A2[:, basis].T, self.c[basis])
-        else:
-            y_kept = np.zeros(0)
-        duals = np.zeros(m)
-        duals[keep_rows] = y_kept
-        return "optimal", x, duals
-
-    def _drop_artificials(
-        self, A1: np.ndarray, basis: list[int], n: int
-    ) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
-        """Pivot zero-level artificials out; rows where none of the original
-        columns can replace them are redundant and dropped."""
-        m = self.m
-        if all(idx < n for idx in basis):
-            return self.A, self.b, basis, list(range(m))
-        Binv = np.linalg.inv(A1[:, basis])
-        in_basis = set(basis)
-        for pos in range(m):
-            if basis[pos] < n:
-                continue
-            row = Binv[pos] @ A1[:, :n]
-            candidates = [int(p) for p in np.nonzero(np.abs(row) > 1e-9)[0] if p not in in_basis]
-            if not candidates:
-                continue  # redundant row, removed below
-            enter = candidates[0]
-            d = Binv @ A1[:, enter]
-            pivot = d[pos]
-            Binv[pos] /= pivot
-            for r in range(m):
-                if r != pos and d[r] != 0.0:
-                    Binv[r] -= d[r] * Binv[pos]
-            in_basis.discard(basis[pos])
-            in_basis.add(enter)
-            basis[pos] = enter
-        keep_rows = [p for p in range(m) if basis[p] < n]
-        new_basis = [basis[p] for p in keep_rows]
-        return self.A[keep_rows, :], self.b[keep_rows], new_basis, keep_rows
-
-    def _iterate(
-        self, A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int]
-    ) -> tuple[str, list[int]]:
-        m = A.shape[0]
-        if m == 0:
-            # no rows: optimal iff no improving ray exists
-            if any(c[i] < -self.opt.optimality_tolerance for i in range(A.shape[1])):
-                return "unbounded", basis
-            return "optimal", basis
-        Binv = np.linalg.inv(A[:, basis])
-        bland = False
-        degenerate_streak = 0
-        since_refactor = 0
-        opt_tol = self.opt.optimality_tolerance
-        while True:
-            if self.iterations >= self.opt.max_iterations:
-                return "iteration_limit", basis
-            self.iterations += 1
-            since_refactor += 1
-            if since_refactor >= self.REFACTOR_EVERY:
-                Binv = np.linalg.inv(A[:, basis])
-                since_refactor = 0
-            xB = Binv @ b
-            y = c[basis] @ Binv
-            reduced = c - y @ A
-            reduced[basis] = 0.0
-            if bland:
-                entering_candidates = np.nonzero(reduced < -opt_tol)[0]
-                if entering_candidates.size == 0:
-                    return "optimal", basis
-                enter = int(entering_candidates[0])
-            else:
-                enter = int(np.argmin(reduced))
-                if reduced[enter] >= -opt_tol:
-                    return "optimal", basis
-            d = Binv @ A[:, enter]
-            positive = d > 1e-11
-            if not positive.any():
-                return "unbounded", basis
-            ratios = np.full(m, np.inf)
-            ratios[positive] = xB[positive] / d[positive]
-            theta = ratios.min()
-            if bland:
-                # smallest basic variable index among the ties
-                tie_rows = np.nonzero(ratios <= theta + 1e-12)[0]
-                leave_row = min(tie_rows, key=lambda r: basis[r])
-            else:
-                leave_row = int(np.argmin(ratios))
-            if theta <= 1e-11:
-                degenerate_streak += 1
-                if degenerate_streak >= self.DEGENERATE_STREAK:
-                    bland = True
-            else:
-                degenerate_streak = 0
-                bland = False
-            # rank-1 update of the basis inverse
-            pivot = d[leave_row]
-            Binv[leave_row] /= pivot
-            for r in range(m):
-                if r != leave_row and d[r] != 0.0:
-                    Binv[r] -= d[r] * Binv[leave_row]
-            basis[leave_row] = enter
-
-
-def _to_standard_form(
-    problem: LpProblem,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Shift lower bounds out, add rows for finite upper bounds and slacks.
-
-    Returns (A, b, c, row_signs, n_original); row_signs[i] is +-1 recording
-    rhs sign flips so duals can be mapped back.
-    """
-    n, m0 = problem.n_variables, problem.n_constraints
-    lower, upper = problem.lower, problem.upper
-    rows, cols, vals = problem.triplets()
-    boxed = np.flatnonzero(np.isfinite(upper))
-    m = m0 + boxed.size
-    # every <= row, bound rows included, gets its own slack column
-    has_slack = np.concatenate([~problem.equality, np.ones(boxed.size, dtype=bool)])
-    n_slack = int(has_slack.sum())
-    A = np.zeros((m, n + n_slack))
-    np.add.at(A, (rows, cols), vals)
-    A[m0 + np.arange(boxed.size), boxed] = 1.0
-    A[np.flatnonzero(has_slack), n + np.arange(n_slack)] = 1.0
-    shift = np.bincount(rows, weights=vals * lower[cols], minlength=m0)
-    b = np.concatenate([problem.rhs - shift, upper[boxed] - lower[boxed]])
-    c = np.concatenate([problem.objective, np.zeros(n_slack)])
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    return A, b, c, np.where(flip, -1.0, 1.0), n
-
-
-def _solve_reference(problem: LpProblem, options: LpOptions) -> LpSolution:
-    problem.validate()
-    A, b, c, row_signs, n = _to_standard_form(problem)
-    simplex = _Simplex(A, b, c, options)
-    status, x_std, duals = simplex.solve()
-    if status != "optimal":
-        return LpSolution(status, None, None, None, iterations=simplex.iterations)
-    x = x_std[:n] + problem.lower
-    # undo rhs sign flips; drop rows added for upper bounds
-    y = (duals * row_signs)[: problem.n_constraints]
-    return LpSolution(
-        status="optimal",
-        objective=problem.objective_value(x),
-        x=x,
-        max_primal_residual=problem.max_residual(x),
-        duals=y,
-        iterations=simplex.iterations,
-    )
-
-
 def dual_certificate_gap(problem: LpProblem, solution: LpSolution) -> float:
-    """Weak-duality certificate from a solution's row multipliers (either backend).
+    """Weak-duality certificate from a solution's row multipliers.
 
     Checks that the multipliers are dual feasible (nonpositive on <= rows,
     reduced costs >= 0 taking bounds into account) and returns the absolute
@@ -574,7 +362,7 @@ def dual_certificate_gap(problem: LpProblem, solution: LpSolution) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scipy backend: HiGHS, run on the engine scipy ships
+# HiGHS, run on the engine scipy ships
 # ---------------------------------------------------------------------------
 
 #: HiGHS model statuses as ``linprog`` reports them; any other is an error
@@ -607,16 +395,15 @@ def _highs_options(options: LpOptions) -> dict:
     }
 
 
-def run_highs(problem: LpProblem, options: LpOptions) -> LpSolution:
-    """Solve ``problem`` with HiGHS as ``scipy.optimize.linprog(method="highs")`` would.
+def _pass_model(
+    problem: LpProblem, options: LpOptions, cost: np.ndarray
+) -> tuple[_highs._Highs | None, np.ndarray]:
+    """One HiGHS object holding ``problem`` with objective ``cost``, set up as ``linprog`` would.
 
-    HiGHS runs on ``scipy.optimize._highspy._core``, the engine ``linprog``
-    calls, with the same model and options, so it takes the same path; only
-    the primal point, the row duals and the iteration count are read back.
-    Statuses map as in ``linprog``, and an optimum that fails its post-solve
-    check (a NaN, or a residual above ``RESULT_CHECK_TOL``) is an "error".
-    ``duals`` are the row duals in problem row order (``c - A'y`` are the
-    reduced costs).
+    Returns the object (None when HiGHS refuses the model, which ``linprog``
+    reports as "infeasible") and, per problem row, its position in HiGHS's
+    row order: ``linprog``'s, the ``<=`` rows above the ``=`` rows, each group
+    in problem order.
     """
     problem.validate()
     n, m = problem.n_variables, problem.n_constraints
@@ -624,7 +411,6 @@ def run_highs(problem: LpProblem, options: LpOptions) -> LpSolution:
         raise LpError(f"{problem.name}: no variables")  # linprog refuses it too
     rows, cols, vals = problem.triplets()
     eq = problem.equality
-    # linprog stacks the <= rows above the = rows, each group in problem order
     order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
     position = np.empty(m, np.int64)
     position[order] = np.arange(m)
@@ -635,7 +421,7 @@ def run_highs(problem: LpProblem, options: LpOptions) -> LpSolution:
         # like linprog: a value outside the option's range warns and HiGHS
         # keeps its default
         if highs.setOptionValue(name, value) != _highs.HighsStatus.kOk:
-            warnings.warn(f"HiGHS option {name}={value!r} refused", OptimizeWarning, stacklevel=2)
+            warnings.warn(f"HiGHS option {name}={value!r} refused", OptimizeWarning, stacklevel=3)
     passed = highs.passModel(
         n,
         m,
@@ -643,7 +429,7 @@ def run_highs(problem: LpProblem, options: LpOptions) -> LpSolution:
         int(_highs.MatrixFormat.kColwise),
         int(_highs.ObjSense.kMinimize),
         0.0,  # objective offset
-        problem.objective,
+        cost,
         problem.lower,
         np.where(np.isinf(problem.upper), _highs.kHighsInf, problem.upper),
         np.where(eq[order], rhs, -_highs.kHighsInf),
@@ -653,17 +439,28 @@ def run_highs(problem: LpProblem, options: LpOptions) -> LpSolution:
         matrix.data,
         np.zeros(n, np.int32),  # every column continuous: an LP, as in linprog
     )
-    if passed == _highs.HighsStatus.kError:  # linprog's kModelError: "infeasible"
-        return LpSolution("infeasible", None, None, None)
+    return (None if passed == _highs.HighsStatus.kError else highs), position
+
+
+def _run(highs: _highs._Highs) -> tuple[str, int]:
+    """Run HiGHS from wherever it stands; returns the status and this run's iterations."""
     if highs.run() == _highs.HighsStatus.kError:
-        return LpSolution(_HIGHS_STATUS.get(highs.getModelStatus(), "error"), None, None, None)
+        return _HIGHS_STATUS.get(highs.getModelStatus(), "error"), 0
     info = highs.getInfo()
     iterations = info.simplex_iteration_count or info.ipm_iteration_count
-    status = _HIGHS_STATUS.get(highs.getModelStatus(), "error")
-    if status != "optimal":
-        return LpSolution(status, None, None, None, iterations=iterations)
+    return _HIGHS_STATUS.get(highs.getModelStatus(), "error"), iterations
+
+
+def _read(highs: _highs._Highs, position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The primal point and the row duals of the problem's rows, in problem row order."""
     solution = highs.getSolution()
-    x = np.array(solution.col_value)
+    return np.array(solution.col_value), np.array(solution.row_dual)[position]
+
+
+def _checked(
+    problem: LpProblem, x: np.ndarray, duals: np.ndarray, iterations: int, fallback: bool = False
+) -> LpSolution:
+    """``linprog``'s post-solve check: a NaN or a residual above ``RESULT_CHECK_TOL`` errs."""
     residual = problem.max_residual(x)
     if not residual <= RESULT_CHECK_TOL:  # a NaN in x makes the residual NaN
         return LpSolution("error", None, None, None, iterations=iterations)
@@ -672,73 +469,93 @@ def run_highs(problem: LpProblem, options: LpOptions) -> LpSolution:
         objective=problem.objective_value(x),
         x=x,
         max_primal_residual=residual,
-        duals=np.array(solution.row_dual)[position],
+        duals=duals,
         iterations=iterations,
+        fallback=fallback,
     )
 
 
-# ---------------------------------------------------------------------------
-# Backend registry and entry points
-# ---------------------------------------------------------------------------
+def run_highs(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
+    """Solve ``problem`` with HiGHS as ``scipy.optimize.linprog(method="highs")`` would.
 
-Backend = Callable[[LpProblem, LpOptions], LpSolution]
-
-_BACKENDS: dict[str, Backend] = {
-    "reference": _solve_reference,
-    "scipy": run_highs,
-}
-
-
-def register_backend(name: str, backend: Backend) -> None:
-    _BACKENDS[name] = backend
-
-
-def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
-    options = options or LpOptions()
-    try:
-        backend = _BACKENDS[options.backend]
-    except KeyError:
-        raise LpError(f"unknown backend {options.backend!r}") from None
-    return backend(problem, options)
-
-
-def secondary_problem(
-    problem_primary: LpProblem,
-    primary_optimum: float,
-    objective_secondary: Mapping[int, float] | np.ndarray,
-    slack: float = DEFAULT_LEXICO_SLACK,
-) -> LpProblem:
-    """The second stage of a lexicographic solve, on a copy of the primary model.
-
-    The copy gains one row capping the primary objective at
-    ``primary_optimum`` plus ``slack`` (relative, at least absolute), and
-    ``objective_secondary`` replaces its cost; variables and the other rows
-    are unchanged, so a primary solution's layout applies to it as well.
+    HiGHS runs on ``scipy.optimize._highspy._core``, the engine ``linprog``
+    calls, with the same model and options, so it takes the same path; only
+    the primal point, the row duals and the iteration count are read back.
+    Statuses map as in ``linprog``, and an optimum that fails its post-solve
+    check (a NaN, or a residual above ``RESULT_CHECK_TOL``) is an "error".
+    ``duals`` are the row duals in problem row order (``c - A'y`` are the
+    reduced costs).
     """
-    second = problem_primary.copy()
-    second.name = problem_primary.name + "+secondary"
-    cap = primary_optimum + slack * max(1.0, abs(primary_optimum))
-    c = problem_primary.objective
-    used = np.flatnonzero(c)
-    second.add_constraint(dict(zip(used.tolist(), c[used].tolist())), "<=", cap, "primary_cap")
-    second.set_objective(objective_secondary)
-    return second
+    options = options or LpOptions()
+    highs, position = _pass_model(problem, options, problem.objective)
+    if highs is None:
+        return LpSolution("infeasible", None, None, None)
+    status, iterations = _run(highs)
+    if status != "optimal":
+        return LpSolution(status, None, None, None, iterations=iterations)
+    return _checked(problem, *_read(highs, position), iterations)
+
+
+solve = run_highs
+
+#: weight of the secondary cost in ``solve_lexicographic``'s one solve,
+#: relative to the secondary cost's largest coefficient
+LEXICO_WEIGHT = 1e-5
+#: relative slack (absolute below 1) on the primary optimum in the fallback's cap row
+FALLBACK_CAP_SLACK = 1e-9
 
 
 def solve_lexicographic(
-    problem_primary: LpProblem,
-    objective_secondary: Mapping[int, float],
-    slack: float = DEFAULT_LEXICO_SLACK,
-    options: LpOptions | None = None,
-) -> tuple[LpSolution, LpSolution]:
-    """Minimize the primary objective, then the secondary one subject to the
-    primary staying within ``slack`` (relative) of its optimum.
+    problem: LpProblem, secondary_cost: np.ndarray, options: LpOptions | None = None
+) -> LpSolution:
+    """Minimize ``problem``'s cost c, then ``secondary_cost`` s among the minimizers of c.
 
-    Returns (primary_solution, secondary_solution).
+    The model goes to one HiGHS object once, with the cost c + eps*s, where
+    eps = ``LEXICO_WEIGHT`` / max|s|.  The optimal basis is then re-run on c
+    alone.  A re-run that takes no iteration certifies x: the basis is
+    optimal for c, so c'x is the optimum F*, and any x' with c'x' = F* and
+    s'x' < s'x would beat x on c + eps*s, so x is lexicographically optimal
+    (Sherali, "Equivalent weights for lexicographic multi-objective
+    programs", EJOR 1982).  A re-run that iterates ends at F*; the fallback
+    then adds the row c'x <= F* + ``FALLBACK_CAP_SLACK`` * max(1, |F*|) to
+    the same object and minimizes s, the two-stage answer, and the solution's
+    ``fallback`` is set.
+
+    ``objective`` is c'x, ``duals`` are the row duals of ``problem`` at its
+    c-optimum (so ``dual_certificate_gap`` certifies F* on either path), and
+    ``iterations`` counts every run.
     """
     options = options or LpOptions()
-    primary = solve(problem_primary, options)
-    if not primary.optimal:
-        return primary, primary
-    second = secondary_problem(problem_primary, primary.objective, objective_secondary, slack)
-    return primary, solve(second, options)
+    c = problem.objective
+    s = np.asarray(secondary_cost, dtype=float)
+    if s.shape != c.shape:
+        raise LpError(f"secondary cost has shape {s.shape}, expected {c.shape}")
+    largest = float(np.abs(s).max(initial=0.0))
+    weight = LEXICO_WEIGHT / largest if largest > 0 else 0.0
+    highs, position = _pass_model(problem, options, c + weight * s)
+    if highs is None:
+        return LpSolution("infeasible", None, None, None)
+    status, iterations = _run(highs)
+    rerun = 0
+    if status == "optimal":
+        columns = np.arange(problem.n_variables, dtype=np.int32)
+        highs.changeColsCost(columns.size, columns, c)
+        status, rerun = _run(highs)
+        iterations += rerun
+    if status != "optimal":
+        return LpSolution(status, None, None, None, iterations=iterations)
+    x, duals = _read(highs, position)
+    if rerun:
+        optimum = problem.objective_value(x)
+        cap = optimum + FALLBACK_CAP_SLACK * max(1.0, abs(optimum))
+        used = np.flatnonzero(c)
+        added = highs.addRow(-_highs.kHighsInf, cap, used.size, used.astype(np.int32), c[used])
+        if added != _highs.HighsStatus.kOk:
+            return LpSolution("error", None, None, None, iterations=iterations)
+        highs.changeColsCost(columns.size, columns, s)
+        status, capped = _run(highs)
+        iterations += capped
+        if status != "optimal":
+            return LpSolution(status, None, None, None, iterations=iterations)
+        x = _read(highs, position)[0]
+    return _checked(problem, x, duals, iterations, fallback=rerun > 0)

@@ -6,11 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dlb import cli, no_d2d
-from d2dlb.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
-from d2dlb.model import DemandSet, Schedule, Topology, instance_to_json, validate_schedule
-from d2dlb.scenario import fixture, synthesize_trace, write_trace_csv
+from d2dlb.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VIOLATION, main
+from d2dlb.model import (
+    DemandSet,
+    Schedule,
+    Topology,
+    instance_to_json,
+    per_slot_loads,
+    validate_schedule,
+)
+from d2dlb.scenario import fixture, random_multicell_instance, synthesize_trace, write_trace_csv
 
 
 def read_csv_rows(path: Path) -> list[dict]:
@@ -62,6 +71,30 @@ class TestD2D:
         payload = json.loads((tmp_path / "d2d_result.json").read_text())
         assert payload["spectrum_reduction"] == pytest.approx(0.0, abs=1e-9)
         assert payload["overhead_ratio"] == pytest.approx(0.0, abs=1e-9)
+
+    @staticmethod
+    def assert_peaks_are_schedule_maxima(out: Path, topology: Topology) -> None:
+        # the peaks in d2d_result.json and schedule.csv come from one solution
+        payload = json.loads((out / "d2d_result.json").read_text())
+        loads = per_slot_loads(Schedule.from_csv(str(out / "schedule.csv")), topology)
+        for b in topology.bs_ids:
+            largest = max((load for (c, _t), load in loads.items() if c == b), default=0.0)
+            assert payload["per_bs_d2d"][b] == pytest.approx(largest, rel=1e-9, abs=1e-12), b
+
+    def test_toy_peaks_match_schedule(self, tmp_path):
+        assert main(["d2d", "--fixture", "toy-fig1", "--out", str(tmp_path)]) == EXIT_OK
+        self.assert_peaks_are_schedule_maxima(tmp_path, fixture("toy-fig1")[0])
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_random_peaks_match_schedule(self, tmp_path_factory, seed):
+        out = tmp_path_factory.mktemp("peaks")
+        topology, demands = random_multicell_instance(
+            np.random.default_rng(seed), n_cells=3, users_per_cell=3, n_demands=15, horizon=12
+        )
+        (out / "in.json").write_text(instance_to_json(topology, demands))
+        assert main(["d2d", "--instance", str(out / "in.json"), "--out", str(out)]) == EXIT_OK
+        self.assert_peaks_are_schedule_maxima(out, topology)
 
     def test_ring_reduction_reported(self, tmp_path):
         assert main(["d2d", "--fixture", "ring(3)", "--out", str(tmp_path)]) == EXIT_OK
@@ -174,6 +207,22 @@ class TestErrorTaxonomy:
         err = capsys.readouterr().err
         assert err.startswith("numerical error: demand ")
         assert "sends more than" in err
+
+    def test_invalid_bounds_schedule_is_violation(self, tmp_path, capsys, monkeypatch):
+        # a D2D schedule granting 1 % more than the solve found fails
+        # validation before bounds derives eta from it
+        solve_min_overhead = cli.solve_min_overhead
+
+        def overgranting(*args, **kwargs):
+            schedule, relayed, outcome = solve_min_overhead(*args, **kwargs)
+            grants = {k: 1.01 * x for k, x in schedule.allocations.items()}
+            return Schedule(grants), relayed, outcome
+
+        monkeypatch.setattr(cli, "solve_min_overhead", overgranting)
+        code = main(["bounds", "--fixture", "toy-fig1", "--out", str(tmp_path)])
+        assert code == EXIT_VIOLATION
+        assert capsys.readouterr().err
+        assert not (tmp_path / "bounds.csv").exists()
 
 
 class TestDeterminism:

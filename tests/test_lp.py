@@ -1,22 +1,21 @@
-"""Reference simplex against the scipy/HiGHS oracle, plus the LP plumbing."""
+"""The dense reference simplex against HiGHS, the LP plumbing, and the lexicographic solve."""
 
 import math
 
 import numpy as np
 import pytest
+from simplex_reference import solve_reference
+from two_stage_reference import solve_two_stage
 
 from d2dlb.lp import (
+    FALLBACK_CAP_SLACK,
     LpError,
     LpOptions,
     LpProblem,
     dual_certificate_gap,
-    register_backend,
     solve,
     solve_lexicographic,
 )
-
-REFERENCE = LpOptions(backend="reference")
-SCIPY = LpOptions(backend="scipy")
 
 
 def lower_bounded_min() -> LpProblem:
@@ -68,7 +67,7 @@ def loop_max_residual(p: LpProblem, x: np.ndarray) -> float:
 
 class TestReferenceSolver:
     def test_minimize_above_bound(self):
-        s = solve(lower_bounded_min(), REFERENCE)
+        s = solve_reference(lower_bounded_min())
         assert s.status == "optimal"
         assert s.objective == pytest.approx(3.0, abs=1e-9)
         assert s.max_primal_residual <= 1e-9
@@ -84,7 +83,7 @@ class TestReferenceSolver:
         p.add_constraint({g2: 1.0}, "=", 3.0)
         p.add_constraint({g1: 1.0, peak: -1.0}, "<=", 0.0)
         p.add_constraint({g2: 1.0, peak: -1.0}, "<=", 0.0)
-        s = solve(p, REFERENCE)
+        s = solve_reference(p)
         assert s.objective == pytest.approx(3.0, abs=1e-9)
 
     def test_infeasible(self):
@@ -93,21 +92,20 @@ class TestReferenceSolver:
         p.set_objective({x: 1.0})
         p.add_constraint({x: 1.0}, "<=", 1.0)
         p.add_constraint({x: -1.0}, "<=", -2.0)
-        assert solve(p, REFERENCE).status == "infeasible"
+        assert solve_reference(p).status == "infeasible"
 
     def test_unbounded(self):
         p = LpProblem("ray")
         x = p.add_variable("x")
         p.set_objective({x: -1.0})
-        assert solve(p, REFERENCE).status == "unbounded"
+        assert solve_reference(p).status == "unbounded"
 
-
-    @pytest.mark.parametrize("backend", ["reference", "scipy"])
-    def test_iteration_limit_reported(self, backend):
+    @pytest.mark.parametrize("solver", [solve_reference, solve], ids=["reference", "scipy"])
+    def test_iteration_limit_reported(self, solver):
         rng = np.random.default_rng(5)
         p = random_feasible_lp(rng, n_max=60)
-        assert solve(p, LpOptions(backend=backend)).status == "optimal"
-        s = solve(p, LpOptions(backend=backend, max_iterations=2))
+        assert solver(p, LpOptions()).status == "optimal"
+        s = solver(p, LpOptions(max_iterations=2))
         assert s.status == "iteration_limit"
         assert s.x is None
         assert s.iterations == 2
@@ -118,7 +116,7 @@ class TestReferenceSolver:
         y = p.add_variable("y")
         p.set_objective({x: -1.0, y: 1.0})
         p.add_constraint({x: 1.0, y: -1.0}, "<=", 0.5)
-        s = solve(p, REFERENCE)
+        s = solve_reference(p)
         assert s.status == "optimal"
         # x to its cap, y as small as the constraint allows
         assert s.x[0] == pytest.approx(2.0, abs=1e-9)
@@ -134,7 +132,7 @@ class TestReferenceSolver:
         p.add_constraint({x: 1.0, y: 1.0}, "=", 1.0)
         p.add_constraint({x: 1.0, y: 1.0}, "=", 1.0)
         p.add_constraint({x: 2.0, y: 2.0}, "=", 2.0)
-        s = solve(p, REFERENCE)
+        s = solve_reference(p)
         assert s.status == "optimal"
         assert s.objective == pytest.approx(1.0, abs=1e-9)
         assert dual_certificate_gap(p, s) <= 1e-6
@@ -146,16 +144,16 @@ class TestReferenceSolver:
         for i in range(5):
             p.add_constraint({v[i]: 1.0, v[i + 1]: -1.0}, "<=", 0.0)
         p.add_constraint({v[5]: 1.0}, "<=", 2.0)
-        s = solve(p, REFERENCE)
+        s = solve_reference(p)
         assert s.status == "optimal"
-        assert s.objective == pytest.approx(solve(p, SCIPY).objective, abs=1e-9)
+        assert s.objective == pytest.approx(solve(p).objective, abs=1e-9)
 
     def test_matches_oracle_on_50_random_lps(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             p = random_feasible_lp(rng)
-            ours = solve(p, REFERENCE)
-            oracle = solve(p, SCIPY)
+            ours = solve_reference(p)
+            oracle = solve(p)
             assert ours.status == oracle.status == "optimal"
             rel = abs(ours.objective - oracle.objective) / max(1.0, abs(oracle.objective))
             assert rel <= 1e-6, f"objectives {ours.objective} vs {oracle.objective}"
@@ -164,7 +162,7 @@ class TestReferenceSolver:
         rng = np.random.default_rng(7)
         for _ in range(25):
             p = random_feasible_lp(rng, n_max=80)
-            s = solve(p, REFERENCE)
+            s = solve_reference(p)
             assert s.status == "optimal"
             gap = dual_certificate_gap(p, s)
             assert gap <= 1e-6 * (1.0 + abs(s.objective))
@@ -177,14 +175,14 @@ class TestProblemContainer:
         p.set_objective({0: 1.0})
         p.add_constraint({3: 1.0}, "<=", 1.0)
         with pytest.raises(LpError, match="unknown variable"):
-            solve(p, SCIPY)
+            solve(p)
 
     def test_validate_rejects_nonfinite(self):
         p = LpProblem()
         p.add_variable("x")
         p.add_constraint({0: 1.0}, "<=", math.inf)
         with pytest.raises(LpError, match="non-finite"):
-            solve(p, SCIPY)
+            solve(p)
 
     def test_negative_lower_bound_rejected(self):
         p = LpProblem()
@@ -202,23 +200,8 @@ class TestProblemContainer:
         rng = np.random.default_rng(3)
         for _ in range(20):
             p = random_feasible_lp(rng)
-            for x in (rng.normal(size=p.n_variables), solve(p, SCIPY).x):
+            for x in (rng.normal(size=p.n_variables), solve(p).x):
                 assert p.max_residual(x) == loop_max_residual(p, x)
-
-    def test_unknown_backend(self):
-        with pytest.raises(LpError, match="unknown backend"):
-            solve(lower_bounded_min(), LpOptions(backend="nope"))
-
-    def test_register_backend(self):
-        calls = []
-
-        def fake(problem, options):
-            calls.append(problem.name)
-            return solve(problem, SCIPY)
-
-        register_backend("fake", fake)
-        s = solve(lower_bounded_min(), LpOptions(backend="fake"))
-        assert s.status == "optimal" and calls == ["min_x_above_3"]
 
 
 class TestLexicographic:
@@ -228,24 +211,63 @@ class TestLexicographic:
         b = p.add_variable("b")
         p.set_objective({a: 1.0, b: 1.0})
         p.add_constraint({a: -1.0, b: -1.0}, "<=", -2.0)
-        primary, secondary = solve_lexicographic(p, {a: 1.0})
-        assert primary.objective == pytest.approx(2.0, abs=1e-9)
-        assert secondary.objective == pytest.approx(0.0, abs=1e-6)
-        assert secondary.x[1] == pytest.approx(2.0, abs=1e-6)
+        s = solve_lexicographic(p, np.array([1.0, 0.0]))
+        assert s.objective == pytest.approx(2.0, abs=1e-9)
+        assert s.x[0] == pytest.approx(0.0, abs=1e-6)
+        assert s.x[1] == pytest.approx(2.0, abs=1e-6)
+        assert not s.fallback
 
     def test_zero_secondary_objective_keeps_primary(self):
         p = lower_bounded_min()
-        primary, secondary = solve_lexicographic(p, {})
-        assert secondary.status == "optimal"
-        assert secondary.objective == pytest.approx(0.0, abs=1e-12)
-        assert p.objective_value(secondary.x) == pytest.approx(primary.objective, rel=1e-9)
+        s = solve_lexicographic(p, np.zeros(1))
+        assert s.status == "optimal" and not s.fallback
+        assert s.objective == pytest.approx(solve(p).objective, rel=1e-9)
 
     def test_slack_zero_vs_tiny_slack_agree(self):
-        rng = np.random.default_rng(11)
-        p = random_feasible_lp(rng, n_max=60)
-        secondary_obj = {0: 1.0, 1: 2.0}
-        _, tight = solve_lexicographic(p, secondary_obj, slack=0.0)
-        _, loose = solve_lexicographic(p, secondary_obj, slack=1e-6)
+        # the lexicographic optimum (no slack on the primary) against the
+        # two-stage reference with a 1e-6 slack
+        p = random_feasible_lp(np.random.default_rng(11), n_max=60)
+        secondary = np.zeros(p.n_variables)
+        secondary[:2] = (1.0, 2.0)
+        tight = solve_lexicographic(p, secondary)
+        reference = random_feasible_lp(np.random.default_rng(11), n_max=60)
+        _, loose = solve_two_stage(reference, secondary, slack=1e-6)
         assert tight.status == loose.status == "optimal"
-        rel = abs(tight.objective - loose.objective) / max(1.0, abs(tight.objective))
+        rel = abs(secondary @ tight.x - loose.objective) / max(1.0, abs(loose.objective))
         assert rel <= 1e-4
+
+    def test_matches_two_stage_on_random_lps(self):
+        for seed in range(20):
+            p = random_feasible_lp(np.random.default_rng(seed), n_max=80)
+            secondary = np.random.default_rng(100 + seed).random(p.n_variables)
+            got = solve_lexicographic(p, secondary)
+            reference = random_feasible_lp(np.random.default_rng(seed), n_max=80)
+            primary, second = solve_two_stage(reference, secondary)
+            assert got.objective == pytest.approx(primary.objective, rel=1e-9, abs=1e-12)
+            assert secondary @ got.x == pytest.approx(second.objective, rel=1e-6, abs=1e-9)
+            assert dual_certificate_gap(p, got) <= 1e-6 * (1.0 + abs(got.objective))
+
+    def test_fallback_when_the_rerun_iterates(self):
+        # the weight 1e-5 / 1e3 on x outweighs y's extra 1e-7 of primary cost,
+        # so the weighted optimum y = 1 is not optimal for the primary cost
+        def problem() -> LpProblem:
+            p = LpProblem("fallback")
+            x, y = p.add_variable("x"), p.add_variable("y")
+            p.set_objective(np.array([1.0, 1.0 + 1e-7]))
+            p.add_constraint({x: 1.0, y: 1.0}, "=", 1.0)
+            return p
+
+        secondary = np.array([1e3, 0.0])
+        got = solve_lexicographic(problem(), secondary)
+        primary, second = solve_two_stage(problem(), secondary, slack=FALLBACK_CAP_SLACK)
+        assert got.fallback and got.optimal
+        assert primary.x.tolist() == [1.0, 0.0]
+        # the cap row's 1e-7 slope leaves x determined to about 1e-9 / 1e-7
+        assert got.x == pytest.approx(second.x, abs=1e-6)
+        assert got.objective == pytest.approx(problem().objective_value(second.x), rel=1e-9)
+        assert secondary @ got.x == pytest.approx(second.objective, rel=1e-6)
+        assert dual_certificate_gap(problem(), got) <= 1e-6
+
+    def test_secondary_cost_shape_checked(self):
+        with pytest.raises(LpError, match="secondary cost has shape"):
+            solve_lexicographic(lower_bounded_min(), np.zeros(2))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dlb.lp import LpOptions
 from d2dlb.model import (
     DemandSet,
     ModelError,
@@ -18,6 +17,7 @@ from d2dlb.no_d2d import (
     CellInstance,
     _with_cell_storage,
     binary_search_min_spectrum,
+    build_min_spectrum_nd_lp,
     edf_feasible,
     intensity,
     min_spectrum_nd_lp,
@@ -28,6 +28,7 @@ from d2dlb.scenario import toy_two_cell
 from d2dlb.bounds import build_ring_instance
 
 from conftest import draw_instance
+from simplex_reference import solve_reference
 
 
 def toy_cell_alpha() -> CellInstance:
@@ -220,9 +221,9 @@ class TestLpRoute:
             assert f_lp == pytest.approx(f_yds, rel=1e-6, abs=1e-9)
 
     def test_reference_backend_agrees(self):
-        cell = toy_cell_alpha()
-        value, _ = min_spectrum_nd_lp(cell, LpOptions(backend="reference"))
-        assert value == pytest.approx(3.0, abs=1e-9)
+        # the dense simplex oracle on the cell LP
+        problem, _ = build_min_spectrum_nd_lp(toy_cell_alpha())
+        assert solve_reference(problem).objective == pytest.approx(3.0, abs=1e-9)
 
 
 class TestBinarySearch:

@@ -9,25 +9,46 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_lambda_sweep_writes_one_row_per_level(tmp_path):
-    out = tmp_path / "sweep.csv"
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [
-            sys.executable,
-            str(ROOT / "scripts" / "lambda_sweep.py"),
-            "--cells", "2",
-            "--users-per-cell", "3",
-            "--windows", "2",
-            "--levels", "0,0.5,1",
-            "--out", str(out),
-        ],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_lambda_sweep_writes_one_row_per_level(tmp_path):
+    out = tmp_path / "sweep.csv"
+    run_script(
+        "lambda_sweep.py",
+        "--cells", "2",
+        "--users-per-cell", "3",
+        "--windows", "2",
+        "--levels", "0,0.5,1",
+        "--out", str(out),
+    )
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(r["lambda"]) for r in rows] == [0.0, 0.5, 1.0]
+
+
+def test_toy_walkthrough_prints_the_toy_numbers():
+    stdout = run_script("toy_walkthrough.py").stdout
+    assert "spectrum reduction 33.3%, overhead 25.0%" in stdout
+
+
+def test_construction_sweep_writes_one_row_per_construction(tmp_path):
+    out = tmp_path / "constructions.csv"
+    run_script("construction_sweep.py", "--max-delay", "3", "--max-cells", "3", "--out", str(out))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["kind"], r["parameter"]) for r in rows] == [
+        ("ring", "2"), ("ring", "3"), ("complete", "2"), ("complete", "3"),
+    ]
+    for r in rows:
+        assert float(r["rho_lp"]) >= float(r["rho_construction"]) - 1e-6
