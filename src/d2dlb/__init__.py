@@ -20,7 +20,7 @@ from .model import (
     per_slot_loads,
     validate_schedule,
 )
-from .lp import LpOptions, LpProblem, LpSolution, solve, solve_lexicographic
+from .lp import LpProblem, LpSolution, solve, solve_lexicographic
 from .no_d2d import (
     CellInstance,
     binary_search_min_spectrum,

@@ -6,7 +6,7 @@ LP, solved once for the least total spectrum and, at it, the least relayed
 traffic), ``heuristic`` (split-level sweep), and ``bounds`` (closed-form
 bounds against observed values).  Every LP is solved by HiGHS.  Outputs are
 CSV or JSON files under --out, each carrying a provenance header with the
-config hash, seed, and tolerances.
+config hash, the seed, and the feasibility tolerances HiGHS runs with.
 
 Exit codes: 0 success, 2 invariant or bound violation (including a ``d2d``
 or ``bounds`` schedule that fails validation), 3 solver or numerical
@@ -27,10 +27,16 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import lp
-from .d2d_flow import InfeasibleDemandError, solve_min_overhead, solve_min_spectrum_d2d
+from .d2d_flow import (
+    D2DSolveOutcome,
+    InfeasibleDemandError,
+    solve_min_overhead,
+    solve_min_spectrum_d2d,
+)
 
 # heuristic_min_spectrum and heuristic_min_overhead are not called here, but
 # benchmark/spans.py traces the heuristic layer under these names
+# (tests/test_benchmark_targets.py fails if they go)
 from .heuristic import (  # noqa: F401
     check_heuristic_bounds,
     heuristic_min_overhead,
@@ -40,8 +46,10 @@ from .heuristic import (  # noqa: F401
 from .model import (
     DemandSet,
     FlowResidualError,
+    Metrics,
     ModelError,
     Schedule,
+    SpectrumResult,
     Topology,
     compute_metrics,
     compute_volumes,
@@ -78,7 +86,6 @@ class ExperimentConfig:
     generate: str | None = None
     seed: int = 0
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
-    pruning: bool = True
     out: str = "out"
     users_per_cell: int = 4
     cell_radius_m: float = 300.0
@@ -97,13 +104,10 @@ class ExperimentConfig:
         return hashlib.sha256(json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
-def _provenance(config: ExperimentConfig, options: lp.LpOptions) -> list[str]:
-    return [
-        f"config_hash={config.hash()}",
-        f"seed={config.seed}",
-        f"tolerance={options.tolerance}",
-        f"optimality_tolerance={options.optimality_tolerance}",
-    ]
+def _provenance(config: ExperimentConfig) -> list[str]:
+    """Config hash, seed, and the tolerances HiGHS runs with, under HiGHS's names."""
+    tolerances = [f"{k}={v}" for k, v in lp.HIGHS_OPTIONS.items() if k.endswith("_tolerance")]
+    return [f"config_hash={config.hash()}", f"seed={config.seed}", *tolerances]
 
 
 def load_instance(config: ExperimentConfig) -> tuple[Topology, DemandSet]:
@@ -170,21 +174,13 @@ def _emit_instance(config: ExperimentConfig, topology: Topology, demands: Demand
     (out / "instance.json").write_text(instance_to_json(topology, demands))
 
 
-def _schedule_valid(schedule: Schedule, topology: Topology, demands: DemandSet) -> bool:
-    """Validate a schedule the command derives its outputs from; print the report if it fails."""
-    report = validate_schedule(schedule, topology, demands, flow_abs_tol=1e-6)
-    if not report.ok:
-        print(report.summary(), file=sys.stderr)
-    return report.ok
-
-
-def cmd_nd(config: ExperimentConfig, options: lp.LpOptions) -> int:
+def cmd_nd(config: ExperimentConfig) -> int:
     topology, demands = load_instance(config)
     _emit_instance(config, topology, demands)
     yds_result, _schedule, intervals = min_spectrum_no_d2d(topology, demands, method="yds")
-    lp_result, _, _ = min_spectrum_no_d2d(topology, demands, method="lp", options=options)
+    lp_result, _, _ = min_spectrum_no_d2d(topology, demands, method="lp")
     out = Path(config.out)
-    prov = _provenance(config, options)
+    prov = _provenance(config)
     rows = []
     disagreements = []
     for b in topology.bs_ids:
@@ -207,31 +203,59 @@ def cmd_nd(config: ExperimentConfig, options: lp.LpOptions) -> int:
     return EXIT_OK
 
 
-def cmd_d2d(config: ExperimentConfig, options: lp.LpOptions) -> int:
+@dataclass(frozen=True)
+class D2DRun:
+    """The no-D2D baseline and the validated D2D optimum of one instance."""
+
+    topology: Topology
+    demands: DemandSet
+    nd_result: SpectrumResult
+    outcome: D2DSolveOutcome
+    schedule: Schedule
+    v_d2d: float
+    v_bs: float
+    metrics: Metrics
+
+
+def run_d2d(config: ExperimentConfig) -> D2DRun | None:
+    """Load the instance and solve it without and with D2D, as ``d2d`` and ``bounds`` do.
+
+    The instance is written under --out first.  Returns None, with the
+    validation report on stderr, when the D2D schedule fails validation.
+    """
     topology, demands = load_instance(config)
     _emit_instance(config, topology, demands)
     nd_result, _, _ = min_spectrum_no_d2d(topology, demands, method="yds")
-    outcome = solve_min_spectrum_d2d(topology, demands, pruning=config.pruning, options=options)
+    outcome = solve_min_spectrum_d2d(topology, demands)
     schedule, _, _ = solve_min_overhead(topology, outcome)
-    if not _schedule_valid(schedule, topology, demands):
-        return EXIT_VIOLATION
+    report = validate_schedule(schedule, topology, demands, flow_abs_tol=1e-6)
+    if not report.ok:
+        print(report.summary(), file=sys.stderr)
+        return None
     vd, vb = compute_volumes(schedule, topology)
     metrics = compute_metrics(nd_result.total, outcome.result.total, vd, vb)
+    return D2DRun(topology, demands, nd_result, outcome, schedule, vd, vb, metrics)
+
+
+def cmd_d2d(config: ExperimentConfig) -> int:
+    run = run_d2d(config)
+    if run is None:
+        return EXIT_VIOLATION
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
-        "provenance": dict(kv.split("=", 1) for kv in _provenance(config, options)),
-        "f_nd": float(nd_result.total),
-        "f_d2d": float(outcome.result.total),
-        "spectrum_reduction": float(metrics.spectrum_reduction),
-        "v_d2d": float(vd),
-        "v_bs": float(vb),
-        "overhead_ratio": float(metrics.overhead_ratio),
-        "per_bs_no_d2d": {b: float(f) for b, f in nd_result.per_bs_peak.items()},
-        "per_bs_d2d": {b: float(f) for b, f in outcome.result.per_bs_peak.items()},
+        "provenance": dict(kv.split("=", 1) for kv in _provenance(config)),
+        "f_nd": float(run.nd_result.total),
+        "f_d2d": float(run.outcome.result.total),
+        "spectrum_reduction": float(run.metrics.spectrum_reduction),
+        "v_d2d": float(run.v_d2d),
+        "v_bs": float(run.v_bs),
+        "overhead_ratio": float(run.metrics.overhead_ratio),
+        "per_bs_no_d2d": {b: float(f) for b, f in run.nd_result.per_bs_peak.items()},
+        "per_bs_d2d": {b: float(f) for b, f in run.outcome.result.per_bs_peak.items()},
     }
     (out / "d2d_result.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
-    schedule.to_csv(str(out / "schedule.csv"), topology, _provenance(config, options))
+    run.schedule.to_csv(str(out / "schedule.csv"), run.topology, _provenance(config))
     print(
         f"d2d: f_nd={payload['f_nd']!r} f_d2d={payload['f_d2d']!r}"
         f" rho={payload['spectrum_reduction']!r} eta={payload['overhead_ratio']!r}"
@@ -239,12 +263,10 @@ def cmd_d2d(config: ExperimentConfig, options: lp.LpOptions) -> int:
     return EXIT_OK
 
 
-def cmd_heuristic(config: ExperimentConfig, options: lp.LpOptions) -> int:
+def cmd_heuristic(config: ExperimentConfig) -> int:
     topology, demands = load_instance(config)
     _emit_instance(config, topology, demands)
-    sweep = heuristic_sweep(
-        topology, demands, config.lambda_grid, pruning=config.pruning, options=options
-    )
+    sweep = heuristic_sweep(topology, demands, config.lambda_grid)
     rows = []
     worst = EXIT_OK
     for row in sweep.levels:
@@ -270,26 +292,21 @@ def cmd_heuristic(config: ExperimentConfig, options: lp.LpOptions) -> int:
         Path(config.out) / "heuristic_sweep.csv",
         ["lambda", "total_spectrum", "rho", "eta", "n_d2d_demands", "step3_variables", "wall_seconds"],
         rows,
-        _provenance(config, options),
+        _provenance(config),
     )
     print(f"heuristic: {len(rows)} levels, rho(full)={sweep.rho!r}")
     return worst
 
 
-def cmd_bounds(config: ExperimentConfig, options: lp.LpOptions) -> int:
-    topology, demands = load_instance(config)
-    _emit_instance(config, topology, demands)
-    nd_result, _, _ = min_spectrum_no_d2d(topology, demands, method="yds")
-    outcome = solve_min_spectrum_d2d(topology, demands, pruning=config.pruning, options=options)
-    schedule, _, _ = solve_min_overhead(topology, outcome)
-    if not _schedule_valid(schedule, topology, demands):
+def cmd_bounds(config: ExperimentConfig) -> int:
+    run = run_d2d(config)
+    if run is None:
         return EXIT_VIOLATION
-    vd, vb = compute_volumes(schedule, topology)
-    metrics = compute_metrics(nd_result.total, outcome.result.total, vd, vb)
-    rho, eta = float(metrics.spectrum_reduction), float(metrics.overhead_ratio)
+    topology, demands = run.topology, run.demands
+    rho, eta = float(run.metrics.spectrum_reduction), float(run.metrics.overhead_ratio)
 
     floor, simple_bound = bounds_mod.simple_rho_upper_bound(
-        topology, demands, f_nd=float(nd_result.total)
+        topology, demands, f_nd=float(run.nd_result.total)
     )
     general = bounds_mod.general_rho_upper_bound(topology)
     intra = bounds_mod.intra_cell_bound(topology)
@@ -317,7 +334,7 @@ def cmd_bounds(config: ExperimentConfig, options: lp.LpOptions) -> int:
         Path(config.out) / "bounds.csv",
         ["bound", "value", "observed", "satisfied"],
         table,
-        _provenance(config, options),
+        _provenance(config),
     )
     print(f"bounds: rho={rho!r} eta={eta!r} floor={floor!r}")
     return EXIT_VIOLATION if violated else EXIT_OK
@@ -341,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--instance", help="instance JSON produced by this package")
         p.add_argument("--generate", help="random instance spec, e.g. cells=3,users=3,demands=30,T=30")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--pruning", default="on", choices=["on", "off"])
         p.add_argument("--out", default="out")
         p.add_argument("--users-per-cell", type=int, default=4, dest="users_per_cell")
         p.add_argument("--cell-radius", type=float, default=300.0, dest="cell_radius_m")
@@ -373,7 +389,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         generate=args.generate,
         seed=args.seed,
         lambda_grid=grid,
-        pruning=args.pruning == "on",
         out=args.out,
         users_per_cell=args.users_per_cell,
         cell_radius_m=args.cell_radius_m,
@@ -393,14 +408,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-        options = lp.LpOptions()
         handler = {
             "nd": cmd_nd,
             "d2d": cmd_d2d,
             "heuristic": cmd_heuristic,
             "bounds": cmd_bounds,
         }[config.command]
-        return handler(config, options)
+        return handler(config)
     except InfeasibleDemandError as exc:
         print(f"infeasible instance: {exc}", file=sys.stderr)
         return EXIT_CONFIG

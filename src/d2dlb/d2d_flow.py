@@ -332,7 +332,6 @@ def solve_flow_lp(
     pruning: bool = True,
     residual_load: Mapping[tuple[str, int], float] | None = None,
     name: str = "min-spectrum-d2d",
-    options: lp.LpOptions | None = None,
 ) -> tuple[TimeExpandedIndex, lp.LpSolution]:
     """Build the flow LP and solve it lexicographically: least total spectrum, then least relaying.
 
@@ -344,7 +343,7 @@ def solve_flow_lp(
     is not optimal.
     """
     index = build_flow_lp(topology, demands, demand_subset, pruning, residual_load, name)
-    solution = lp.solve_lexicographic(index.problem, index.relay_cost, options)
+    solution = lp.solve_lexicographic(index.problem, index.relay_cost)
     if not solution.optimal:
         raise lp.LpError(f"{name} terminated with status {solution.status}")
     return index, solution
@@ -359,13 +358,10 @@ class D2DSolveOutcome:
 
 
 def solve_min_spectrum_d2d(
-    topology: Topology,
-    demands: DemandSet,
-    pruning: bool = True,
-    options: lp.LpOptions | None = None,
+    topology: Topology, demands: DemandSet, pruning: bool = True
 ) -> D2DSolveOutcome:
     """Minimum total spectrum with D2D, and at it a schedule relaying the least traffic."""
-    index, solution = solve_flow_lp(topology, demands, pruning=pruning, options=options)
+    index, solution = solve_flow_lp(topology, demands, pruning=pruning)
     schedule = index.extract_schedule(solution)
     v_d2d, v_bs = compute_volumes(schedule, topology)
     result = SpectrumResult(
@@ -408,12 +404,10 @@ class PruneReport:
         return 1.0 - self.n_vars_pruned / self.n_vars_unpruned
 
 
-def prune_equivalence_check(
-    topology: Topology, demands: DemandSet, options: lp.LpOptions | None = None
-) -> PruneReport:
+def prune_equivalence_check(topology: Topology, demands: DemandSet) -> PruneReport:
     """Solve with and without pruning and compare optima and variable counts."""
-    pruned = solve_min_spectrum_d2d(topology, demands, pruning=True, options=options)
-    unpruned = solve_min_spectrum_d2d(topology, demands, pruning=False, options=options)
+    pruned = solve_min_spectrum_d2d(topology, demands, pruning=True)
+    unpruned = solve_min_spectrum_d2d(topology, demands, pruning=False)
     f_p, f_u = pruned.result.total, unpruned.result.total
     gap = abs(f_p - f_u) / max(1.0, abs(f_u))
     return PruneReport(

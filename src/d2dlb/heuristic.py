@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 from . import lp
 # build_flow_lp is not called here (solve_flow_lp builds the reduced LP), but
 # benchmark/spans.py traces the flow-LP layer under this name too
+# (tests/test_benchmark_targets.py fails if it goes)
 from .d2d_flow import (  # noqa: F401
     TimeExpandedIndex,
     build_flow_lp,
@@ -135,13 +136,7 @@ class Step3Solve:
         return self.index.extract_schedule(self.solution)
 
 
-def _solve_step3(
-    topology: Topology,
-    demands: DemandSet,
-    split: SplitResult,
-    pruning: bool,
-    options: lp.LpOptions | None,
-) -> Step3Solve:
+def _solve_step3(topology: Topology, demands: DemandSet, split: SplitResult) -> Step3Solve:
     if not split.d2d_demand_ids:
         peaks = {b: 0.0 for b in topology.bs_ids}
         for (b, _t), load in split.residual_load.items():
@@ -151,10 +146,8 @@ def _solve_step3(
         topology,
         demands,
         demand_subset=tuple(j for j in demands.demands if j.id in split.d2d_demand_ids),
-        pruning=pruning,
         residual_load=split.residual_load,
         name=f"heuristic-spectrum-level{split.level}",
-        options=options,
     )
     return Step3Solve(index.peaks(solution), float(solution.objective), index, solution)
 
@@ -166,9 +159,7 @@ class HeuristicOutcome:
     split: SplitResult
     result: SpectrumResult
     step3_variables: int
-    step3_wall_seconds: float
     f_nd: float
-    per_bs_nd: dict[str, float]
     step3: Step3Solve
 
 
@@ -195,19 +186,12 @@ def _combined_schedule(
 
 
 def heuristic_min_spectrum(
-    topology: Topology,
-    demands: DemandSet,
-    level: float,
-    nd_method: str = "yds",
-    pruning: bool = True,
-    options: lp.LpOptions | None = None,
+    topology: Topology, demands: DemandSet, level: float
 ) -> HeuristicOutcome:
     """Run the three steps; returns the reduced-problem spectrum and schedule."""
-    nd_result, nd_schedule, _ = min_spectrum_no_d2d(topology, demands, method=nd_method)
+    nd_result, nd_schedule, _ = min_spectrum_no_d2d(topology, demands)
     split = split_demands(topology, demands, nd_schedule, level)
-    t0 = time.perf_counter()
-    step3 = _solve_step3(topology, demands, split, pruning, options)
-    wall = time.perf_counter() - t0
+    step3 = _solve_step3(topology, demands, split)
     schedule = _combined_schedule(topology, demands, split, step3.flow_schedule())
     v_d2d, v_bs = compute_volumes(schedule, topology)
     result = SpectrumResult(
@@ -223,9 +207,7 @@ def heuristic_min_spectrum(
         split=split,
         result=result,
         step3_variables=step3.n_variables,
-        step3_wall_seconds=wall,
         f_nd=float(nd_result.total),
-        per_bs_nd={b: float(f) for b, f in nd_result.per_bs_peak.items()},
         step3=step3,
     )
 
@@ -274,11 +256,7 @@ class HeuristicSweep:
 
 
 def heuristic_sweep(
-    topology: Topology,
-    demands: DemandSet,
-    levels: Sequence[float],
-    pruning: bool = True,
-    options: lp.LpOptions | None = None,
+    topology: Topology, demands: DemandSet, levels: Sequence[float]
 ) -> HeuristicSweep:
     """Spectrum and overhead of the reduced problem at each split level, each LP solved once.
 
@@ -291,7 +269,7 @@ def heuristic_sweep(
     f_nd = float(nd_result.total)
     if f_nd == 0:
         raise ModelError("spectrum reduction undefined: no-D2D total is zero")
-    full = solve_min_spectrum_d2d(topology, demands, pruning=pruning, options=options)
+    full = solve_min_spectrum_d2d(topology, demands)
     all_ids = frozenset(j.id for j in demands.demands)
     full_step3 = Step3Solve(full.result.per_bs_peak, full.result.total, full.index, full.solution)
     solved: dict[frozenset[int], tuple[float, float, int]] = {}
@@ -305,7 +283,7 @@ def heuristic_sweep(
             if key == all_ids:
                 step3 = full_step3
             else:
-                step3 = _solve_step3(topology, demands, split, pruning, options)
+                step3 = _solve_step3(topology, demands, split)
             schedule = _combined_schedule(topology, demands, split, step3.flow_schedule())
             eta = overhead_ratio(*compute_volumes(schedule, topology))
             solved[key] = (step3.total, eta, step3.n_variables)

@@ -5,13 +5,14 @@ minimization objective, and ``=`` / ``<=`` rows whose matrix is kept as
 sparse (row, column, value) triplets.
 
 ``solve`` (``run_highs``) runs HiGHS on the engine scipy ships
-(``scipy.optimize._highspy._core``), with the model and options
+(``scipy.optimize._highspy._core``), with the model and the settings
 ``scipy.optimize.linprog(method="highs")`` would build and ``linprog``'s
 reading of the result, without ``linprog``'s input cleaning and
-bound-marginal copies.  ``solve_lexicographic`` minimizes a second cost
-among the minimizers of the first with one model on one HiGHS object: a
-weighted solve, then a re-run of its basis on the first cost alone as the
-certificate, and, only if that re-run iterates, a capped second stage.
+bound-marginal copies.  The settings are one constant, ``HIGHS_OPTIONS``:
+the formulation is solved one fixed way.  ``solve_lexicographic`` minimizes
+a second cost among the minimizers of the first with one model on one HiGHS
+object: a weighted solve, then a re-run of its basis on the first cost alone
+as the certificate, and, only if that re-run iterates, a capped second stage.
 
 Every optimum carries row duals, so ``dual_certificate_gap`` certifies it,
 and problems can be dumped to the fixed LP text format for external
@@ -21,25 +22,16 @@ debugging.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 import scipy.sparse
-from scipy.optimize import OptimizeWarning
 from scipy.optimize._highspy import _core as _highs
 
 
 class LpError(ValueError):
     """Raised for malformed problems or misused solver APIs."""
-
-
-@dataclass
-class LpOptions:
-    tolerance: float = 1e-9  # primal feasibility
-    optimality_tolerance: float = 1e-7
-    max_iterations: int = 100_000
 
 
 class _Vector:
@@ -380,30 +372,29 @@ _HIGHS_STATUS = {
 RESULT_CHECK_TOL = 10.0 * math.sqrt(1e-9)
 
 
-def _highs_options(options: LpOptions) -> dict:
-    """The HiGHS options ``linprog(method="highs")`` sets for these LpOptions."""
-    return {
-        "output_flag": False,
-        "log_to_console": False,
-        "highs_debug_level": int(_highs.HighsDebugLevel.kHighsDebugLevelNone),
-        "presolve": "on",
-        "simplex_strategy": int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
-        "primal_feasibility_tolerance": min(options.tolerance, 1e-9),
-        "dual_feasibility_tolerance": min(options.optimality_tolerance, 1e-9),
-        "simplex_iteration_limit": options.max_iterations,
-        "ipm_iteration_limit": options.max_iterations,
-    }
+#: every HiGHS setting, as ``linprog(method="highs")`` passes them: quiet,
+#: presolve, dual simplex, 1e-9 feasibility tolerances, 100,000 iterations
+HIGHS_OPTIONS = {
+    "output_flag": False,
+    "log_to_console": False,
+    "highs_debug_level": int(_highs.HighsDebugLevel.kHighsDebugLevelNone),
+    "presolve": "on",
+    "simplex_strategy": int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+    "primal_feasibility_tolerance": 1e-9,
+    "dual_feasibility_tolerance": 1e-9,
+    "simplex_iteration_limit": 100_000,
+    "ipm_iteration_limit": 100_000,
+}
 
 
-def _pass_model(
-    problem: LpProblem, options: LpOptions, cost: np.ndarray
-) -> tuple[_highs._Highs | None, np.ndarray]:
+def _pass_model(problem: LpProblem, cost: np.ndarray) -> tuple[_highs._Highs | None, np.ndarray]:
     """One HiGHS object holding ``problem`` with objective ``cost``, set up as ``linprog`` would.
 
-    Returns the object (None when HiGHS refuses the model, which ``linprog``
-    reports as "infeasible") and, per problem row, its position in HiGHS's
-    row order: ``linprog``'s, the ``<=`` rows above the ``=`` rows, each group
-    in problem order.
+    Every ``HIGHS_OPTIONS`` setting is applied; one that HiGHS refuses raises
+    ``LpError``.  Returns the object (None when HiGHS refuses the model, which
+    ``linprog`` reports as "infeasible") and, per problem row, its position in
+    HiGHS's row order: ``linprog``'s, the ``<=`` rows above the ``=`` rows,
+    each group in problem order.
     """
     problem.validate()
     n, m = problem.n_variables, problem.n_constraints
@@ -417,11 +408,9 @@ def _pass_model(
     matrix = scipy.sparse.csc_array((vals, (position[rows], cols)), shape=(m, n))
     rhs = problem.rhs[order]
     highs = _highs._Highs()
-    for name, value in _highs_options(options).items():
-        # like linprog: a value outside the option's range warns and HiGHS
-        # keeps its default
+    for name, value in HIGHS_OPTIONS.items():
         if highs.setOptionValue(name, value) != _highs.HighsStatus.kOk:
-            warnings.warn(f"HiGHS option {name}={value!r} refused", OptimizeWarning, stacklevel=3)
+            raise LpError(f"HiGHS refused option {name}={value!r}")
     passed = highs.passModel(
         n,
         m,
@@ -475,19 +464,19 @@ def _checked(
     )
 
 
-def run_highs(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
+def run_highs(problem: LpProblem) -> LpSolution:
     """Solve ``problem`` with HiGHS as ``scipy.optimize.linprog(method="highs")`` would.
 
     HiGHS runs on ``scipy.optimize._highspy._core``, the engine ``linprog``
-    calls, with the same model and options, so it takes the same path; only
+    calls, with the same model and options (``HIGHS_OPTIONS``), so it takes
+    the same path; only
     the primal point, the row duals and the iteration count are read back.
     Statuses map as in ``linprog``, and an optimum that fails its post-solve
     check (a NaN, or a residual above ``RESULT_CHECK_TOL``) is an "error".
     ``duals`` are the row duals in problem row order (``c - A'y`` are the
     reduced costs).
     """
-    options = options or LpOptions()
-    highs, position = _pass_model(problem, options, problem.objective)
+    highs, position = _pass_model(problem, problem.objective)
     if highs is None:
         return LpSolution("infeasible", None, None, None)
     status, iterations = _run(highs)
@@ -505,9 +494,7 @@ LEXICO_WEIGHT = 1e-5
 FALLBACK_CAP_SLACK = 1e-9
 
 
-def solve_lexicographic(
-    problem: LpProblem, secondary_cost: np.ndarray, options: LpOptions | None = None
-) -> LpSolution:
+def solve_lexicographic(problem: LpProblem, secondary_cost: np.ndarray) -> LpSolution:
     """Minimize ``problem``'s cost c, then ``secondary_cost`` s among the minimizers of c.
 
     The model goes to one HiGHS object once, with the cost c + eps*s, where
@@ -525,14 +512,13 @@ def solve_lexicographic(
     c-optimum (so ``dual_certificate_gap`` certifies F* on either path), and
     ``iterations`` counts every run.
     """
-    options = options or LpOptions()
     c = problem.objective
     s = np.asarray(secondary_cost, dtype=float)
     if s.shape != c.shape:
         raise LpError(f"secondary cost has shape {s.shape}, expected {c.shape}")
     largest = float(np.abs(s).max(initial=0.0))
     weight = LEXICO_WEIGHT / largest if largest > 0 else 0.0
-    highs, position = _pass_model(problem, options, c + weight * s)
+    highs, position = _pass_model(problem, c + weight * s)
     if highs is None:
         return LpSolution("infeasible", None, None, None)
     status, iterations = _run(highs)

@@ -212,12 +212,6 @@ class DemandSet:
     def total_volume(self) -> Number:
         return sum(j.volume for j in self.demands)
 
-    def by_cell(self, topology: Topology) -> dict[str, tuple[Demand, ...]]:
-        by: dict[str, list[Demand]] = {b: [] for b in topology.bs_ids}
-        for j in self.demands:
-            by[topology.home_bs[j.user]].append(j)
-        return {b: tuple(js) for b, js in by.items()}
-
     def to_json_dict(self) -> dict:
         return {
             "horizon": self.horizon,
@@ -459,23 +453,6 @@ def validate_schedule(
     return ValidationReport(tuple(violations))
 
 
-def demand_completion_residuals(
-    schedule: Schedule, topology: Topology, demands: DemandSet
-) -> dict[int, float]:
-    """Relative shortfall of volume arriving at BSs by each demand's deadline."""
-    bs_set = set(topology.bs_ids)
-    arrived: dict[int, Number] = {j.id: 0 for j in demands.demands}
-    demand_map = {j.id: j for j in demands.demands}
-    for (jid, u, v, t), x in schedule.allocations.items():
-        j = demand_map.get(jid)
-        if j is not None and v in bs_set and t == j.end:
-            arrived[jid] += x * topology.rate(u, v)
-    return {
-        jid: float(abs(arrived[jid] - demand_map[jid].volume)) / float(demand_map[jid].volume)
-        for jid in arrived
-    }
-
-
 # ---------------------------------------------------------------------------
 # Volumes, per-slot loads, spectrum results, metrics
 # ---------------------------------------------------------------------------
@@ -552,29 +529,6 @@ class SpectrumResult:
             "v_d2d": float(self.v_d2d),
             "v_bs": float(self.v_bs),
         }
-
-
-def spectrum_result_from_schedule(
-    schedule: Schedule,
-    topology: Topology,
-    per_bs_peak: Mapping[str, Number] | None = None,
-) -> SpectrumResult:
-    """Assemble a SpectrumResult; peaks default to the measured per-slot maxima."""
-    loads = per_slot_loads(schedule, topology)
-    if per_bs_peak is None:
-        peaks: dict[str, Number] = {b: 0 for b in topology.bs_ids}
-        for (b, _t), load in loads.items():
-            if load > peaks[b]:
-                peaks[b] = load
-        per_bs_peak = peaks
-    v_d2d, v_bs = compute_volumes(schedule, topology)
-    return SpectrumResult(
-        per_bs_peak=dict(per_bs_peak),
-        total=sum(per_bs_peak.values()),
-        v_d2d=v_d2d,
-        v_bs=v_bs,
-        per_slot_load=loads,
-    )
 
 
 @dataclass(frozen=True)

@@ -219,14 +219,12 @@ def build_min_spectrum_nd_lp(cell: CellInstance) -> tuple[lp.LpProblem, dict]:
     return problem, index
 
 
-def min_spectrum_nd_lp(
-    cell: CellInstance, options: lp.LpOptions | None = None
-) -> tuple[float, Schedule]:
+def min_spectrum_nd_lp(cell: CellInstance) -> tuple[float, Schedule]:
     """Solve the per-cell LP; returns the optimum and the direct-link schedule."""
     if not cell.demands:
         return 0.0, Schedule({})
     problem, index = build_min_spectrum_nd_lp(cell)
-    solution = lp.solve(problem, options)
+    solution = lp.solve(problem)
     if not solution.optimal:
         raise lp.LpError(f"cell {cell.bs}: LP terminated with status {solution.status}")
     users = {j.id: j.user for j in cell.demands}
@@ -242,7 +240,6 @@ def min_spectrum_no_d2d(
     topology: Topology,
     demands: DemandSet,
     method: str = "yds",
-    options: lp.LpOptions | None = None,
 ) -> tuple[SpectrumResult, Schedule, dict[str, tuple[int, int]]]:
     """Per-cell minimum spectrum, summed.
 
@@ -266,7 +263,7 @@ def min_spectrum_no_d2d(
                     f"cell {bs}: EDF infeasible at the interval-search optimum {f_b}"
                 )
         else:
-            f_b, schedule = min_spectrum_nd_lp(cell, options)
+            f_b, schedule = min_spectrum_nd_lp(cell)
             _, interval = yds_min_spectrum(cell)
         per_bs[bs] = f_b
         intervals[bs] = interval

@@ -2,8 +2,9 @@
 
 ``reference_arguments`` turns an ``LpProblem`` into ``linprog`` keyword
 arguments, and ``reference_solve`` runs ``linprog(method="highs")`` with the
-options the scipy backend gives HiGHS.  Tests hold the backend's driver to
-this path: same status, iterations, point and objective.
+settings ``lp.HIGHS_OPTIONS`` gives HiGHS, written out as ``linprog`` takes
+them.  Tests hold the driver to this path: same status, iterations, point
+and objective.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
-from d2dlb.lp import LpOptions, LpProblem
+from d2dlb.lp import LpProblem
 
 
 def reference_arguments(problem: LpProblem) -> dict:
@@ -48,16 +49,15 @@ def reference_arguments(problem: LpProblem) -> dict:
     }
 
 
-def reference_solve(problem: LpProblem, options: LpOptions | None = None):
-    """``linprog``'s result for ``problem`` under the scipy backend's HiGHS options."""
-    options = options or LpOptions()
+def reference_solve(problem: LpProblem, max_iterations: int = 100_000):
+    """``linprog``'s result for ``problem`` under the driver's HiGHS settings."""
     return scipy.optimize.linprog(
         **reference_arguments(problem),
         method="highs",
         options={
-            "primal_feasibility_tolerance": min(options.tolerance, 1e-9),
-            "dual_feasibility_tolerance": min(options.optimality_tolerance, 1e-9),
-            "maxiter": options.max_iterations,
+            "primal_feasibility_tolerance": 1e-9,
+            "dual_feasibility_tolerance": 1e-9,
+            "maxiter": max_iterations,
         },
     )
 

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from d2dlb.lp import LpOptions, LpProblem, LpSolution
+from d2dlb.lp import LpProblem, LpSolution
+
+#: phase 1 declares a problem infeasible above this residual, relative to 1 + max|b|
+FEASIBILITY_TOL = 1e-7
+#: a reduced cost below minus this prices a column in
+OPTIMALITY_TOL = 1e-7
 
 
 class Simplex:
@@ -25,12 +30,12 @@ class Simplex:
     DEGENERATE_STREAK = 40
     REFACTOR_EVERY = 60
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, options: LpOptions):
+    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, max_iterations: int):
         self.A = A
         self.b = b
         self.c = c
         self.m, self.n = A.shape
-        self.opt = options
+        self.max_iterations = max_iterations
         self.iterations = 0
 
     def solve(self) -> tuple[str, np.ndarray | None, np.ndarray | None]:
@@ -46,7 +51,7 @@ class Simplex:
         xB = np.linalg.solve(A1[:, basis], self.b) if m else np.zeros(0)
         phase1_obj = float(c1[basis] @ xB)
         scale = 1.0 + (float(np.abs(self.b).max()) if m else 0.0)
-        if phase1_obj > max(self.opt.tolerance, 1e-7) * scale:
+        if phase1_obj > FEASIBILITY_TOL * scale:
             return "infeasible", None, None
         A2, b2, basis, keep_rows = self._drop_artificials(A1, basis, n)
         status, basis = self._iterate(A2, b2, self.c, basis)
@@ -99,16 +104,16 @@ class Simplex:
         m = A.shape[0]
         if m == 0:
             # no rows: optimal iff no improving ray exists
-            if any(c[i] < -self.opt.optimality_tolerance for i in range(A.shape[1])):
+            if any(c[i] < -OPTIMALITY_TOL for i in range(A.shape[1])):
                 return "unbounded", basis
             return "optimal", basis
         Binv = np.linalg.inv(A[:, basis])
         bland = False
         degenerate_streak = 0
         since_refactor = 0
-        opt_tol = self.opt.optimality_tolerance
+        opt_tol = OPTIMALITY_TOL
         while True:
-            if self.iterations >= self.opt.max_iterations:
+            if self.iterations >= self.max_iterations:
                 return "iteration_limit", basis
             self.iterations += 1
             since_refactor += 1
@@ -186,12 +191,11 @@ def to_standard_form(
     return A, b, c, np.where(flip, -1.0, 1.0), n
 
 
-def solve_reference(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
+def solve_reference(problem: LpProblem, max_iterations: int = 100_000) -> LpSolution:
     """Solve ``problem`` with the dense simplex; duals are in problem row order."""
-    options = options or LpOptions()
     problem.validate()
     A, b, c, row_signs, n = to_standard_form(problem)
-    simplex = Simplex(A, b, c, options)
+    simplex = Simplex(A, b, c, max_iterations)
     status, x_std, duals = simplex.solve()
     if status != "optimal":
         return LpSolution(status, None, None, None, iterations=simplex.iterations)

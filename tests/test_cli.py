@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dlb import cli, no_d2d
+from d2dlb import cli, lp, no_d2d
 from d2dlb.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VIOLATION, main
 from d2dlb.model import (
     DemandSet,
@@ -62,6 +62,19 @@ class TestD2D:
         topology, demands = fixture("toy-fig1")
         schedule = Schedule.from_csv(str(tmp_path / "schedule.csv"))
         assert validate_schedule(schedule, topology, demands, flow_abs_tol=1e-6).ok
+
+    def test_provenance_records_the_highs_tolerances(self, tmp_path):
+        assert main(["d2d", "--fixture", "toy-fig1", "--out", str(tmp_path)]) == EXIT_OK
+        provenance = json.loads((tmp_path / "d2d_result.json").read_text())["provenance"]
+        tolerances = {k: float(v) for k, v in provenance.items() if k.endswith("tolerance")}
+        assert tolerances == {
+            "primal_feasibility_tolerance": lp.HIGHS_OPTIONS["primal_feasibility_tolerance"],
+            "dual_feasibility_tolerance": lp.HIGHS_OPTIONS["dual_feasibility_tolerance"],
+        }
+        # the schedule's header carries the same record
+        with open(tmp_path / "schedule.csv") as fh:
+            header = [line[2:].rstrip("\n") for line in fh if line.startswith("# ")]
+        assert dict(kv.split("=", 1) for kv in header) == provenance
 
     def test_no_d2d_instance_zero_metrics(self, tmp_path):
         code = main(

@@ -221,9 +221,9 @@ class TestSweep:
         calls = []
         solve_lexicographic = lp.solve_lexicographic
 
-        def counting_solve(problem, secondary_cost, options=None):
+        def counting_solve(problem, secondary_cost):
             calls.append(problem.name)
-            return solve_lexicographic(problem, secondary_cost, options)
+            return solve_lexicographic(problem, secondary_cost)
 
         monkeypatch.setattr(lp, "solve_lexicographic", counting_solve)
         monkeypatch.setattr(lp, "solve", lambda *args: pytest.fail("a second LP was solved"))

@@ -1,6 +1,6 @@
 """The HiGHS driver against ``scipy.optimize.linprog``.
 
-``lp.run_highs`` hands HiGHS the model and options ``linprog(method="highs")``
+``lp.run_highs`` hands HiGHS the model and settings ``linprog(method="highs")``
 builds, on the same engine, so on every model it must end where ``linprog``
 ends: the same status and iteration count, the same point bit for bit, the
 same objective and the same row duals.  The second half checks the duality
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from linprog_reference import STATUS, reference_solve
-from scipy.optimize import OptimizeWarning
 from two_stage_reference import overhead_model
 
 from d2dlb import lp
@@ -34,13 +33,11 @@ from d2dlb.scenario import (
     toy_two_cell,
 )
 
-OPTIONS = lp.LpOptions()
 
-
-def assert_same_as_linprog(problem: lp.LpProblem, options: lp.LpOptions = OPTIONS) -> str:
+def assert_same_as_linprog(problem: lp.LpProblem) -> str:
     """Solve with both paths, require the same outcome; returns the status."""
-    ref = reference_solve(problem, options)
-    got = lp.run_highs(problem, options)
+    ref = reference_solve(problem, lp.HIGHS_OPTIONS["simplex_iteration_limit"])
+    got = lp.run_highs(problem)
     assert got.status == STATUS[ref.status]
     assert got.iterations == ref.nit
     if not got.optimal:
@@ -60,7 +57,7 @@ def assert_both_stages_same(topology: Topology, demands: DemandSet, **kwargs) ->
     """The spectrum model and the two-stage reference's overhead model at its optimum."""
     index = build_flow_lp(topology, demands, **kwargs)
     assert assert_same_as_linprog(index.problem) == "optimal"
-    total = lp.run_highs(index.problem, OPTIONS).objective
+    total = lp.run_highs(index.problem).objective
     assert assert_same_as_linprog(overhead_model(index, total, lp.FALLBACK_CAP_SLACK)) == "optimal"
 
 
@@ -153,25 +150,28 @@ def test_unbounded_lp():
     assert assert_same_as_linprog(p) == "unbounded"
 
 
-def test_iteration_limited_lp():
+def test_iteration_limited_lp(monkeypatch):
     topology, demands = complete2x2()
     problem = build_flow_lp(topology, demands).problem
-    limited = lp.LpOptions(max_iterations=3)
-    assert assert_same_as_linprog(problem, limited) == "iteration_limit"
-    assert lp.run_highs(problem, limited).iterations == 3
+    monkeypatch.setitem(lp.HIGHS_OPTIONS, "simplex_iteration_limit", 3)
+    assert assert_same_as_linprog(problem) == "iteration_limit"
+    limited = lp.run_highs(problem)
+    assert limited.iterations == 3
+    assert limited.x is None
 
 
 @pytest.mark.parametrize(
-    "options",
-    [lp.LpOptions(tolerance=1e-12), lp.LpOptions(max_iterations=-1)],
+    "name,value",
+    [("primal_feasibility_tolerance", 1e-12), ("simplex_iteration_limit", -1)],
     ids=["tolerance-1e-12", "max_iterations-1"],
 )
-def test_refused_option_keeps_highs_default(options):
+def test_refused_option_raises(monkeypatch, name, value):
     # HiGHS takes no feasibility tolerance below 1e-10 and no negative
-    # limit; linprog warns and leaves HiGHS's default, and so does the driver
+    # limit; the settings are constants, so a refused one is a solver error
+    monkeypatch.setitem(lp.HIGHS_OPTIONS, name, value)
     topology, demands = toy_two_cell()
-    with pytest.warns(OptimizeWarning):
-        assert assert_same_as_linprog(build_flow_lp(topology, demands).problem, options) == "optimal"
+    with pytest.raises(lp.LpError, match=f"refused option {name}"):
+        lp.run_highs(build_flow_lp(topology, demands).problem)
 
 
 def units_instance(k: int, scale: float) -> tuple[Topology, DemandSet]:
@@ -231,7 +231,7 @@ def test_post_solve_check(residual, status):
     p.set_objective({x: 1.0})
     p.add_constraint({x: -1.0}, "<=", -3.0)
     p.residual = residual
-    s = lp.run_highs(p, OPTIONS)
+    s = lp.run_highs(p)
     assert s.status == status
     assert (s.x is not None) == (status == "optimal")
 
@@ -239,7 +239,7 @@ def test_post_solve_check(residual, status):
 def test_empty_problem_rejected():
     # linprog refuses a model without columns; so does the driver
     with pytest.raises(lp.LpError, match="no variables"):
-        lp.run_highs(lp.LpProblem("empty"), OPTIONS)
+        lp.run_highs(lp.LpProblem("empty"))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ GAP_TOL = 1e-9
 
 
 def assert_certified(problem: lp.LpProblem) -> lp.LpSolution:
-    solution = lp.solve(problem, OPTIONS)
+    solution = lp.solve(problem)
     assert solution.optimal and solution.duals.shape == (problem.n_constraints,)
     assert lp.dual_certificate_gap(problem, solution) <= GAP_TOL
     return solution

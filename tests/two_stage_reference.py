@@ -37,14 +37,13 @@ def solve_two_stage(
     problem: lp.LpProblem,
     secondary_cost: np.ndarray,
     slack: float = 0.0,
-    options: lp.LpOptions | None = None,
 ) -> tuple[lp.LpSolution, lp.LpSolution]:
     """(primary solution, secondary solution); ``problem`` ends as the second stage."""
-    primary = lp.solve(problem, options)
+    primary = lp.solve(problem)
     if not primary.optimal:
         return primary, primary
     cap_and_recost(problem, primary.objective, secondary_cost, slack)
-    return primary, lp.solve(problem, options)
+    return primary, lp.solve(problem)
 
 
 def overhead_model(
