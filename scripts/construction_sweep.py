@@ -17,7 +17,7 @@ from d2dlb.no_d2d import min_spectrum_no_d2d
 def row(kind, inst, param):
     nd_result, _, _ = min_spectrum_no_d2d(inst.topology, inst.demands)
     outcome = solve_min_spectrum_d2d(inst.topology, inst.demands)
-    rho_lp = (float(nd_result.total) - outcome.result.total) / float(nd_result.total)
+    rho_lp = (float(nd_result.total) - outcome.total) / float(nd_result.total)
     return [
         kind,
         param,

@@ -31,12 +31,12 @@ def main() -> None:
     schedule, v_d2d, _ = solve_min_overhead(topology, outcome)
     assert validate_schedule(schedule, topology, demands, flow_abs_tol=1e-6).ok
     vd, vb = compute_volumes(schedule, topology)
-    metrics = compute_metrics(nd_result.total, outcome.result.total, vd, vb)
+    metrics = compute_metrics(nd_result.total, outcome.total, vd, vb)
 
     print("with D2D load balancing:")
     for b in topology.bs_ids:
-        print(f"  cell {b}: peak {outcome.result.per_bs_peak[b]:g} Hz")
-    print(f"  total {outcome.result.total:g} Hz")
+        print(f"  cell {b}: peak {outcome.per_bs_peak[b]:g} Hz")
+    print(f"  total {outcome.total:g} Hz")
     print(f"  relayed traffic {float(vd):g} of {float(vd + vb):g} bits")
     print(f"spectrum reduction {float(metrics.spectrum_reduction):.1%},"
           f" overhead {float(metrics.overhead_ratio):.1%}")

@@ -10,7 +10,8 @@ config hash, the seed, and the feasibility tolerances HiGHS runs with.
 
 Exit codes: 0 success, 2 invariant or bound violation (including a ``d2d``
 or ``bounds`` schedule that fails validation), 3 solver or numerical
-failure, 4 configuration error or infeasible instance.
+failure (including an EDF witness of the no-D2D stage that misses a
+deadline), 4 configuration error or infeasible instance.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import lp
 from .d2d_flow import (
-    D2DSolveOutcome,
+    FlowSolve,
     InfeasibleDemandError,
     solve_min_overhead,
     solve_min_spectrum_d2d,
@@ -55,6 +56,7 @@ from .model import (
     compute_volumes,
     instance_from_json,
     instance_to_json,
+    per_slot_loads,
     validate_schedule,
 )
 from .no_d2d import min_spectrum_no_d2d
@@ -177,7 +179,7 @@ def _emit_instance(config: ExperimentConfig, topology: Topology, demands: Demand
 def cmd_nd(config: ExperimentConfig) -> int:
     topology, demands = load_instance(config)
     _emit_instance(config, topology, demands)
-    yds_result, _schedule, intervals = min_spectrum_no_d2d(topology, demands, method="yds")
+    yds_result, schedule, intervals = min_spectrum_no_d2d(topology, demands, method="yds")
     lp_result, _, _ = min_spectrum_no_d2d(topology, demands, method="lp")
     out = Path(config.out)
     prov = _provenance(config)
@@ -191,9 +193,8 @@ def cmd_nd(config: ExperimentConfig) -> int:
         z, z2 = intervals[b]
         rows.append([b, repr(f_yds), z, z2])
     _write_csv(out / "nd_cells.csv", ["bs", "min_spectrum", "interval_start", "interval_end"], rows, prov)
-    load_rows = [
-        [b, t, repr(float(load))] for (b, t), load in sorted(yds_result.per_slot_load.items())
-    ]
+    loads = per_slot_loads(schedule, topology)
+    load_rows = [[b, t, repr(float(load))] for (b, t), load in sorted(loads.items())]
     _write_csv(out / "nd_loads.csv", ["bs", "slot", "load"], load_rows, prov)
     print(f"nd: total={float(yds_result.total)!r} cells={len(topology.bs_ids)}")
     if disagreements:
@@ -210,7 +211,7 @@ class D2DRun:
     topology: Topology
     demands: DemandSet
     nd_result: SpectrumResult
-    outcome: D2DSolveOutcome
+    outcome: FlowSolve
     schedule: Schedule
     v_d2d: float
     v_bs: float
@@ -233,7 +234,7 @@ def run_d2d(config: ExperimentConfig) -> D2DRun | None:
         print(report.summary(), file=sys.stderr)
         return None
     vd, vb = compute_volumes(schedule, topology)
-    metrics = compute_metrics(nd_result.total, outcome.result.total, vd, vb)
+    metrics = compute_metrics(nd_result.total, outcome.total, vd, vb)
     return D2DRun(topology, demands, nd_result, outcome, schedule, vd, vb, metrics)
 
 
@@ -246,13 +247,13 @@ def cmd_d2d(config: ExperimentConfig) -> int:
     payload = {
         "provenance": dict(kv.split("=", 1) for kv in _provenance(config)),
         "f_nd": float(run.nd_result.total),
-        "f_d2d": float(run.outcome.result.total),
+        "f_d2d": float(run.outcome.total),
         "spectrum_reduction": float(run.metrics.spectrum_reduction),
         "v_d2d": float(run.v_d2d),
         "v_bs": float(run.v_bs),
         "overhead_ratio": float(run.metrics.overhead_ratio),
         "per_bs_no_d2d": {b: float(f) for b, f in run.nd_result.per_bs_peak.items()},
-        "per_bs_d2d": {b: float(f) for b, f in run.outcome.result.per_bs_peak.items()},
+        "per_bs_d2d": {b: float(f) for b, f in run.outcome.per_bs_peak.items()},
     }
     (out / "d2d_result.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
     run.schedule.to_csv(str(out / "schedule.csv"), run.topology, _provenance(config))

@@ -27,6 +27,10 @@ term of its own under pruning, because d_src_j(u) = 0 only at the source.
 Enumerating columns is therefore exact arithmetic: a (demand, link) pair gets
 hi - lo + 1 columns (none if that is not positive), one per slot of its
 interval, and no (demand, link, slot) triple is tested on its own.
+
+Every flow LP is solved by ``solve_flow_lp`` and yields one ``FlowSolve``:
+the full problem (``solve_min_spectrum_d2d``) on all demands, the
+heuristic's step III on the D2D-eligible demands over the kept load.
 """
 
 from __future__ import annotations
@@ -38,16 +42,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import lp
-from .model import (
-    Demand,
-    DemandSet,
-    ModelError,
-    Schedule,
-    SpectrumResult,
-    Topology,
-    compute_volumes,
-    per_slot_loads,
-)
+from .model import Demand, DemandSet, ModelError, Schedule, Topology
+
+# compute_volumes and per_slot_loads are not called here, but benchmark/spans.py
+# traces the model layer under these names (tests/test_benchmark_targets.py
+# fails if they go)
+from .model import compute_volumes, per_slot_loads  # noqa: F401
 
 
 class InfeasibleDemandError(ModelError):
@@ -106,7 +106,6 @@ class TimeExpandedIndex:
     alpha_vars: dict[tuple[str, int], int]
     beta_vars: dict[tuple[str, int], int]
     peak_vars: dict[str, int]
-    demand_ids: tuple[int, ...]
 
     @property
     def n_flow_variables(self) -> int:
@@ -321,8 +320,36 @@ def build_flow_lp(
         alpha_vars=alpha_vars,
         beta_vars=beta_vars,
         peak_vars=peak_vars,
-        demand_ids=tuple(j.id for j in active),
     )
+
+
+@dataclass(frozen=True)
+class FlowSolve:
+    """One solved flow LP: its layout, its lexicographic optimum and the schedule it carries.
+
+    ``total`` is the least sum of peaks; among the schedules reaching it,
+    ``schedule`` relays the least traffic, ``relayed_traffic``.
+    """
+
+    index: TimeExpandedIndex
+    solution: lp.LpSolution
+    schedule: Schedule
+
+    @property
+    def total(self) -> float:
+        return float(self.solution.objective)
+
+    @property
+    def per_bs_peak(self) -> dict[str, float]:
+        return self.index.peaks(self.solution)
+
+    @property
+    def relayed_traffic(self) -> float:
+        return self.index.relayed_traffic(self.solution)
+
+    @property
+    def n_variables(self) -> int:
+        return self.index.n_flow_variables
 
 
 def solve_flow_lp(
@@ -332,57 +359,37 @@ def solve_flow_lp(
     pruning: bool = True,
     residual_load: Mapping[tuple[str, int], float] | None = None,
     name: str = "min-spectrum-d2d",
-) -> tuple[TimeExpandedIndex, lp.LpSolution]:
+) -> FlowSolve:
     """Build the flow LP and solve it lexicographically: least total spectrum, then least relaying.
 
-    One ``lp.solve_lexicographic`` call yields both numbers: the sum of peaks
-    is the solution's objective, and among the schedules reaching it, the
-    solution relays the least traffic (``TimeExpandedIndex.relayed_traffic``).
-    The full problem has no subset and no residual load; the heuristic's
-    step III passes both.  Raises ``LpError`` naming ``name`` when the solve
-    is not optimal.
+    One ``lp.solve_lexicographic`` call yields both numbers.  The full
+    problem has no subset and no residual load; the heuristic's step III
+    passes both.  Raises ``LpError`` naming ``name`` when the solve is not
+    optimal.
     """
     index = build_flow_lp(topology, demands, demand_subset, pruning, residual_load, name)
     solution = lp.solve_lexicographic(index.problem, index.relay_cost)
     if not solution.optimal:
         raise lp.LpError(f"{name} terminated with status {solution.status}")
-    return index, solution
-
-
-@dataclass(frozen=True)
-class D2DSolveOutcome:
-    result: SpectrumResult
-    schedule: Schedule
-    index: TimeExpandedIndex
-    solution: lp.LpSolution
+    return FlowSolve(index, solution, index.extract_schedule(solution))
 
 
 def solve_min_spectrum_d2d(
     topology: Topology, demands: DemandSet, pruning: bool = True
-) -> D2DSolveOutcome:
+) -> FlowSolve:
     """Minimum total spectrum with D2D, and at it a schedule relaying the least traffic."""
-    index, solution = solve_flow_lp(topology, demands, pruning=pruning)
-    schedule = index.extract_schedule(solution)
-    v_d2d, v_bs = compute_volumes(schedule, topology)
-    result = SpectrumResult(
-        per_bs_peak=index.peaks(solution),
-        total=float(solution.objective),
-        v_d2d=v_d2d,
-        v_bs=v_bs,
-        per_slot_load=per_slot_loads(schedule, topology),
-    )
-    return D2DSolveOutcome(result, schedule, index, solution)
+    return solve_flow_lp(topology, demands, pruning=pruning)
 
 
 def solve_min_overhead(
-    topology: Topology, outcome: D2DSolveOutcome
-) -> tuple[Schedule, float, D2DSolveOutcome]:
+    topology: Topology, outcome: FlowSolve
+) -> tuple[Schedule, float, FlowSolve]:
     """The least relayed traffic at the spectrum optimum of ``outcome``.
 
     ``solve_min_spectrum_d2d`` already minimized it, so nothing is solved
     here.  Returns the schedule, the relayed traffic, and ``outcome``.
     """
-    return outcome.schedule, outcome.index.relayed_traffic(outcome.solution), outcome
+    return outcome.schedule, outcome.relayed_traffic, outcome
 
 
 @dataclass(frozen=True)
@@ -408,12 +415,12 @@ def prune_equivalence_check(topology: Topology, demands: DemandSet) -> PruneRepo
     """Solve with and without pruning and compare optima and variable counts."""
     pruned = solve_min_spectrum_d2d(topology, demands, pruning=True)
     unpruned = solve_min_spectrum_d2d(topology, demands, pruning=False)
-    f_p, f_u = pruned.result.total, unpruned.result.total
+    f_p, f_u = pruned.total, unpruned.total
     gap = abs(f_p - f_u) / max(1.0, abs(f_u))
     return PruneReport(
         optimum_pruned=f_p,
         optimum_unpruned=f_u,
-        n_vars_pruned=pruned.index.n_flow_variables,
-        n_vars_unpruned=unpruned.index.n_flow_variables,
+        n_vars_pruned=pruned.n_variables,
+        n_vars_unpruned=unpruned.n_variables,
         rel_gap=gap,
     )

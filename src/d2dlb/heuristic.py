@@ -7,8 +7,12 @@ its no-D2D allocation.  Step III re-solves the flow LP for the D2D-eligible
 demands only, on top of the kept allocations.
 
 level=0 reduces to the full problem, level=1 to the pure no-D2D solution;
-in between the split trades LP size against spectrum.  ``heuristic_sweep``
-runs a grid of levels and solves each distinct reduced problem once.
+in between the split trades LP size against spectrum.  One routine takes a
+split through step III (a ``FlowSolve`` of the reduced problem, or no LP
+when nothing is eligible) to the combined schedule.  ``heuristic_min_spectrum``
+runs it on one level; ``heuristic_sweep`` runs it once per distinct eligible
+set of a grid of levels, reusing the full problem's solve when every demand
+is eligible.
 """
 
 from __future__ import annotations
@@ -17,22 +21,19 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from . import lp
 # build_flow_lp is not called here (solve_flow_lp builds the reduced LP), but
 # benchmark/spans.py traces the flow-LP layer under this name too
 # (tests/test_benchmark_targets.py fails if it goes)
 from .d2d_flow import (  # noqa: F401
-    TimeExpandedIndex,
+    FlowSolve,
     build_flow_lp,
     solve_flow_lp,
     solve_min_spectrum_d2d,
 )
 from .model import (
-    Demand,
     DemandSet,
     ModelError,
     Schedule,
-    SpectrumResult,
     Topology,
     compute_volumes,
     fill_storage,
@@ -107,109 +108,69 @@ def split_demands(
 
 
 @dataclass(frozen=True)
-class Step3Solve:
-    """The lexicographic solve of a reduced problem: least spectrum, then least relaying.
+class HeuristicOutcome:
+    """One split level solved: the reduced problem's peaks and the combined schedule.
 
-    The D2D-eligible set fixes the reduced problem (its flows and, through
-    the kept allocations, its residual load), so every split with the same
-    eligible set shares this solve.  With no eligible demand there is no
-    flow to place and no LP: each peak is the largest kept load of its BS,
-    nothing is relayed, and ``index``/``solution`` are None.
+    ``flow`` is the lexicographic solve of the reduced problem, or None when
+    no demand is eligible: then there is no flow to place and no LP, each
+    peak is the largest kept load of its BS and nothing is relayed.
     """
 
-    per_bs_peak: dict[str, float]
-    total: float
-    index: TimeExpandedIndex | None = None
-    solution: lp.LpSolution | None = None
+    split: SplitResult
+    per_bs_peak: Mapping[str, float]
+    total_spectrum: float
+    schedule: Schedule  # combined: kept ND allocations plus Step-III flows
+    flow: FlowSolve | None
 
     @property
-    def n_variables(self) -> int:
-        return self.index.n_flow_variables if self.index is not None else 0
+    def step3_variables(self) -> int:
+        return self.flow.n_variables if self.flow is not None else 0
 
     @property
     def relayed_traffic(self) -> float:
-        return self.index.relayed_traffic(self.solution) if self.index is not None else 0.0
-
-    def flow_schedule(self) -> Schedule:
-        if self.index is None:
-            return Schedule({})
-        return self.index.extract_schedule(self.solution)
+        return self.flow.relayed_traffic if self.flow is not None else 0.0
 
 
-def _solve_step3(topology: Topology, demands: DemandSet, split: SplitResult) -> Step3Solve:
-    if not split.d2d_demand_ids:
+def _solve_level(
+    topology: Topology, demands: DemandSet, split: SplitResult, flow: FlowSolve | None = None
+) -> HeuristicOutcome:
+    """Step III of one split and the schedule it combines with the kept allocations.
+
+    The D2D-eligible set fixes the reduced problem (its flows and, through
+    the kept allocations, its residual load).  ``flow`` is a solve of that
+    problem already at hand; without it the reduced LP is solved here.
+    """
+    if flow is None and split.d2d_demand_ids:
+        flow = solve_flow_lp(
+            topology,
+            demands,
+            demand_subset=tuple(j for j in demands.demands if j.id in split.d2d_demand_ids),
+            residual_load=split.residual_load,
+            name=f"heuristic-spectrum-level{split.level}",
+        )
+    if flow is None:
         peaks = {b: 0.0 for b in topology.bs_ids}
         for (b, _t), load in split.residual_load.items():
             peaks[b] = max(peaks[b], load)
-        return Step3Solve(peaks, sum(peaks.values()))
-    index, solution = solve_flow_lp(
-        topology,
-        demands,
-        demand_subset=tuple(j for j in demands.demands if j.id in split.d2d_demand_ids),
-        residual_load=split.residual_load,
-        name=f"heuristic-spectrum-level{split.level}",
-    )
-    return Step3Solve(index.peaks(solution), float(solution.objective), index, solution)
-
-
-@dataclass(frozen=True)
-class HeuristicOutcome:
-    total_spectrum: float
-    schedule: Schedule  # combined: kept ND allocations plus Step-III flows
-    split: SplitResult
-    result: SpectrumResult
-    step3_variables: int
-    f_nd: float
-    step3: Step3Solve
-
-
-def _combined_schedule(
-    topology: Topology,
-    demands: DemandSet,
-    split: SplitResult,
-    d2d_schedule: Schedule,
-) -> Schedule:
-    kept = {
-        key: x
-        for key, x in split.nd_schedule.allocations.items()
-        if key[0] in split.nd_demand_ids
-    }
+        total, flows = sum(peaks.values()), Schedule({})
+    else:
+        peaks, total, flows = flow.per_bs_peak, flow.total, flow.schedule
+    nd_ids = split.nd_demand_ids
+    kept = {key: x for key, x in split.nd_schedule.allocations.items() if key[0] in nd_ids}
     nd_part = fill_storage(
         Schedule(kept),
         topology,
-        DemandSet(
-            demands.horizon,
-            tuple(j for j in demands.demands if j.id in split.nd_demand_ids),
-        ),
+        DemandSet(demands.horizon, tuple(j for j in demands.demands if j.id in nd_ids)),
     )
-    return nd_part.merged_with(d2d_schedule)
+    return HeuristicOutcome(split, peaks, total, nd_part.merged_with(flows), flow)
 
 
 def heuristic_min_spectrum(
     topology: Topology, demands: DemandSet, level: float
 ) -> HeuristicOutcome:
     """Run the three steps; returns the reduced-problem spectrum and schedule."""
-    nd_result, nd_schedule, _ = min_spectrum_no_d2d(topology, demands)
-    split = split_demands(topology, demands, nd_schedule, level)
-    step3 = _solve_step3(topology, demands, split)
-    schedule = _combined_schedule(topology, demands, split, step3.flow_schedule())
-    v_d2d, v_bs = compute_volumes(schedule, topology)
-    result = SpectrumResult(
-        per_bs_peak=step3.per_bs_peak,
-        total=step3.total,
-        v_d2d=v_d2d,
-        v_bs=v_bs,
-        per_slot_load=per_slot_loads(schedule, topology),
-    )
-    return HeuristicOutcome(
-        total_spectrum=step3.total,
-        schedule=schedule,
-        split=split,
-        result=result,
-        step3_variables=step3.n_variables,
-        f_nd=float(nd_result.total),
-        step3=step3,
-    )
+    _, nd_schedule, _ = min_spectrum_no_d2d(topology, demands)
+    return _solve_level(topology, demands, split_demands(topology, demands, nd_schedule, level))
 
 
 def heuristic_min_overhead(
@@ -222,7 +183,7 @@ def heuristic_min_overhead(
     ``heuristic_min_spectrum`` already minimized it, so nothing is solved
     here; returns the combined schedule and the relayed traffic.
     """
-    return outcome.schedule, outcome.step3.relayed_traffic
+    return outcome.schedule, outcome.relayed_traffic
 
 
 def overhead_ratio(v_d2d: float, v_bs: float) -> float:
@@ -271,7 +232,6 @@ def heuristic_sweep(
         raise ModelError("spectrum reduction undefined: no-D2D total is zero")
     full = solve_min_spectrum_d2d(topology, demands)
     all_ids = frozenset(j.id for j in demands.demands)
-    full_step3 = Step3Solve(full.result.per_bs_peak, full.result.total, full.index, full.solution)
     solved: dict[frozenset[int], tuple[float, float, int]] = {}
     rows = []
     for level in levels:
@@ -280,13 +240,9 @@ def heuristic_sweep(
         key = split.d2d_demand_ids
         reused = key in solved
         if not reused:
-            if key == all_ids:
-                step3 = full_step3
-            else:
-                step3 = _solve_step3(topology, demands, split)
-            schedule = _combined_schedule(topology, demands, split, step3.flow_schedule())
-            eta = overhead_ratio(*compute_volumes(schedule, topology))
-            solved[key] = (step3.total, eta, step3.n_variables)
+            outcome = _solve_level(topology, demands, split, full if key == all_ids else None)
+            eta = overhead_ratio(*compute_volumes(outcome.schedule, topology))
+            solved[key] = (outcome.total_spectrum, eta, outcome.step3_variables)
         total, eta, n_variables = solved[key]
         rows.append(
             SweepLevel(
@@ -300,7 +256,7 @@ def heuristic_sweep(
                 reused=reused,
             )
         )
-    return HeuristicSweep(f_nd, (f_nd - full.result.total) / f_nd, tuple(rows))
+    return HeuristicSweep(f_nd, (f_nd - full.total) / f_nd, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -362,7 +318,6 @@ __all__ = [
     "HeuristicOutcome",
     "heuristic_min_spectrum",
     "heuristic_min_overhead",
-    "Step3Solve",
     "SweepLevel",
     "HeuristicSweep",
     "heuristic_sweep",

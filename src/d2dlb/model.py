@@ -33,11 +33,11 @@ class ModelError(ValueError):
 
 
 class FlowResidualError(ModelError):
-    """A computed schedule sends more than a node holds, beyond tolerance.
+    """A computed schedule is wrong beyond tolerance: a numerical failure, not a fault of the input.
 
     Raised by ``fill_storage`` when the transmissions it completes do not
-    conserve the volume: a numerical failure of the solve that produced
-    them, not a fault of the input.
+    conserve the volume, and by the no-D2D stage when its EDF witness misses
+    a deadline at the capacity the interval search proved sufficient.
     """
 
 
@@ -514,21 +514,10 @@ def split_loads(
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Per-BS peak spectrum, totals, and moved traffic volumes."""
+    """Per-BS peak spectrum and its sum."""
 
     per_bs_peak: Mapping[str, Number]
     total: Number
-    v_d2d: Number
-    v_bs: Number
-    per_slot_load: Mapping[tuple[str, int], Number]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_bs_peak": {b: float(f) for b, f in self.per_bs_peak.items()},
-            "total": float(self.total),
-            "v_d2d": float(self.v_d2d),
-            "v_bs": float(self.v_bs),
-        }
 
 
 @dataclass(frozen=True)

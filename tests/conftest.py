@@ -79,7 +79,7 @@ def solve_instance(seed: int) -> SolvedInstance:
     schedule, _, _ = solve_min_overhead(topology, outcome)
     v_d2d, v_bs = compute_volumes(schedule, topology)
     f_nd = float(nd_result.total)
-    f_d2d = float(outcome.result.total)
+    f_d2d = float(outcome.total)
     return SolvedInstance(
         seed=seed,
         topology=topology,

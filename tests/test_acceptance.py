@@ -76,8 +76,8 @@ def test_criterion_1_toy_example():
         nd_result, _, _ = min_spectrum_no_d2d(topology, demands, method="yds")
         assert float(nd_result.total) == pytest.approx(6.0, abs=1e-9)
         outcome = solve_min_spectrum_d2d(topology, demands)
-        assert outcome.result.total == pytest.approx(4.0, abs=1e-9)
-        rho = (float(nd_result.total) - outcome.result.total) / float(nd_result.total)
+        assert outcome.total == pytest.approx(4.0, abs=1e-9)
+        rho = (float(nd_result.total) - outcome.total) / float(nd_result.total)
         assert rho == pytest.approx(1 / 3, abs=1e-9)
         schedule, _, _ = solve_min_overhead(topology, outcome)
         v_d2d, v_bs = compute_volumes(schedule, topology)
@@ -124,7 +124,7 @@ def test_criterion_3_ring_construction():
             assert eta == Fraction(delay * (delay - 1), delay * delay + 2 * delay - 2)
             outcome = solve_min_spectrum_d2d(inst.topology, inst.demands)
             n = len(inst.topology.bs_ids)
-            assert outcome.result.total <= n * 1.0 / (3 * delay - 2) + 1e-6
+            assert outcome.total <= n * 1.0 / (3 * delay - 2) + 1e-6
 
 
 def test_criterion_4_complete_construction():
@@ -139,7 +139,7 @@ def test_criterion_4_complete_construction():
                 assert eta == Fraction(n_cells - 1, 2 * n_cells)
                 nd_result, _, _ = min_spectrum_no_d2d(inst.topology, inst.demands)
                 outcome = solve_min_spectrum_d2d(inst.topology, inst.demands)
-                rho_lp = (float(nd_result.total) - outcome.result.total) / float(
+                rho_lp = (float(nd_result.total) - outcome.total) / float(
                     nd_result.total
                 )
                 assert rho_lp >= float(rho) - 1e-6

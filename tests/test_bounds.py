@@ -112,7 +112,7 @@ class TestIntraCellExample:
         topology, demands = intra_cell_example(ratio, delay, volume=30.0)
         nd_result, _, _ = min_spectrum_no_d2d(topology, demands)
         outcome = solve_min_spectrum_d2d(topology, demands)
-        rho = (float(nd_result.total) - outcome.result.total) / float(nd_result.total)
+        rho = (float(nd_result.total) - outcome.total) / float(nd_result.total)
         expected = 1.0 - delay / ((delay - 1) * ratio)
         assert rho >= expected - 1e-6
         assert rho <= intra_cell_bound(topology).bound + 1e-6
@@ -150,7 +150,7 @@ class TestRingConstruction:
             inst = build_ring_instance(delay, volume=1)
             outcome = solve_min_spectrum_d2d(inst.topology, inst.demands)
             n = len(inst.topology.bs_ids)
-            assert outcome.result.total <= n / (3 * delay - 2) + 1e-6
+            assert outcome.total <= n / (3 * delay - 2) + 1e-6
 
     def test_reduction_increases_toward_two_thirds(self):
         values = [float(build_ring_instance(d).spectrum_reduction) for d in range(2, 13)]
@@ -188,7 +188,7 @@ class TestCompleteConstruction:
             inst = build_complete_instance(n_cells, 2, volume=1)
             nd_result, _, _ = min_spectrum_no_d2d(inst.topology, inst.demands)
             outcome = solve_min_spectrum_d2d(inst.topology, inst.demands)
-            rho_lp = (float(nd_result.total) - outcome.result.total) / float(nd_result.total)
+            rho_lp = (float(nd_result.total) - outcome.total) / float(nd_result.total)
             assert rho_lp >= float(inst.spectrum_reduction) - 1e-6
 
     def test_reduction_increases_toward_one(self):

@@ -221,6 +221,14 @@ class TestErrorTaxonomy:
         assert err.startswith("numerical error: demand ")
         assert "sends more than" in err
 
+    def test_edf_witness_failure_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        # the interval search proves the cell's optimum feasible, so an EDF
+        # witness missing a deadline there is a numerical failure
+        monkeypatch.setattr(no_d2d, "edf_feasible", lambda cell, capacity: (False, None))
+        code = main(["d2d", "--fixture", "toy-fig1", "--out", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        assert capsys.readouterr().err.startswith("numerical error: cell alpha")
+
     def test_invalid_bounds_schedule_is_violation(self, tmp_path, capsys, monkeypatch):
         # a D2D schedule granting 1 % more than the solve found fails
         # validation before bounds derives eta from it

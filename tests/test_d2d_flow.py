@@ -58,9 +58,9 @@ class TestMinSpectrumD2D:
     def test_toy_instance(self, toy_instance):
         topology, demands = toy_instance
         outcome = solve_min_spectrum_d2d(topology, demands)
-        assert outcome.result.total == pytest.approx(4.0, abs=1e-9)
-        assert outcome.result.per_bs_peak["alpha"] == pytest.approx(2.0, abs=1e-9)
-        assert outcome.result.per_bs_peak["beta"] == pytest.approx(2.0, abs=1e-9)
+        assert outcome.total == pytest.approx(4.0, abs=1e-9)
+        assert outcome.per_bs_peak["alpha"] == pytest.approx(2.0, abs=1e-9)
+        assert outcome.per_bs_peak["beta"] == pytest.approx(2.0, abs=1e-9)
         report = validate_schedule(outcome.schedule, topology, demands, flow_abs_tol=1e-7)
         assert report.ok, report.summary()
 
@@ -68,7 +68,7 @@ class TestMinSpectrumD2D:
         topology, demands = no_d2d_topology()
         nd_result, _, _ = min_spectrum_no_d2d(topology, demands)
         outcome = solve_min_spectrum_d2d(topology, demands)
-        assert outcome.result.total == pytest.approx(float(nd_result.total), rel=1e-9)
+        assert outcome.total == pytest.approx(float(nd_result.total), rel=1e-9)
 
     def test_single_slot_demands_get_no_benefit(self, toy_instance):
         topology, _ = toy_instance
@@ -77,7 +77,7 @@ class TestMinSpectrumD2D:
         )
         nd_result, _, _ = min_spectrum_no_d2d(topology, demands)
         outcome = solve_min_spectrum_d2d(topology, demands)
-        assert outcome.result.total == pytest.approx(float(nd_result.total), rel=1e-9)
+        assert outcome.total == pytest.approx(float(nd_result.total), rel=1e-9)
 
     def test_unreachable_demand_named_at_build_time(self):
         topo = Topology(
@@ -94,14 +94,14 @@ class TestMinSpectrumD2D:
         inst = build_complete_instance(2, 2, volume=6)
         outcome = solve_min_spectrum_d2d(inst.topology, inst.demands)
         bound = len(inst.topology.bs_ids) * 2 * 6.0 / ((2 + 1) * 2)
-        assert outcome.result.total <= bound + 1e-6
-        assert outcome.result.total == pytest.approx(4.0, abs=1e-8)  # exact optimum
+        assert outcome.total <= bound + 1e-6
+        assert outcome.total == pytest.approx(4.0, abs=1e-8)  # exact optimum
 
     def test_ring_d2_reduction_at_least_half(self):
         inst = build_ring_instance(2, volume=1.0)
         nd_result, _, _ = min_spectrum_no_d2d(inst.topology, inst.demands)
         outcome = solve_min_spectrum_d2d(inst.topology, inst.demands)
-        rho = (float(nd_result.total) - outcome.result.total) / float(nd_result.total)
+        rho = (float(nd_result.total) - outcome.total) / float(nd_result.total)
         assert rho >= 0.5 - 1e-9
         assert rho == pytest.approx(0.5, abs=1e-8)  # the construction is optimal here
 
@@ -122,7 +122,7 @@ class TestMinSpectrumD2D:
         topology, demands = toy_instance
         outcome = solve_min_spectrum_d2d(topology, demands)
         for (b, _t), load in per_slot_loads(outcome.schedule, topology).items():
-            assert load <= outcome.result.per_bs_peak[b] + 1e-9
+            assert load <= outcome.per_bs_peak[b] + 1e-9
 
     def test_reference_backend_agrees_on_toy(self, toy_instance):
         # the dense simplex oracle on the toy's flow LP
@@ -140,7 +140,7 @@ class TestMinOverhead:
         report = validate_schedule(schedule, topology, demands, flow_abs_tol=1e-7)
         assert report.ok, report.summary()
         # the spectrum budget binds
-        assert second.result.total == pytest.approx(outcome.result.total, rel=1e-6)
+        assert second.total == pytest.approx(outcome.total, rel=1e-6)
         v_d2d2, v_bs = compute_volumes(schedule, topology)
         assert v_d2d2 == pytest.approx(v_d2d, rel=1e-9)
         assert float(v_bs) == pytest.approx(12.0, rel=1e-9)
@@ -202,7 +202,7 @@ class TestStructuralProperties:
         )
         nd_result, _, _ = min_spectrum_no_d2d(topology, demands)
         outcome = solve_min_spectrum_d2d(topology, demands)
-        assert outcome.result.total <= float(nd_result.total) * (1 + 1e-9) + 1e-9
+        assert outcome.total <= float(nd_result.total) * (1 + 1e-9) + 1e-9
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=10, deadline=None)

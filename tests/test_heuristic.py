@@ -74,7 +74,8 @@ class TestThreeSteps:
     def test_six_task_reduced_optimum(self):
         topology, demands = heuristic_six_task()
         outcome = heuristic_min_spectrum(topology, demands, 0.5)
-        assert outcome.f_nd == pytest.approx(80.0)
+        nd_result, _, _ = min_spectrum_no_d2d(topology, demands)
+        assert nd_result.total == pytest.approx(80.0)
         # regression value, first computed by this LP: peaks of 100/3 per BS
         assert outcome.total_spectrum == pytest.approx(200.0 / 3.0, rel=1e-9)
         report = validate_schedule(outcome.schedule, topology, demands, flow_abs_tol=1e-7)
@@ -83,15 +84,19 @@ class TestThreeSteps:
     def test_level_one_equals_no_d2d(self):
         topology, demands = heuristic_six_task()
         outcome = heuristic_min_spectrum(topology, demands, 1.0)
-        assert outcome.total_spectrum == pytest.approx(outcome.f_nd, rel=1e-9)
+        nd_result, _, _ = min_spectrum_no_d2d(topology, demands)
+        assert outcome.total_spectrum == pytest.approx(nd_result.total, rel=1e-9)
         _, v_d2d = heuristic_min_overhead(topology, demands, outcome)
         assert v_d2d == pytest.approx(0.0, abs=1e-12)
 
     def test_level_zero_equals_full_problem(self):
+        # every demand is eligible and nothing is kept, so HiGHS gets the
+        # full problem's model
         topology, demands = heuristic_six_task()
         outcome = heuristic_min_spectrum(topology, demands, 0.0)
         full = solve_min_spectrum_d2d(topology, demands)
-        assert outcome.total_spectrum == pytest.approx(full.result.total, rel=1e-6)
+        assert outcome.total_spectrum == full.total
+        assert outcome.per_bs_peak == full.per_bs_peak
 
     def test_toy_level_zero_overhead_is_four(self, toy_instance):
         topology, demands = toy_instance
@@ -120,7 +125,7 @@ class TestBounds:
         nd_result, _, _ = min_spectrum_no_d2d(topology, demands)
         full = solve_min_spectrum_d2d(topology, demands)
         f_nd = float(nd_result.total)
-        rho = (f_nd - full.result.total) / f_nd
+        rho = (f_nd - full.total) / f_nd
         for level in (0.0, 0.5, 1.0):
             outcome = heuristic_min_spectrum(topology, demands, level)
             schedule, _ = heuristic_min_overhead(topology, demands, outcome)
@@ -164,7 +169,7 @@ class TestBounds:
         for level in (0.3, 0.7):
             outcome = heuristic_min_spectrum(topology, demands, level)
             assert (
-                full.result.total - 1e-6
+                full.total - 1e-6
                 <= outcome.total_spectrum
                 <= float(nd_result.total) + 1e-6
             )
@@ -246,5 +251,5 @@ class TestSweep:
         assert solution.objective == pytest.approx(outcome.total_spectrum, rel=1e-12)
         for b, col in index.peak_vars.items():
             assert solution.value(col) == pytest.approx(
-                outcome.result.per_bs_peak[b], rel=1e-12, abs=1e-12
+                outcome.per_bs_peak[b], rel=1e-12, abs=1e-12
             )

@@ -30,12 +30,12 @@ GAP_TOL = 1e-9
 
 
 def assert_matches_two_stage(topology: Topology, demands: DemandSet, **kwargs) -> None:
-    index, solution = solve_flow_lp(topology, demands, **kwargs)
-    assert not solution.fallback
-    assert lp.dual_certificate_gap(index.problem, solution) <= GAP_TOL
+    flow = solve_flow_lp(topology, demands, **kwargs)
+    assert not flow.solution.fallback
+    assert lp.dual_certificate_gap(flow.index.problem, flow.solution) <= GAP_TOL
     f_ref, r_ref = flow_two_stage(build_flow_lp(topology, demands, **kwargs))
-    assert solution.objective == pytest.approx(f_ref, rel=1e-9, abs=1e-12)
-    assert index.relayed_traffic(solution) == pytest.approx(r_ref, rel=1e-6, abs=1e-9)
+    assert flow.total == pytest.approx(f_ref, rel=1e-9, abs=1e-12)
+    assert flow.relayed_traffic == pytest.approx(r_ref, rel=1e-6, abs=1e-9)
 
 
 def ring3() -> tuple[Topology, DemandSet]:

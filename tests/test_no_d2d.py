@@ -243,8 +243,6 @@ class TestPerNetworkTotals:
         assert result.total == pytest.approx(6.0)
         assert result.per_bs_peak == {"alpha": 3.0, "beta": 3.0}
         assert intervals["alpha"] == (1, 2)
-        assert result.v_d2d == 0.0
-        assert float(result.v_bs) == pytest.approx(12.0)
 
     def test_no_demands(self):
         topo = Topology(("b",), ("u",), {"u": "b"}, (("u", "b", 1),))
