@@ -23,10 +23,8 @@ from .model import (
 from .lp import LpProblem, LpSolution, solve, solve_lexicographic
 from .no_d2d import (
     CellInstance,
-    binary_search_min_spectrum,
     edf_feasible,
     intensity,
-    min_spectrum_nd_lp,
     min_spectrum_no_d2d,
     yds_min_spectrum,
 )

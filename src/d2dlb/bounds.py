@@ -34,14 +34,7 @@ from .no_d2d import max_intensity, min_spectrum_no_d2d
 class BoundReport:
     name: str
     bound: float
-    observed: float | None
     inputs: Mapping[str, float]
-
-    @property
-    def satisfied(self) -> bool | None:
-        if self.observed is None:
-            return None
-        return self.observed <= self.bound + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +67,7 @@ def simple_rho_upper_bound(
 ) -> tuple[float, float]:
     """Free-relaying bound: returns (spectrum floor, bound on the reduction)."""
     if f_nd is None:
-        result, _, _ = min_spectrum_no_d2d(topology, demands, method="yds")
+        result, _, _ = min_spectrum_no_d2d(topology, demands)
         f_nd = float(result.total)
     floor = relaxed_spectrum_floor(topology, demands)
     if f_nd == 0:
@@ -91,7 +84,6 @@ def general_rho_upper_bound(topology: Topology) -> BoundReport:
     return BoundReport(
         name="general_rho_upper_bound",
         bound=(load - 1.0) / load,
-        observed=None,
         inputs={
             "intra_max": params.intra_max,
             "inter_max": params.inter_max,
@@ -107,7 +99,6 @@ def intra_cell_bound(topology: Topology) -> BoundReport:
     return BoundReport(
         name="intra_cell_bound",
         bound=(r - 1.0) / r,
-        observed=None,
         inputs={"intra_max": params.intra_max},
     )
 
@@ -120,7 +111,6 @@ def inter_cell_bound(topology: Topology) -> BoundReport:
     return BoundReport(
         name="inter_cell_bound",
         bound=load / (1.0 + load),
-        observed=None,
         inputs={"inter_max": params.inter_max, "max_in_degree": comm.max_in_degree},
     )
 

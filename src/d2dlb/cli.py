@@ -1,7 +1,7 @@
 """Command-line experiment harness.
 
 Subcommands mirror the analysis pipeline: ``nd`` (per-cell minima without
-D2D, interval search cross-checked against the LP), ``d2d`` (the full flow
+D2D by the interval search, certified by its EDF witness), ``d2d`` (the full flow
 LP, solved once for the least total spectrum and, at it, the least relayed
 traffic), ``heuristic`` (split-level sweep), and ``bounds`` (closed-form
 bounds against observed values).  Every LP is solved by HiGHS.  Outputs are
@@ -9,9 +9,11 @@ CSV or JSON files under --out, each carrying a provenance header with the
 config hash, the seed, and the feasibility tolerances HiGHS runs with.
 
 Exit codes: 0 success, 2 invariant or bound violation (including a ``d2d``
-or ``bounds`` schedule that fails validation), 3 solver or numerical
+or ``bounds`` schedule that fails validation, and an ``nd`` witness that
+fails validation or exceeds its cell's minimum), 3 solver or numerical
 failure (including an EDF witness of the no-D2D stage that misses a
-deadline), 4 configuration error or infeasible instance.
+deadline), 4 configuration error (malformed input included) or infeasible
+instance.
 """
 
 from __future__ import annotations
@@ -74,8 +76,10 @@ EXIT_VIOLATION = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 4
 
-#: YDS-vs-LP agreement required by the nd command (relative)
-ND_AGREEMENT_RTOL = 1e-6
+#: how far an nd witness's slot load may exceed its cell's minimum (relative)
+ND_PEAK_RTOL = 1e-9
+#: --generate keys, each with its default and least allowed count
+GENERATE_COUNTS = {"cells": (3, 1), "users": (3, 1), "demands": (30, 0), "T": (30, 1)}
 DEFAULT_LAMBDA_GRID = tuple(round(0.1 * k, 1) for k in range(11))
 
 
@@ -119,9 +123,15 @@ def load_instance(config: ExperimentConfig) -> tuple[Topology, DemandSet]:
     if config.fixture:
         return fixture(config.fixture)
     if config.instance:
-        return instance_from_json(Path(config.instance).read_text())
+        try:
+            return instance_from_json(Path(config.instance).read_text())
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ModelError(f"--instance {config.instance}: {type(exc).__name__}: {exc}") from exc
     if config.trace:
-        records = read_trace_csv(config.trace)
+        try:
+            records = read_trace_csv(config.trace)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ModelError(f"--trace {config.trace}: {type(exc).__name__}: {exc}") from exc
         cells = sorted({r.cell_id for r in records})
         spacing = config.cell_radius_m  # adjacent discs overlap, enabling inter-cell D2D
         positions = [(spacing * i, 0.0) for i in range(len(cells))]
@@ -149,15 +159,34 @@ def load_instance(config: ExperimentConfig) -> tuple[Topology, DemandSet]:
             slot_seconds=config.slot_seconds,
         )
         return topology, demands
-    params = dict(kv.split("=") for kv in config.generate.split(",") if kv)
+    counts = _generate_counts(config.generate)
     rng = np.random.default_rng(config.seed)
     return random_multicell_instance(
         rng,
-        n_cells=int(params.get("cells", 3)),
-        users_per_cell=int(params.get("users", 3)),
-        n_demands=int(params.get("demands", 30)),
-        horizon=int(params.get("T", 30)),
+        n_cells=counts["cells"],
+        users_per_cell=counts["users"],
+        n_demands=counts["demands"],
+        horizon=counts["T"],
     )
+
+
+def _generate_counts(spec: str) -> dict[str, int]:
+    """The counts of a --generate spec such as ``cells=3,T=20``, defaults filled in."""
+    counts = {key: default for key, (default, _) in GENERATE_COUNTS.items()}
+    for item in filter(None, spec.split(",")):
+        key, _, value = item.partition("=")
+        if key not in GENERATE_COUNTS:
+            raise ModelError(
+                f"--generate: expected key=count, key one of {', '.join(GENERATE_COUNTS)}; got {item!r}"
+            )
+        least = GENERATE_COUNTS[key][1]
+        try:
+            counts[key] = int(value)
+        except ValueError:
+            raise ModelError(f"--generate: {key} must be an integer, got {value!r}") from None
+        if counts[key] < least:
+            raise ModelError(f"--generate: {key} must be at least {least}, got {counts[key]}")
+    return counts
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list], provenance: list[str]) -> None:
@@ -177,30 +206,42 @@ def _emit_instance(config: ExperimentConfig, topology: Topology, demands: Demand
 
 
 def cmd_nd(config: ExperimentConfig) -> int:
+    """Per-cell minima and the EDF witness's loads, certified before they are written.
+
+    Each cell's minimum is a lower bound on any schedule's peak there, so a
+    valid witness whose slot loads stay within the minimum proves it optimal.
+    """
     topology, demands = load_instance(config)
     _emit_instance(config, topology, demands)
-    yds_result, schedule, intervals = min_spectrum_no_d2d(topology, demands, method="yds")
-    lp_result, _, _ = min_spectrum_no_d2d(topology, demands, method="lp")
+    result, schedule, intervals = min_spectrum_no_d2d(topology, demands)
+    report = validate_schedule(schedule, topology, demands, flow_abs_tol=1e-6)
+    if not report.ok:
+        print(report.summary(), file=sys.stderr)
+        return EXIT_VIOLATION
+    loads = per_slot_loads(schedule, topology)
+    over = [
+        (b, t, load)
+        for (b, t), load in sorted(loads.items())
+        if load > result.per_bs_peak[b] * (1 + ND_PEAK_RTOL)
+    ]
+    for b, t, load in over:
+        print(
+            f"nd: CERTIFICATE cell {b} slot {t}: witness load {float(load)!r}"
+            f" exceeds the minimum {float(result.per_bs_peak[b])!r}",
+            file=sys.stderr,
+        )
+    if over:
+        return EXIT_VIOLATION
     out = Path(config.out)
     prov = _provenance(config)
     rows = []
-    disagreements = []
     for b in topology.bs_ids:
-        f_yds = float(yds_result.per_bs_peak[b])
-        f_lp = float(lp_result.per_bs_peak[b])
-        if abs(f_yds - f_lp) > ND_AGREEMENT_RTOL * max(1.0, abs(f_lp)):
-            disagreements.append((b, f_yds, f_lp))
         z, z2 = intervals[b]
-        rows.append([b, repr(f_yds), z, z2])
+        rows.append([b, repr(float(result.per_bs_peak[b])), z, z2])
     _write_csv(out / "nd_cells.csv", ["bs", "min_spectrum", "interval_start", "interval_end"], rows, prov)
-    loads = per_slot_loads(schedule, topology)
     load_rows = [[b, t, repr(float(load))] for (b, t), load in sorted(loads.items())]
     _write_csv(out / "nd_loads.csv", ["bs", "slot", "load"], load_rows, prov)
-    print(f"nd: total={float(yds_result.total)!r} cells={len(topology.bs_ids)}")
-    if disagreements:
-        for b, f_yds, f_lp in disagreements:
-            print(f"nd: DISAGREEMENT cell {b}: interval search {f_yds} vs LP {f_lp}", file=sys.stderr)
-        return EXIT_VIOLATION
+    print(f"nd: total={float(result.total)!r} cells={len(topology.bs_ids)}")
     return EXIT_OK
 
 
@@ -226,7 +267,7 @@ def run_d2d(config: ExperimentConfig) -> D2DRun | None:
     """
     topology, demands = load_instance(config)
     _emit_instance(config, topology, demands)
-    nd_result, _, _ = min_spectrum_no_d2d(topology, demands, method="yds")
+    nd_result, _, _ = min_spectrum_no_d2d(topology, demands)
     outcome = solve_min_spectrum_d2d(topology, demands)
     schedule, _, _ = solve_min_overhead(topology, outcome)
     report = validate_schedule(schedule, topology, demands, flow_abs_tol=1e-6)
@@ -379,7 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     grid = DEFAULT_LAMBDA_GRID
     if getattr(args, "lambda_grid", None):
-        grid = tuple(float(v) for v in args.lambda_grid.split(","))
+        try:
+            grid = tuple(float(v) for v in args.lambda_grid.split(","))
+        except ValueError:
+            raise ModelError(
+                f"--lambda-grid: expected comma-separated numbers, got {args.lambda_grid!r}"
+            ) from None
         if any(not 0.0 <= v <= 1.0 for v in grid):
             raise ModelError("lambda grid values must lie in [0, 1]")
     return ExperimentConfig(

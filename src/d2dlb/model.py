@@ -36,8 +36,9 @@ class FlowResidualError(ModelError):
     """A computed schedule is wrong beyond tolerance: a numerical failure, not a fault of the input.
 
     Raised by ``fill_storage`` when the transmissions it completes do not
-    conserve the volume, and by the no-D2D stage when its EDF witness misses
-    a deadline at the capacity the interval search proved sufficient.
+    conserve the volume, hold volume back past a deadline or relay it before
+    it exists, and by the no-D2D stage when its EDF witness misses a deadline
+    at the capacity the interval search proved sufficient.
     """
 
 
@@ -288,9 +289,10 @@ def fill_storage(
     """Complete a schedule of real-link transmissions with self-link storage.
 
     Self-link values are the unique ones making per-node flow conservation
-    hold, given the real transmissions.  Raises FlowResidualError if
-    conservation would need negative storage, and ModelError if a non-source
-    node transmits at the demand's start slot or a user still holds volume
+    hold, given the real transmissions.  The schedules it completes are
+    computed ones, so every failure is numerical and raises
+    FlowResidualError: conservation would need negative storage, a non-source
+    node transmits at the demand's start slot, or a user still holds volume
     at the deadline.
     """
     by_demand: dict[int, dict[tuple[str, str, int], Number]] = {}
@@ -314,7 +316,7 @@ def fill_storage(
         nodes = {u for (u, _, _) in entries} | {v for (_, v, _) in entries} | {j.user}
         for node in nodes:
             if node != j.user and sent.get((node, j.start), 0) > 0:
-                raise ModelError(
+                raise FlowResidualError(
                     f"demand {j.id}: node {node!r} transmits at start slot {j.start}"
                     " but only the source holds the data then"
                 )
@@ -339,7 +341,7 @@ def fill_storage(
                 store_prev = store_t
             # users must not hold volume at the deadline; BS storage is delivery
             if node in user_set and store_prev > FLOW_ABS_TOL * max(1.0, float(j.volume)):
-                raise ModelError(
+                raise FlowResidualError(
                     f"demand {j.id}: user {node!r} still holds {store_prev} at deadline"
                 )
     return Schedule(out)

@@ -1,10 +1,11 @@
 """Minimum per-cell spectrum without D2D.
 
-Three interchangeable routes compute the same quantity and cross-check each
-other: the combinatorial interval-intensity search (the adapted YDS
-algorithm), binary search over an EDF feasibility test, and the direct LP.
-The first is exact and fast; the LP is the independent formulation used by
-the acceptance suite.
+Each cell's optimum is its largest interval intensity, found by the adapted
+YDS interval search (Yao, Demers and Shenker, FOCS 1995).  The fluid EDF
+schedule at that capacity is the witness that certifies it: the intensity
+bounds every schedule's peak from below, and a witness that delivers every
+demand with no slot above the intensity attains it.  The per-cell LP and
+bisection over the EDF test live in the tests, as oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import lp
 from .model import (
     Demand,
     DemandSet,
@@ -109,37 +109,18 @@ def yds_min_spectrum(cell: CellInstance) -> tuple[float, tuple[int, int]]:
     return intensity(cell, z, z2), (z, z2)
 
 
-def _with_cell_storage(cell: CellInstance, direct: dict) -> Schedule:
-    """Add the virtual self-link entries a direct-only cell schedule implies.
-
-    Unsent volume waits in the user's self-link; delivered volume accumulates
-    in the BS's self-link until the deadline.
-    """
-    out = dict(direct)
-    for j in cell.demands:
-        rate = float(cell.direct_rate[j.id])
-        held = float(j.volume)
-        arrived = 0.0
-        for t in range(j.start, j.end + 1):
-            sent_bits = direct.get((j.id, j.user, cell.bs, t), 0.0) * rate
-            if arrived > 0.0:
-                out[(j.id, cell.bs, cell.bs, t)] = arrived
-            held = max(held - sent_bits, 0.0)
-            if held > 0.0 and t < j.end:
-                out[(j.id, j.user, j.user, t)] = held
-            arrived += sent_bits
-    return Schedule(out)
+#: an EDF demand is finished once its residual work is below this share of its work
+EDF_COMPLETION_REL_TOL = 1e-9
 
 
-def edf_feasible(
-    cell: CellInstance, capacity: float, completion_rel_tol: float = 1e-9
-) -> tuple[bool, Schedule | None]:
+def edf_feasible(cell: CellInstance, capacity: float) -> tuple[bool, Schedule | None]:
     """Fluid earliest-deadline-first feasibility test at a fixed capacity.
 
     Each slot offers ``capacity`` Hz which may be split across the released,
     unfinished demands in ascending (deadline, id) order.  A demand finishes
-    once its residual work drops below a relative rounding tolerance.  On
-    success the witness schedule, storage entries included, is returned.
+    once its residual work drops below ``EDF_COMPLETION_REL_TOL`` of its
+    work.  On success the witness schedule is returned: its direct-link
+    allocations only, the storage they imply comes from ``fill_storage``.
 
     Released demands wait in a heap keyed (deadline, id); a demand leaves it
     once finished, so a slot only touches the demands it serves, and the
@@ -148,7 +129,7 @@ def edf_feasible(
     if capacity < 0:
         raise ModelError("capacity must be nonnegative")
     remaining = {j.id: cell.work(j) for j in cell.demands}
-    tol = {j.id: completion_rel_tol * max(cell.work(j), 1e-300) for j in cell.demands}
+    tol = {j.id: EDF_COMPLETION_REL_TOL * max(cell.work(j), 1e-300) for j in cell.demands}
     released: dict[int, list[Demand]] = {}
     due: dict[int, list[Demand]] = {}
     for j in cell.demands:
@@ -173,105 +154,31 @@ def edf_feasible(
         for j in due.get(t, ()):
             if remaining[j.id] > tol[j.id]:
                 return False, None
-    return True, _with_cell_storage(cell, alloc)
-
-
-def binary_search_min_spectrum(
-    cell: CellInstance, rel_width: float = 1e-9
-) -> float:
-    """Minimum feasible capacity by bisection over the EDF test."""
-    if not cell.demands:
-        return 0.0
-    hi = sum(cell.work(j) for j in cell.demands)
-    lo = 0.0
-    target = rel_width * hi
-    while hi - lo > target:
-        mid = 0.5 * (lo + hi)
-        feasible, _ = edf_feasible(cell, mid)
-        if feasible:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def build_min_spectrum_nd_lp(cell: CellInstance) -> tuple[lp.LpProblem, dict]:
-    """LP with per-demand slot allocations, per-slot totals, and the peak."""
-    problem = lp.LpProblem(f"min-spectrum-nd-{cell.bs}")
-    x_vars: dict[tuple[int, int], int] = {}
-    for j in cell.demands:
-        for t in range(j.start, j.end + 1):
-            x_vars[(j.id, t)] = problem.add_variable(f"x_j{j.id}_t{t}")
-    active_slots = sorted({t for j in cell.demands for t in range(j.start, j.end + 1)})
-    load_vars = {t: problem.add_variable(f"load_t{t}") for t in active_slots}
-    peak = problem.add_variable("peak")
-    for j in cell.demands:
-        rate = float(cell.direct_rate[j.id])
-        problem.add_constraint(
-            {x_vars[(j.id, t)]: rate for t in range(j.start, j.end + 1)},
-            "=",
-            float(j.volume),
-            f"volume_j{j.id}",
-        )
-    for t in active_slots:
-        coeffs = {x_vars[(j.id, t)]: 1.0 for j in cell.demands if j.start <= t <= j.end}
-        coeffs[load_vars[t]] = -1.0
-        problem.add_constraint(coeffs, "=", 0.0, f"load_t{t}")
-        problem.add_constraint({load_vars[t]: 1.0, peak: -1.0}, "<=", 0.0, f"peak_t{t}")
-    problem.set_objective({peak: 1.0})
-    index = {"x": x_vars, "load": load_vars, "peak": peak}
-    return problem, index
-
-
-def min_spectrum_nd_lp(cell: CellInstance) -> tuple[float, Schedule]:
-    """Solve the per-cell LP; returns the optimum and the direct-link schedule."""
-    if not cell.demands:
-        return 0.0, Schedule({})
-    problem, index = build_min_spectrum_nd_lp(cell)
-    solution = lp.solve(problem)
-    if not solution.optimal:
-        raise lp.LpError(f"cell {cell.bs}: LP terminated with status {solution.status}")
-    users = {j.id: j.user for j in cell.demands}
-    alloc = {
-        (jid, users[jid], cell.bs, t): solution.value(col)
-        for (jid, t), col in index["x"].items()
-        if solution.value(col) > 0.0
-    }
-    return float(solution.objective), _with_cell_storage(cell, alloc)
+    return True, Schedule(alloc)
 
 
 def min_spectrum_no_d2d(
-    topology: Topology,
-    demands: DemandSet,
-    method: str = "yds",
+    topology: Topology, demands: DemandSet
 ) -> tuple[SpectrumResult, Schedule, dict[str, tuple[int, int]]]:
-    """Per-cell minimum spectrum, summed.
+    """Per-cell minimum spectrum, summed, with the EDF witness schedule.
 
-    method="yds" pairs the interval search with an EDF witness schedule;
-    method="lp" takes both the optimum and the schedule from the LP.
     Returns (result, schedule-with-storage, critical interval per cell); the
     per-slot loads, where wanted, come from the schedule (``per_slot_loads``).
     An EDF witness that fails at the interval-search optimum is a numerical
     failure and raises ``FlowResidualError``.
     """
-    if method not in ("yds", "lp"):
-        raise ModelError(f"unknown method {method!r}")
     demands.check_users(topology)
     per_bs: dict[str, Number] = {}
     intervals: dict[str, tuple[int, int]] = {}
     combined: dict[tuple[int, str, str, int], Number] = {}
     for bs in topology.bs_ids:
         cell = CellInstance.from_instance(topology, demands, bs)
-        if method == "yds":
-            f_b, interval = yds_min_spectrum(cell)
-            feasible, schedule = edf_feasible(cell, f_b)
-            if not feasible:
-                raise FlowResidualError(
-                    f"cell {bs}: EDF infeasible at the interval-search optimum {f_b}"
-                )
-        else:
-            f_b, schedule = min_spectrum_nd_lp(cell)
-            _, interval = yds_min_spectrum(cell)
+        f_b, interval = yds_min_spectrum(cell)
+        feasible, schedule = edf_feasible(cell, f_b)
+        if not feasible:
+            raise FlowResidualError(
+                f"cell {bs}: EDF infeasible at the interval-search optimum {f_b}"
+            )
         per_bs[bs] = f_b
         intervals[bs] = interval
         combined.update(schedule.allocations)

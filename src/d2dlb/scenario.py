@@ -410,6 +410,8 @@ def random_multicell_instance(
     for _ in range(n_demands):
         u = user_ids[int(rng.integers(len(user_ids)))]
         delay = int(delays[int(rng.integers(len(delays)))])
+        if delay > horizon:
+            raise ModelError(f"a delay of {delay} slots does not fit a horizon of {horizon}")
         start = int(rng.integers(1, horizon - delay + 2))
         rows.append((u, start, start + delay - 1, float(rng.uniform(0.5, 5.0))))
     return topology, DemandSet.build(horizon, rows)

@@ -74,7 +74,7 @@ def draw_instance(rng: np.random.Generator) -> tuple[Topology, DemandSet]:
 def solve_instance(seed: int) -> SolvedInstance:
     rng = np.random.default_rng(seed)
     topology, demands = draw_instance(rng)
-    nd_result, _, _ = min_spectrum_no_d2d(topology, demands, method="yds")
+    nd_result, _, _ = min_spectrum_no_d2d(topology, demands)
     outcome = solve_min_spectrum_d2d(topology, demands)
     schedule, _, _ = solve_min_overhead(topology, outcome)
     v_d2d, v_bs = compute_volumes(schedule, topology)

@@ -32,7 +32,7 @@ from d2dlb.heuristic import (
     split_demands,
 )
 from d2dlb.model import Topology, DemandSet, compute_volumes, validate_schedule
-from d2dlb.no_d2d import CellInstance, edf_feasible, min_spectrum_nd_lp, min_spectrum_no_d2d, yds_min_spectrum
+from d2dlb.no_d2d import CellInstance, edf_feasible, min_spectrum_no_d2d, yds_min_spectrum
 from d2dlb.scenario import (
     GeoParams,
     generate_topology,
@@ -44,6 +44,7 @@ from d2dlb.scenario import (
 )
 
 from conftest import get_bound_suite
+from no_d2d_reference import min_spectrum_nd_lp
 
 
 class Criterion:
@@ -73,7 +74,7 @@ class Criterion:
 def test_criterion_1_toy_example():
     with Criterion(1, "toy two-cell pipeline", 1.0):
         topology, demands = toy_two_cell()
-        nd_result, _, _ = min_spectrum_no_d2d(topology, demands, method="yds")
+        nd_result, _, _ = min_spectrum_no_d2d(topology, demands)
         assert float(nd_result.total) == pytest.approx(6.0, abs=1e-9)
         outcome = solve_min_spectrum_d2d(topology, demands)
         assert outcome.total == pytest.approx(4.0, abs=1e-9)

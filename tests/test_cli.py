@@ -44,9 +44,28 @@ class TestNd:
         assert code == EXIT_OK
         assert "total=0.0" in capsys.readouterr().out
 
-    def test_interval_search_equals_lp_on_random(self, tmp_path):
+    def test_witness_certifies_interval_search_on_random(self, tmp_path):
         code = main(["nd", "--generate", "cells=3,users=3,demands=25,T=20", "--seed", "42", "--out", str(tmp_path)])
         assert code == EXIT_OK
+
+    def test_witness_above_the_minimum_is_violation(self, tmp_path, capsys, monkeypatch):
+        # EDF at 1.5x capacity delivers everything but front-loads: some slot
+        # load exceeds the cell's minimum, so the witness certifies nothing
+        edf_feasible = no_d2d.edf_feasible
+        monkeypatch.setattr(
+            no_d2d, "edf_feasible", lambda cell, capacity: edf_feasible(cell, 1.5 * capacity)
+        )
+        code = main(["nd", "--fixture", "toy-fig1", "--out", str(tmp_path)])
+        assert code == EXIT_VIOLATION
+        assert "nd: CERTIFICATE cell alpha" in capsys.readouterr().err
+        assert not (tmp_path / "nd_cells.csv").exists()
+
+    def test_makes_no_highs_call(self, tmp_path, monkeypatch):
+        def no_highs(*args, **kwargs):
+            raise AssertionError("nd called HiGHS")
+
+        monkeypatch.setattr(lp, "_pass_model", no_highs)
+        assert main(["nd", "--fixture", "toy-fig1", "--out", str(tmp_path)]) == EXIT_OK
 
 
 class TestD2D:
@@ -220,6 +239,74 @@ class TestErrorTaxonomy:
         err = capsys.readouterr().err
         assert err.startswith("numerical error: demand ")
         assert "sends more than" in err
+
+    def test_storage_left_at_deadline_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        # an EDF witness granting 1 % less than each demand holds leaves
+        # volume at the user when the deadline comes: a computed schedule's
+        # fault, not the input's
+        edf_feasible = no_d2d.edf_feasible
+
+        def undergranting(cell, capacity):
+            feasible, schedule = edf_feasible(cell, capacity)
+            return feasible, Schedule({k: 0.99 * x for k, x in schedule.allocations.items()})
+
+        monkeypatch.setattr(no_d2d, "edf_feasible", undergranting)
+        code = main(["d2d", "--fixture", "toy-fig1", "--out", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: demand ")
+        assert "at deadline" in err
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--generate", "cells3"], "--generate"),
+            (["--generate", "cells=x"], "--generate"),
+            (["--generate", "cells=0"], "--generate"),
+            (["--generate", "users=0"], "--generate"),
+            (["--generate", "T=0"], "--generate"),
+            (["--generate", "cells=2,demands=-1"], "--generate"),
+            (["--generate", "cells=2,T=1"], "delay"),
+            (["--fixture", "toy-fig1", "--lambda-grid", "a,b"], "--lambda-grid"),
+            (["--instance", "{missing}"], "--instance"),
+            (["--instance", "{not_json}"], "--instance"),
+            (["--instance", "{no_users}"], "--instance"),
+            (["--trace", "{missing}"], "--trace"),
+            (["--trace", "{bad_timestamp}"], "--trace"),
+        ],
+        ids=[
+            "generate-no-equals",
+            "generate-not-integer",
+            "generate-no-cells",
+            "generate-no-users",
+            "generate-no-slots",
+            "generate-negative-demands",
+            "generate-horizon-below-delay",
+            "lambda-grid-not-numbers",
+            "instance-missing",
+            "instance-not-json",
+            "instance-no-users",
+            "trace-missing",
+            "trace-bad-timestamp",
+        ],
+    )
+    def test_malformed_input_is_config_error(self, tmp_path, capsys, args, flag):
+        topology, demands = fixture("toy-fig1")
+        no_users = json.loads(instance_to_json(topology, demands))
+        del no_users["topology"]["users"]
+        files = {
+            "missing": tmp_path / "missing",
+            "not_json": tmp_path / "not.json",
+            "no_users": tmp_path / "no_users.json",
+            "bad_timestamp": tmp_path / "trace.csv",
+        }
+        files["not_json"].write_text("{ not json")
+        files["no_users"].write_text(json.dumps(no_users))
+        files["bad_timestamp"].write_text("timestamp,cell_id,volume_bits\nyesterday,c1,5.0\n")
+        argv = ["heuristic", *(a.format(**files) for a in args), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and flag in err, err
 
     def test_edf_witness_failure_is_numerical_error(self, tmp_path, capsys, monkeypatch):
         # the interval search proves the cell's optimum feasible, so an EDF

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from linprog_reference import STATUS, reference_solve
+from no_d2d_reference import build_min_spectrum_nd_lp
 from two_stage_reference import overhead_model
 
 from d2dlb import lp
@@ -23,7 +24,7 @@ from d2dlb.bounds import build_complete_instance, build_ring_instance
 from d2dlb.d2d_flow import build_flow_lp, solve_min_spectrum_d2d
 from d2dlb.heuristic import split_demands
 from d2dlb.model import DemandSet, Topology
-from d2dlb.no_d2d import CellInstance, build_min_spectrum_nd_lp, min_spectrum_no_d2d
+from d2dlb.no_d2d import CellInstance, min_spectrum_no_d2d
 from d2dlb.scenario import (
     GeoParams,
     generate_topology,

@@ -1,4 +1,5 @@
-"""Per-cell optimum: interval search, EDF, bisection, and the LP agree."""
+"""Per-cell optimum: the interval search and its EDF witness, held to the
+bisection and LP oracles of ``no_d2d_reference``."""
 
 import numpy as np
 import pytest
@@ -10,17 +11,15 @@ from d2dlb.model import (
     ModelError,
     Schedule,
     Topology,
+    fill_storage,
     per_slot_loads,
     validate_schedule,
 )
 from d2dlb.no_d2d import (
+    EDF_COMPLETION_REL_TOL,
     CellInstance,
-    _with_cell_storage,
-    binary_search_min_spectrum,
-    build_min_spectrum_nd_lp,
     edf_feasible,
     intensity,
-    min_spectrum_nd_lp,
     min_spectrum_no_d2d,
     yds_min_spectrum,
 )
@@ -28,6 +27,11 @@ from d2dlb.scenario import toy_two_cell
 from d2dlb.bounds import build_ring_instance
 
 from conftest import draw_instance
+from no_d2d_reference import (
+    binary_search_min_spectrum,
+    build_min_spectrum_nd_lp,
+    min_spectrum_nd_lp,
+)
 from simplex_reference import solve_reference
 
 
@@ -109,12 +113,10 @@ class TestYds:
         assert interval == (1, 2)
 
 
-def scan_edf_feasible(
-    cell: CellInstance, capacity: float, completion_rel_tol: float = 1e-9
-) -> tuple[bool, Schedule | None]:
+def scan_edf_feasible(cell: CellInstance, capacity: float) -> tuple[bool, Schedule | None]:
     """Reference EDF: every slot scans all demands in (deadline, id) order."""
     remaining = {j.id: cell.work(j) for j in cell.demands}
-    tol = {j.id: completion_rel_tol * max(cell.work(j), 1e-300) for j in cell.demands}
+    tol = {j.id: EDF_COMPLETION_REL_TOL * max(cell.work(j), 1e-300) for j in cell.demands}
     alloc: dict[tuple[int, str, str, int], float] = {}
     slots = sorted({t for j in cell.demands for t in range(j.start, j.end + 1)})
     by_deadline = sorted(cell.demands, key=lambda j: (j.end, j.id))
@@ -134,7 +136,7 @@ def scan_edf_feasible(
         for j in by_deadline:
             if j.end == t and remaining[j.id] > tol[j.id]:
                 return False, None
-    return True, _with_cell_storage(cell, alloc)
+    return True, Schedule(alloc)
 
 
 class TestEdf:
@@ -163,21 +165,23 @@ class TestEdf:
 
     def test_schedule_validates_and_respects_peak(self):
         topology, demands = toy_two_cell()
-        result, schedule, _ = min_spectrum_no_d2d(topology, demands, method="yds")
+        result, schedule, _ = min_spectrum_no_d2d(topology, demands)
         report = validate_schedule(schedule, topology, demands)
         assert report.ok, report.summary()
         for (b, _t), load in per_slot_loads(schedule, topology).items():
             assert load <= result.per_bs_peak[b] + 1e-9
 
     def test_witness_schedule_validates_as_returned(self):
-        # the EDF witness carries its own storage entries
+        # the EDF witness is direct links only; fill_storage adds the storage
         topology, demands = toy_two_cell()
         cell = CellInstance.from_instance(topology, demands, "alpha")
         f_min, _ = yds_min_spectrum(cell)
-        _, schedule = edf_feasible(cell, f_min)
+        _, witness = edf_feasible(cell, f_min)
+        assert all(u != v for (_j, u, v, _t) in witness.allocations)
         cell_demands = DemandSet(
             demands.horizon, tuple(j for j in demands.demands if j.user in ("a", "b"))
         )
+        schedule = fill_storage(witness, topology, cell_demands)
         report = validate_schedule(schedule, topology, cell_demands)
         assert report.ok, report.summary()
 
