@@ -8,12 +8,12 @@ bounds against observed values).  Every LP is solved by HiGHS.  Outputs are
 CSV or JSON files under --out, each carrying a provenance header with the
 config hash, the seed, and the feasibility tolerances HiGHS runs with.
 
-Exit codes: 0 success, 2 invariant or bound violation (including a ``d2d``
-or ``bounds`` schedule that fails validation, and an ``nd`` witness that
-fails validation or exceeds its cell's minimum), 3 solver or numerical
-failure (including an EDF witness of the no-D2D stage that misses a
-deadline), 4 configuration error (malformed input included) or infeasible
-instance.
+Exit codes: 0 success, 2 invariant or bound violation (including a ``d2d``,
+``bounds`` or ``heuristic`` level schedule that fails validation, and an
+``nd`` witness that fails validation or exceeds its cell's minimum), 3
+solver or numerical failure (including an EDF witness of the no-D2D stage
+that misses a deadline), 4 configuration error (malformed input included)
+or infeasible instance.
 """
 
 from __future__ import annotations
@@ -306,9 +306,17 @@ def cmd_d2d(config: ExperimentConfig) -> int:
 
 
 def cmd_heuristic(config: ExperimentConfig) -> int:
+    """The sweep's rows, each distinct level's combined schedule validated before any is written."""
     topology, demands = load_instance(config)
     _emit_instance(config, topology, demands)
     sweep = heuristic_sweep(topology, demands, config.lambda_grid)
+    for row in sweep.levels:
+        if row.reused:
+            continue
+        report = validate_schedule(row.schedule, topology, demands, flow_abs_tol=1e-6)
+        if not report.ok:
+            print(f"heuristic level={row.level}: {report.summary()}", file=sys.stderr)
+            return EXIT_VIOLATION
     rows = []
     worst = EXIT_OK
     for row in sweep.levels:

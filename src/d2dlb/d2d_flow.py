@@ -28,21 +28,24 @@ Enumerating columns is therefore exact arithmetic: a (demand, link) pair gets
 hi - lo + 1 columns (none if that is not positive), one per slot of its
 interval, and no (demand, link, slot) triple is tested on its own.
 
-Every flow LP is solved by ``solve_flow_lp`` and yields one ``FlowSolve``:
-the full problem (``solve_min_spectrum_d2d``) on all demands, the
-heuristic's step III on the D2D-eligible demands over the kept load.
+Every flow LP is solved by ``solve_flow_lp`` and yields one ``FlowSolve``.
+There is one builder, for the full problem (``solve_min_spectrum_d2d``).
+The heuristic's step III is that same LP with the columns of the demands it
+keeps fixed at 0, their source and arrival rows at 0, and each billed
+(BS, slot) peak row lowered by the kept load; ``TimeExpandedIndex`` names
+those rows, and ``solve_flow_lp`` re-solves the changed LP from the full
+optimum's basis.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import lp
-from .model import Demand, DemandSet, ModelError, Schedule, Topology
+from .model import DemandSet, ModelError, Schedule, Topology
 
 # compute_volumes and per_slot_loads are not called here, but benchmark/spans.py
 # traces the model layer under these names (tests/test_benchmark_targets.py
@@ -93,7 +96,9 @@ class TimeExpandedIndex:
     flow columns come first in the LP, then the peaks, then the per-slot
     alpha/beta pairs.  ``relay_cost`` is the relayed-traffic cost over all
     columns: a flow column's rate when it relays into a user before the
-    demand's deadline, else 0.
+    demand's deadline, else 0.  Demand k of the instance (in its order) has
+    its source row ``source_row[k]`` and its arrival row ``arrival_row[k]``;
+    a billed (BS, slot) has its peak row ``peak_row[(bs, slot)]``.
     """
 
     problem: lp.LpProblem
@@ -106,6 +111,9 @@ class TimeExpandedIndex:
     alpha_vars: dict[tuple[str, int], int]
     beta_vars: dict[tuple[str, int], int]
     peak_vars: dict[str, int]
+    source_row: np.ndarray
+    arrival_row: np.ndarray
+    peak_row: dict[tuple[str, int], int]
 
     @property
     def n_flow_variables(self) -> int:
@@ -118,10 +126,15 @@ class TimeExpandedIndex:
         return float(self.relay_cost @ solution.x)
 
     def extract_schedule(self, solution: lp.LpSolution) -> Schedule:
+        """The flow columns' nonzero values; a column fixed at 0 carries no flow.
+
+        HiGHS can return a basic fixed column a few ulps off its bound, so
+        fixed columns are left out rather than trusted to read 0.
+        """
         if solution.x is None:
             raise lp.LpError("no solution values available")
         x = solution.x[: self.n_flow_variables]
-        used = np.flatnonzero(x != 0.0)
+        used = np.flatnonzero((x != 0.0) & (self.problem.upper[: self.n_flow_variables] > 0))
         nodes = self.nodes
         return Schedule(
             {
@@ -138,20 +151,11 @@ class TimeExpandedIndex:
 
 
 def build_flow_lp(
-    topology: Topology,
-    demands: DemandSet,
-    demand_subset: Sequence[Demand] | None = None,
-    pruning: bool = True,
-    residual_load: Mapping[tuple[str, int], float] | None = None,
-    name: str = "min-spectrum-d2d",
+    topology: Topology, demands: DemandSet, pruning: bool = True, name: str = "min-spectrum-d2d"
 ) -> TimeExpandedIndex:
     """Assemble the flow-over-time LP minimizing the sum of per-BS peaks.
 
-    demand_subset restricts the flow variables to a subset of demands (the
-    reduced heuristic problem); residual_load adds a fixed per-(BS, slot)
-    spectrum floor under the peak.
-
-    Columns: per demand (in subset order), per link (real links in
+    Columns: per demand, per link (real links in
     ``topology.rate_map`` order, then one self-link per node in
     ``all_nodes()`` order), one column per slot of the link's interval; then
     one peak per BS; then an (alpha, beta) pair per billed (BS, slot), in
@@ -160,8 +164,7 @@ def build_flow_lp(
     (BS, slot) its alpha, beta and peak rows.
     """
     demands.check_users(topology)
-    active = tuple(demand_subset) if demand_subset is not None else demands.demands
-    residual_load = dict(residual_load or {})
+    active = demands.demands
 
     nodes = topology.all_nodes()
     node_index = {v: i for i, v in enumerate(nodes)}
@@ -249,16 +252,12 @@ def build_flow_lp(
         + [bs_rank[b] for b in topology.bs_ids],
         dtype=np.int64,
     )
-    slot_span = max([horizon, *(s for _, s in residual_load)]) + 1
     real_col = col[link < n_real]
-    bill_key = billed_rank[v[real_col]] * slot_span + t[real_col]
-    residual_key = np.array(
-        [bs_rank[b] * slot_span + s for b, s in residual_load], dtype=np.int64
-    )
-    billed = np.unique(np.concatenate([bill_key, residual_key]))
+    bill_key = billed_rank[v[real_col]] * (horizon + 1) + t[real_col]
+    billed = np.unique(bill_key)
     n_billed = len(billed)
-    billed_bs = [bs_sorted[r] for r in (billed // slot_span).tolist()]
-    billed_slot = (billed % slot_span).tolist()
+    billed_bs = [bs_sorted[r] for r in (billed // (horizon + 1)).tolist()]
+    billed_slot = (billed % (horizon + 1)).tolist()
     billed_keys = list(zip(billed_bs, billed_slot))
 
     problem = lp.LpProblem(name)
@@ -288,13 +287,11 @@ def build_flow_lp(
         (bill_row + 2, peak_col, -ones),
     ]
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-    bill_rhs = np.zeros((n_billed, 3))
-    bill_rhs[:, 2] = [-float(residual_load.get(key, 0.0)) for key in billed_keys]
     problem.add_constraints(
         rows,
         cols,
         vals,
-        np.concatenate([flow_rhs, bill_rhs.ravel()]),
+        np.concatenate([flow_rhs, np.zeros(3 * n_billed)]),
         np.concatenate([np.ones(n_flow_rows, bool), np.tile([True, True, False], n_billed)]),
     )
 
@@ -320,6 +317,9 @@ def build_flow_lp(
         alpha_vars=alpha_vars,
         beta_vars=beta_vars,
         peak_vars=peak_vars,
+        source_row=row_of[:n_active],
+        arrival_row=row_of[n_active : 2 * n_active],
+        peak_row=dict(zip(billed_keys, (bill_row + 2).tolist())),
     )
 
 
@@ -349,28 +349,22 @@ class FlowSolve:
 
     @property
     def n_variables(self) -> int:
-        return self.index.n_flow_variables
+        """Flow columns the solve was free to use: those not fixed at 0 by their bound."""
+        index = self.index
+        return int(np.count_nonzero(index.problem.upper[: index.n_flow_variables] > 0))
 
 
-def solve_flow_lp(
-    topology: Topology,
-    demands: DemandSet,
-    demand_subset: Sequence[Demand] | None = None,
-    pruning: bool = True,
-    residual_load: Mapping[tuple[str, int], float] | None = None,
-    name: str = "min-spectrum-d2d",
-) -> FlowSolve:
-    """Build the flow LP and solve it lexicographically: least total spectrum, then least relaying.
+def solve_flow_lp(index: TimeExpandedIndex, basis: lp.Basis | None = None) -> FlowSolve:
+    """Solve a flow LP lexicographically: least total spectrum, then least relaying.
 
-    One ``lp.solve_lexicographic`` call yields both numbers.  The full
-    problem has no subset and no residual load; the heuristic's step III
-    passes both.  Raises ``LpError`` naming ``name`` when the solve is not
-    optimal.
+    One ``lp.solve_lexicographic`` call yields both numbers, started from
+    ``basis`` when given (the ``solution.basis`` of a solve of the same LP
+    under other bounds and right-hand sides).  Raises ``LpError`` naming the
+    problem when the solve is not optimal.
     """
-    index = build_flow_lp(topology, demands, demand_subset, pruning, residual_load, name)
-    solution = lp.solve_lexicographic(index.problem, index.relay_cost)
+    solution = lp.solve_lexicographic(index.problem, index.relay_cost, basis)
     if not solution.optimal:
-        raise lp.LpError(f"{name} terminated with status {solution.status}")
+        raise lp.LpError(f"{index.problem.name} terminated with status {solution.status}")
     return FlowSolve(index, solution, index.extract_schedule(solution))
 
 
@@ -378,7 +372,7 @@ def solve_min_spectrum_d2d(
     topology: Topology, demands: DemandSet, pruning: bool = True
 ) -> FlowSolve:
     """Minimum total spectrum with D2D, and at it a schedule relaying the least traffic."""
-    return solve_flow_lp(topology, demands, pruning=pruning)
+    return solve_flow_lp(build_flow_lp(topology, demands, pruning))
 
 
 def solve_min_overhead(

@@ -3,33 +3,34 @@
 Step I solves each cell without D2D.  Step II marks the slots whose no-D2D
 load exceeds a fraction ``level`` of the cell's peak as hot and splits the
 demands: anything served in a hot slot becomes D2D-eligible, the rest keeps
-its no-D2D allocation.  Step III re-solves the flow LP for the D2D-eligible
+its no-D2D allocation.  Step III solves the flow LP for the D2D-eligible
 demands only, on top of the kept allocations.
 
 level=0 reduces to the full problem, level=1 to the pure no-D2D solution;
-in between the split trades LP size against spectrum.  One routine takes a
-split through step III (a ``FlowSolve`` of the reduced problem, or no LP
-when nothing is eligible) to the combined schedule.  ``heuristic_min_spectrum``
-runs it on one level; ``heuristic_sweep`` runs it once per distinct eligible
-set of a grid of levels, reusing the full problem's solve when every demand
-is eligible.
+in between the split trades LP size against spectrum.  Step III's LP is the
+full problem's LP with every kept demand's columns fixed at 0, its source
+and arrival rows at 0, and each billed (BS, slot) peak row lowered by the
+kept load there.  Only bounds and right-hand sides differ, so each level is
+solved on a new HiGHS object started from the basis of the full optimum,
+and its size (``step3_variables``) is the count of columns left free.
+
+One routine takes a split through step III (a ``FlowSolve`` of that LP, the
+full solve itself when every demand is eligible, or no LP when none is) to
+the combined schedule.  ``heuristic_min_spectrum`` runs it on one level;
+``heuristic_sweep`` runs it once per distinct eligible set of a grid of
+levels, all from one full solve.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-# build_flow_lp is not called here (solve_flow_lp builds the reduced LP), but
-# benchmark/spans.py traces the flow-LP layer under this name too
-# (tests/test_benchmark_targets.py fails if it goes)
-from .d2d_flow import (  # noqa: F401
-    FlowSolve,
-    build_flow_lp,
-    solve_flow_lp,
-    solve_min_spectrum_d2d,
-)
+import numpy as np
+
+from .d2d_flow import FlowSolve, TimeExpandedIndex, build_flow_lp, solve_flow_lp
+from .lp import LpError
 from .model import (
     DemandSet,
     ModelError,
@@ -131,23 +132,45 @@ class HeuristicOutcome:
         return self.flow.relayed_traffic if self.flow is not None else 0.0
 
 
+def _step3_index(
+    full: TimeExpandedIndex, demands: DemandSet, split: SplitResult
+) -> TimeExpandedIndex:
+    """The full problem's LP restricted to the split's eligible demands over its kept load.
+
+    Every kept (BS, slot) already has a peak row: each demand's direct
+    uplink is a column in every slot of its lifetime.
+    """
+    problem = full.problem
+    ids = np.array([j.id for j in demands.demands], dtype=np.int64)
+    kept = np.isin(ids, list(split.nd_demand_ids))
+    upper = problem.upper.copy()
+    upper[: full.n_flow_variables][np.isin(full.flow_demand, ids[kept])] = 0.0
+    rhs = problem.rhs.copy()
+    rhs[full.source_row[kept]] = 0.0
+    rhs[full.arrival_row[kept]] = 0.0
+    for key, load in split.residual_load.items():
+        if key not in full.peak_row:
+            raise LpError(f"kept load at {key} has no peak row in the full flow LP")
+        rhs[full.peak_row[key]] = -float(load)
+    name = f"heuristic-spectrum-level{split.level}"
+    return replace(full, problem=problem.with_bounds(upper, rhs, name))
+
+
 def _solve_level(
-    topology: Topology, demands: DemandSet, split: SplitResult, flow: FlowSolve | None = None
+    topology: Topology, demands: DemandSet, split: SplitResult, full: FlowSolve | None
 ) -> HeuristicOutcome:
     """Step III of one split and the schedule it combines with the kept allocations.
 
-    The D2D-eligible set fixes the reduced problem (its flows and, through
-    the kept allocations, its residual load).  ``flow`` is a solve of that
-    problem already at hand; without it the reduced LP is solved here.
+    ``full`` is the full problem's solve; it is step III when every demand
+    is eligible, and otherwise the warm start of step III's LP.  It may be
+    None only when no demand is eligible.
     """
-    if flow is None and split.d2d_demand_ids:
-        flow = solve_flow_lp(
-            topology,
-            demands,
-            demand_subset=tuple(j for j in demands.demands if j.id in split.d2d_demand_ids),
-            residual_load=split.residual_load,
-            name=f"heuristic-spectrum-level{split.level}",
-        )
+    if not split.d2d_demand_ids:
+        flow = None
+    elif not split.nd_demand_ids:
+        flow = full
+    else:
+        flow = solve_flow_lp(_step3_index(full.index, demands, split), full.solution.basis)
     if flow is None:
         peaks = {b: 0.0 for b in topology.bs_ids}
         for (b, _t), load in split.residual_load.items():
@@ -168,9 +191,15 @@ def _solve_level(
 def heuristic_min_spectrum(
     topology: Topology, demands: DemandSet, level: float
 ) -> HeuristicOutcome:
-    """Run the three steps; returns the reduced-problem spectrum and schedule."""
+    """Run the three steps; returns the reduced-problem spectrum and schedule.
+
+    Step III starts from the full problem's optimum, so the full LP is
+    solved first unless no demand is eligible.
+    """
     _, nd_schedule, _ = min_spectrum_no_d2d(topology, demands)
-    return _solve_level(topology, demands, split_demands(topology, demands, nd_schedule, level))
+    split = split_demands(topology, demands, nd_schedule, level)
+    full = solve_flow_lp(build_flow_lp(topology, demands)) if split.d2d_demand_ids else None
+    return _solve_level(topology, demands, split, full)
 
 
 def heuristic_min_overhead(
@@ -203,6 +232,7 @@ class SweepLevel:
     step3_variables: int  # flow columns of the LP the row's numbers come from
     wall_seconds: float
     reused: bool  # an earlier level had the same eligible set
+    schedule: Schedule  # the combined schedule eta comes from, shared by reused levels
 
     @property
     def n_d2d_demands(self) -> int:
@@ -221,18 +251,19 @@ def heuristic_sweep(
 ) -> HeuristicSweep:
     """Spectrum and overhead of the reduced problem at each split level, each LP solved once.
 
-    The no-D2D baseline is computed once.  Levels with the same eligible set
-    share one lexicographic solve, and a level that makes every demand
-    eligible reuses the full problem's, which the sweep solves anyway for the
-    full reduction.
+    The no-D2D baseline and the full problem, which the sweep needs for the
+    full reduction, are solved once.  Levels with the same eligible set
+    share one lexicographic solve, a level that makes every demand eligible
+    reuses the full problem's, and every other step III starts from the full
+    optimum's basis on its own HiGHS object, so a row depends only on its
+    eligible set, not on the levels solved before it.
     """
     nd_result, nd_schedule, _ = min_spectrum_no_d2d(topology, demands)
     f_nd = float(nd_result.total)
     if f_nd == 0:
         raise ModelError("spectrum reduction undefined: no-D2D total is zero")
-    full = solve_min_spectrum_d2d(topology, demands)
-    all_ids = frozenset(j.id for j in demands.demands)
-    solved: dict[frozenset[int], tuple[float, float, int]] = {}
+    full = solve_flow_lp(build_flow_lp(topology, demands))
+    solved: dict[frozenset[int], tuple[float, float, int, Schedule]] = {}
     rows = []
     for level in levels:
         t0 = time.perf_counter()
@@ -240,10 +271,10 @@ def heuristic_sweep(
         key = split.d2d_demand_ids
         reused = key in solved
         if not reused:
-            outcome = _solve_level(topology, demands, split, full if key == all_ids else None)
+            outcome = _solve_level(topology, demands, split, full)
             eta = overhead_ratio(*compute_volumes(outcome.schedule, topology))
-            solved[key] = (outcome.total_spectrum, eta, outcome.step3_variables)
-        total, eta, n_variables = solved[key]
+            solved[key] = (outcome.total_spectrum, eta, outcome.step3_variables, outcome.schedule)
+        total, eta, n_variables, schedule = solved[key]
         rows.append(
             SweepLevel(
                 level=level,
@@ -254,6 +285,7 @@ def heuristic_sweep(
                 step3_variables=n_variables,
                 wall_seconds=time.perf_counter() - t0,
                 reused=reused,
+                schedule=schedule,
             )
         )
     return HeuristicSweep(f_nd, (f_nd - full.total) / f_nd, tuple(rows))

@@ -13,6 +13,10 @@ the formulation is solved one fixed way.  ``solve_lexicographic`` minimizes
 a second cost among the minimizers of the first with one model on one HiGHS
 object: a weighted solve, then a re-run of its basis on the first cost alone
 as the certificate, and, only if that re-run iterates, a capped second stage.
+It can start from a given basis and returns the basis of the optimum it
+certifies, so a problem that differs from a solved one only in bounds and
+right-hand sides (``LpProblem.with_bounds``) is re-solved by dual simplex
+from where the solved one ended.
 
 Every optimum carries row duals, so ``dual_certificate_gap`` certifies it,
 and problems can be dumped to the fixed LP text format for external
@@ -28,6 +32,10 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse
 from scipy.optimize._highspy import _core as _highs
+
+
+#: a simplex basis as HiGHS reports it: one status per column and per row
+Basis = _highs.HighsBasis
 
 
 class LpError(ValueError):
@@ -238,6 +246,23 @@ class LpProblem:
                 f"constraint {self.row_name(int(rows[bad[0]]))}: non-finite coefficient"
             )
 
+    def with_bounds(self, upper: np.ndarray, rhs: np.ndarray, name: str) -> "LpProblem":
+        """The same matrix, costs and lower bounds under new upper bounds and right-hand sides."""
+        n, m = self.n_variables, self.n_constraints
+        upper, rhs = np.asarray(upper, float), np.asarray(rhs, float)
+        if upper.shape != (n,) or rhs.shape != (m,):
+            raise LpError(f"{name}: bounds of shape {upper.shape}, rhs of shape {rhs.shape}")
+        if np.any(upper < self.lower):
+            raise LpError(f"{name}: empty bound interval")
+        copy = LpProblem(name)
+        rows, cols, vals = self.triplets()
+        copy._lower, copy._upper = _Vector(float, self.lower), _Vector(float, upper)
+        copy._cost = _Vector(float, self.objective)
+        copy._rows, copy._cols = _Vector(np.int64, rows), _Vector(np.int64, cols)
+        copy._vals = _Vector(float, vals)
+        copy._rhs, copy._eq = _Vector(float, rhs), _Vector(bool, self.equality)
+        return copy
+
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.objective @ x)
 
@@ -303,11 +328,17 @@ class LpSolution:
     max_primal_residual: float | None
     duals: np.ndarray | None = None  # row multipliers y, reduced costs c - A'y
     iterations: int = 0
-    fallback: bool = False  # solve_lexicographic's certificate failed; the capped stage ran
+    certificate_iterations: int = 0  # solve_lexicographic's re-run on the primary cost
+    basis: Basis | None = None  # solve_lexicographic's primary-cost optimum
 
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
+
+    @property
+    def fallback(self) -> bool:
+        """solve_lexicographic's certificate re-run iterated, so the capped stage ran."""
+        return self.certificate_iterations > 0
 
     def value(self, index: int) -> float:
         if self.x is None:
@@ -447,7 +478,12 @@ def _read(highs: _highs._Highs, position: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _checked(
-    problem: LpProblem, x: np.ndarray, duals: np.ndarray, iterations: int, fallback: bool = False
+    problem: LpProblem,
+    x: np.ndarray,
+    duals: np.ndarray,
+    iterations: int,
+    certificate_iterations: int = 0,
+    basis: Basis | None = None,
 ) -> LpSolution:
     """``linprog``'s post-solve check: a NaN or a residual above ``RESULT_CHECK_TOL`` errs."""
     residual = problem.max_residual(x)
@@ -460,7 +496,8 @@ def _checked(
         max_primal_residual=residual,
         duals=duals,
         iterations=iterations,
-        fallback=fallback,
+        certificate_iterations=certificate_iterations,
+        basis=basis,
     )
 
 
@@ -494,10 +531,12 @@ LEXICO_WEIGHT = 1e-5
 FALLBACK_CAP_SLACK = 1e-9
 
 
-def solve_lexicographic(problem: LpProblem, secondary_cost: np.ndarray) -> LpSolution:
+def solve_lexicographic(
+    problem: LpProblem, secondary_cost: np.ndarray, basis: Basis | None = None
+) -> LpSolution:
     """Minimize ``problem``'s cost c, then ``secondary_cost`` s among the minimizers of c.
 
-    The model goes to one HiGHS object once, with the cost c + eps*s, where
+    The model goes to a new HiGHS object once, with the cost c + eps*s, where
     eps = ``LEXICO_WEIGHT`` / max|s|.  The optimal basis is then re-run on c
     alone.  A re-run that takes no iteration certifies x: the basis is
     optimal for c, so c'x is the optimum F*, and any x' with c'x' = F* and
@@ -508,9 +547,18 @@ def solve_lexicographic(problem: LpProblem, secondary_cost: np.ndarray) -> LpSol
     the same object and minimizes s, the two-stage answer, and the solution's
     ``fallback`` is set.
 
+    ``basis``, the ``basis`` of an earlier solution of a problem with the
+    same matrix and costs, starts the weighted solve there; HiGHS then skips
+    presolve and its own initial basis.  When only bounds and right-hand sides
+    differ, that basis stays dual feasible, and dual simplex goes on from it
+    (Koberstein, "The dual simplex method, techniques for a fast and stable
+    implementation", 2005).  The object is new either way, so the result
+    depends only on the problem and the basis.
+
     ``objective`` is c'x, ``duals`` are the row duals of ``problem`` at its
-    c-optimum (so ``dual_certificate_gap`` certifies F* on either path), and
-    ``iterations`` counts every run.
+    c-optimum (so ``dual_certificate_gap`` certifies F* on either path),
+    ``basis`` is the basis of that optimum, ``iterations`` counts every run
+    and ``certificate_iterations`` the re-run on c.
     """
     c = problem.objective
     s = np.asarray(secondary_cost, dtype=float)
@@ -521,6 +569,8 @@ def solve_lexicographic(problem: LpProblem, secondary_cost: np.ndarray) -> LpSol
     highs, position = _pass_model(problem, c + weight * s)
     if highs is None:
         return LpSolution("infeasible", None, None, None)
+    if basis is not None and highs.setBasis(basis) != _highs.HighsStatus.kOk:
+        raise LpError(f"{problem.name}: HiGHS refused the starting basis")
     status, iterations = _run(highs)
     rerun = 0
     if status == "optimal":
@@ -531,6 +581,7 @@ def solve_lexicographic(problem: LpProblem, secondary_cost: np.ndarray) -> LpSol
     if status != "optimal":
         return LpSolution(status, None, None, None, iterations=iterations)
     x, duals = _read(highs, position)
+    optimum_basis = highs.getBasis()
     if rerun:
         optimum = problem.objective_value(x)
         cap = optimum + FALLBACK_CAP_SLACK * max(1.0, abs(optimum))
@@ -544,4 +595,4 @@ def solve_lexicographic(problem: LpProblem, secondary_cost: np.ndarray) -> LpSol
         if status != "optimal":
             return LpSolution(status, None, None, None, iterations=iterations)
         x = _read(highs, position)[0]
-    return _checked(problem, x, duals, iterations, fallback=rerun > 0)
+    return _checked(problem, x, duals, iterations, rerun, optimum_basis)

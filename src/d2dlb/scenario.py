@@ -349,27 +349,34 @@ def fixture(name: str) -> tuple[Topology, DemandSet]:
         raise ModelError(f"cannot parse fixture name {name!r}")
     base = m.group("name")
     args = [a.strip() for a in (m.group("args") or "").split(",") if a.strip()]
+
+    def arg(i: int, kind: type, default: float = 0) -> float:
+        if i >= len(args):
+            return default
+        try:
+            return kind(args[i])
+        except ValueError:
+            raise ModelError(
+                f"--fixture {name!r}: argument {i + 1} must be {kind.__name__}, got {args[i]!r}"
+            ) from None
+
     if base == "toy-fig1":
         return toy_two_cell()
     if base == "intra-fig3":
         if len(args) < 2:
             raise ModelError("intra-fig3 needs (rate_ratio, delay[, volume])")
-        ratio, delay = float(args[0]), int(args[1])
-        volume = float(args[2]) if len(args) > 2 else 1.0
-        return intra_cell_example(ratio, delay, volume)
+        return intra_cell_example(arg(0, float), arg(1, int), arg(2, float, 1.0))
     if base == "heuristic-appF":
         return heuristic_six_task()
     if base == "ring":
         if len(args) < 1:
             raise ModelError("ring needs (delay[, volume])")
-        inst = bounds.build_ring_instance(int(args[0]), float(args[1]) if len(args) > 1 else 1)
+        inst = bounds.build_ring_instance(arg(0, int), arg(1, float, 1))
         return inst.topology, inst.demands
     if base == "complete":
         if len(args) < 2:
             raise ModelError("complete needs (n_cells, delay[, volume])")
-        inst = bounds.build_complete_instance(
-            int(args[0]), int(args[1]), float(args[2]) if len(args) > 2 else 1
-        )
+        inst = bounds.build_complete_instance(arg(0, int), arg(1, int), arg(2, float, 1))
         return inst.topology, inst.demands
     raise ModelError(f"unknown fixture {name!r}")
 

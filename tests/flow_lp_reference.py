@@ -1,0 +1,188 @@
+"""Loop-built flow LPs: the reference builder, and heuristic step III solved on it.
+
+``loop_flow_lp`` enumerates every (demand, link, slot) and tests it one at a
+time, the way the flow LP was first written.  It also builds what the
+library no longer builds on its own: step III as a reduced LP over the
+D2D-eligible demands only, with the kept load as a floor under each peak.
+``step3_reference`` solves that reduced LP cold, and
+``assert_level_matches_reduced`` holds a step III solved as the full LP with
+fixed columns, warm-started, to its numbers.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping, Sequence
+
+import pytest
+
+from d2dlb import lp
+from d2dlb.d2d_flow import InfeasibleDemandError, hop_distances_from, hop_distances_to_bs
+from d2dlb.heuristic import HeuristicOutcome, SplitResult
+from d2dlb.model import Demand, DemandSet, ModelError, Topology
+
+#: agreement required between a warm step III and the cold reduced LP
+LEVEL_REL_TOL = 1e-9
+
+
+def loop_flow_lp(
+    topology: Topology,
+    demands: DemandSet,
+    demand_subset: Sequence[Demand] | None = None,
+    pruning: bool = True,
+    residual_load: Mapping[tuple[str, int], float] | None = None,
+    objective: str = "spectrum",
+    spectrum_cap: float | None = None,
+) -> tuple[lp.LpProblem, dict, dict, dict, dict]:
+    """Reference builder: returns (problem, flow_vars, alpha_vars, beta_vars, peak_vars)."""
+    if objective not in ("spectrum", "d2d_traffic"):
+        raise ModelError(f"unknown objective {objective!r}")
+    demands.check_users(topology)
+    active = tuple(demand_subset) if demand_subset is not None else demands.demands
+    residual_load = dict(residual_load or {})
+    user_set = set(topology.user_ids)
+    dist_to_bs = hop_distances_to_bs(topology)
+
+    problem = lp.LpProblem("reference")
+    flow_vars: dict[tuple[int, str, str, int], int] = {}
+    real_links = list(topology.rate_map.items())
+
+    for j in active:
+        dist_src = hop_distances_from(topology, j.user)
+        span = j.end - j.start + 1
+        if dist_to_bs.get(j.user, 10**9) > span:
+            raise InfeasibleDemandError(f"demand {j.id}")
+
+        def admissible(u: str, v: str, t: int) -> bool:
+            if t == j.start and u != j.user:
+                return False  # only the source holds the data at the start slot
+            if not pruning:
+                return True
+            if dist_src.get(u, 10**9) > t - j.start:
+                return False
+            return dist_to_bs.get(v, 10**9) <= j.end - t
+
+        for (u, v), _rate in real_links:
+            for t in range(j.start, j.end + 1):
+                if admissible(u, v, t):
+                    flow_vars[(j.id, u, v, t)] = problem.add_variable(f"x_j{j.id}_{u}_{v}_t{t}")
+        for node in topology.all_nodes():
+            for t in range(j.start, j.end + 1):
+                if admissible(node, node, t):
+                    flow_vars[(j.id, node, node, t)] = problem.add_variable(
+                        f"x_j{j.id}_{node}_{node}_t{t}"
+                    )
+
+    def rate(u: str, v: str) -> float:
+        return 1.0 if u == v else float(topology.rate_map[(u, v)])
+
+    in_real = topology.in_neighbors
+    out_real = topology.out_neighbors
+    for j in active:
+        source_terms = {}
+        for v in (*out_real.get(j.user, ()), j.user):
+            col = flow_vars.get((j.id, j.user, v, j.start))
+            if col is not None:
+                source_terms[col] = rate(j.user, v)
+        problem.add_constraint(source_terms, "=", float(j.volume), f"source_j{j.id}")
+
+        arrival_terms = {}
+        for b in topology.bs_ids:
+            for v in (*in_real.get(b, ()), b):
+                col = flow_vars.get((j.id, v, b, j.end))
+                if col is not None:
+                    arrival_terms[col] = rate(v, b)
+        problem.add_constraint(arrival_terms, "=", float(j.volume), f"arrival_j{j.id}")
+
+        for node in topology.all_nodes():
+            for t in range(j.start, j.end):
+                terms: dict[int, float] = {}
+                for w in (*in_real.get(node, ()), node):
+                    col = flow_vars.get((j.id, w, node, t))
+                    if col is not None:
+                        terms[col] = terms.get(col, 0.0) + rate(w, node)
+                for w in (*out_real.get(node, ()), node):
+                    col = flow_vars.get((j.id, node, w, t + 1))
+                    if col is not None:
+                        terms[col] = terms.get(col, 0.0) - rate(node, w)
+                if terms:
+                    problem.add_constraint(terms, "=", 0.0, f"conserve_j{j.id}_{node}_t{t}")
+
+    alpha_members: dict[tuple[str, int], dict[int, float]] = {}
+    beta_members: dict[tuple[str, int], dict[int, float]] = {}
+    for (_jid, u, v, t), col in flow_vars.items():
+        if u == v:
+            continue
+        if v in user_set:
+            beta_members.setdefault((topology.home_bs[v], t), {})[col] = 1.0
+        else:
+            alpha_members.setdefault((v, t), {})[col] = 1.0
+
+    peak_vars = {b: problem.add_variable(f"peak_{b}") for b in topology.bs_ids}
+    billed_slots = sorted(set(alpha_members) | set(beta_members) | set(residual_load))
+    alpha_vars: dict[tuple[str, int], int] = {}
+    beta_vars: dict[tuple[str, int], int] = {}
+    for b, t in billed_slots:
+        a_col = problem.add_variable(f"alpha_{b}_t{t}")
+        b_col = problem.add_variable(f"beta_{b}_t{t}")
+        alpha_vars[(b, t)] = a_col
+        beta_vars[(b, t)] = b_col
+        problem.add_constraint({**alpha_members.get((b, t), {}), a_col: -1.0}, "=", 0.0)
+        problem.add_constraint({**beta_members.get((b, t), {}), b_col: -1.0}, "=", 0.0)
+        problem.add_constraint(
+            {a_col: 1.0, b_col: 1.0, peak_vars[b]: -1.0},
+            "<=",
+            -float(residual_load.get((b, t), 0.0)),
+        )
+
+    if spectrum_cap is not None:
+        problem.add_constraint(
+            {col: 1.0 for col in peak_vars.values()}, "<=", float(spectrum_cap), "total_cap"
+        )
+
+    if objective == "spectrum":
+        problem.set_objective({col: 1.0 for col in peak_vars.values()})
+    else:
+        demand_end = {j.id: j.end for j in active}
+        obj: dict[int, float] = {}
+        for (jid, u, v, t), col in flow_vars.items():
+            if u != v and v in user_set and t <= demand_end[jid] - 1:
+                obj[col] = rate(u, v)
+        problem.set_objective(obj)
+    return problem, flow_vars, alpha_vars, beta_vars, peak_vars
+
+
+def step3_lp(
+    topology: Topology, demands: DemandSet, split: SplitResult, pruning: bool = True, **kwargs
+) -> tuple[lp.LpProblem, dict, dict, dict, dict]:
+    """The reduced step-III LP of ``split``: eligible demands only, kept load under the peaks."""
+    subset = tuple(j for j in demands.demands if j.id in split.d2d_demand_ids)
+    return loop_flow_lp(
+        topology,
+        demands,
+        demand_subset=subset,
+        pruning=pruning,
+        residual_load=split.residual_load,
+        **kwargs,
+    )
+
+
+def step3_reference(
+    topology: Topology, demands: DemandSet, split: SplitResult, pruning: bool = True
+) -> tuple[float, dict[str, float], float]:
+    """(F, per-BS peaks, R) of the reduced step-III LP, solved lexicographically from cold."""
+    problem, _, _, _, peak_vars = step3_lp(topology, demands, split, pruning)
+    relay_cost = step3_lp(topology, demands, split, pruning, objective="d2d_traffic")[0].objective
+    solution = lp.solve_lexicographic(problem, relay_cost)
+    assert solution.optimal, solution.status
+    peaks = {b: solution.value(col) for b, col in peak_vars.items()}
+    return solution.objective, peaks, float(relay_cost @ solution.x)
+
+
+def assert_level_matches_reduced(
+    outcome: HeuristicOutcome, topology: Topology, demands: DemandSet, pruning: bool = True
+) -> None:
+    """A solved level's F, per-BS peaks and R equal the cold reduced LP's."""
+    total, peaks, relayed = step3_reference(topology, demands, outcome.split, pruning)
+    assert outcome.total_spectrum == pytest.approx(total, rel=LEVEL_REL_TOL, abs=1e-12)
+    assert outcome.per_bs_peak == pytest.approx(peaks, rel=LEVEL_REL_TOL, abs=1e-12)
+    assert outcome.relayed_traffic == pytest.approx(relayed, rel=LEVEL_REL_TOL, abs=1e-12)

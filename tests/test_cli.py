@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism, round-trips."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -169,6 +170,40 @@ class TestHeuristic:
         )
         assert code == EXIT_CONFIG
 
+    def test_grid_out_of_order_writes_the_same_rows(self, tmp_path):
+        # every row but wall_seconds, keyed by level, as in the ordered grid
+        args = ["heuristic", "--generate", "cells=3,users=3,demands=18,T=15", "--seed", "4"]
+        shuffled, ordered = tmp_path / "shuffled", tmp_path / "ordered"
+        assert main(args + ["--lambda-grid", "0.75,0.25,1,0.5,0,0.9", "--out", str(shuffled)]) == 0
+        assert main(args + ["--lambda-grid", "0,0.25,0.5,0.75,0.9,1", "--out", str(ordered)]) == 0
+
+        def rows(out):
+            by_level = {r["lambda"]: r for r in read_csv_rows(out / "heuristic_sweep.csv")}
+            for r in by_level.values():
+                del r["wall_seconds"]
+            return {float(level): r for level, r in by_level.items()}
+
+        assert rows(shuffled) == rows(ordered)
+
+    def test_invalid_level_schedule_is_violation(self, tmp_path, capsys, monkeypatch):
+        # one level's combined schedule granting 1 % more than the solve
+        # found fails validation before any row is written
+        heuristic_sweep = cli.heuristic_sweep
+
+        def overgranting(*args, **kwargs):
+            sweep = heuristic_sweep(*args, **kwargs)
+            first, *rest = sweep.levels
+            grants = Schedule({k: 1.01 * x for k, x in first.schedule.allocations.items()})
+            return dataclasses.replace(
+                sweep, levels=(dataclasses.replace(first, schedule=grants), *rest)
+            )
+
+        monkeypatch.setattr(cli, "heuristic_sweep", overgranting)
+        argv = ["heuristic", "--fixture", "heuristic-appF", "--lambda-grid", "0.5,1"]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_VIOLATION
+        assert capsys.readouterr().err.startswith("heuristic level=0.5: ")
+        assert not (tmp_path / "heuristic_sweep.csv").exists()
+
 
 class TestBounds:
     def test_toy_bound_table(self, tmp_path):
@@ -273,6 +308,8 @@ class TestErrorTaxonomy:
             (["--instance", "{no_users}"], "--instance"),
             (["--trace", "{missing}"], "--trace"),
             (["--trace", "{bad_timestamp}"], "--trace"),
+            (["--fixture", "ring(x)"], "--fixture"),
+            (["--fixture", "complete(2,y)"], "--fixture"),
         ],
         ids=[
             "generate-no-equals",
@@ -288,6 +325,8 @@ class TestErrorTaxonomy:
             "instance-no-users",
             "trace-missing",
             "trace-bad-timestamp",
+            "fixture-ring-not-integer",
+            "fixture-complete-not-integer",
         ],
     )
     def test_malformed_input_is_config_error(self, tmp_path, capsys, args, flag):

@@ -1,5 +1,7 @@
 """Flow-over-time LPs: optima, schedules, billing, and pruning equivalence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from d2dlb.d2d_flow import (
     solve_min_overhead,
     solve_min_spectrum_d2d,
 )
-from d2dlb.lp import solve
+from d2dlb.lp import LpSolution, solve
 from d2dlb.model import (
     DemandSet,
     Topology,
@@ -63,6 +65,22 @@ class TestMinSpectrumD2D:
         assert outcome.per_bs_peak["beta"] == pytest.approx(2.0, abs=1e-9)
         report = validate_schedule(outcome.schedule, topology, demands, flow_abs_tol=1e-7)
         assert report.ok, report.summary()
+
+    def test_schedule_leaves_out_columns_fixed_at_zero(self, toy_instance):
+        # a basic column fixed at 0 can come back a few ulps off (-1.5e-14
+        # on one suite-sweep level); it carries no flow into the schedule
+        topology, demands = toy_instance
+        index = build_flow_lp(topology, demands)
+        problem = index.problem
+        fixed = index.flow_demand == demands.demands[0].id
+        upper = np.where(np.arange(problem.n_variables) < fixed.size, 1.0, problem.upper)
+        upper[: fixed.size][fixed] = 0.0
+        level = dataclasses.replace(index, problem=problem.with_bounds(upper, problem.rhs, "l"))
+        x = np.full(problem.n_variables, -1.5e-14)
+        x[: fixed.size][~fixed] = 1.0
+        schedule = level.extract_schedule(LpSolution("optimal", 0.0, x, 0.0))
+        assert len(schedule.allocations) == int((~fixed).sum())
+        assert all(j != demands.demands[0].id for j, *_ in schedule.allocations)
 
     def test_no_d2d_links_equals_no_d2d_total(self):
         topology, demands = no_d2d_topology()

@@ -1,22 +1,26 @@
 """The array-built flow LP against a loop-built reference, entry for entry.
 
-``loop_flow_lp`` enumerates every (demand, link, slot) and tests it one at a
-time, the way the flow LP was first written; ``build_flow_lp`` derives the
-same columns from one slot interval per (demand, link).  Both must hand the
-solver the same model: the same matrices, right-hand sides, costs and bounds,
-with columns and rows in the same order.  ``TimeExpandedIndex.relay_cost``,
-the secondary cost of the lexicographic solve, must equal the reference's
-relayed-traffic objective: the two-stage reference's overhead model (the
-spectrum model with the cap row and that cost) must equal the reference's
-direct build with the relayed-traffic objective and the spectrum cap.
+``flow_lp_reference.loop_flow_lp`` enumerates every (demand, link, slot) and
+tests it one at a time, the way the flow LP was first written;
+``build_flow_lp`` derives the same columns from one slot interval per
+(demand, link).  Both must hand the solver the same model: the same
+matrices, right-hand sides, costs and bounds, with columns and rows in the
+same order.  ``TimeExpandedIndex.relay_cost``, the secondary cost of the
+lexicographic solve, must equal the reference's relayed-traffic objective:
+the two-stage reference's overhead model (the spectrum model with the cap
+row and that cost) must equal the reference's direct build with the
+relayed-traffic objective and the spectrum cap.
+
+Heuristic step III is the full model with the kept demands' columns fixed
+at 0: its free columns must be the reference's reduced model's columns, in
+the same order, and its optimum the reduced model's.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
 import numpy as np
 import pytest
+from flow_lp_reference import assert_level_matches_reduced, loop_flow_lp, step3_lp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from linprog_reference import reference_arguments
@@ -24,144 +28,10 @@ from two_stage_reference import overhead_model
 
 from d2dlb import lp
 from d2dlb.bounds import build_complete_instance, build_ring_instance
-from d2dlb.d2d_flow import (
-    InfeasibleDemandError,
-    build_flow_lp,
-    hop_distances_from,
-    hop_distances_to_bs,
-    solve_min_spectrum_d2d,
-)
-from d2dlb.heuristic import split_demands
-from d2dlb.model import Demand, DemandSet, ModelError, Topology
-from d2dlb.no_d2d import min_spectrum_no_d2d
+from d2dlb.d2d_flow import TimeExpandedIndex, build_flow_lp, solve_min_spectrum_d2d
+from d2dlb.heuristic import HeuristicOutcome, heuristic_min_spectrum
+from d2dlb.model import DemandSet, Topology
 from d2dlb.scenario import random_multicell_instance, toy_two_cell
-
-
-def loop_flow_lp(
-    topology: Topology,
-    demands: DemandSet,
-    demand_subset: Sequence[Demand] | None = None,
-    pruning: bool = True,
-    residual_load: Mapping[tuple[str, int], float] | None = None,
-    objective: str = "spectrum",
-    spectrum_cap: float | None = None,
-) -> tuple[lp.LpProblem, dict, dict, dict, dict]:
-    """Reference builder: returns (problem, flow_vars, alpha_vars, beta_vars, peak_vars)."""
-    if objective not in ("spectrum", "d2d_traffic"):
-        raise ModelError(f"unknown objective {objective!r}")
-    demands.check_users(topology)
-    active = tuple(demand_subset) if demand_subset is not None else demands.demands
-    residual_load = dict(residual_load or {})
-    user_set = set(topology.user_ids)
-    dist_to_bs = hop_distances_to_bs(topology)
-
-    problem = lp.LpProblem("reference")
-    flow_vars: dict[tuple[int, str, str, int], int] = {}
-    real_links = list(topology.rate_map.items())
-
-    for j in active:
-        dist_src = hop_distances_from(topology, j.user)
-        span = j.end - j.start + 1
-        if dist_to_bs.get(j.user, 10**9) > span:
-            raise InfeasibleDemandError(f"demand {j.id}")
-
-        def admissible(u: str, v: str, t: int) -> bool:
-            if t == j.start and u != j.user:
-                return False  # only the source holds the data at the start slot
-            if not pruning:
-                return True
-            if dist_src.get(u, 10**9) > t - j.start:
-                return False
-            return dist_to_bs.get(v, 10**9) <= j.end - t
-
-        for (u, v), _rate in real_links:
-            for t in range(j.start, j.end + 1):
-                if admissible(u, v, t):
-                    flow_vars[(j.id, u, v, t)] = problem.add_variable(f"x_j{j.id}_{u}_{v}_t{t}")
-        for node in topology.all_nodes():
-            for t in range(j.start, j.end + 1):
-                if admissible(node, node, t):
-                    flow_vars[(j.id, node, node, t)] = problem.add_variable(
-                        f"x_j{j.id}_{node}_{node}_t{t}"
-                    )
-
-    def rate(u: str, v: str) -> float:
-        return 1.0 if u == v else float(topology.rate_map[(u, v)])
-
-    in_real = topology.in_neighbors
-    out_real = topology.out_neighbors
-    for j in active:
-        source_terms = {}
-        for v in (*out_real.get(j.user, ()), j.user):
-            col = flow_vars.get((j.id, j.user, v, j.start))
-            if col is not None:
-                source_terms[col] = rate(j.user, v)
-        problem.add_constraint(source_terms, "=", float(j.volume), f"source_j{j.id}")
-
-        arrival_terms = {}
-        for b in topology.bs_ids:
-            for v in (*in_real.get(b, ()), b):
-                col = flow_vars.get((j.id, v, b, j.end))
-                if col is not None:
-                    arrival_terms[col] = rate(v, b)
-        problem.add_constraint(arrival_terms, "=", float(j.volume), f"arrival_j{j.id}")
-
-        for node in topology.all_nodes():
-            for t in range(j.start, j.end):
-                terms: dict[int, float] = {}
-                for w in (*in_real.get(node, ()), node):
-                    col = flow_vars.get((j.id, w, node, t))
-                    if col is not None:
-                        terms[col] = terms.get(col, 0.0) + rate(w, node)
-                for w in (*out_real.get(node, ()), node):
-                    col = flow_vars.get((j.id, node, w, t + 1))
-                    if col is not None:
-                        terms[col] = terms.get(col, 0.0) - rate(node, w)
-                if terms:
-                    problem.add_constraint(terms, "=", 0.0, f"conserve_j{j.id}_{node}_t{t}")
-
-    alpha_members: dict[tuple[str, int], dict[int, float]] = {}
-    beta_members: dict[tuple[str, int], dict[int, float]] = {}
-    for (_jid, u, v, t), col in flow_vars.items():
-        if u == v:
-            continue
-        if v in user_set:
-            beta_members.setdefault((topology.home_bs[v], t), {})[col] = 1.0
-        else:
-            alpha_members.setdefault((v, t), {})[col] = 1.0
-
-    peak_vars = {b: problem.add_variable(f"peak_{b}") for b in topology.bs_ids}
-    billed_slots = sorted(set(alpha_members) | set(beta_members) | set(residual_load))
-    alpha_vars: dict[tuple[str, int], int] = {}
-    beta_vars: dict[tuple[str, int], int] = {}
-    for b, t in billed_slots:
-        a_col = problem.add_variable(f"alpha_{b}_t{t}")
-        b_col = problem.add_variable(f"beta_{b}_t{t}")
-        alpha_vars[(b, t)] = a_col
-        beta_vars[(b, t)] = b_col
-        problem.add_constraint({**alpha_members.get((b, t), {}), a_col: -1.0}, "=", 0.0)
-        problem.add_constraint({**beta_members.get((b, t), {}), b_col: -1.0}, "=", 0.0)
-        problem.add_constraint(
-            {a_col: 1.0, b_col: 1.0, peak_vars[b]: -1.0},
-            "<=",
-            -float(residual_load.get((b, t), 0.0)),
-        )
-
-    if spectrum_cap is not None:
-        problem.add_constraint(
-            {col: 1.0 for col in peak_vars.values()}, "<=", float(spectrum_cap), "total_cap"
-        )
-
-    if objective == "spectrum":
-        problem.set_objective({col: 1.0 for col in peak_vars.values()})
-    else:
-        demand_end = {j.id: j.end for j in active}
-        obj: dict[int, float] = {}
-        for (jid, u, v, t), col in flow_vars.items():
-            if u != v and v in user_set and t <= demand_end[jid] - 1:
-                obj[col] = rate(u, v)
-        problem.set_objective(obj)
-    return problem, flow_vars, alpha_vars, beta_vars, peak_vars
 
 
 def assert_same_problem(got: lp.LpProblem, want: lp.LpProblem) -> None:
@@ -181,19 +51,24 @@ def assert_same_problem(got: lp.LpProblem, want: lp.LpProblem) -> None:
             assert np.array_equal(a.data, b.data), name
 
 
+def column_keys(index: TimeExpandedIndex, columns: np.ndarray) -> list[tuple]:
+    """(demand, src, dst, slot) of the given flow columns, in their order."""
+    nodes = index.nodes
+    return list(
+        zip(
+            index.flow_demand[columns].tolist(),
+            [nodes[i] for i in index.flow_src[columns].tolist()],
+            [nodes[i] for i in index.flow_dst[columns].tolist()],
+            index.flow_slot[columns].tolist(),
+        )
+    )
+
+
 def assert_same_model(topology: Topology, demands: DemandSet, **kwargs) -> None:
     index = build_flow_lp(topology, demands, **kwargs)
     ref, flow_vars, alpha_vars, beta_vars, peak_vars = loop_flow_lp(topology, demands, **kwargs)
 
-    nodes = index.nodes
-    keys = list(
-        zip(
-            index.flow_demand.tolist(),
-            [nodes[i] for i in index.flow_src.tolist()],
-            [nodes[i] for i in index.flow_dst.tolist()],
-            index.flow_slot.tolist(),
-        )
-    )
+    keys = column_keys(index, np.arange(index.n_flow_variables))
     assert keys == list(flow_vars), "flow columns differ in set or order"
     assert list(flow_vars.values()) == list(range(len(flow_vars)))
     assert index.alpha_vars == alpha_vars
@@ -269,6 +144,22 @@ def test_random_multicell(seed, pruning):
     assert_same_overhead_model(topology, demands, 3.5, pruning=pruning)
 
 
+def assert_step3_is_reduced_model(
+    topology: Topology, demands: DemandSet, level: float
+) -> HeuristicOutcome:
+    """A level's free columns are the reduced model's, and its optimum is the reduced model's."""
+    outcome = heuristic_min_spectrum(topology, demands, level)
+    _, flow_vars, _, _, _ = step3_lp(topology, demands, outcome.split)
+    assert outcome.step3_variables == len(flow_vars)
+    if outcome.flow is not None:
+        index = outcome.flow.index
+        free = np.flatnonzero(index.problem.upper[: index.n_flow_variables] > 0)
+        assert column_keys(index, free) == list(flow_vars), "free columns differ"
+    for pruning in (True, False):
+        assert_level_matches_reduced(outcome, topology, demands, pruning)
+    return outcome
+
+
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([0.0, 0.25, 0.5, 0.9]))
 @settings(max_examples=15, deadline=None)
 def test_heuristic_step3_subset_with_residual(seed, level):
@@ -276,25 +167,7 @@ def test_heuristic_step3_subset_with_residual(seed, level):
     topology, demands = random_multicell_instance(
         rng, n_cells=3, users_per_cell=3, n_demands=18, horizon=14, delays=(1, 2, 3, 4)
     )
-    _, nd_schedule, _ = min_spectrum_no_d2d(topology, demands)
-    split = split_demands(topology, demands, nd_schedule, level)
-    subset = tuple(j for j in demands.demands if j.id in split.d2d_demand_ids)
-    for pruning in (True, False):
-        assert_same_model(
-            topology,
-            demands,
-            demand_subset=subset,
-            pruning=pruning,
-            residual_load=split.residual_load,
-        )
-        assert_same_overhead_model(
-            topology,
-            demands,
-            10.0,
-            demand_subset=subset,
-            pruning=pruning,
-            residual_load=split.residual_load,
-        )
+    assert_step3_is_reduced_model(topology, demands, level)
 
 
 def test_bs_ids_out_of_string_order():
@@ -306,4 +179,11 @@ def test_bs_ids_out_of_string_order():
     )
     assert list(topology.bs_ids) != sorted(topology.bs_ids)
     assert_same_model(topology, demands)
-    assert_same_model(topology, demands, pruning=False, residual_load={("b10", 2): 0.5})
+    assert_same_model(topology, demands, pruning=False)
+    # a split keeping load on b11: its peak row is found by key, not by position
+    rng = np.random.default_rng(15)
+    topology, demands = random_multicell_instance(
+        rng, n_cells=11, users_per_cell=2, n_demands=24, horizon=6, d2d_link_prob=0.3
+    )
+    outcome = assert_step3_is_reduced_model(topology, demands, 0.75)
+    assert ("b11", 4) in outcome.split.residual_load

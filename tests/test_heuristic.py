@@ -1,13 +1,17 @@
 """Split-level heuristic: the six-task example, endpoints, and the sandwich."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from flow_lp_reference import loop_flow_lp
 from hypothesis import strategies as st
 
 from d2dlb import lp
-from d2dlb.d2d_flow import build_flow_lp, solve_min_spectrum_d2d
+from d2dlb.d2d_flow import solve_min_spectrum_d2d
 from d2dlb.heuristic import (
+    _solve_level,
     check_heuristic_bounds,
     heuristic_min_overhead,
     heuristic_min_spectrum,
@@ -200,6 +204,61 @@ def assert_sweep_equals_levels_alone(topology, demands, levels=SWEEP_LEVELS):
         assert got == level_alone(topology, demands, row.level), row.level
 
 
+def recorded_solves(topology, demands, levels) -> list[tuple[str, bool, lp.LpSolution]]:
+    """(LP name, started from a basis, solution) of each lexicographic solve of a sweep."""
+    solves = []
+    solve_lexicographic = lp.solve_lexicographic
+
+    def recording(problem, secondary_cost, basis=None):
+        solution = solve_lexicographic(problem, secondary_cost, basis)
+        solves.append((problem.name, basis is not None, solution))
+        return solution
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "solve_lexicographic", recording)
+        patch.setattr(lp, "solve", lambda *args: pytest.fail("a second kind of LP was solved"))
+        heuristic_sweep(topology, demands, levels)
+    return solves
+
+
+def assert_warm_levels_certified(topology, demands, levels=SWEEP_LEVELS) -> int:
+    """Every step III of the sweep starts from a basis and passes its certificate
+    re-run without an iteration; returns how many there were."""
+    solves = recorded_solves(topology, demands, levels)
+    assert [(name, warm) for name, warm, _ in solves[:1]] == [("min-spectrum-d2d", False)]
+    for name, warm, solution in solves[1:]:
+        assert warm and name.startswith("heuristic-spectrum-level"), name
+        assert solution.certificate_iterations == 0 and not solution.fallback, name
+    return len(solves) - 1
+
+
+def random_instance(seed):
+    rng = np.random.default_rng(seed)
+    return random_multicell_instance(
+        rng,
+        n_cells=int(rng.integers(2, 4)),
+        users_per_cell=int(rng.integers(2, 4)),
+        n_demands=int(rng.integers(6, 18)),
+        horizon=int(rng.integers(8, 14)),
+        delays=(1, 2, 3, 4),
+    )
+
+
+#: a grid out of order, and the same levels in order
+SHUFFLED_LEVELS = (0.75, 0.25, 1.0, 0.5, 0.0, 0.9)
+
+
+def assert_grid_order_irrelevant(topology, demands):
+    def numbers(levels):
+        sweep = heuristic_sweep(topology, demands, levels)
+        return {
+            row.level: (row.total_spectrum, row.rho, row.eta, row.n_d2d_demands, row.step3_variables)
+            for row in sweep.levels
+        }
+
+    assert numbers(SHUFFLED_LEVELS) == numbers(sorted(SHUFFLED_LEVELS))
+
+
 class TestSweep:
     @pytest.mark.parametrize("instance", [heuristic_six_task, toy_two_cell])
     def test_rows_equal_levels_solved_alone(self, instance):
@@ -208,35 +267,61 @@ class TestSweep:
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=10, deadline=None)
     def test_rows_equal_levels_solved_alone_property(self, seed):
-        rng = np.random.default_rng(seed)
-        topology, demands = random_multicell_instance(
-            rng,
-            n_cells=int(rng.integers(2, 4)),
-            users_per_cell=int(rng.integers(2, 4)),
-            n_demands=int(rng.integers(6, 18)),
-            horizon=int(rng.integers(8, 14)),
-            delays=(1, 2, 3, 4),
-        )
-        assert_sweep_equals_levels_alone(topology, demands)
+        assert_sweep_equals_levels_alone(*random_instance(seed))
 
-    def test_toy_sweep_solves_one_lp(self, monkeypatch):
+    def test_grid_out_of_order_gives_the_same_rows(self):
+        # seed 77: three distinct partial eligible sets, each solved warm
+        rng = np.random.default_rng(77)
+        topology, demands = random_multicell_instance(
+            rng, n_cells=3, users_per_cell=3, n_demands=18, horizon=15
+        )
+        assert assert_warm_levels_certified(topology, demands, SHUFFLED_LEVELS) == 3
+        assert_grid_order_irrelevant(topology, demands)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_grid_out_of_order_gives_the_same_rows_property(self, seed):
+        assert_grid_order_irrelevant(*random_instance(seed))
+
+    def test_toy_sweep_solves_one_lp(self):
         # levels 0-0.75 make every demand eligible, so they share the full
         # problem's lexicographic solve; level 1 makes none eligible and
         # needs no LP
-        calls = []
-        solve_lexicographic = lp.solve_lexicographic
-
-        def counting_solve(problem, secondary_cost):
-            calls.append(problem.name)
-            return solve_lexicographic(problem, secondary_cost)
-
-        monkeypatch.setattr(lp, "solve_lexicographic", counting_solve)
-        monkeypatch.setattr(lp, "solve", lambda *args: pytest.fail("a second LP was solved"))
         topology, demands = toy_two_cell()
         sweep = heuristic_sweep(topology, demands, SWEEP_LEVELS)
         assert [row.n_d2d_demands for row in sweep.levels] == [4, 4, 4, 4, 0]
         assert [row.reused for row in sweep.levels] == [False, True, True, True, False]
-        assert calls == ["min-spectrum-d2d"]
+        solves = recorded_solves(topology, demands, SWEEP_LEVELS)
+        assert [(name, warm) for name, warm, _ in solves] == [("min-spectrum-d2d", False)]
+
+    def test_six_task_sweep_solves_one_warm_level(self):
+        # levels 0.5 and 0.75 share the eligible set {C, D}: one step III,
+        # started from the full optimum's basis
+        topology, demands = heuristic_six_task()
+        solves = recorded_solves(topology, demands, SWEEP_LEVELS)
+        assert [(name, warm) for name, warm, _ in solves] == [
+            ("min-spectrum-d2d", False),
+            ("heuristic-spectrum-level0.5", True),
+        ]
+
+    def test_warm_levels_certified_on_six_task(self):
+        assert assert_warm_levels_certified(*heuristic_six_task()) == 1
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_warm_levels_certified_property(self, seed):
+        assert_warm_levels_certified(*random_instance(seed))
+
+    def test_kept_load_without_peak_row_is_refused(self):
+        # every kept (BS, slot) has a peak row in the full LP; one that does
+        # not is refused, not dropped
+        topology, demands = heuristic_six_task()
+        _, schedule, _ = min_spectrum_no_d2d(topology, demands)
+        split = split_demands(topology, demands, schedule, 0.5)
+        outside = ("b1", demands.horizon + 1)
+        split = dataclasses.replace(split, residual_load={**split.residual_load, outside: 1.0})
+        with pytest.raises(lp.LpError, match="no peak row"):
+            _solve_level(topology, demands, split, solve_min_spectrum_d2d(topology, demands))
 
     @pytest.mark.parametrize("instance", [heuristic_six_task, toy_two_cell])
     def test_empty_eligible_set_matches_its_lp(self, instance):
@@ -244,12 +329,12 @@ class TestSweep:
         topology, demands = instance()
         outcome = heuristic_min_spectrum(topology, demands, 1.0)
         assert outcome.step3_variables == 0
-        index = build_flow_lp(
+        problem, _, _, _, peak_vars = loop_flow_lp(
             topology, demands, demand_subset=(), residual_load=outcome.split.residual_load
         )
-        solution = lp.solve(index.problem)
+        solution = lp.solve(problem)
         assert solution.objective == pytest.approx(outcome.total_spectrum, rel=1e-12)
-        for b, col in index.peak_vars.items():
+        for b, col in peak_vars.items():
             assert solution.value(col) == pytest.approx(
                 outcome.per_bs_peak[b], rel=1e-12, abs=1e-12
             )

@@ -4,7 +4,9 @@
 builds, on the same engine, so on every model it must end where ``linprog``
 ends: the same status and iteration count, the same point bit for bit, the
 same objective and the same row duals.  The second half checks the duality
-certificate that those duals carry on flow-LP optima.
+certificate that those duals carry on flow-LP optima.  Heuristic step III is
+checked both as the reference's reduced model and as the full model with
+fixed columns that the heuristic solves.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from flow_lp_reference import assert_level_matches_reduced, step3_lp
 from hypothesis import strategies as st
 from linprog_reference import STATUS, reference_solve
 from no_d2d_reference import build_min_spectrum_nd_lp
@@ -22,9 +25,9 @@ from two_stage_reference import overhead_model
 from d2dlb import lp
 from d2dlb.bounds import build_complete_instance, build_ring_instance
 from d2dlb.d2d_flow import build_flow_lp, solve_min_spectrum_d2d
-from d2dlb.heuristic import split_demands
+from d2dlb.heuristic import HeuristicOutcome, heuristic_min_spectrum
 from d2dlb.model import DemandSet, Topology
-from d2dlb.no_d2d import CellInstance, min_spectrum_no_d2d
+from d2dlb.no_d2d import CellInstance
 from d2dlb.scenario import (
     GeoParams,
     generate_topology,
@@ -72,21 +75,13 @@ def complete2x2() -> tuple[Topology, DemandSet]:
     return inst.topology, inst.demands
 
 
-def step3_subset(seed: int, level: float) -> dict:
-    """Keyword arguments of ``build_flow_lp`` for a heuristic step III."""
+def step3_subset(seed: int, level: float) -> tuple[Topology, DemandSet, HeuristicOutcome]:
+    """An instance and its heuristic step III at ``level``."""
     rng = np.random.default_rng(seed)
     topology, demands = random_multicell_instance(
         rng, n_cells=3, users_per_cell=3, n_demands=18, horizon=14, delays=(1, 2, 3, 4)
     )
-    _, nd_schedule, _ = min_spectrum_no_d2d(topology, demands)
-    split = split_demands(topology, demands, nd_schedule, level)
-    subset = tuple(j for j in demands.demands if j.id in split.d2d_demand_ids)
-    return dict(
-        topology=topology,
-        demands=demands,
-        demand_subset=subset,
-        residual_load=split.residual_load,
-    )
+    return topology, demands, heuristic_min_spectrum(topology, demands, level)
 
 
 @pytest.mark.parametrize("pruning", [True, False])
@@ -117,9 +112,21 @@ def test_random_multicell(seed, pruning):
 @pytest.mark.parametrize("pruning", [True, False])
 @pytest.mark.parametrize("seed,level", [(0, 0.25), (8, 0.5), (6, 0.9)])
 def test_heuristic_step3_subset_with_residual(seed, level, pruning):
-    kwargs = step3_subset(seed, level)
-    assert kwargs["demand_subset"] and kwargs["residual_load"]
-    assert_both_stages_same(pruning=pruning, **kwargs)
+    # the reference's reduced model, both stages, and the fixed-column model
+    # the heuristic solves warm: cold, each ends where linprog ends
+    topology, demands, outcome = step3_subset(seed, level)
+    split = outcome.split
+    assert split.d2d_demand_ids and split.residual_load
+    problem = step3_lp(topology, demands, split, pruning)[0]
+    assert assert_same_as_linprog(problem) == "optimal"
+    total = lp.run_highs(problem).objective
+    cap = total + lp.FALLBACK_CAP_SLACK * max(1.0, abs(total))
+    overhead = step3_lp(
+        topology, demands, split, pruning, objective="d2d_traffic", spectrum_cap=cap
+    )[0]
+    assert assert_same_as_linprog(overhead) == "optimal"
+    assert assert_same_as_linprog(outcome.flow.index.problem) == "optimal"
+    assert_level_matches_reduced(outcome, topology, demands, pruning)
 
 
 def test_no_d2d_cell_lp():
@@ -270,7 +277,18 @@ def test_certificate_named_instances(instance):
 
 
 def test_certificate_heuristic_subset():
-    assert_both_stages_certified(build_flow_lp(**step3_subset(8, 0.5)))
+    topology, demands, outcome = step3_subset(8, 0.5)
+    flow = outcome.flow
+    assert lp.dual_certificate_gap(flow.index.problem, flow.solution) <= GAP_TOL
+    assert not flow.solution.fallback
+    problem = step3_lp(topology, demands, outcome.split)[0]
+    spectrum = assert_certified(problem)
+    cap = spectrum.objective + lp.FALLBACK_CAP_SLACK * max(1.0, abs(spectrum.objective))
+    overhead = step3_lp(
+        topology, demands, outcome.split, objective="d2d_traffic", spectrum_cap=cap
+    )[0]
+    assert_certified(overhead)
+    assert_level_matches_reduced(outcome, topology, demands)
 
 
 def test_certificate_pinned_day():

@@ -6,7 +6,10 @@ on the spectrum cost.  The reference solves the spectrum model, caps the sum
 of peaks at its optimum F and minimizes the relayed traffic R in a second
 solve.  Both must give the same F (rel 1e-9) and R (rel 1e-6), every
 certified optimum must pass the duality certificate on the spectrum model,
-and none of these instances may need the fallback.
+and none of these instances may need the fallback.  Heuristic step III,
+solved as the full model with fixed columns from the full optimum's basis,
+is held to the two-stage answer of the reference's reduced model, and its
+certificate re-run must take no iteration.
 """
 
 from __future__ import annotations
@@ -14,15 +17,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from flow_lp_reference import assert_level_matches_reduced, step3_lp
 from hypothesis import strategies as st
-from two_stage_reference import flow_two_stage
+from two_stage_reference import flow_two_stage, solve_two_stage
 
 from d2dlb import lp
 from d2dlb.bounds import build_complete_instance, build_ring_instance
-from d2dlb.d2d_flow import build_flow_lp, solve_flow_lp
-from d2dlb.heuristic import split_demands
+from d2dlb.d2d_flow import build_flow_lp, solve_min_spectrum_d2d
+from d2dlb.heuristic import heuristic_min_spectrum
 from d2dlb.model import DemandSet, Topology
-from d2dlb.no_d2d import min_spectrum_no_d2d
 from d2dlb.scenario import random_multicell_instance, toy_two_cell
 
 #: largest duality gap accepted on these flow LPs
@@ -30,7 +33,7 @@ GAP_TOL = 1e-9
 
 
 def assert_matches_two_stage(topology: Topology, demands: DemandSet, **kwargs) -> None:
-    flow = solve_flow_lp(topology, demands, **kwargs)
+    flow = solve_min_spectrum_d2d(topology, demands, **kwargs)
     assert not flow.solution.fallback
     assert lp.dual_certificate_gap(flow.index.problem, flow.solution) <= GAP_TOL
     f_ref, r_ref = flow_two_stage(build_flow_lp(topology, demands, **kwargs))
@@ -79,11 +82,15 @@ def test_heuristic_step3_subset_with_residual(seed, level):
     topology, demands = random_multicell_instance(
         rng, n_cells=3, users_per_cell=3, n_demands=18, horizon=14, delays=(1, 2, 3, 4)
     )
-    _, nd_schedule, _ = min_spectrum_no_d2d(topology, demands)
-    split = split_demands(topology, demands, nd_schedule, level)
-    assert_matches_two_stage(
-        topology,
-        demands,
-        demand_subset=tuple(j for j in demands.demands if j.id in split.d2d_demand_ids),
-        residual_load=split.residual_load,
-    )
+    outcome = heuristic_min_spectrum(topology, demands, level)
+    if outcome.flow is not None:
+        flow = outcome.flow
+        assert flow.solution.certificate_iterations == 0 and not flow.solution.fallback
+        assert lp.dual_certificate_gap(flow.index.problem, flow.solution) <= GAP_TOL
+    problem = step3_lp(topology, demands, outcome.split)[0]
+    relay_cost = step3_lp(topology, demands, outcome.split, objective="d2d_traffic")[0].objective
+    primary, secondary = solve_two_stage(problem, relay_cost)
+    assert primary.optimal and secondary.optimal, (primary.status, secondary.status)
+    assert outcome.total_spectrum == pytest.approx(primary.objective, rel=1e-9, abs=1e-12)
+    assert outcome.relayed_traffic == pytest.approx(secondary.objective, rel=1e-6, abs=1e-9)
+    assert_level_matches_reduced(outcome, topology, demands)

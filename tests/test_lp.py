@@ -273,6 +273,48 @@ class TestLexicographic:
         assert secondary @ got.x == pytest.approx(second.objective, rel=1e-6)
         assert dual_certificate_gap(problem(), got) <= 1e-6
 
+    def test_warm_start_after_bound_changes_matches_cold(self):
+        # fix a third of the columns at 0 and loosen the rows, as a heuristic
+        # level changes the full flow LP: the solve started from the first
+        # optimum's basis reaches the cold solve's optimum and is certified
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            p = random_feasible_lp(rng, n_max=80)
+            secondary = rng.random(p.n_variables)
+            first = solve_lexicographic(p, secondary)
+            assert first.optimal and first.basis is not None
+            upper = np.where(rng.random(p.n_variables) < 1 / 3, 0.0, p.upper)
+            q = p.with_bounds(upper, p.rhs + np.where(p.equality, 0.0, 1.0), "changed")
+            cold = solve_lexicographic(q, secondary)
+            warm = solve_lexicographic(q, secondary, first.basis)
+            assert warm.status == cold.status
+            if cold.optimal:
+                assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+                assert secondary @ warm.x == pytest.approx(secondary @ cold.x, rel=1e-6, abs=1e-9)
+                assert warm.max_primal_residual <= lp.RESULT_CHECK_TOL
+                assert np.all(warm.x[upper == 0.0] <= lp.RESULT_CHECK_TOL)
+                assert dual_certificate_gap(q, warm) <= 1e-6 * (1.0 + abs(warm.objective))
+
+    def test_basis_of_another_shape_refused(self):
+        p = random_feasible_lp(np.random.default_rng(1), n_max=60)
+        basis = solve_lexicographic(p, np.ones(p.n_variables)).basis
+        with pytest.raises(LpError, match="refused the starting basis"):
+            solve_lexicographic(lower_bounded_min(), np.zeros(1), basis)
+
+    def test_with_bounds_keeps_the_matrix(self):
+        p = random_feasible_lp(np.random.default_rng(2), n_max=30)
+        rhs = p.rhs.copy()
+        q = p.with_bounds(np.ones(p.n_variables), np.zeros(p.n_constraints), "boxed")
+        assert q.name == "boxed"
+        assert all(np.array_equal(a, b) for a, b in zip(q.triplets(), p.triplets()))
+        assert np.array_equal(q.objective, p.objective) and np.array_equal(q.lower, p.lower)
+        assert np.array_equal(q.equality, p.equality)
+        assert np.isinf(p.upper).all() and np.array_equal(p.rhs, rhs)  # the original is untouched
+        with pytest.raises(LpError, match="empty bound interval"):
+            p.with_bounds(-np.ones(p.n_variables), p.rhs, "inverted")
+        with pytest.raises(LpError, match="bounds of shape"):
+            p.with_bounds(np.ones(p.n_variables + 1), p.rhs, "too many")
+
     def test_secondary_cost_shape_checked(self):
         with pytest.raises(LpError, match="secondary cost has shape"):
             solve_lexicographic(lower_bounded_min(), np.zeros(2))
