@@ -8,7 +8,10 @@ sparse (row, column, value) triplets.
 (``scipy.optimize._highspy._core``), with the model and the settings
 ``scipy.optimize.linprog(method="highs")`` would build and ``linprog``'s
 reading of the result, without ``linprog``'s input cleaning and
-bound-marginal copies.  The settings are one constant, ``HIGHS_OPTIONS``:
+bound-marginal copies.  The engine is loaded from its file
+(``_load_engine``) and the column-wise matrix is built with numpy
+(``column_wise``), so ``scipy.optimize`` and ``scipy.sparse`` are never
+imported.  The settings are one constant, ``HIGHS_OPTIONS``:
 the formulation is solved one fixed way.  ``solve_lexicographic`` minimizes
 a second cost among the minimizers of the first with one model on one HiGHS
 object: a weighted solve, then a re-run of its basis on the first cost alone
@@ -18,20 +21,50 @@ certifies, so a problem that differs from a solved one only in bounds and
 right-hand sides (``LpProblem.with_bounds``) is re-solved by dual simplex
 from where the solved one ended.
 
-Every optimum carries row duals, so ``dual_certificate_gap`` certifies it,
-and problems can be dumped to the fixed LP text format for external
-debugging.
+Every optimum carries row duals, so ``dual_certificate_gap`` certifies it.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse
-from scipy.optimize._highspy import _core as _highs
+import scipy
+
+#: the full import name of the HiGHS engine scipy ships
+ENGINE = "scipy.optimize._highspy._core"
+
+
+def _load_engine(directory: str) -> ModuleType:
+    """The HiGHS extension module ``ENGINE``, loaded from its file in ``directory``.
+
+    Loading the file directly skips ``scipy/optimize/__init__.py`` (linprog,
+    minimize, scipy.linalg, scipy.sparse and the rest), which costs far more
+    start-up time and memory than the engine itself.  The module is
+    registered under its full name, and an entry already there, from an
+    earlier ``import scipy.optimize`` or an earlier call, is reused: pybind11
+    cannot register the engine's types twice in one process, and with one
+    module object ``linprog`` and this module share them.
+    """
+    spec = importlib.machinery.PathFinder.find_spec(ENGINE, [directory])
+    if spec is None:
+        raise ImportError(f"no HiGHS engine {ENGINE} in {directory}; d2dlb needs scipy>=1.15")
+    if ENGINE in sys.modules:
+        return sys.modules[ENGINE]
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[ENGINE] = module
+    return module
+
+
+_highs = _load_engine(os.path.join(scipy.__path__[0], "optimize", "_highspy"))
 
 
 #: a simplex basis as HiGHS reports it: one status per column and per row
@@ -86,8 +119,8 @@ class LpProblem:
     numbered in the order they are added; variables default to [0, +inf).
     ``add_variable``/``add_constraint`` append one at a time,
     ``add_variables``/``add_constraints`` append whole blocks.  Names are
-    optional and only used by ``to_lp_format``: an unnamed variable prints as
-    ``x<i>``, an unnamed row as ``c<i>``.
+    optional: a row's name (``c<i>`` when unnamed) labels ``validate``'s
+    errors, and both kinds label the tests' LP text dumps.
     """
 
     def __init__(self, name: str = "lp"):
@@ -136,9 +169,6 @@ class LpProblem:
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(row, column, value) arrays of the constraint matrix's entries."""
         return self._rows.array(), self._cols.array(), self._vals.array()
-
-    def var_name(self, i: int) -> str:
-        return self.var_names.get(i, f"x{i}")
 
     def row_name(self, r: int) -> str:
         return self.row_names.get(r, f"c{r}")
@@ -280,45 +310,6 @@ class LpProblem:
             worst = max(worst, float(np.max(excess)))
         return worst
 
-    def to_lp_format(self) -> str:
-        """Render in the fixed LP text format (CPLEX dialect)."""
-
-        def term(c: float, name: str) -> str:
-            sign = "-" if c < 0 else "+"
-            return f"{sign} {abs(c):.17g} {name}"
-
-        n, m = self.n_variables, self.n_constraints
-        names = [self.var_name(i) for i in range(n)]
-        lines = [f"\\ Problem: {self.name}", "Minimize", " obj:"]
-        c = self.objective
-        used = np.flatnonzero(c)
-        if used.size:
-            body = " ".join(term(c[i], names[i]) for i in used)
-            lines[-1] += " " + body.lstrip("+ ")
-        else:
-            lines[-1] += " 0 " + (names[0] if names else "x0")
-        lines.append("Subject To")
-        rows, cols, vals = self.triplets()
-        matrix = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, n))
-        for r in range(m):
-            lo, hi = matrix.indptr[r], matrix.indptr[r + 1]
-            body = " ".join(
-                term(coef, names[i]) for i, coef in zip(matrix.indices[lo:hi], matrix.data[lo:hi])
-            )
-            op = "=" if self.equality[r] else "<="
-            lines.append(f" {self.row_name(r)}: {body.lstrip('+ ')} {op} {self.rhs[r]:.17g}")
-        lines.append("Bounds")
-        for name, lo, hi in zip(names, self.lower, self.upper):
-            if math.isinf(hi):
-                if lo != 0.0:
-                    lines.append(f" {name} >= {lo:.17g}")
-                else:
-                    lines.append(f" 0 <= {name}")
-            else:
-                lines.append(f" {lo:.17g} <= {name} <= {hi:.17g}")
-        lines.append("End")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -418,6 +409,32 @@ HIGHS_OPTIONS = {
 }
 
 
+def column_wise(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, m: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The m x n matrix with entries (row, column, value) in compressed column form.
+
+    Returns ``indptr``, ``indices`` (both int32, as HiGHS takes them) and
+    ``data`` as ``scipy.sparse.csc_array`` builds them from the same
+    triplets: column by column, rows ascending within a column, entries with
+    the same row and column summed in the order given (a sum that comes to 0
+    stays, as an explicit 0).  One stable sort of the key ``column * m + row``
+    orders the entries.
+    """
+    key = np.asarray(cols, np.int64) * m + rows
+    order = np.argsort(key, kind="stable")
+    key, indices, data = key[order], rows[order], vals[order]
+    counted = cols
+    repeat = key[1:] == key[:-1]
+    if repeat.any():
+        first = np.concatenate(([True], ~repeat))
+        starts = np.flatnonzero(first)
+        data = np.bincount(np.cumsum(first) - 1, data)  # adds in input order, as scipy does
+        indices, counted = indices[starts], key[starts] // m
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(counted, minlength=n))))
+    return indptr.astype(np.int32), indices.astype(np.int32), data
+
+
 def _pass_model(problem: LpProblem, cost: np.ndarray) -> tuple[_highs._Highs | None, np.ndarray]:
     """One HiGHS object holding ``problem`` with objective ``cost``, set up as ``linprog`` would.
 
@@ -436,7 +453,7 @@ def _pass_model(problem: LpProblem, cost: np.ndarray) -> tuple[_highs._Highs | N
     order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
     position = np.empty(m, np.int64)
     position[order] = np.arange(m)
-    matrix = scipy.sparse.csc_array((vals, (position[rows], cols)), shape=(m, n))
+    indptr, indices, data = column_wise(position[rows], cols, vals, m, n)
     rhs = problem.rhs[order]
     highs = _highs._Highs()
     for name, value in HIGHS_OPTIONS.items():
@@ -445,7 +462,7 @@ def _pass_model(problem: LpProblem, cost: np.ndarray) -> tuple[_highs._Highs | N
     passed = highs.passModel(
         n,
         m,
-        matrix.nnz,
+        data.size,
         int(_highs.MatrixFormat.kColwise),
         int(_highs.ObjSense.kMinimize),
         0.0,  # objective offset
@@ -454,9 +471,9 @@ def _pass_model(problem: LpProblem, cost: np.ndarray) -> tuple[_highs._Highs | N
         np.where(np.isinf(problem.upper), _highs.kHighsInf, problem.upper),
         np.where(eq[order], rhs, -_highs.kHighsInf),
         rhs,
-        matrix.indptr.astype(np.int32, copy=False),
-        matrix.indices.astype(np.int32, copy=False),
-        matrix.data,
+        indptr,
+        indices,
+        data,
         np.zeros(n, np.int32),  # every column continuous: an LP, as in linprog
     )
     return (None if passed == _highs.HighsStatus.kError else highs), position

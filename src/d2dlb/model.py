@@ -495,25 +495,6 @@ def per_slot_loads(
     return loads
 
 
-def split_loads(
-    schedule: Schedule, topology: Topology
-) -> tuple[dict[tuple[str, int], Number], dict[tuple[str, int], Number]]:
-    """Per-(BS, slot) uplink load (into the BS) and D2D load (into its users)."""
-    user_set = set(topology.user_ids)
-    uplink: dict[tuple[str, int], Number] = {}
-    d2d: dict[tuple[str, int], Number] = {}
-    for (j, u, v, t), x in schedule.allocations.items():
-        if u == v:
-            continue
-        if v in user_set:
-            key = (topology.home_bs[v], t)
-            d2d[key] = d2d.get(key, 0) + x
-        else:
-            key = (v, t)
-            uplink[key] = uplink.get(key, 0) + x
-    return uplink, d2d
-
-
 @dataclass(frozen=True)
 class SpectrumResult:
     """Per-BS peak spectrum and its sum."""

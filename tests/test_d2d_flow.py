@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lp_format import to_lp_format
 from simplex_reference import solve_reference
 from two_stage_reference import overhead_model
 
@@ -22,14 +23,34 @@ from d2dlb.d2d_flow import (
 from d2dlb.lp import LpSolution, solve
 from d2dlb.model import (
     DemandSet,
+    Number,
+    Schedule,
     Topology,
     compute_volumes,
     per_slot_loads,
-    split_loads,
     validate_schedule,
 )
 from d2dlb.no_d2d import min_spectrum_no_d2d
 from d2dlb.scenario import random_multicell_instance, toy_two_cell
+
+
+def split_loads(
+    schedule: Schedule, topology: Topology
+) -> tuple[dict[tuple[str, int], Number], dict[tuple[str, int], Number]]:
+    """Per-(BS, slot) uplink load (into the BS) and D2D load (into its users)."""
+    user_set = set(topology.user_ids)
+    uplink: dict[tuple[str, int], Number] = {}
+    d2d: dict[tuple[str, int], Number] = {}
+    for (j, u, v, t), x in schedule.allocations.items():
+        if u == v:
+            continue
+        if v in user_set:
+            key = (topology.home_bs[v], t)
+            d2d[key] = d2d.get(key, 0) + x
+        else:
+            key = (v, t)
+            uplink[key] = uplink.get(key, 0) + x
+    return uplink, d2d
 
 
 def no_d2d_topology() -> tuple[Topology, DemandSet]:
@@ -236,7 +257,7 @@ class TestStructuralProperties:
     def test_min_overhead_lp_dump_smoke(self, toy_instance):
         topology, demands = toy_instance
         problem = overhead_model(build_flow_lp(topology, demands), 4.0)
-        text = problem.to_lp_format()
+        text = to_lp_format(problem)
         assert "primary_cap" in text
         solution = solve(problem)
         assert solution.status == "optimal"

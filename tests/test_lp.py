@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from lp_format import to_lp_format
 from simplex_reference import solve_reference
 from two_stage_reference import solve_two_stage
 
@@ -196,7 +197,7 @@ class TestProblemContainer:
 
     def test_lp_format_dump(self):
         p = lower_bounded_min()
-        text = p.to_lp_format()
+        text = to_lp_format(p)
         assert text.startswith("\\ Problem: min_x_above_3")
         assert "Minimize" in text and "Subject To" in text and text.rstrip().endswith("End")
         assert "- 1 x" in text  # the flipped >= constraint
