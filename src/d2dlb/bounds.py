@@ -199,7 +199,7 @@ def build_ring_instance(delay: int, volume: Number = 1) -> ConstructedInstance:
                 for t in range(leg, delay):
                     add(i, side(leg - 1), side(leg), offset + t, peak)
                 add(i, side(leg), topology.home_bs[side(leg)], offset + delay, peak)
-    schedule = fill_storage(Schedule(transmissions), topology, demands)
+    schedule = fill_storage(Schedule.from_allocations(transmissions), topology, demands)
 
     rho = Fraction(2 * (delay - 1), 3 * delay - 2)
     eta = Fraction(delay * (delay - 1), delay * delay + 2 * delay - 2)
@@ -260,7 +260,7 @@ def build_complete_instance(n_cells: int, delay: int, volume: Number = 1) -> Con
                 add(i, helper, bs[k], offset + half + 1, peak / 2)
                 for t in range(half + 2, delay + 1):
                     add(i, helper, bs[k], offset + t, peak)
-    schedule = fill_storage(Schedule(transmissions), topology, demands)
+    schedule = fill_storage(Schedule.from_allocations(transmissions), topology, demands)
 
     rho = Fraction(n_cells - 1, n_cells + 1)
     eta = Fraction(n_cells - 1, 2 * n_cells)

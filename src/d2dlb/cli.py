@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -58,7 +59,7 @@ from .model import (
     compute_volumes,
     instance_from_json,
     instance_to_json,
-    per_slot_loads,
+    slot_loads,
     validate_schedule,
 )
 from .no_d2d import min_spectrum_no_d2d
@@ -116,7 +117,8 @@ def _provenance(config: ExperimentConfig) -> list[str]:
     return [f"config_hash={config.hash()}", f"seed={config.seed}", *tolerances]
 
 
-def load_instance(config: ExperimentConfig) -> tuple[Topology, DemandSet]:
+def load_instance(config: ExperimentConfig, source: bytes | None = None) -> tuple[Topology, DemandSet]:
+    """The instance ``config`` names; ``source`` is the --instance file's bytes, if already read."""
     sources = [s for s in (config.fixture, config.trace, config.instance, config.generate) if s]
     if len(sources) != 1:
         raise ModelError("exactly one of --fixture / --trace / --instance / --generate required")
@@ -124,8 +126,9 @@ def load_instance(config: ExperimentConfig) -> tuple[Topology, DemandSet]:
         return fixture(config.fixture)
     if config.instance:
         try:
-            return instance_from_json(Path(config.instance).read_text())
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            text = (_read_instance(config) if source is None else source).decode()
+            return instance_from_json(text)
+        except (ValueError, KeyError, TypeError) as exc:
             raise ModelError(f"--instance {config.instance}: {type(exc).__name__}: {exc}") from exc
     if config.trace:
         try:
@@ -199,10 +202,25 @@ def _write_csv(path: Path, header: list[str], rows: list[list], provenance: list
         writer.writerows(rows)
 
 
-def _emit_instance(config: ExperimentConfig, topology: Topology, demands: DemandSet) -> None:
+def _read_instance(config: ExperimentConfig) -> bytes:
+    """The bytes of the --instance file."""
+    try:
+        return Path(config.instance).read_bytes()
+    except OSError as exc:
+        raise ModelError(f"--instance {config.instance}: {type(exc).__name__}: {exc}") from exc
+
+
+def _load_and_emit(config: ExperimentConfig) -> tuple[Topology, DemandSet]:
+    """Load the instance and write it under --out: the --instance bytes as read, else its JSON."""
+    source = _read_instance(config) if config.instance else None
+    topology, demands = load_instance(config, source)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "instance.json").write_text(instance_to_json(topology, demands))
+    if source is not None:
+        (out / "instance.json").write_bytes(source)
+    else:
+        (out / "instance.json").write_text(instance_to_json(topology, demands))
+    return topology, demands
 
 
 def cmd_nd(config: ExperimentConfig) -> int:
@@ -211,26 +229,23 @@ def cmd_nd(config: ExperimentConfig) -> int:
     Each cell's minimum is a lower bound on any schedule's peak there, so a
     valid witness whose slot loads stay within the minimum proves it optimal.
     """
-    topology, demands = load_instance(config)
-    _emit_instance(config, topology, demands)
+    topology, demands = _load_and_emit(config)
     result, schedule, intervals = min_spectrum_no_d2d(topology, demands)
     report = validate_schedule(schedule, topology, demands, flow_abs_tol=1e-6)
     if not report.ok:
         print(report.summary(), file=sys.stderr)
         return EXIT_VIOLATION
-    loads = per_slot_loads(schedule, topology)
-    over = [
-        (b, t, load)
-        for (b, t), load in sorted(loads.items())
-        if load > result.per_bs_peak[b] * (1 + ND_PEAK_RTOL)
-    ]
-    for b, t, load in over:
+    bs, slots, loads = slot_loads(schedule, topology)
+    peaks = np.array([result.per_bs_peak[b] for b in topology.bs_ids], dtype=float)
+    over = np.flatnonzero(loads > peaks[bs] * (1 + ND_PEAK_RTOL))
+    for i in over.tolist():
+        b = topology.bs_ids[bs[i]]
         print(
-            f"nd: CERTIFICATE cell {b} slot {t}: witness load {float(load)!r}"
+            f"nd: CERTIFICATE cell {b} slot {slots[i]}: witness load {float(loads[i])!r}"
             f" exceeds the minimum {float(result.per_bs_peak[b])!r}",
             file=sys.stderr,
         )
-    if over:
+    if over.size:
         return EXIT_VIOLATION
     out = Path(config.out)
     prov = _provenance(config)
@@ -239,7 +254,10 @@ def cmd_nd(config: ExperimentConfig) -> int:
         z, z2 = intervals[b]
         rows.append([b, repr(float(result.per_bs_peak[b])), z, z2])
     _write_csv(out / "nd_cells.csv", ["bs", "min_spectrum", "interval_start", "interval_end"], rows, prov)
-    load_rows = [[b, t, repr(float(load))] for (b, t), load in sorted(loads.items())]
+    load_rows = [
+        [topology.bs_ids[b], t, repr(load)]
+        for b, t, load in zip(bs.tolist(), slots.tolist(), loads.tolist())
+    ]
     _write_csv(out / "nd_loads.csv", ["bs", "slot", "load"], load_rows, prov)
     print(f"nd: total={float(result.total)!r} cells={len(topology.bs_ids)}")
     return EXIT_OK
@@ -265,8 +283,7 @@ def run_d2d(config: ExperimentConfig) -> D2DRun | None:
     The instance is written under --out first.  Returns None, with the
     validation report on stderr, when the D2D schedule fails validation.
     """
-    topology, demands = load_instance(config)
-    _emit_instance(config, topology, demands)
+    topology, demands = _load_and_emit(config)
     nd_result, _, _ = min_spectrum_no_d2d(topology, demands)
     outcome = solve_min_spectrum_d2d(topology, demands)
     schedule, _, _ = solve_min_overhead(topology, outcome)
@@ -307,8 +324,7 @@ def cmd_d2d(config: ExperimentConfig) -> int:
 
 def cmd_heuristic(config: ExperimentConfig) -> int:
     """The sweep's rows, each distinct level's combined schedule validated before any is written."""
-    topology, demands = load_instance(config)
-    _emit_instance(config, topology, demands)
+    topology, demands = _load_and_emit(config)
     sweep = heuristic_sweep(topology, demands, config.lambda_grid)
     for row in sweep.levels:
         if row.reused:
@@ -390,7 +406,9 @@ def cmd_bounds(config: ExperimentConfig) -> int:
     return EXIT_VIOLATION if violated else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built once per process and shared, so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="d2dlb",
         description="Spectrum requirements with and without D2D load balancing",

@@ -126,7 +126,7 @@ class TimeExpandedIndex:
         return float(self.relay_cost @ solution.x)
 
     def extract_schedule(self, solution: lp.LpSolution) -> Schedule:
-        """The flow columns' nonzero values; a column fixed at 0 carries no flow.
+        """The flow columns' nonzero values, in column order; a column fixed at 0 carries no flow.
 
         HiGHS can return a basic fixed column a few ulps off its bound, so
         fixed columns are left out rather than trusted to read 0.
@@ -135,18 +135,13 @@ class TimeExpandedIndex:
             raise lp.LpError("no solution values available")
         x = solution.x[: self.n_flow_variables]
         used = np.flatnonzero((x != 0.0) & (self.problem.upper[: self.n_flow_variables] > 0))
-        nodes = self.nodes
         return Schedule(
-            {
-                (j, nodes[u], nodes[v], t): value
-                for j, u, v, t, value in zip(
-                    self.flow_demand[used].tolist(),
-                    self.flow_src[used].tolist(),
-                    self.flow_dst[used].tolist(),
-                    self.flow_slot[used].tolist(),
-                    x[used].tolist(),
-                )
-            }
+            self.nodes,
+            self.flow_demand[used],
+            self.flow_src[used],
+            self.flow_dst[used],
+            self.flow_slot[used],
+            x[used],
         )
 
 
@@ -166,8 +161,7 @@ def build_flow_lp(
     demands.check_users(topology)
     active = demands.demands
 
-    nodes = topology.all_nodes()
-    node_index = {v: i for i, v in enumerate(nodes)}
+    nodes, node_index = topology.arrays.nodes, topology.arrays.index
     n_nodes, n_users = len(nodes), len(topology.user_ids)  # users first, then BSs
     to_bs = hop_distances_to_bs(topology)
     d_bs = np.array([to_bs.get(v, UNREACHABLE) for v in nodes], dtype=np.int64)

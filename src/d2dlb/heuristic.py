@@ -37,9 +37,15 @@ from .model import (
     Schedule,
     Topology,
     compute_volumes,
-    fill_storage,
-    per_slot_loads,
+    node_positions,
+    slot_loads,
+    sum_by,
 )
+
+# fill_storage and per_slot_loads are not called here, but benchmark/spans.py
+# traces the model layer under these names (tests/test_benchmark_targets.py
+# fails if they go)
+from .model import fill_storage, per_slot_loads  # noqa: F401
 from .no_d2d import min_spectrum_no_d2d
 
 #: slots count as hot only when the load clears the threshold by this much
@@ -57,7 +63,7 @@ class SplitResult:
     d2d_demand_ids: frozenset[int]
     nd_demand_ids: frozenset[int]
     residual_load: Mapping[tuple[str, int], float]  # per (BS, slot), ND demands only
-    nd_schedule: Schedule  # full Step-I schedule (all demands, direct links)
+    nd_schedule: Schedule  # full Step-I schedule (all demands, direct links and storage)
 
 
 def split_demands(
@@ -70,40 +76,42 @@ def split_demands(
 
     ``nd_schedule`` must be an optimal per-cell no-D2D schedule; its per-slot
     loads define the hot slots.  A demand is D2D-eligible iff it has a
-    positive allocation in some hot slot of its cell.
+    positive allocation in some hot slot of its cell.  Each kept load adds
+    its allocations in schedule order.
     """
     if not 0.0 <= level <= 1.0:
         raise ModelError(f"split level must lie in [0, 1], got {level}")
-    loads = per_slot_loads(nd_schedule, topology)
-    peaks: dict[str, float] = {b: 0.0 for b in topology.bs_ids}
-    for (b, _t), load in loads.items():
-        peaks[b] = max(peaks[b], float(load))
-    hot: dict[str, set[int]] = {b: set() for b in topology.bs_ids}
-    for (b, t), load in loads.items():
-        if float(load) > level * peaks[b] + HOT_SLOT_TOL:
-            hot[b].add(t)
+    table = topology.arrays
+    n_bs = len(topology.bs_ids)
+    bs, slot, load = slot_loads(nd_schedule, topology)
+    load = load.astype(float)
+    peaks = np.zeros(n_bs)
+    np.maximum.at(peaks, bs, load)
+    hot = load > level * peaks[bs] + HOT_SLOT_TOL
+    span = int(nd_schedule.slot.max(initial=0)) + 1
+    hot_cells = np.zeros((n_bs, span), dtype=bool)
+    hot_cells[bs[hot], slot[hot]] = True
 
-    d2d_ids: set[int] = set()
-    for (jid, u, v, t), x in nd_schedule.allocations.items():
-        if u == v or float(x) <= ALLOC_TOL:
-            continue
-        b = topology.home_bs[u]
-        if t in hot[b]:
-            d2d_ids.add(jid)
-    nd_ids = {j.id for j in demands.demands} - d2d_ids
-
-    residual: dict[tuple[str, int], float] = {}
-    for (jid, u, v, t), x in nd_schedule.allocations.items():
-        if u == v or jid not in nd_ids:
-            continue
-        key = (topology.home_bs[u], t)
-        residual[key] = residual.get(key, 0.0) + float(x)
+    real = np.flatnonzero(nd_schedule.src != nd_schedule.dst)
+    cell = table.billed[node_positions(nd_schedule.nodes, topology)[nd_schedule.src[real]]]
+    t, x = nd_schedule.slot[real], nd_schedule.value[real].astype(float)
+    eligible = np.unique(nd_schedule.demand[real[(x > ALLOC_TOL) & hot_cells[cell, t]]])
+    kept = ~np.isin(nd_schedule.demand[real], eligible)
+    keys, key_of = np.unique(cell[kept] * span + t[kept], return_inverse=True)
+    residual = sum_by(key_of, x[kept], len(keys))
+    ids = topology.bs_ids
+    d2d_ids = frozenset(eligible.tolist())
     return SplitResult(
         level=level,
-        hot_slots={b: frozenset(ts) for b, ts in hot.items()},
-        d2d_demand_ids=frozenset(d2d_ids),
-        nd_demand_ids=frozenset(nd_ids),
-        residual_load=residual,
+        hot_slots={
+            b: frozenset(np.flatnonzero(hot_cells[i]).tolist()) for i, b in enumerate(ids)
+        },
+        d2d_demand_ids=d2d_ids,
+        nd_demand_ids=frozenset(j.id for j in demands.demands) - d2d_ids,
+        residual_load={
+            (ids[key // span], key % span): r
+            for key, r in zip(keys.tolist(), residual.tolist())
+        },
         nd_schedule=nd_schedule,
     )
 
@@ -175,17 +183,14 @@ def _solve_level(
         peaks = {b: 0.0 for b in topology.bs_ids}
         for (b, _t), load in split.residual_load.items():
             peaks[b] = max(peaks[b], load)
-        total, flows = sum(peaks.values()), Schedule({})
+        total, flows = sum(peaks.values()), Schedule.empty(topology.arrays.nodes)
     else:
         peaks, total, flows = flow.per_bs_peak, flow.total, flow.schedule
-    nd_ids = split.nd_demand_ids
-    kept = {key: x for key, x in split.nd_schedule.allocations.items() if key[0] in nd_ids}
-    nd_part = fill_storage(
-        Schedule(kept),
-        topology,
-        DemandSet(demands.horizon, tuple(j for j in demands.demands if j.id in nd_ids)),
-    )
-    return HeuristicOutcome(split, peaks, total, nd_part.merged_with(flows), flow)
+    # a demand's storage follows from its own transmissions alone, so the
+    # kept demands' entries of the filled no-D2D schedule are complete
+    nd_schedule = split.nd_schedule
+    nd_part = nd_schedule.select(np.isin(nd_schedule.demand, list(split.nd_demand_ids)))
+    return HeuristicOutcome(split, peaks, total, Schedule.concatenate([nd_part, flows]), flow)
 
 
 def heuristic_min_spectrum(

@@ -9,16 +9,29 @@ Conventions used throughout the package:
 
 All types are plain immutable-by-convention dataclasses; every operation in
 this module is a pure function.
+
+A ``Schedule`` is parallel arrays, one entry per (demand, src, dst, slot)
+key, with the nodes as positions in a tuple of names.  Storage fill,
+validation, volumes and loads are array code over integer (demand, node,
+slot) keys.  Every float sum they return adds its terms in entry order, one
+after another (``bincount``, never the pairwise ``np.sum``), and a schedule
+of exact numbers (``Fraction``) stays exact.  ``Topology.arrays`` and
+``DemandSet.arrays`` hold the lookups they share, built once per instance.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 Number = float | int | Fraction
 
@@ -45,6 +58,27 @@ class FlowResidualError(ModelError):
 # ---------------------------------------------------------------------------
 # Topology
 # ---------------------------------------------------------------------------
+
+
+class NodeArrays(NamedTuple):
+    """A topology's nodes as positions in ``all_nodes()`` (users first, then BSs)."""
+
+    nodes: tuple[str, ...]
+    index: dict[str, int]
+    n_users: int
+    billed: np.ndarray  # per node: position in bs_ids of the BS billed for traffic into it
+    bs_rank: np.ndarray  # per position in bs_ids: rank of the BS id in sorted order
+    bs_by_name: np.ndarray  # positions in bs_ids, sorted by BS id
+    link_key: np.ndarray  # src * len(nodes) + dst of every link, self-links included, sorted
+    link_rate: np.ndarray  # the rate of each of those links, as a float
+
+    def rates(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Float rate of each link (src, dst) of node positions; 0 where there is no such link."""
+        n = len(self.nodes)
+        key = src * n + dst
+        at = np.minimum(np.searchsorted(self.link_key, key), len(self.link_key) - 1)
+        found = (src >= 0) & (dst >= 0) & (self.link_key[at] == key)
+        return np.where(found, self.link_rate[at], 0.0)
 
 
 @dataclass(frozen=True)
@@ -107,6 +141,32 @@ class Topology:
     def all_nodes(self) -> tuple[str, ...]:
         return tuple(self.user_ids) + tuple(self.bs_ids)
 
+    @cached_property
+    def arrays(self) -> NodeArrays:
+        nodes = self.all_nodes()
+        index = {v: i for i, v in enumerate(nodes)}
+        bs_position = {b: i for i, b in enumerate(self.bs_ids)}
+        by_name = np.array(sorted(range(len(self.bs_ids)), key=self.bs_ids.__getitem__), dtype=np.int64)
+        rank = np.empty(len(by_name), dtype=np.int64)
+        rank[by_name] = np.arange(len(by_name))
+        n = len(nodes)
+        keys = [index[u] * n + index[v] for u, v, _ in self.links] + [i * (n + 1) for i in range(n)]
+        order = np.argsort(np.array(keys, dtype=np.int64))
+        rates = np.array([float(r) for _, _, r in self.links] + [1.0] * n)
+        return NodeArrays(
+            nodes=nodes,
+            index=index,
+            n_users=len(self.user_ids),
+            billed=np.array(
+                [bs_position[self.home_bs[u]] for u in self.user_ids] + list(range(len(self.bs_ids))),
+                dtype=np.int64,
+            ),
+            bs_rank=rank,
+            bs_by_name=by_name,
+            link_key=np.array(keys, dtype=np.int64)[order],
+            link_rate=rates[order],
+        )
+
     def is_bs(self, node: str) -> bool:
         return node in self.bs_set
 
@@ -167,6 +227,17 @@ class Demand:
         return self.end - self.start + 1
 
 
+class DemandArrays(NamedTuple):
+    """A demand set's fields, one entry per demand in its order."""
+
+    ids: np.ndarray
+    users: tuple[str, ...]
+    start: np.ndarray
+    end: np.ndarray
+    volume: np.ndarray  # as floats
+    volumes: tuple[Number, ...]  # as given, exact numbers included
+
+
 @dataclass(frozen=True)
 class DemandSet:
     """Delay-constrained traffic demands over a horizon of ``horizon`` slots."""
@@ -202,6 +273,18 @@ class DemandSet:
         for j in self.demands:
             if j.user not in users:
                 raise ModelError(f"demand {j.id}: unknown user {j.user!r}")
+
+    @cached_property
+    def arrays(self) -> DemandArrays:
+        ds = self.demands
+        return DemandArrays(
+            ids=np.array([j.id for j in ds], dtype=np.int64),
+            users=tuple(j.user for j in ds),
+            start=np.array([j.start for j in ds], dtype=np.int64),
+            end=np.array([j.end for j in ds], dtype=np.int64),
+            volume=np.array([float(j.volume) for j in ds]),
+            volumes=tuple(j.volume for j in ds),
+        )
 
     @property
     def max_delay(self) -> int:
@@ -243,44 +326,250 @@ def instance_from_json(text: str) -> tuple[Topology, DemandSet]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Sparse allocation map (demand, src, dst, slot) -> spectrum in Hz.
+def sum_by(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Per-index sums of ``values``, each sum adding its terms in input order from 0.
 
-    Entries with src == dst are virtual self-links: the value is traffic
-    stored at the node during the slot (rate 1, no spectrum cost).
+    Floats go through ``bincount``, which adds one term after another as a
+    loop over dict entries would; ``np.sum`` adds pairwise and would not.
+    Exact numbers (an object array) go through ``np.add.at``, which keeps
+    them exact.
+    """
+    if values.dtype == object:
+        out = np.zeros(size, dtype=object)
+        np.add.at(out, index, values)
+        return out
+    return np.bincount(index, weights=values, minlength=size)
+
+
+def _total(values: np.ndarray) -> Number:
+    """Sum of ``values`` added left to right from 0, as a Python number."""
+    if values.dtype == object:
+        return sum(values.tolist())
+    return float(sum_by(np.zeros(len(values), dtype=np.intp), values, 1)[0])
+
+
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """Sparse allocations: entry i gives ``value[i]`` Hz to demand ``demand[i]`` on
+    link ``(nodes[src[i]], nodes[dst[i]])`` in slot ``slot[i]``.
+
+    The arrays are parallel, ``demand``/``src``/``dst``/``slot`` int64 and
+    ``value`` float64, or an object array of exact numbers (``Fraction``)
+    that every routine here keeps exact.  No (demand, src, dst, slot) key
+    appears twice.  Entries with src == dst are virtual self-links: the value
+    is traffic stored at the node during the slot (rate 1, no spectrum cost).
+    ``allocations`` is the same schedule as a read-only map keyed by
+    (demand, src name, dst name, slot), in entry order.
     """
 
-    allocations: Mapping[tuple[int, str, str, int], Number]
+    nodes: tuple[str, ...]
+    demand: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    slot: np.ndarray
+    value: np.ndarray
+
+    @staticmethod
+    def empty(nodes: tuple[str, ...] = ()) -> "Schedule":
+        none = np.zeros(0, dtype=np.int64)
+        return Schedule(nodes, none, none, none, none, np.zeros(0))
+
+    @staticmethod
+    def from_allocations(allocations: Mapping[tuple[int, str, str, int], Number]) -> "Schedule":
+        """The schedule of a (demand, src, dst, slot) -> value map; Fraction values stay exact."""
+        keys = list(allocations)
+        values = list(allocations.values())
+        nodes = tuple(sorted({u for _, u, _, _ in keys} | {v for _, _, v, _ in keys}))
+        index = {v: i for i, v in enumerate(nodes)}
+        exact = any(isinstance(x, Fraction) for x in values)
+        return Schedule(
+            nodes,
+            np.array([j for j, _, _, _ in keys], dtype=np.int64),
+            np.array([index[u] for _, u, _, _ in keys], dtype=np.int64),
+            np.array([index[v] for _, _, v, _ in keys], dtype=np.int64),
+            np.array([t for _, _, _, t in keys], dtype=np.int64),
+            np.array(values, dtype=object if exact else float),
+        )
 
     def __len__(self) -> int:
-        return len(self.allocations)
+        return len(self.demand)
 
-    def merged_with(self, other: "Schedule") -> "Schedule":
-        merged = dict(self.allocations)
-        for key, x in other.allocations.items():
-            merged[key] = merged.get(key, 0) + x
-        return Schedule(merged)
+    @property
+    def exact(self) -> bool:
+        return self.value.dtype == object
+
+    @cached_property
+    def allocations(self) -> Mapping[tuple[int, str, str, int], Number]:
+        nodes = self.nodes
+        return MappingProxyType(
+            {
+                (j, nodes[u], nodes[v], t): x
+                for j, u, v, t, x in zip(
+                    self.demand.tolist(),
+                    self.src.tolist(),
+                    self.dst.tolist(),
+                    self.slot.tolist(),
+                    self.value.tolist(),
+                )
+            }
+        )
+
+    def select(self, entries: np.ndarray) -> "Schedule":
+        """The entries a boolean mask or an index array picks, in that order."""
+        return Schedule(
+            self.nodes,
+            self.demand[entries],
+            self.src[entries],
+            self.dst[entries],
+            self.slot[entries],
+            self.value[entries],
+        )
+
+    @staticmethod
+    def concatenate(parts: Sequence["Schedule"]) -> "Schedule":
+        """The entries of ``parts`` in order, on the union of their nodes.
+
+        A key in several parts gets the sum of its values, added in part order.
+        """
+        if not parts:
+            return Schedule.empty()
+        nodes = parts[0].nodes
+        src, dst = [part.src for part in parts], [part.dst for part in parts]
+        if any(part.nodes != nodes for part in parts):
+            nodes = tuple(dict.fromkeys(v for part in parts for v in part.nodes))
+            index = {v: i for i, v in enumerate(nodes)}
+            at = [np.array([index[v] for v in part.nodes], dtype=np.int64) for part in parts]
+            src = [a[i] for a, i in zip(at, src)]
+            dst = [a[i] for a, i in zip(at, dst)]
+        merged = Schedule(
+            nodes,
+            np.concatenate([part.demand for part in parts]),
+            np.concatenate(src),
+            np.concatenate(dst),
+            np.concatenate([part.slot for part in parts]),
+            np.concatenate([part.value for part in parts]),
+        )
+        demands = np.concatenate([np.unique(part.demand) for part in parts])
+        if len(np.unique(demands)) == len(demands):
+            return merged  # no demand, so no key, in two parts
+        return merged._summed()
+
+    def _summed(self) -> "Schedule":
+        """Entries with equal keys summed in entry order, each key where it first appears."""
+        if len(self) == 0:
+            return self
+        _, demand = np.unique(self.demand, return_inverse=True)
+        n = len(self.nodes)
+        first_slot = self.slot.min()
+        span = self.slot.max() - first_slot + 1
+        key = ((demand * n + self.src) * n + self.dst) * span + (self.slot - first_slot)
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+        if len(first) == len(key):
+            return self
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        value = sum_by(rank[group], self.value, len(order))
+        picked = self.select(first[order])
+        return replace(picked, value=value)
 
     def to_csv(self, path: str, topology: Topology, header_lines: Iterable[str] = ()) -> None:
+        """One row per entry, sorted by (demand, src name, dst name, slot), as ``csv.writer`` writes it.
+
+        Node names go through ``csv.writer`` once each, for its quoting; the
+        numbers need none, so the rows are formatted directly.
+        """
+        nodes = self.nodes
+        rank = np.empty(len(nodes), dtype=np.int64)
+        rank[sorted(range(len(nodes)), key=nodes.__getitem__)] = np.arange(len(nodes))
+        rows = self.select(np.lexsort((self.slot, rank[self.dst], rank[self.src], self.demand)))
+        spectrum = rows.value.tolist()
+        bits = (rows.value * _entry_rates(rows, topology)).tolist()
+        if rows.exact:
+            spectrum = [float(x) for x in spectrum]
+            bits = [float(x) for x in bits]
+        names = np.array([_csv_field(v) for v in nodes], dtype=object)
         with open(path, "w", newline="") as fh:
             for line in header_lines:
                 fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["demand", "src", "dst", "slot", "spectrum", "bits"])
-            for (j, u, v, t), x in sorted(self.allocations.items()):
-                writer.writerow([j, u, v, t, repr(float(x)), repr(float(x * topology.rate(u, v)))])
+            fh.write("demand,src,dst,slot,spectrum,bits\r\n")
+            fh.write(
+                "".join(
+                    [
+                        f"{j},{u},{v},{t},{x!r},{b!r}\r\n"
+                        for j, u, v, t, x, b in zip(
+                            rows.demand.tolist(),
+                            names[rows.src].tolist(),
+                            names[rows.dst].tolist(),
+                            rows.slot.tolist(),
+                            spectrum,
+                            bits,
+                        )
+                    ]
+                )
+            )
 
     @staticmethod
     def from_csv(path: str) -> "Schedule":
-        alloc: dict[tuple[int, str, str, int], float] = {}
+        """Read a schedule CSV; rows with the same key are summed in file order."""
+        index: dict[str, int] = {}  # node name -> position, in order of appearance
+        demand, src, dst, slot, spectrum = [], [], [], [], []
         with open(path, newline="") as fh:
-            rows = (line for line in fh if not line.startswith("#"))
-            reader = csv.DictReader(rows)
+            reader = csv.reader(line for line in fh if not line.startswith("#"))
+            header = next(reader, None)
+            if header is None:
+                return Schedule.empty()
+            column = {name: i for i, name in enumerate(header)}
+            j, u, v, t, x = (column[name] for name in ("demand", "src", "dst", "slot", "spectrum"))
             for row in reader:
-                key = (int(row["demand"]), row["src"], row["dst"], int(row["slot"]))
-                alloc[key] = alloc.get(key, 0.0) + float(row["spectrum"])
-        return Schedule(alloc)
+                if row:
+                    demand.append(int(row[j]))
+                    src.append(index.setdefault(row[u], len(index)))
+                    dst.append(index.setdefault(row[v], len(index)))
+                    slot.append(int(row[t]))
+                    spectrum.append(float(row[x]))
+        return Schedule(
+            tuple(index),
+            np.array(demand, dtype=np.int64),
+            np.array(src, dtype=np.int64),
+            np.array(dst, dtype=np.int64),
+            np.array(slot, dtype=np.int64),
+            np.array(spectrum, dtype=float),
+        )._summed()
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it among other fields of a row, quoted where needed."""
+    row = io.StringIO()
+    csv.writer(row).writerow([text, ""])
+    return row.getvalue()[: -len(",\r\n")]
+
+
+def node_positions(nodes: tuple[str, ...], topology: Topology) -> np.ndarray:
+    """Position of each of ``nodes`` in ``topology.all_nodes()``; -1 for a node it lacks."""
+    table = topology.arrays
+    if nodes is table.nodes or nodes == table.nodes:
+        return np.arange(len(nodes), dtype=np.int64)
+    return np.array([table.index.get(v, -1) for v in nodes], dtype=np.int64)
+
+
+def _entry_rates(schedule: Schedule, topology: Topology) -> np.ndarray:
+    """The rate of each entry's link: floats, or the topology's own numbers for an exact schedule.
+
+    Raises ModelError naming the first entry whose link the topology lacks.
+    """
+    at = node_positions(schedule.nodes, topology)
+    rate = topology.arrays.rates(at[schedule.src], at[schedule.dst])
+    missing = np.flatnonzero(rate == 0.0)
+    if missing.size:
+        i = int(missing[0])
+        u, v = schedule.nodes[schedule.src[i]], schedule.nodes[schedule.dst[i]]
+        raise ModelError(f"no link ({u!r}, {v!r})")
+    if schedule.exact:
+        nodes = schedule.nodes
+        pairs = zip(schedule.src.tolist(), schedule.dst.tolist())
+        return np.array([topology.rate(nodes[u], nodes[v]) for u, v in pairs], dtype=object)
+    return rate
 
 
 def fill_storage(
@@ -293,58 +582,132 @@ def fill_storage(
     computed ones, so every failure is numerical and raises
     FlowResidualError: conservation would need negative storage, a non-source
     node transmits at the demand's start slot, or a user still holds volume
-    at the deadline.
+    at the deadline.  Of several failures, one of the earliest demand (in
+    ``demands`` order) is reported.
+
+    Entries of demands outside ``demands`` are dropped.  The result lists,
+    demand by demand in ``demands`` order, the transmissions in input order
+    and then the storage by (node, slot).  A node's storage in slot t is what
+    it holds after sending in t: a running sum over the demand's lifetime of
+    the volume (at the source), minus the bits sent in each slot, plus the
+    bits received in the slot before, added in that order and clamped at 0
+    after each slot.  All rows advance together, one slot at a time.
     """
-    by_demand: dict[int, dict[tuple[str, str, int], Number]] = {}
-    for (j, u, v, t), x in schedule.allocations.items():
-        if u == v:
-            continue  # recomputed below
-        by_demand.setdefault(j, {})[(u, v, t)] = x
-    out: dict[tuple[int, str, str, int], Number] = {}
-    user_set = set(topology.user_ids)
-    for j in demands.demands:
-        entries = by_demand.get(j.id, {})
-        for (u, v, t), x in entries.items():
-            out[(j.id, u, v, t)] = x
-        # bits sent/received per node per slot
-        sent: dict[tuple[str, int], Number] = {}
-        received: dict[tuple[str, int], Number] = {}
-        for (u, v, t), x in entries.items():
-            bits = x * topology.rate(u, v)
-            sent[(u, t)] = sent.get((u, t), 0) + bits
-            received[(v, t)] = received.get((v, t), 0) + bits
-        nodes = {u for (u, _, _) in entries} | {v for (_, v, _) in entries} | {j.user}
-        for node in nodes:
-            if node != j.user and sent.get((node, j.start), 0) > 0:
-                raise FlowResidualError(
-                    f"demand {j.id}: node {node!r} transmits at start slot {j.start}"
-                    " but only the source holds the data then"
-                )
-        for node in nodes:
-            store_prev = j.volume - sent.get((node, j.start), 0) if node == j.user else 0
-            if store_prev < -FLOW_ABS_TOL * max(1.0, float(j.volume)):
-                raise FlowResidualError(
-                    f"demand {j.id}: source sends more than its volume at start"
-                )
-            store_prev = max(store_prev, 0)
-            if store_prev > 0:
-                out[(j.id, node, node, j.start)] = store_prev
-            for t in range(j.start + 1, j.end + 1):
-                store_t = store_prev + received.get((node, t - 1), 0) - sent.get((node, t), 0)
-                if store_t < -FLOW_ABS_TOL * max(1.0, float(j.volume)):
-                    raise FlowResidualError(
-                        f"demand {j.id}: node {node!r} slot {t}: sends more than it holds"
-                    )
-                store_t = max(store_t, 0)
-                if store_t > 0:
-                    out[(j.id, node, node, t)] = store_t
-                store_prev = store_t
-            # users must not hold volume at the deadline; BS storage is delivery
-            if node in user_set and store_prev > FLOW_ABS_TOL * max(1.0, float(j.volume)):
-                raise FlowResidualError(
-                    f"demand {j.id}: user {node!r} still holds {store_prev} at deadline"
-                )
-    return Schedule(out)
+    table = topology.arrays
+    n = len(table.nodes)
+    demands.check_users(topology)
+    d = demands.arrays
+    n_demands = len(d.ids)
+    if n_demands == 0:
+        return Schedule.empty(table.nodes)
+    k = _demand_positions(d.ids, schedule.demand)
+    keep = np.flatnonzero((schedule.src != schedule.dst) & (k >= 0))
+    keep = keep[np.argsort(k[keep], kind="stable")]
+    k = k[keep]
+    real = schedule.select(keep)
+    at = node_positions(real.nodes, topology)
+    src, dst, slot = at[real.src], at[real.dst], real.slot
+    bits = real.value * _entry_rates(real, topology)
+    exact = real.exact
+    volume = np.array(d.volumes, dtype=object) if exact else d.volume
+    tol = FLOW_ABS_TOL * np.maximum(1.0, d.volume)
+
+    # one row per (demand, node) the demand touches, its source included
+    user = np.array([table.index[u] for u in d.users], dtype=np.int64)
+    m = len(keep)
+    pairs, pair_of = np.unique(
+        np.concatenate([np.arange(n_demands) * n + user, k * n + src, k * n + dst]),
+        return_inverse=True,
+    )
+    rows = len(pairs)
+    pair_k, pair_node = pairs // n, pairs % n
+    is_source = pair_node == user[pair_k]
+    delay = (d.end - d.start + 1)[pair_k]
+    span = int(delay.max())
+    # per slot offset and row, the bits sent (negated) and the bits received
+    offset = slot - d.start[k]
+    sent = (offset >= 0) & (slot <= d.end[k])
+    received = (offset >= 0) & (slot < d.end[k])
+    neg_sent = sum_by(
+        offset[sent] * rows + pair_of[n_demands : n_demands + m][sent], -bits[sent], span * rows
+    ).reshape(span, rows)
+    recv = sum_by(
+        offset[received] * rows + pair_of[n_demands + m :][received], bits[received], span * rows
+    ).reshape(span, rows)
+
+    failures: list[tuple[int, int, str]] = []  # (demand position, order, message)
+    early = np.flatnonzero(~is_source & (neg_sent[0] < 0).astype(bool))
+    for p in early.tolist():
+        j = demands.demands[pair_k[p]]
+        failures.append(
+            (
+                int(pair_k[p]),
+                0,
+                f"demand {j.id}: node {table.nodes[pair_node[p]]!r} transmits at start slot"
+                f" {j.start} but only the source holds the data then",
+            )
+        )
+    neg_sent[0, ~is_source] = 0  # only the source holds data at the start slot
+
+    # storage after sending in each slot, clamped at 0; the first offset at
+    # which a row goes below -tol fails it
+    row_tol = tol[pair_k]
+    store = np.empty((span, rows), dtype=neg_sent.dtype)
+    failed_at = np.full(rows, -1, dtype=np.int64)
+    held = np.where(is_source, volume[pair_k], 0) + neg_sent[0]
+    for s in range(span):
+        if s:
+            held = held + recv[s - 1] + neg_sent[s]
+        below = (held < -row_tol).astype(bool) & (failed_at < 0) & (s < delay)
+        failed_at[below] = s
+        held = np.maximum(held, 0)
+        store[s] = held
+    for p in np.flatnonzero(failed_at >= 0).tolist():
+        j = demands.demands[pair_k[p]]
+        if failed_at[p] == 0:
+            message = f"demand {j.id}: source sends more than its volume at start"
+        else:
+            message = (
+                f"demand {j.id}: node {table.nodes[pair_node[p]]!r} slot"
+                f" {j.start + failed_at[p]}: sends more than it holds"
+            )
+        failures.append((int(pair_k[p]), 1, message))
+    last = store[delay - 1, np.arange(rows)]
+    holding = (pair_node < table.n_users) & (last > row_tol).astype(bool) & (failed_at < 0)
+    for p in np.flatnonzero(holding).tolist():
+        j = demands.demands[pair_k[p]]
+        failures.append(
+            (
+                int(pair_k[p]),
+                1,
+                f"demand {j.id}: user {table.nodes[pair_node[p]]!r} still holds"
+                f" {last[p]} at deadline",
+            )
+        )
+    if failures:
+        raise FlowResidualError(min(failures)[2])
+
+    # storage cells row by row, each row's by slot
+    p, cell = np.nonzero(((store > 0).astype(bool) & (np.arange(span)[:, None] < delay)).T)
+    out_k = np.concatenate([k, pair_k[p]])
+    order = np.argsort(out_k, kind="stable")
+    return Schedule(
+        table.nodes,
+        d.ids[out_k[order]],
+        np.concatenate([src, pair_node[p]])[order],
+        np.concatenate([dst, pair_node[p]])[order],
+        np.concatenate([slot, d.start[pair_k[p]] + cell])[order],
+        np.concatenate([real.value, store[cell, p]])[order],
+    )
+
+
+def _demand_positions(ids: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Position in ``ids`` of each queried demand id; -1 for an id not there."""
+    if len(ids) == 0:
+        return np.full(len(query), -1, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    at = np.minimum(np.searchsorted(ids[order], query), len(ids) - 1)
+    return np.where(ids[order][at] == query, order[at], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -400,59 +763,107 @@ def validate_schedule(
     Per demand: full volume leaves the source at its start slot, full volume
     reaches base stations at its deadline, flow is conserved at every node in
     every intermediate slot, and all allocations are nonnegative.  Violations
-    are reported with residuals, never raised.
+    are reported with residuals, never raised: first those of single entries
+    (unknown demand or link, negative value, slot outside the lifetime) in
+    entry order, then per demand in ``demands`` order its source balance,
+    arrival and conservation (by node name, then slot).  An exact schedule is
+    checked in floats.
     """
-    violations: list[Violation] = []
-    demand_map = {j.id: j for j in demands.demands}
-    by_demand: dict[int, list[tuple[str, str, int, Number]]] = {}
-    for (jid, u, v, t), x in schedule.allocations.items():
-        if jid not in demand_map:
-            violations.append(Violation(jid, "unknown_demand", None, t, float(x)))
-            continue
-        j = demand_map[jid]
-        if not topology.has_link(u, v):
-            violations.append(Violation(jid, "unknown_link", f"{u}->{v}", t, float(x)))
-            continue
-        if x < -flow_abs_tol:
-            violations.append(Violation(jid, "negative", f"{u}->{v}", t, float(x)))
-        if not (j.start <= t <= j.end):
-            violations.append(Violation(jid, "lifetime", f"{u}->{v}", t, float(x)))
-            continue
-        by_demand.setdefault(jid, []).append((u, v, t, x))
+    table = topology.arrays
+    n = len(table.nodes)
+    d = demands.arrays
+    names = schedule.nodes
+    # nodes the topology lacks get positions after its own
+    at = node_positions(names, topology)
+    at = np.where(at >= 0, at, n + np.arange(len(names)))
+    src, dst, slot = at[schedule.src], at[schedule.dst], schedule.slot
+    x = np.asarray(schedule.value, dtype=float)
+    k = _demand_positions(d.ids, schedule.demand)
+    known = k >= 0
+    kk = np.where(known, k, 0)
+    self_link = schedule.src == schedule.dst
+    rate = np.where(self_link, 1.0, table.rates(np.where(src < n, src, -1), np.where(dst < n, dst, -1)))
+    link = rate > 0
+    negative = known & link & (x < -flow_abs_tol)
+    inside = (d.start[kk] <= slot) & (slot <= d.end[kk])
 
-    bs_set = set(topology.bs_ids)
-    for j in demands.demands:
-        jid = j.id
-        entries = by_demand.get(jid, [])
-        vol_tol = max(flow_abs_tol, volume_rel_tol * float(j.volume))
-        flow_tol = flow_abs_tol * max(1.0, float(j.volume))
-        inflow: dict[tuple[str, int], Number] = {}
-        outflow: dict[tuple[str, int], Number] = {}
-        for u, v, t, x in entries:
-            bits = x * topology.rate(u, v)
-            outflow[(u, t)] = outflow.get((u, t), 0) + bits
-            inflow[(v, t)] = inflow.get((v, t), 0) + bits
-        # source balance at the start slot
-        res = float(outflow.get((j.user, j.start), 0) - j.volume)
-        if abs(res) > vol_tol:
-            violations.append(Violation(jid, "source_balance", j.user, j.start, res))
-        # nothing emanates from other nodes at the start slot
-        for (u, t), bits in outflow.items():
-            if t == j.start and u != j.user and bits > flow_tol:
-                violations.append(Violation(jid, "source_balance", u, t, float(bits)))
-        # arrival at base stations at the deadline
-        arrived = sum(bits for (v, t), bits in inflow.items() if t == j.end and v in bs_set)
-        res = float(arrived - j.volume)
-        if abs(res) > vol_tol:
-            violations.append(Violation(jid, "arrival", None, j.end, res))
-        # per-node conservation on the time-expanded graph
-        nodes = {u for (u, _) in inflow} | {u for (u, _) in outflow}
-        for node in sorted(nodes):
-            for t in range(j.start, j.end):
-                res = float(inflow.get((node, t), 0) - outflow.get((node, t + 1), 0))
-                if abs(res) > flow_tol:
-                    violations.append(Violation(jid, "conservation", node, t, res))
-    return ValidationReport(tuple(violations))
+    violations: list[Violation] = []
+    flagged = ~known | ~link | negative | ~inside
+    for i in np.flatnonzero(flagged).tolist():
+        jid, t, value = int(schedule.demand[i]), int(slot[i]), float(x[i])
+        arc = f"{names[schedule.src[i]]}->{names[schedule.dst[i]]}"
+        if not known[i]:
+            violations.append(Violation(jid, "unknown_demand", None, t, value))
+        elif not link[i]:
+            violations.append(Violation(jid, "unknown_link", arc, t, value))
+        else:
+            if negative[i]:
+                violations.append(Violation(jid, "negative", arc, t, value))
+            if not inside[i]:
+                violations.append(Violation(jid, "lifetime", arc, t, value))
+
+    use = np.flatnonzero(known & link & inside)
+    k, src, dst, slot = k[use], src[use], dst[use], slot[use]
+    bits = x[use] * rate[use]
+    start, end = d.start[k], d.end[k]
+    flow_tol = flow_abs_tol * np.maximum(1.0, d.volume)
+    vol_tol = np.maximum(flow_abs_tol, volume_rel_tol * d.volume)
+    n_demands, n_all = len(d.ids), n + len(names)
+    user = np.array([table.index.get(u, -1) for u in d.users], dtype=np.int64)
+    node_names = table.nodes + names
+    found: list[tuple[tuple, Violation]] = []  # (sort key, violation)
+
+    # source balance: the volume leaves the source at the start slot, nothing else does
+    at_start = slot == start
+    from_source = at_start & (src == user[k])
+    res = sum_by(k[from_source], bits[from_source], n_demands) - d.volume
+    for q in np.flatnonzero(np.abs(res) > vol_tol).tolist():
+        j = demands.demands[q]
+        found.append(((q, 0), Violation(j.id, "source_balance", j.user, j.start, float(res[q]))))
+    others = np.flatnonzero(at_start & (src != user[k]))
+    if others.size:
+        _, first, group = np.unique(k[others] * n_all + src[others], return_index=True, return_inverse=True)
+        sent = sum_by(group, bits[others], len(first))
+        for g in np.flatnonzero(sent > flow_tol[k[others[first]]]).tolist():
+            i = others[first[g]]
+            j = demands.demands[k[i]]
+            violation = Violation(j.id, "source_balance", node_names[src[i]], j.start, float(sent[g]))
+            found.append(((int(k[i]), 1, int(i)), violation))
+
+    # arrival at base stations at the deadline: per (BS, slot) sums, added in first-seen order
+    arriving = np.flatnonzero((slot == end) & (dst >= table.n_users) & (dst < n))
+    _, first, group = np.unique(k[arriving] * n_all + dst[arriving], return_index=True, return_inverse=True)
+    per_bs = sum_by(group, bits[arriving], len(first))
+    seen = np.argsort(first, kind="stable")
+    res = sum_by(k[arriving[first[seen]]], per_bs[seen], n_demands) - d.volume
+    for q in np.flatnonzero(np.abs(res) > vol_tol).tolist():
+        j = demands.demands[q]
+        found.append(((q, 2), Violation(j.id, "arrival", None, j.end, float(res[q]))))
+
+    # conservation: what (node, t) receives it sends on in t + 1, for t in [start, end)
+    into = slot < end
+    out_of = slot > start
+    span = int(d.end.max(initial=0)) + 2
+    keys = np.concatenate(
+        [
+            (k[into] * n_all + dst[into]) * span + slot[into],
+            (k[out_of] * n_all + src[out_of]) * span + slot[out_of] - 1,
+        ]
+    )
+    cells, cell_of = np.unique(keys, return_inverse=True)
+    n_in = int(into.sum())
+    res = sum_by(cell_of[:n_in], bits[into], len(cells)) - sum_by(
+        cell_of[n_in:], bits[out_of], len(cells)
+    )
+    cell_k = cells // span // n_all
+    bad = np.flatnonzero(np.abs(res) > flow_tol[cell_k])
+    for c in bad.tolist():
+        q, t = int(cell_k[c]), int(cells[c] % span)
+        name = node_names[cells[c] // span % n_all]
+        violation = Violation(demands.demands[q].id, "conservation", name, t, float(res[c]))
+        found.append(((q, 3, name, t), violation))
+    found.sort(key=lambda item: item[0])
+    return ValidationReport(tuple(violations) + tuple(v for _, v in found))
 
 
 # ---------------------------------------------------------------------------
@@ -461,38 +872,50 @@ def validate_schedule(
 
 
 def compute_volumes(schedule: Schedule, topology: Topology) -> tuple[Number, Number]:
-    """Total D2D traffic and total user-to-BS traffic moved by a schedule (bits)."""
-    user_set = set(topology.user_ids)
-    bs_set = set(topology.bs_ids)
-    v_d2d: Number = 0
-    v_bs: Number = 0
-    for (j, u, v, t), x in schedule.allocations.items():
-        if u == v:
-            continue
-        bits = x * topology.rate(u, v)
-        if u in user_set and v in user_set:
-            v_d2d += bits
-        elif v in bs_set:
-            v_bs += bits
-    return v_d2d, v_bs
+    """Total D2D traffic and total user-to-BS traffic moved by a schedule (bits).
+
+    Each total adds its entries' bits in entry order.
+    """
+    real = schedule.select(schedule.src != schedule.dst)
+    bits = real.value * _entry_rates(real, topology)
+    at = node_positions(real.nodes, topology)
+    n_users = topology.arrays.n_users
+    into_user = at[real.dst] < n_users
+    return _total(bits[into_user & (at[real.src] < n_users)]), _total(bits[~into_user])
+
+
+def slot_loads(schedule: Schedule, topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spectrum billed to each (BS, slot) under the receiver-takeover rule, as arrays.
+
+    Uplink transmissions into a BS are billed to that BS; D2D transmissions
+    are billed to the receiving user's BS; self-links cost nothing.  Returns
+    (BS as a position in ``topology.bs_ids``, slot, load) of every billed
+    (BS, slot), sorted by BS id, then slot; each load adds its entries in
+    entry order.
+    """
+    table = topology.arrays
+    real = np.flatnonzero(schedule.src != schedule.dst)
+    receiver = node_positions(schedule.nodes, topology)[schedule.dst[real]]
+    if (receiver < 0).any():
+        unknown = schedule.nodes[schedule.dst[real[np.argmin(receiver)]]]
+        raise ModelError(f"unknown node {unknown!r}")
+    slot = schedule.slot[real]
+    first = int(slot.min(initial=0))
+    span = int(slot.max(initial=0)) - first + 1
+    keys, key_of = np.unique(
+        table.bs_rank[table.billed[receiver]] * span + (slot - first), return_inverse=True
+    )
+    load = sum_by(key_of, schedule.value[real], len(keys))
+    return table.bs_by_name[keys // span], keys % span + first, load
 
 
 def per_slot_loads(
     schedule: Schedule, topology: Topology
 ) -> dict[tuple[str, int], Number]:
-    """Spectrum billed to each (BS, slot) under the receiver-takeover rule.
-
-    Uplink transmissions into a BS are billed to that BS; D2D transmissions
-    are billed to the receiving user's BS; self-links cost nothing.
-    """
-    user_set = set(topology.user_ids)
-    loads: dict[tuple[str, int], Number] = {}
-    for (j, u, v, t), x in schedule.allocations.items():
-        if u == v:
-            continue
-        bs = topology.home_bs[v] if v in user_set else v
-        loads[(bs, t)] = loads.get((bs, t), 0) + x
-    return loads
+    """``slot_loads`` as a map (BS id, slot) -> load."""
+    bs, slot, load = slot_loads(schedule, topology)
+    ids = topology.bs_ids
+    return {(ids[b], t): x for b, t, x in zip(bs.tolist(), slot.tolist(), load.tolist())}
 
 
 @dataclass(frozen=True)

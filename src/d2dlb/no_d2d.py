@@ -135,7 +135,9 @@ def edf_feasible(cell: CellInstance, capacity: float) -> tuple[bool, Schedule | 
     for j in cell.demands:
         released.setdefault(j.start, []).append(j)
         due.setdefault(j.end, []).append(j)
-    alloc: dict[tuple[int, str, str, int], float] = {}
+    nodes = tuple(dict.fromkeys(j.user for j in cell.demands)) + (cell.bs,)
+    sender = {u: i for i, u in enumerate(nodes)}
+    granted: list[tuple[int, int, int, float]] = []  # (demand, sender, slot, grant)
     slots = sorted({t for j in cell.demands for t in range(j.start, j.end + 1)})
     waiting: list[tuple[int, int, Demand]] = []
     for t in slots:
@@ -146,7 +148,7 @@ def edf_feasible(cell: CellInstance, capacity: float) -> tuple[bool, Schedule | 
             j = waiting[0][2]
             if remaining[j.id] > tol[j.id]:
                 grant = min(free, remaining[j.id])
-                alloc[(j.id, j.user, cell.bs, t)] = grant
+                granted.append((j.id, sender[j.user], t, grant))
                 remaining[j.id] -= grant
                 free -= grant
             if remaining[j.id] <= tol[j.id]:
@@ -154,7 +156,15 @@ def edf_feasible(cell: CellInstance, capacity: float) -> tuple[bool, Schedule | 
         for j in due.get(t, ()):
             if remaining[j.id] > tol[j.id]:
                 return False, None
-    return True, Schedule(alloc)
+    demand, src, slot, value = zip(*granted) if granted else ((),) * 4
+    return True, Schedule(
+        nodes,
+        np.array(demand, dtype=np.int64),
+        np.array(src, dtype=np.int64),
+        np.full(len(granted), len(nodes) - 1, dtype=np.int64),
+        np.array(slot, dtype=np.int64),
+        np.array(value, dtype=float),
+    )
 
 
 def min_spectrum_no_d2d(
@@ -170,7 +180,7 @@ def min_spectrum_no_d2d(
     demands.check_users(topology)
     per_bs: dict[str, Number] = {}
     intervals: dict[str, tuple[int, int]] = {}
-    combined: dict[tuple[int, str, str, int], Number] = {}
+    witnesses: list[Schedule] = []
     for bs in topology.bs_ids:
         cell = CellInstance.from_instance(topology, demands, bs)
         f_b, interval = yds_min_spectrum(cell)
@@ -181,6 +191,6 @@ def min_spectrum_no_d2d(
             )
         per_bs[bs] = f_b
         intervals[bs] = interval
-        combined.update(schedule.allocations)
-    schedule = fill_storage(Schedule(combined), topology, demands)
+        witnesses.append(schedule)
+    schedule = fill_storage(Schedule.concatenate(witnesses), topology, demands)
     return SpectrumResult(per_bs, sum(per_bs.values())), schedule, intervals

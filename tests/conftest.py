@@ -39,7 +39,7 @@ def toy_d2d_schedule(toy_instance) -> Schedule:
         (3, "d", "beta", 3): 2.0,
         (3, "d", "beta", 4): 1.0,
     }
-    return fill_storage(Schedule(real), topology, demands)
+    return fill_storage(Schedule.from_allocations(real), topology, demands)
 
 
 @dataclass

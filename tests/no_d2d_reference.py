@@ -65,7 +65,7 @@ def build_min_spectrum_nd_lp(cell: CellInstance) -> tuple[lp.LpProblem, dict]:
 def min_spectrum_nd_lp(cell: CellInstance) -> tuple[float, Schedule]:
     """Solve the per-cell LP; returns the optimum and the direct-link schedule."""
     if not cell.demands:
-        return 0.0, Schedule({})
+        return 0.0, Schedule.from_allocations({})
     problem, index = build_min_spectrum_nd_lp(cell)
     solution = lp.solve(problem)
     if not solution.optimal:
@@ -76,4 +76,4 @@ def min_spectrum_nd_lp(cell: CellInstance) -> tuple[float, Schedule]:
         for (jid, t), col in index["x"].items()
         if solution.value(col) > 0.0
     }
-    return float(solution.objective), Schedule(alloc)
+    return float(solution.objective), Schedule.from_allocations(alloc)

@@ -193,7 +193,7 @@ class TestHeuristic:
         def overgranting(*args, **kwargs):
             sweep = heuristic_sweep(*args, **kwargs)
             first, *rest = sweep.levels
-            grants = Schedule({k: 1.01 * x for k, x in first.schedule.allocations.items()})
+            grants = Schedule.from_allocations({k: 1.01 * x for k, x in first.schedule.allocations.items()})
             return dataclasses.replace(
                 sweep, levels=(dataclasses.replace(first, schedule=grants), *rest)
             )
@@ -266,7 +266,7 @@ class TestErrorTaxonomy:
 
         def overgranting(cell, capacity):
             feasible, schedule = edf_feasible(cell, capacity)
-            return feasible, Schedule({k: 1.01 * x for k, x in schedule.allocations.items()})
+            return feasible, Schedule.from_allocations({k: 1.01 * x for k, x in schedule.allocations.items()})
 
         monkeypatch.setattr(no_d2d, "edf_feasible", overgranting)
         code = main(["d2d", "--fixture", "toy-fig1", "--out", str(tmp_path)])
@@ -283,7 +283,7 @@ class TestErrorTaxonomy:
 
         def undergranting(cell, capacity):
             feasible, schedule = edf_feasible(cell, capacity)
-            return feasible, Schedule({k: 0.99 * x for k, x in schedule.allocations.items()})
+            return feasible, Schedule.from_allocations({k: 0.99 * x for k, x in schedule.allocations.items()})
 
         monkeypatch.setattr(no_d2d, "edf_feasible", undergranting)
         code = main(["d2d", "--fixture", "toy-fig1", "--out", str(tmp_path)])
@@ -363,7 +363,7 @@ class TestErrorTaxonomy:
         def overgranting(*args, **kwargs):
             schedule, relayed, outcome = solve_min_overhead(*args, **kwargs)
             grants = {k: 1.01 * x for k, x in schedule.allocations.items()}
-            return Schedule(grants), relayed, outcome
+            return Schedule.from_allocations(grants), relayed, outcome
 
         monkeypatch.setattr(cli, "solve_min_overhead", overgranting)
         code = main(["bounds", "--fixture", "toy-fig1", "--out", str(tmp_path)])
@@ -420,3 +420,84 @@ class TestTraceIngestion:
         assert code == EXIT_OK
         payload = json.loads((tmp_path / "out" / "d2d_result.json").read_text())
         assert payload["f_nd"] > 0
+
+
+class TestInstanceOutput:
+    def test_instance_file_is_copied_byte_for_byte(self, tmp_path):
+        topology, demands = fixture("toy-fig1")
+        # compact JSON, unlike what instance_to_json writes
+        text = json.dumps(json.loads(instance_to_json(topology, demands)), separators=(",", ":"))
+        source = tmp_path / "compact.json"
+        source.write_bytes(text.encode() + b"\n")
+        for command in ("nd", "d2d"):
+            out = tmp_path / command
+            assert main([command, "--instance", str(source), "--out", str(out)]) == EXIT_OK
+            assert (out / "instance.json").read_bytes() == source.read_bytes()
+
+    def test_instance_file_is_read_once(self, tmp_path, monkeypatch):
+        # the bytes written under --out are the bytes that were solved
+        source = tmp_path / "instance.json"
+        source.write_text(instance_to_json(*fixture("toy-fig1")))
+        reads = []
+        for name in ("read_bytes", "read_text"):
+            read = getattr(Path, name)
+            monkeypatch.setattr(
+                Path, name, lambda self, *a, read=read, **k: reads.append(self) or read(self, *a, **k)
+            )
+        assert main(["d2d", "--instance", str(source), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert reads.count(source) == 1
+        assert (tmp_path / "out" / "instance.json").read_bytes() == source.read_bytes()
+
+    def test_instance_file_inside_out_is_kept(self, tmp_path):
+        topology, demands = fixture("toy-fig1")
+        source = tmp_path / "instance.json"
+        source.write_text(json.dumps(json.loads(instance_to_json(topology, demands))))
+        before = source.read_bytes()
+        assert main(["nd", "--instance", str(source), "--out", str(tmp_path)]) == EXIT_OK
+        assert source.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ["--fixture", "toy-fig1"],
+            ["--generate", "cells=2,users=2,demands=6,T=8", "--seed", "4"],
+            ["--trace", "{trace}", "--seed", "3", "--users-per-cell", "2", "--splits", "2"],
+        ],
+        ids=["fixture", "generate", "trace"],
+    )
+    def test_other_sources_write_their_json(self, tmp_path, source):
+        records = synthesize_trace(
+            ["cellA", "cellB"], 1, "diurnal-offset", np.random.default_rng(2),
+            windows_per_day=2, base_volume=10.0,
+        )
+        write_trace_csv(records, str(tmp_path / "trace.csv"))
+        argv = ["nd", *(a.format(trace=tmp_path / "trace.csv") for a in source)]
+        config = cli.config_from_args(cli.build_parser().parse_args(argv))
+        want = instance_to_json(*cli.load_instance(config))
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+        assert (tmp_path / "out" / "instance.json").read_text() == want
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_successive_calls_parse_their_own_flags(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep"
+        argv = ["heuristic", "--fixture", "heuristic-appF", "--lambda-grid", "0,1"]
+        assert main(argv + ["--out", str(sweep)]) == EXIT_OK
+        assert [r["lambda"] for r in read_csv_rows(sweep / "heuristic_sweep.csv")] == ["0.0", "1.0"]
+        table = tmp_path / "bounds"
+        argv = ["bounds", "--fixture", "toy-fig1", "--reuse", "0.5", "--reuse-d2d", "0.25"]
+        assert main(argv + ["--out", str(table)]) == EXIT_OK
+        assert "reuse_adjusted_rho" in [r["bound"] for r in read_csv_rows(table / "bounds.csv")]
+        args = cli.build_parser().parse_args(["nd", "--fixture", "toy-fig1"])
+        assert not hasattr(args, "lambda_grid") and not hasattr(args, "reuse")
+        assert args.seed == 0 and args.out == "out"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["d2d", "--fixture", "toy-fig1", "--lambda-grid", "0,1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lambda-grid" in capsys.readouterr().err
+        # the parser still works after argparse rejected a command line
+        assert main(["nd", "--fixture", "toy-fig1", "--out", str(tmp_path / "nd")]) == EXIT_OK

@@ -166,7 +166,7 @@ class TestValidateSchedule:
 
     def test_empty_schedule_misses_every_arrival(self, toy_instance):
         topology, demands = toy_instance
-        report = validate_schedule(Schedule({}), topology, demands)
+        report = validate_schedule(Schedule.from_allocations({}), topology, demands)
         arrivals = [v for v in report.violations if v.kind == "arrival"]
         assert len(arrivals) == len(demands.demands)
         assert {abs(v.residual) for v in arrivals} == {3.0}
@@ -174,7 +174,7 @@ class TestValidateSchedule:
     def test_unforwarded_volume_flags_conservation(self, toy_instance):
         topology, demands = toy_instance
         # b -> c in slot 1, then c never forwards nor stores
-        schedule = Schedule(
+        schedule = Schedule.from_allocations(
             {
                 (1, "b", "c", 1): 2.0,
                 (1, "b", "b", 1): 1.0,
@@ -187,12 +187,12 @@ class TestValidateSchedule:
 
     def test_negative_allocation_flagged(self, toy_instance):
         topology, demands = toy_instance
-        report = validate_schedule(Schedule({(0, "a", "alpha", 1): -1.0}), topology, demands)
+        report = validate_schedule(Schedule.from_allocations({(0, "a", "alpha", 1): -1.0}), topology, demands)
         assert any(v.kind == "negative" for v in report.violations)
 
     def test_out_of_lifetime_flagged(self, toy_instance):
         topology, demands = toy_instance
-        report = validate_schedule(Schedule({(0, "a", "alpha", 4): 3.0}), topology, demands)
+        report = validate_schedule(Schedule.from_allocations({(0, "a", "alpha", 4): 3.0}), topology, demands)
         assert any(v.kind == "lifetime" for v in report.violations)
 
 
@@ -211,7 +211,7 @@ class TestVolumesAndLoads:
     def test_no_d2d_schedule_has_zero_overhead(self, toy_instance):
         topology, demands = toy_instance
         direct = fill_storage(
-            Schedule({(0, "a", "alpha", 1): 3.0}),
+            Schedule.from_allocations({(0, "a", "alpha", 1): 3.0}),
             topology,
             DemandSet(4, (demands.demands[0],)),
         )
@@ -275,4 +275,4 @@ class TestScheduleSerialization:
     def test_fill_storage_rejects_oversend(self, toy_instance):
         topology, demands = toy_instance
         with pytest.raises(ModelError, match="more than"):
-            fill_storage(Schedule({(0, "a", "alpha", 1): 99.0}), topology, demands)
+            fill_storage(Schedule.from_allocations({(0, "a", "alpha", 1): 99.0}), topology, demands)

@@ -136,7 +136,7 @@ def scan_edf_feasible(cell: CellInstance, capacity: float) -> tuple[bool, Schedu
         for j in by_deadline:
             if j.end == t and remaining[j.id] > tol[j.id]:
                 return False, None
-    return True, Schedule(alloc)
+    return True, Schedule.from_allocations(alloc)
 
 
 class TestEdf:

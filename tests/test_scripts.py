@@ -1,10 +1,13 @@
 """The experiment scripts run end to end at small sizes."""
 
 import csv
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,3 +55,20 @@ def test_construction_sweep_writes_one_row_per_construction(tmp_path):
     ]
     for r in rows:
         assert float(r["rho_lp"]) >= float(r["rho_construction"]) - 1e-6
+
+
+def test_bench_pairs_summary_counts_wins_and_quartiles():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    assert bench_pairs.parse_seeds("3,17,901-903") == [3, 17, 901, 902, 903]
+    runs = [(1.0, 0.5), (1.0, 1.0), (0.8, 0.9), (1.2, 0.6)]  # (parent, change)
+    pairs = [
+        {"parent": {"metrics": {"solve_s": p, "x": p}}, "change": {"metrics": {"solve_s": c, "x": c}}}
+        for p, c in runs
+    ]
+    summary = bench_pairs.summarise(pairs, {"solve_s": "lower", "x": "higher"})
+    lower, higher = summary["solve_s"], summary["x"]
+    assert (lower["change_wins"], lower["parent_wins"], lower["pairs"]) == (2, 1, 4)
+    assert (higher["change_wins"], higher["parent_wins"]) == (1, 2)  # a tie counts for neither
+    assert lower["parent"] == pytest.approx({"median": 1.0, "q1": 0.95, "q3": 1.05})
