@@ -28,11 +28,7 @@ from .no_d2d import (
     min_spectrum_no_d2d,
     yds_min_spectrum,
 )
-from .d2d_flow import (
-    prune_equivalence_check,
-    solve_min_overhead,
-    solve_min_spectrum_d2d,
-)
+from .d2d_flow import solve_min_overhead, solve_min_spectrum_d2d
 from .heuristic import (
     check_heuristic_bounds,
     heuristic_min_overhead,

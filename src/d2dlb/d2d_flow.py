@@ -9,24 +9,24 @@ under the per-BS peak being minimized.
 
 Variable pruning drops (link, slot) pairs a demand cannot use: the sender
 must be reachable from the source within t - start hops and some BS must be
-reachable from the receiver in the slots that remain.  Pruning never changes
-the optimum; `prune_equivalence_check` verifies that on concrete instances.
+reachable from the receiver in the slots that remain.  The LP is always
+built pruned.  Pruning never changes the optimum; the tests hold it to the
+unpruned LP of their loop-built reference (``tests/flow_lp_reference.py``).
 
-One deviation from the naive formulation, applied with or without pruning:
-no variable lets a node other than the source transmit at the start slot.
-The flow equations alone leave that slot unconstrained for non-source nodes,
-admitting sourceless circulations that can fake cheaper deliveries on
-heterogeneous-rate instances.
+One deviation from the naive formulation: no variable lets a node other
+than the source transmit at the start slot.  The flow equations alone leave
+that slot unconstrained for non-source nodes, admitting sourceless
+circulations that can fake cheaper deliveries on heterogeneous-rate
+instances.
 
 Each rule bounds a demand's usable slots from one side only, so the slots
 demand j may use on a link (u, v), self-links included, form one interval:
-[start_j + d_src_j(u), end_j - d_bs(v)] with pruning, where d_src_j counts
-hops from j's source and d_bs hops to the nearest BS, and
-[start_j + (u != source_j), end_j] without.  The start-slot rule needs no
-term of its own under pruning, because d_src_j(u) = 0 only at the source.
-Enumerating columns is therefore exact arithmetic: a (demand, link) pair gets
-hi - lo + 1 columns (none if that is not positive), one per slot of its
-interval, and no (demand, link, slot) triple is tested on its own.
+[start_j + d_src_j(u), end_j - d_bs(v)], where d_src_j counts hops from j's
+source and d_bs hops to the nearest BS.  The start-slot rule needs no term
+of its own, because d_src_j(u) = 0 only at the source.  Enumerating columns
+is therefore exact arithmetic: a (demand, link) pair gets hi - lo + 1
+columns (none if that is not positive), one per slot of its interval, and
+no (demand, link, slot) triple is tested on its own.
 
 Every flow LP is solved by ``solve_flow_lp`` and yields one ``FlowSolve``.
 There is one builder, for the full problem (``solve_min_spectrum_d2d``).
@@ -145,10 +145,8 @@ class TimeExpandedIndex:
         )
 
 
-def build_flow_lp(
-    topology: Topology, demands: DemandSet, pruning: bool = True, name: str = "min-spectrum-d2d"
-) -> TimeExpandedIndex:
-    """Assemble the flow-over-time LP minimizing the sum of per-BS peaks.
+def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
+    """Assemble the pruned flow-over-time LP minimizing the sum of per-BS peaks.
 
     Columns: per demand, per link (real links in
     ``topology.rate_map`` order, then one self-link per node in
@@ -159,10 +157,9 @@ def build_flow_lp(
     (BS, slot) its alpha, beta and peak rows.
     """
     demands.check_users(topology)
-    active = demands.demands
-
-    nodes, node_index = topology.arrays.nodes, topology.arrays.index
-    n_nodes, n_users = len(nodes), len(topology.user_ids)  # users first, then BSs
+    table, dem = topology.arrays, demands.arrays
+    nodes, node_index, n_users = table.nodes, table.index, table.n_users  # users, then BSs
+    n_nodes, n_bs = len(nodes), len(topology.bs_ids)
     to_bs = hop_distances_to_bs(topology)
     d_bs = np.array([to_bs.get(v, UNREACHABLE) for v in nodes], dtype=np.int64)
 
@@ -173,13 +170,11 @@ def build_flow_lp(
     link_v = np.array([node_index[v] for (_, v), _ in real] + list(range(n_nodes)), np.int64)
     link_rate = np.array([float(r) for _, r in real] + [1.0] * n_nodes)
 
-    source = np.array([node_index[j.user] for j in active], dtype=np.int64)
-    start = np.array([j.start for j in active], dtype=np.int64)
-    end = np.array([j.end for j in active], dtype=np.int64)
-    volume = np.array([float(j.volume) for j in active])
+    source = np.array([node_index[u] for u in dem.users], dtype=np.int64)
+    start, end, volume = dem.start, dem.end, dem.volume
     late = np.flatnonzero(d_bs[source] > end - start + 1)
     if late.size:
-        j = active[late[0]]
+        j = demands.demands[late[0]]
         raise InfeasibleDemandError(
             f"demand {j.id}: user {j.user!r} cannot reach any BS within its"
             f" lifetime [{j.start}, {j.end}]"
@@ -187,16 +182,11 @@ def build_flow_lp(
 
     # (demand, link) pairs whose slot interval [lo, hi] is nonempty; demands
     # sharing a source share the hop distances, so they go in one block
-    if not pruning:
-        d_bs = np.zeros(n_nodes, dtype=np.int64)
     blocks = [np.zeros((4, 0), dtype=np.int64)]  # rows: demand, link, lo, count
     for s in np.unique(source):
         ks = np.flatnonzero(source == s)
-        if pruning:
-            from_src = hop_distances_from(topology, nodes[s])
-            d_src = np.array([from_src.get(v, UNREACHABLE) for v in nodes], dtype=np.int64)
-        else:
-            d_src = (np.arange(n_nodes) != s).astype(np.int64)
+        from_src = hop_distances_from(topology, nodes[s])
+        d_src = np.array([from_src.get(v, UNREACHABLE) for v in nodes], dtype=np.int64)
         lo = start[ks, None] + d_src[link_u]
         count = end[ks, None] - d_bs[link_v] - lo + 1
         kk, ll = np.nonzero(count > 0)
@@ -216,7 +206,7 @@ def build_flow_lp(
     # per demand: 0 source, 1 arrival, 2 + node * horizon + (slot - 1) conservation
     horizon = demands.horizon
     stride = 2 + n_nodes * horizon
-    n_active = len(active)
+    n_active = len(source)
     demand_key = np.arange(n_active, dtype=np.int64) * stride
     is_source = (u == source[k]) & (t == start[k])
     is_arrival = (v >= n_users) & (t == end[k])
@@ -237,27 +227,20 @@ def build_flow_lp(
     flow_rhs[row_of[:n_active]] = volume
     flow_rhs[row_of[n_active : 2 * n_active]] = volume
 
-    # billing: a real link into a BS counts toward its alpha, into a user
-    # toward the beta of the user's home BS
-    bs_sorted = sorted(topology.bs_ids)
-    bs_rank = {b: i for i, b in enumerate(bs_sorted)}
-    billed_rank = np.array(
-        [bs_rank[topology.home_bs[x]] for x in topology.user_ids]
-        + [bs_rank[b] for b in topology.bs_ids],
-        dtype=np.int64,
-    )
+    # billing (``NodeArrays.billed``): a real link into a BS counts toward
+    # its alpha, into a user toward the beta of the user's home BS; billed
+    # (BS, slot) pairs are keyed by the BS id's rank in sorted order
+    billed_rank = table.bs_rank[table.billed]
     real_col = col[link < n_real]
     bill_key = billed_rank[v[real_col]] * (horizon + 1) + t[real_col]
     billed = np.unique(bill_key)
     n_billed = len(billed)
-    billed_bs = [bs_sorted[r] for r in (billed // (horizon + 1)).tolist()]
-    billed_slot = (billed % (horizon + 1)).tolist()
-    billed_keys = list(zip(billed_bs, billed_slot))
+    billed_bs = [topology.bs_ids[b] for b in table.bs_by_name[billed // (horizon + 1)].tolist()]
+    billed_keys = list(zip(billed_bs, (billed % (horizon + 1)).tolist()))
 
-    problem = lp.LpProblem(name)
-    problem.add_variables(n_flow)
-    peak0 = problem.add_variables(len(topology.bs_ids))
-    pair0 = problem.add_variables(2 * n_billed)
+    # columns: flows, then the peaks, then an (alpha, beta) pair per billed slot
+    peak0, pair0 = n_flow, n_flow + n_bs
+    n_variables = pair0 + 2 * n_billed
     peak_vars = {b: peak0 + i for i, b in enumerate(topology.bs_ids)}
     alpha_col = pair0 + 2 * np.arange(n_billed)
     peak_col = np.array([peak_vars[b] for b in billed_bs], dtype=np.int64)
@@ -281,35 +264,37 @@ def build_flow_lp(
         (bill_row + 2, peak_col, -ones),
     ]
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-    problem.add_constraints(
-        rows,
-        cols,
-        vals,
-        np.concatenate([flow_rhs, np.zeros(3 * n_billed)]),
-        np.concatenate([np.ones(n_flow_rows, bool), np.tile([True, True, False], n_billed)]),
+    cost = np.zeros(n_variables)
+    cost[peak0:pair0] = 1.0
+    problem = lp.LpProblem(
+        name="min-spectrum-d2d",
+        objective=cost,
+        lower=np.zeros(n_variables),
+        upper=np.full(n_variables, np.inf),
+        rows=rows,
+        cols=cols,
+        vals=vals,
+        rhs=np.concatenate([flow_rhs, np.zeros(3 * n_billed)]),
+        equality=np.concatenate(
+            [np.ones(n_flow_rows, bool), np.tile([True, True, False], n_billed)]
+        ),
     )
 
-    c = np.zeros(problem.n_variables)
-    c[list(peak_vars.values())] = 1.0
-    problem.set_objective(c)
-
-    alpha_vars = {key: pair0 + 2 * i for i, key in enumerate(billed_keys)}
-    beta_vars = {key: pair0 + 2 * i + 1 for i, key in enumerate(billed_keys)}
     return TimeExpandedIndex(
         problem=problem,
         nodes=nodes,
-        flow_demand=np.array([j.id for j in active], dtype=np.int64)[k],
+        flow_demand=dem.ids[k],
         flow_src=u,
         flow_dst=v,
         flow_slot=t,
         relay_cost=np.concatenate(
             [
                 np.where((link < n_real) & (v < n_users) & inflow, rate, 0.0),
-                np.zeros(problem.n_variables - n_flow),
+                np.zeros(n_variables - n_flow),
             ]
         ),
-        alpha_vars=alpha_vars,
-        beta_vars=beta_vars,
+        alpha_vars={key: pair0 + 2 * i for i, key in enumerate(billed_keys)},
+        beta_vars={key: pair0 + 2 * i + 1 for i, key in enumerate(billed_keys)},
         peak_vars=peak_vars,
         source_row=row_of[:n_active],
         arrival_row=row_of[n_active : 2 * n_active],
@@ -362,11 +347,9 @@ def solve_flow_lp(index: TimeExpandedIndex, basis: lp.Basis | None = None) -> Fl
     return FlowSolve(index, solution, index.extract_schedule(solution))
 
 
-def solve_min_spectrum_d2d(
-    topology: Topology, demands: DemandSet, pruning: bool = True
-) -> FlowSolve:
+def solve_min_spectrum_d2d(topology: Topology, demands: DemandSet) -> FlowSolve:
     """Minimum total spectrum with D2D, and at it a schedule relaying the least traffic."""
-    return solve_flow_lp(build_flow_lp(topology, demands, pruning))
+    return solve_flow_lp(build_flow_lp(topology, demands))
 
 
 def solve_min_overhead(
@@ -378,37 +361,3 @@ def solve_min_overhead(
     here.  Returns the schedule, the relayed traffic, and ``outcome``.
     """
     return outcome.schedule, outcome.relayed_traffic, outcome
-
-
-@dataclass(frozen=True)
-class PruneReport:
-    optimum_pruned: float
-    optimum_unpruned: float
-    n_vars_pruned: int
-    n_vars_unpruned: int
-    rel_gap: float
-
-    @property
-    def equal(self) -> bool:
-        return self.rel_gap <= 1e-6
-
-    @property
-    def variable_reduction(self) -> float:
-        if self.n_vars_unpruned == 0:
-            return 0.0
-        return 1.0 - self.n_vars_pruned / self.n_vars_unpruned
-
-
-def prune_equivalence_check(topology: Topology, demands: DemandSet) -> PruneReport:
-    """Solve with and without pruning and compare optima and variable counts."""
-    pruned = solve_min_spectrum_d2d(topology, demands, pruning=True)
-    unpruned = solve_min_spectrum_d2d(topology, demands, pruning=False)
-    f_p, f_u = pruned.total, unpruned.total
-    gap = abs(f_p - f_u) / max(1.0, abs(f_u))
-    return PruneReport(
-        optimum_pruned=f_p,
-        optimum_unpruned=f_u,
-        n_vars_pruned=pruned.n_variables,
-        n_vars_unpruned=unpruned.n_variables,
-        rel_gap=gap,
-    )

@@ -1,8 +1,9 @@
 """Linear programs and their one solver, HiGHS.
 
-The problem container holds arrays: nonnegative (boxed) variables, a dense
-minimization objective, and ``=`` / ``<=`` rows whose matrix is kept as
-sparse (row, column, value) triplets.
+A problem, ``LpProblem``, is a frozen record of arrays built in one call:
+nonnegative (boxed) variables, a dense minimization objective, and ``=`` /
+``<=`` rows whose matrix is kept as sparse (row, column, value) triplets.
+Its constructor checks it once, so the solver passes it to HiGHS as it is.
 
 ``solve`` (``run_highs``) runs HiGHS on the engine scipy ships
 (``scipy.optimize._highspy._core``), with the model and the settings
@@ -31,9 +32,8 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import ModuleType
-from typing import Mapping
 
 import numpy as np
 import scipy
@@ -75,223 +75,74 @@ class LpError(ValueError):
     """Raised for malformed problems or misused solver APIs."""
 
 
-class _Vector:
-    """Append-only 1-D array: scalars and arrays go in, one numpy array comes out."""
-
-    __slots__ = ("_dtype", "_parts", "_tail", "size")
-
-    def __init__(self, dtype: type, values: np.ndarray | None = None):
-        self._dtype = dtype
-        self._parts = [np.zeros(0, dtype) if values is None else np.asarray(values, dtype)]
-        self._tail: list = []
-        self.size = self._parts[0].size
-
-    def append(self, value) -> None:
-        self._tail.append(value)
-        self.size += 1
-
-    def extend(self, values: list | np.ndarray) -> None:
-        if isinstance(values, list):
-            self._tail.extend(values)
-        else:
-            self._flush()
-            self._parts.append(np.asarray(values, self._dtype))
-        self.size += len(values)
-
-    def _flush(self) -> None:
-        if self._tail:
-            self._parts.append(np.array(self._tail, self._dtype))
-            self._tail = []
-
-    def array(self) -> np.ndarray:
-        self._flush()
-        if len(self._parts) != 1:
-            self._parts = [np.concatenate(self._parts)]
-        return self._parts[0]
+#: the dtype of each array of an ``LpProblem``
+_DTYPES = dict(
+    objective=float, lower=float, upper=float, rows=np.int64, cols=np.int64, vals=float,
+    rhs=float, equality=bool,
+)
 
 
+@dataclass(frozen=True, eq=False)
 class LpProblem:
     """Minimization LP ``min c'x  s.t.  A x (= or <=) b,  lower <= x <= upper``.
 
-    The problem is held as arrays: the constraint matrix as sparse
-    (row, column, value) triplets, one rhs and one sense per row, a dense
-    objective vector and per-variable bounds.  Variables and rows are
-    numbered in the order they are added; variables default to [0, +inf).
-    ``add_variable``/``add_constraint`` append one at a time,
-    ``add_variables``/``add_constraints`` append whole blocks.  Names are
-    optional: a row's name (``c<i>`` when unnamed) labels ``validate``'s
-    errors, and both kinds label the tests' LP text dumps.
+    A record of arrays, built in one call: the objective c and the bounds,
+    one entry per variable; the constraint matrix A as (``rows``, ``cols``,
+    ``vals``) triplets; and ``rhs`` and ``equality`` (True for ``=``, False
+    for ``<=``), one entry per row.  The constructor checks the shapes, that
+    every bound interval is ``0 <= lower <= upper`` with ``lower`` finite,
+    that every triplet names an existing row and variable, and that the
+    objective, the matrix values and the right-hand sides are finite.
     """
 
-    def __init__(self, name: str = "lp"):
-        self.name = name
-        self.var_names: dict[int, str] = {}
-        self.row_names: dict[int, str] = {}
-        self._lower = _Vector(float)
-        self._upper = _Vector(float)
-        self._cost = _Vector(float)
-        self._rows = _Vector(np.int64)
-        self._cols = _Vector(np.int64)
-        self._vals = _Vector(float)
-        self._rhs = _Vector(float)
-        self._eq = _Vector(bool)
+    name: str
+    objective: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    rhs: np.ndarray
+    equality: np.ndarray
+
+    def __post_init__(self) -> None:
+        for field, dtype in _DTYPES.items():
+            object.__setattr__(self, field, np.asarray(getattr(self, field), dtype))
+        n, m, nnz = self.objective.size, self.equality.size, self.rows.size
+        sizes = dict(objective=n, lower=n, upper=n, rows=nnz, cols=nnz, vals=nnz, rhs=m, equality=m)
+        for field, size in sizes.items():
+            shape = getattr(self, field).shape
+            if shape != (size,):
+                raise LpError(f"{self.name}: {field} of shape {shape}, expected ({size},)")
+        if not np.isfinite(self.objective).all():
+            raise LpError(f"{self.name}: objective has non-finite coefficient")
+        if not (np.isfinite(self.lower) & (self.lower >= 0)).all():
+            raise LpError(f"{self.name}: lower bound must be finite and >= 0")
+        if not (self.upper >= self.lower).all():
+            raise LpError(f"{self.name}: empty bound interval")
+        if nnz and not (0 <= self.cols.min() and self.cols.max() < n):
+            raise LpError(f"{self.name}: constraint references unknown variable index")
+        if nnz and not (0 <= self.rows.min() and self.rows.max() < m):
+            raise LpError(f"{self.name}: constraint references unknown row index")
+        if not np.isfinite(self.vals).all():
+            raise LpError(f"{self.name}: constraint has non-finite coefficient")
+        if not np.isfinite(self.rhs).all():
+            raise LpError(f"{self.name}: constraint has non-finite rhs")
 
     @property
     def n_variables(self) -> int:
-        return self._lower.size
+        return len(self.objective)
 
     @property
     def n_constraints(self) -> int:
-        return self._rhs.size
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self._lower.array()
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self._upper.array()
-
-    @property
-    def objective(self) -> np.ndarray:
-        """Dense cost vector, one entry per variable."""
-        return self._cost.array()
-
-    @property
-    def rhs(self) -> np.ndarray:
-        return self._rhs.array()
-
-    @property
-    def equality(self) -> np.ndarray:
-        """Per row: True for ``=``, False for ``<=``."""
-        return self._eq.array()
-
-    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row, column, value) arrays of the constraint matrix's entries."""
-        return self._rows.array(), self._cols.array(), self._vals.array()
-
-    def row_name(self, r: int) -> str:
-        return self.row_names.get(r, f"c{r}")
-
-    @staticmethod
-    def _check_bounds(name: str, lower: float, upper: float) -> None:
-        if lower < 0:
-            raise LpError(f"variable {name!r}: lower bound must be >= 0")
-        if upper < lower:
-            raise LpError(f"variable {name!r}: empty bound interval")
-
-    def add_variable(self, name: str, lower: float = 0.0, upper: float = math.inf) -> int:
-        self._check_bounds(name, lower, upper)
-        i = self.n_variables
-        self._lower.append(lower)
-        self._upper.append(upper)
-        self._cost.append(0.0)
-        self.var_names[i] = name
-        return i
-
-    def add_variables(self, count: int, lower: float = 0.0, upper: float = math.inf) -> int:
-        """Append ``count`` unnamed variables with common bounds; returns the first index."""
-        first = self.n_variables
-        self._check_bounds(f"x{first}..", lower, upper)
-        self._lower.extend(np.full(count, lower))
-        self._upper.extend(np.full(count, upper))
-        self._cost.extend(np.zeros(count))
-        return first
-
-    def set_objective(self, coeffs: Mapping[int, float] | np.ndarray) -> None:
-        """Replace the objective by a {variable: cost} map or a dense cost vector."""
-        n = self.n_variables
-        if isinstance(coeffs, np.ndarray):
-            if coeffs.shape != (n,):
-                raise LpError(f"objective vector has shape {coeffs.shape}, expected ({n},)")
-            c = coeffs.astype(float)
-        else:
-            c = np.zeros(n)
-            for i, coef in coeffs.items():
-                if not (0 <= i < n):
-                    raise LpError(f"objective references unknown variable index {i}")
-                c[i] = coef
-        self._cost = _Vector(float, c)
-
-    def add_constraint(
-        self, coeffs: Mapping[int, float], sense: str, rhs: float, name: str = ""
-    ) -> int:
-        if sense not in ("=", "<="):
-            raise LpError(f"unsupported sense {sense!r}")
-        r = self.n_constraints
-        terms = [(int(i), float(c)) for i, c in coeffs.items() if c != 0.0]
-        self._rows.extend([r] * len(terms))
-        self._cols.extend([i for i, _ in terms])
-        self._vals.extend([c for _, c in terms])
-        self._rhs.append(float(rhs))
-        self._eq.append(sense == "=")
-        if name:
-            self.row_names[r] = name
-        return r
-
-    def add_constraints(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        rhs: np.ndarray,
-        equality: np.ndarray,
-    ) -> int:
-        """Append a block of unnamed rows given as triplets; returns the first row index.
-
-        ``rows`` numbers the block's rows from 0; ``rhs`` and ``equality``
-        hold one entry per row of the block.
-        """
-        first = self.n_constraints
-        m = len(rhs)
-        if len(equality) != m:
-            raise LpError("rhs and equality differ in length")
-        if len(rows) and not (0 <= rows.min() and rows.max() < m):
-            raise LpError("constraint block references a row outside the block")
-        keep = vals != 0.0
-        self._rows.extend(rows[keep] + first)
-        self._cols.extend(cols[keep])
-        self._vals.extend(vals[keep])
-        self._rhs.extend(rhs)
-        self._eq.extend(equality)
-        return first
-
-    def validate(self) -> None:
-        n = self.n_variables
-        if not np.isfinite(self.objective).all():
-            raise LpError("objective has non-finite coefficient")
-        rows, cols, vals = self.triplets()
-        bad_rhs = np.flatnonzero(~np.isfinite(self.rhs))
-        if bad_rhs.size:
-            raise LpError(f"constraint {self.row_name(int(bad_rhs[0]))}: non-finite rhs")
-        bad = np.flatnonzero((cols < 0) | (cols >= n))
-        if bad.size:
-            k = int(bad[0])
-            raise LpError(
-                f"constraint {self.row_name(int(rows[k]))}: unknown variable index {cols[k]}"
-            )
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            raise LpError(
-                f"constraint {self.row_name(int(rows[bad[0]]))}: non-finite coefficient"
-            )
+        return len(self.rhs)
 
     def with_bounds(self, upper: np.ndarray, rhs: np.ndarray, name: str) -> "LpProblem":
-        """The same matrix, costs and lower bounds under new upper bounds and right-hand sides."""
-        n, m = self.n_variables, self.n_constraints
-        upper, rhs = np.asarray(upper, float), np.asarray(rhs, float)
-        if upper.shape != (n,) or rhs.shape != (m,):
-            raise LpError(f"{name}: bounds of shape {upper.shape}, rhs of shape {rhs.shape}")
-        if np.any(upper < self.lower):
-            raise LpError(f"{name}: empty bound interval")
-        copy = LpProblem(name)
-        rows, cols, vals = self.triplets()
-        copy._lower, copy._upper = _Vector(float, self.lower), _Vector(float, upper)
-        copy._cost = _Vector(float, self.objective)
-        copy._rows, copy._cols = _Vector(np.int64, rows), _Vector(np.int64, cols)
-        copy._vals = _Vector(float, vals)
-        copy._rhs, copy._eq = _Vector(float, rhs), _Vector(bool, self.equality)
-        return copy
+        """The same matrix, costs and lower bounds under new upper bounds and right-hand sides.
+
+        The new record shares every array but ``upper`` and ``rhs`` with this one.
+        """
+        return replace(self, name=name, upper=upper, rhs=rhs)
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.objective @ x)
@@ -303,8 +154,9 @@ class LpProblem:
         if self.n_variables:
             worst = max(worst, float(np.max(self.lower - x)), float(np.max(x - self.upper)))
         if self.n_constraints:
-            rows, cols, vals = self.triplets()
-            activity = np.bincount(rows, weights=vals * x[cols], minlength=self.n_constraints)
+            activity = np.bincount(
+                self.rows, weights=self.vals * x[self.cols], minlength=self.n_constraints
+            )
             excess = activity - self.rhs
             excess = np.where(self.equality, np.abs(excess), excess)
             worst = max(worst, float(np.max(excess)))
@@ -313,7 +165,7 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded | iteration_limit | error
+    status: str  # optimal | infeasible | unbounded | iteration_limit | time_limit | error
     objective: float | None
     x: np.ndarray | None
     max_primal_residual: float | None
@@ -352,8 +204,9 @@ def dual_certificate_gap(problem: LpProblem, solution: LpSolution) -> float:
     if positive.size:
         r = int(positive[0])
         raise LpError(f"dual multiplier of <= row {r} is positive: {y[r]}")
-    rows, cols, vals = problem.triplets()
-    col_dual = np.bincount(cols, weights=y[rows] * vals, minlength=problem.n_variables)
+    col_dual = np.bincount(
+        problem.cols, weights=y[problem.rows] * problem.vals, minlength=problem.n_variables
+    )
     reduced = problem.objective - col_dual
     lower, upper = problem.lower, problem.upper
     free_above = np.isinf(upper)
@@ -379,10 +232,12 @@ def dual_certificate_gap(problem: LpProblem, solution: LpSolution) -> float:
 # HiGHS, run on the engine scipy ships
 # ---------------------------------------------------------------------------
 
-#: HiGHS model statuses as ``linprog`` reports them; any other is an error
+#: HiGHS model statuses as ``linprog`` reports them, except that a time
+#: limit has its own status (``linprog`` counts it as an iteration limit);
+#: any other is an error
 _HIGHS_STATUS = {
     _highs.HighsModelStatus.kOptimal: "optimal",
-    _highs.HighsModelStatus.kTimeLimit: "iteration_limit",
+    _highs.HighsModelStatus.kTimeLimit: "time_limit",
     _highs.HighsModelStatus.kIterationLimit: "iteration_limit",
     _highs.HighsModelStatus.kInfeasible: "infeasible",
     _highs.HighsModelStatus.kModelError: "infeasible",
@@ -395,7 +250,9 @@ RESULT_CHECK_TOL = 10.0 * math.sqrt(1e-9)
 
 
 #: every HiGHS setting, as ``linprog(method="highs")`` passes them: quiet,
-#: presolve, dual simplex, 1e-9 feasibility tolerances, 100,000 iterations
+#: presolve, dual simplex, 1e-9 feasibility tolerances, 100,000 iterations;
+#: and a wall-clock limit of 600 s per run (the benchmark's largest solve
+#: takes about 0.5 s), which ``linprog`` leaves unset
 HIGHS_OPTIONS = {
     "output_flag": False,
     "log_to_console": False,
@@ -406,6 +263,7 @@ HIGHS_OPTIONS = {
     "dual_feasibility_tolerance": 1e-9,
     "simplex_iteration_limit": 100_000,
     "ipm_iteration_limit": 100_000,
+    "time_limit": 600.0,
 }
 
 
@@ -444,16 +302,14 @@ def _pass_model(problem: LpProblem, cost: np.ndarray) -> tuple[_highs._Highs | N
     HiGHS's row order: ``linprog``'s, the ``<=`` rows above the ``=`` rows,
     each group in problem order.
     """
-    problem.validate()
     n, m = problem.n_variables, problem.n_constraints
     if n == 0:
         raise LpError(f"{problem.name}: no variables")  # linprog refuses it too
-    rows, cols, vals = problem.triplets()
     eq = problem.equality
     order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
     position = np.empty(m, np.int64)
     position[order] = np.arange(m)
-    indptr, indices, data = column_wise(position[rows], cols, vals, m, n)
+    indptr, indices, data = column_wise(position[problem.rows], problem.cols, problem.vals, m, n)
     rhs = problem.rhs[order]
     highs = _highs._Highs()
     for name, value in HIGHS_OPTIONS.items():

@@ -1,27 +1,77 @@
-"""Loop-built flow LPs: the reference builder, and heuristic step III solved on it.
+"""Loop-built flow LPs: the reference builder, pruning's exactness, heuristic step III.
 
 ``loop_flow_lp`` enumerates every (demand, link, slot) and tests it one at a
 time, the way the flow LP was first written.  It also builds what the
-library no longer builds on its own: step III as a reduced LP over the
-D2D-eligible demands only, with the kept load as a floor under each peak.
-``step3_reference`` solves that reduced LP cold, and
-``assert_level_matches_reduced`` holds a step III solved as the full LP with
-fixed columns, warm-started, to its numbers.
+library no longer builds on its own:
+
+- the unpruned LP (``pruning=False``), which ``prune_equivalence_check``
+  solves against the library's pruned one;
+- step III as a reduced LP over the D2D-eligible demands only, with the
+  kept load as a floor under each peak.  ``step3_reference`` solves that
+  reduced LP cold, and ``assert_level_matches_reduced`` holds a step III
+  solved as the full LP with fixed columns, warm-started, to its numbers.
+
+The instances the flow-LP exactness tests share are here too.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
 import pytest
+from lp_builder import LpBuilder
 
 from d2dlb import lp
-from d2dlb.d2d_flow import InfeasibleDemandError, hop_distances_from, hop_distances_to_bs
+from d2dlb.d2d_flow import (
+    InfeasibleDemandError,
+    build_flow_lp,
+    hop_distances_from,
+    hop_distances_to_bs,
+    solve_min_spectrum_d2d,
+)
 from d2dlb.heuristic import HeuristicOutcome, SplitResult
 from d2dlb.model import Demand, DemandSet, ModelError, Topology
+from d2dlb.scenario import random_multicell_instance
 
 #: agreement required between a warm step III and the cold reduced LP
 LEVEL_REL_TOL = 1e-9
+#: largest duality gap accepted on flow-LP optima
+GAP_TOL = 1e-9
+
+#: the named instances, as ``scenario.fixture`` names, under their test ids
+NAMED_INSTANCES = {"toy-fig1": "toy-fig1", "ring3": "ring(3,1.0)", "complete2x2": "complete(2,2,6)"}
+#: runs a test once per named instance, passing its fixture name as ``instance``
+over_named_instances = pytest.mark.parametrize(
+    "instance", list(NAMED_INSTANCES.values()), ids=list(NAMED_INSTANCES)
+)
+
+
+def random_instance(seed: int) -> tuple[Topology, DemandSet]:
+    """2-4 cells of 1-3 users with 1-19 demands over 4-15 slots, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return random_multicell_instance(
+        rng,
+        n_cells=int(rng.integers(2, 5)),
+        users_per_cell=int(rng.integers(1, 4)),
+        n_demands=int(rng.integers(1, 20)),
+        horizon=int(rng.integers(4, 16)),
+        delays=(1, 2, 3, 4),
+        d2d_link_prob=float(rng.uniform(0.1, 0.6)),
+    )
+
+
+def step3_instance(seed: int) -> tuple[Topology, DemandSet]:
+    """3 cells of 3 users with 18 demands over 14 slots: a heuristic step III's instance."""
+    return random_multicell_instance(
+        np.random.default_rng(seed),
+        n_cells=3,
+        users_per_cell=3,
+        n_demands=18,
+        horizon=14,
+        delays=(1, 2, 3, 4),
+    )
 
 
 def loop_flow_lp(
@@ -42,7 +92,7 @@ def loop_flow_lp(
     user_set = set(topology.user_ids)
     dist_to_bs = hop_distances_to_bs(topology)
 
-    problem = lp.LpProblem("reference")
+    problem = LpBuilder("reference")
     flow_vars: dict[tuple[int, str, str, int], int] = {}
     real_links = list(topology.rate_map.items())
 
@@ -148,7 +198,54 @@ def loop_flow_lp(
             if u != v and v in user_set and t <= demand_end[jid] - 1:
                 obj[col] = rate(u, v)
         problem.set_objective(obj)
-    return problem, flow_vars, alpha_vars, beta_vars, peak_vars
+    return problem.build(), flow_vars, alpha_vars, beta_vars, peak_vars
+
+
+def flow_model(
+    topology: Topology, demands: DemandSet, pruning: bool
+) -> tuple[lp.LpProblem, np.ndarray]:
+    """(spectrum model, relayed-traffic cost): the library's LP, or the unpruned reference's."""
+    if pruning:
+        index = build_flow_lp(topology, demands)
+        return index.problem, index.relay_cost
+    problem = loop_flow_lp(topology, demands, pruning=False)[0]
+    relay = loop_flow_lp(topology, demands, pruning=False, objective="d2d_traffic")[0]
+    return problem, relay.objective
+
+
+@dataclass(frozen=True)
+class PruneReport:
+    optimum_pruned: float
+    optimum_unpruned: float
+    n_vars_pruned: int
+    n_vars_unpruned: int
+    rel_gap: float
+
+    @property
+    def equal(self) -> bool:
+        return self.rel_gap <= 1e-6
+
+    @property
+    def variable_reduction(self) -> float:
+        if self.n_vars_unpruned == 0:
+            return 0.0
+        return 1.0 - self.n_vars_pruned / self.n_vars_unpruned
+
+
+def prune_equivalence_check(topology: Topology, demands: DemandSet) -> PruneReport:
+    """The library's pruned optimum and flow columns against the unpruned reference LP's."""
+    pruned = solve_min_spectrum_d2d(topology, demands)
+    problem, flow_vars, *_ = loop_flow_lp(topology, demands, pruning=False)
+    unpruned = lp.run_highs(problem)
+    assert unpruned.optimal, unpruned.status
+    f_p, f_u = pruned.total, unpruned.objective
+    return PruneReport(
+        optimum_pruned=f_p,
+        optimum_unpruned=f_u,
+        n_vars_pruned=pruned.n_variables,
+        n_vars_unpruned=len(flow_vars),
+        rel_gap=abs(f_p - f_u) / max(1.0, abs(f_u)),
+    )
 
 
 def step3_lp(

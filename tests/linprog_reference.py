@@ -13,7 +13,7 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
-from d2dlb.lp import LpProblem
+from d2dlb.lp import HIGHS_OPTIONS, LpProblem
 
 
 def reference_arguments(problem: LpProblem) -> dict:
@@ -24,7 +24,7 @@ def reference_arguments(problem: LpProblem) -> dict:
     no row of that sense); ``bounds`` is an (n, 2) array.
     """
     n = problem.n_variables
-    rows, cols, vals = problem.triplets()
+    rows, cols, vals = problem.rows, problem.cols, problem.vals
     eq = problem.equality
 
     def block(mask: np.ndarray) -> tuple:
@@ -58,6 +58,7 @@ def reference_solve(problem: LpProblem, max_iterations: int = 100_000):
             "primal_feasibility_tolerance": 1e-9,
             "dual_feasibility_tolerance": 1e-9,
             "maxiter": max_iterations,
+            "time_limit": HIGHS_OPTIONS["time_limit"],
         },
     )
 

@@ -10,6 +10,8 @@ formulations that share none of its arithmetic.
 
 from __future__ import annotations
 
+from lp_builder import LpBuilder
+
 from d2dlb import lp
 from d2dlb.model import Schedule
 from d2dlb.no_d2d import CellInstance, edf_feasible
@@ -36,7 +38,7 @@ def binary_search_min_spectrum(
 
 def build_min_spectrum_nd_lp(cell: CellInstance) -> tuple[lp.LpProblem, dict]:
     """LP with per-demand slot allocations, per-slot totals, and the peak."""
-    problem = lp.LpProblem(f"min-spectrum-nd-{cell.bs}")
+    problem = LpBuilder(f"min-spectrum-nd-{cell.bs}")
     x_vars: dict[tuple[int, int], int] = {}
     for j in cell.demands:
         for t in range(j.start, j.end + 1):
@@ -59,7 +61,7 @@ def build_min_spectrum_nd_lp(cell: CellInstance) -> tuple[lp.LpProblem, dict]:
         problem.add_constraint({load_vars[t]: 1.0, peak: -1.0}, "<=", 0.0, f"peak_t{t}")
     problem.set_objective({peak: 1.0})
     index = {"x": x_vars, "load": load_vars, "peak": peak}
-    return problem, index
+    return problem.build(), index
 
 
 def min_spectrum_nd_lp(cell: CellInstance) -> tuple[float, Schedule]:

@@ -172,7 +172,7 @@ def to_standard_form(
     """
     n, m0 = problem.n_variables, problem.n_constraints
     lower, upper = problem.lower, problem.upper
-    rows, cols, vals = problem.triplets()
+    rows, cols, vals = problem.rows, problem.cols, problem.vals
     boxed = np.flatnonzero(np.isfinite(upper))
     m = m0 + boxed.size
     # every <= row, bound rows included, gets its own slack column
@@ -193,7 +193,6 @@ def to_standard_form(
 
 def solve_reference(problem: LpProblem, max_iterations: int = 100_000) -> LpSolution:
     """Solve ``problem`` with the dense simplex; duals are in problem row order."""
-    problem.validate()
     A, b, c, row_signs, n = to_standard_form(problem)
     simplex = Simplex(A, b, c, max_iterations)
     status, x_std, duals = simplex.solve()

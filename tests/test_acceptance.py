@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from flow_lp_reference import prune_equivalence_check
 
 from d2dlb.bounds import (
     build_complete_instance,
@@ -21,7 +22,6 @@ from d2dlb.bounds import (
 )
 from d2dlb.d2d_flow import (
     hop_distances_from,
-    prune_equivalence_check,
     solve_min_overhead,
     solve_min_spectrum_d2d,
 )

@@ -355,6 +355,14 @@ class TestErrorTaxonomy:
         assert code == EXIT_SOLVER
         assert capsys.readouterr().err.startswith("numerical error: cell alpha")
 
+    def test_time_limit_is_solver_error(self, tmp_path, capsys, monkeypatch):
+        # HiGHS stops at its wall-clock limit before an optimum: exit 3, naming the status
+        monkeypatch.setitem(lp.HIGHS_OPTIONS, "time_limit", 0.0)
+        code = main(["d2d", "--fixture", "toy-fig1", "--out", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ") and "status time_limit" in err, err
+
     def test_invalid_bounds_schedule_is_violation(self, tmp_path, capsys, monkeypatch):
         # a D2D schedule granting 1 % more than the solve found fails
         # validation before bounds derives eta from it

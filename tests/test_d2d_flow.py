@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from flow_lp_reference import prune_equivalence_check
 from hypothesis import strategies as st
 from lp_format import to_lp_format
 from simplex_reference import solve_reference
@@ -16,7 +17,6 @@ from d2dlb.d2d_flow import (
     build_flow_lp,
     hop_distances_from,
     hop_distances_to_bs,
-    prune_equivalence_check,
     solve_min_overhead,
     solve_min_spectrum_d2d,
 )
@@ -258,6 +258,8 @@ class TestStructuralProperties:
         topology, demands = toy_instance
         problem = overhead_model(build_flow_lp(topology, demands), 4.0)
         text = to_lp_format(problem)
-        assert "primary_cap" in text
+        cap = text.split("Bounds")[0].splitlines()[-1]  # the last row: the peaks' sum capped at 4
+        assert cap.startswith(f" c{problem.n_constraints - 1}: ") and cap.endswith(" <= 4")
+        assert cap.count(" x") == len(topology.bs_ids)
         solution = solve(problem)
         assert solution.status == "optimal"

@@ -138,8 +138,9 @@ def test_highs_holds_the_csc_arrays(problem):
     problem = problem()
     highs, position = lp._pass_model(problem, problem.objective)
     held = highs.getLp().a_matrix_
-    rows, cols, vals = problem.triplets()
-    want = csc_arrays(position[rows], cols, vals, problem.n_constraints, problem.n_variables)
+    want = csc_arrays(
+        position[problem.rows], problem.cols, problem.vals, problem.n_constraints, problem.n_variables
+    )
     assert_same_arrays((held.start_, held.index_, held.value_), want)
 
 

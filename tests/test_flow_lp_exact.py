@@ -11,6 +11,9 @@ the two-stage reference's overhead model (the spectrum model with the cap
 row and that cost) must equal the reference's direct build with the
 relayed-traffic objective and the spectrum cap.
 
+The library builds the pruned LP only; its flow columns must be some of
+the unpruned reference's columns, in the same order.
+
 Heuristic step III is the full model with the kept demands' columns fixed
 at 0: its free columns must be the reference's reduced model's columns, in
 the same order, and its optimum the reduced model's.
@@ -20,18 +23,24 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from flow_lp_reference import assert_level_matches_reduced, loop_flow_lp, step3_lp
+from flow_lp_reference import (
+    assert_level_matches_reduced,
+    loop_flow_lp,
+    over_named_instances,
+    random_instance,
+    step3_instance,
+    step3_lp,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from linprog_reference import reference_arguments
 from two_stage_reference import overhead_model
 
 from d2dlb import lp
-from d2dlb.bounds import build_complete_instance, build_ring_instance
 from d2dlb.d2d_flow import TimeExpandedIndex, build_flow_lp, solve_min_spectrum_d2d
 from d2dlb.heuristic import HeuristicOutcome, heuristic_min_spectrum
 from d2dlb.model import DemandSet, Topology
-from d2dlb.scenario import random_multicell_instance, toy_two_cell
+from d2dlb.scenario import fixture, random_multicell_instance
 
 
 def assert_same_problem(got: lp.LpProblem, want: lp.LpProblem) -> None:
@@ -64,9 +73,9 @@ def column_keys(index: TimeExpandedIndex, columns: np.ndarray) -> list[tuple]:
     )
 
 
-def assert_same_model(topology: Topology, demands: DemandSet, **kwargs) -> None:
-    index = build_flow_lp(topology, demands, **kwargs)
-    ref, flow_vars, alpha_vars, beta_vars, peak_vars = loop_flow_lp(topology, demands, **kwargs)
+def assert_same_model(topology: Topology, demands: DemandSet) -> None:
+    index = build_flow_lp(topology, demands)
+    ref, flow_vars, alpha_vars, beta_vars, peak_vars = loop_flow_lp(topology, demands)
 
     keys = column_keys(index, np.arange(index.n_flow_variables))
     assert keys == list(flow_vars), "flow columns differ in set or order"
@@ -82,43 +91,39 @@ def assert_same_overhead_model(
     demands: DemandSet,
     total_spectrum: float,
     slack: float = lp.FALLBACK_CAP_SLACK,
-    **kwargs,
 ) -> None:
     """The overhead model on the array-built spectrum model equals a direct build of it."""
-    problem = overhead_model(build_flow_lp(topology, demands, **kwargs), total_spectrum, slack)
+    problem = overhead_model(build_flow_lp(topology, demands), total_spectrum, slack)
     cap = total_spectrum + slack * max(1.0, abs(total_spectrum))
-    ref, *_ = loop_flow_lp(
-        topology, demands, objective="d2d_traffic", spectrum_cap=cap, **kwargs
-    )
+    ref, *_ = loop_flow_lp(topology, demands, objective="d2d_traffic", spectrum_cap=cap)
     assert_same_problem(problem, ref)
 
 
-def ring3() -> tuple[Topology, DemandSet]:
-    inst = build_ring_instance(3, volume=1.0)
-    return inst.topology, inst.demands
-
-
-def complete2x2() -> tuple[Topology, DemandSet]:
-    inst = build_complete_instance(2, 2, volume=6)
-    return inst.topology, inst.demands
+def assert_prunes_the_unpruned_layout(topology: Topology, demands: DemandSet) -> None:
+    """The flow columns are fewer than the unpruned reference's, and among them in order."""
+    index = build_flow_lp(topology, demands)
+    unpruned = list(loop_flow_lp(topology, demands, pruning=False)[1])
+    at = [unpruned.index(key) for key in column_keys(index, np.arange(index.n_flow_variables))]
+    assert at == sorted(at) and len(at) < len(unpruned)
 
 
 @pytest.mark.parametrize("pruning", [True, False])
-@pytest.mark.parametrize(
-    "instance", [toy_two_cell, ring3, complete2x2], ids=["toy-fig1", "ring3", "complete2x2"]
-)
+@over_named_instances
 def test_named_instances(instance, pruning):
-    topology, demands = instance()
-    assert_same_model(topology, demands, pruning=pruning)
+    # the library builds only the pruned LP: against the pruned reference
+    # entry for entry, and against the unpruned reference column for column
+    if pruning:
+        assert_same_model(*fixture(instance))
+    else:
+        assert_prunes_the_unpruned_layout(*fixture(instance))
 
 
 def test_d2d_traffic_objective_with_cap(toy_instance):
     # the relayed-traffic cost and the cap row on the spectrum model,
     # against the direct build
     topology, demands = toy_instance
-    for pruning in (True, False):
-        for slack in (0.0, lp.FALLBACK_CAP_SLACK):
-            assert_same_overhead_model(topology, demands, 4.0, slack, pruning=pruning)
+    for slack in (0.0, lp.FALLBACK_CAP_SLACK):
+        assert_same_overhead_model(topology, demands, 4.0, slack)
 
 
 def test_overhead_stage_at_the_solved_optimum(toy_instance):
@@ -127,21 +132,12 @@ def test_overhead_stage_at_the_solved_optimum(toy_instance):
     assert_same_overhead_model(topology, demands, outcome.solution.objective)
 
 
-@given(st.integers(min_value=0, max_value=2**31 - 1), st.booleans())
+@given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=25, deadline=None)
-def test_random_multicell(seed, pruning):
-    rng = np.random.default_rng(seed)
-    topology, demands = random_multicell_instance(
-        rng,
-        n_cells=int(rng.integers(2, 5)),
-        users_per_cell=int(rng.integers(1, 4)),
-        n_demands=int(rng.integers(1, 20)),
-        horizon=int(rng.integers(4, 16)),
-        delays=(1, 2, 3, 4),
-        d2d_link_prob=float(rng.uniform(0.1, 0.6)),
-    )
-    assert_same_model(topology, demands, pruning=pruning)
-    assert_same_overhead_model(topology, demands, 3.5, pruning=pruning)
+def test_random_multicell(seed):
+    topology, demands = random_instance(seed)
+    assert_same_model(topology, demands)
+    assert_same_overhead_model(topology, demands, 3.5)
 
 
 def assert_step3_is_reduced_model(
@@ -163,10 +159,7 @@ def assert_step3_is_reduced_model(
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([0.0, 0.25, 0.5, 0.9]))
 @settings(max_examples=15, deadline=None)
 def test_heuristic_step3_subset_with_residual(seed, level):
-    rng = np.random.default_rng(seed)
-    topology, demands = random_multicell_instance(
-        rng, n_cells=3, users_per_cell=3, n_demands=18, horizon=14, delays=(1, 2, 3, 4)
-    )
+    topology, demands = step3_instance(seed)
     assert_step3_is_reduced_model(topology, demands, level)
 
 
@@ -179,7 +172,6 @@ def test_bs_ids_out_of_string_order():
     )
     assert list(topology.bs_ids) != sorted(topology.bs_ids)
     assert_same_model(topology, demands)
-    assert_same_model(topology, demands, pruning=False)
     # a split keeping load on b11: its peak row is found by key, not by position
     rng = np.random.default_rng(15)
     topology, demands = random_multicell_instance(

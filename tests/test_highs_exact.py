@@ -16,20 +16,29 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from flow_lp_reference import assert_level_matches_reduced, step3_lp
+from flow_lp_reference import (
+    GAP_TOL,
+    assert_level_matches_reduced,
+    flow_model,
+    over_named_instances,
+    random_instance,
+    step3_instance,
+    step3_lp,
+)
 from hypothesis import strategies as st
 from linprog_reference import STATUS, reference_solve
+from lp_builder import LpBuilder
 from no_d2d_reference import build_min_spectrum_nd_lp
-from two_stage_reference import overhead_model
+from two_stage_reference import cap_and_recost, overhead_model
 
 from d2dlb import lp
-from d2dlb.bounds import build_complete_instance, build_ring_instance
 from d2dlb.d2d_flow import build_flow_lp, solve_min_spectrum_d2d
 from d2dlb.heuristic import HeuristicOutcome, heuristic_min_spectrum
 from d2dlb.model import DemandSet, Topology
 from d2dlb.no_d2d import CellInstance
 from d2dlb.scenario import (
     GeoParams,
+    fixture,
     generate_topology,
     random_multicell_instance,
     synthesize_demands,
@@ -57,56 +66,34 @@ def assert_same_as_linprog(problem: lp.LpProblem) -> str:
     return got.status
 
 
-def assert_both_stages_same(topology: Topology, demands: DemandSet, **kwargs) -> None:
-    """The spectrum model and the two-stage reference's overhead model at its optimum."""
-    index = build_flow_lp(topology, demands, **kwargs)
-    assert assert_same_as_linprog(index.problem) == "optimal"
-    total = lp.run_highs(index.problem).objective
-    assert assert_same_as_linprog(overhead_model(index, total, lp.FALLBACK_CAP_SLACK)) == "optimal"
+def assert_both_stages_same(topology: Topology, demands: DemandSet, pruning: bool) -> None:
+    """The spectrum model and the two-stage reference's overhead model at its optimum.
 
-
-def ring3() -> tuple[Topology, DemandSet]:
-    inst = build_ring_instance(3, volume=1.0)
-    return inst.topology, inst.demands
-
-
-def complete2x2() -> tuple[Topology, DemandSet]:
-    inst = build_complete_instance(2, 2, volume=6)
-    return inst.topology, inst.demands
+    The model is the library's, or without pruning the reference's.
+    """
+    problem, relay_cost = flow_model(topology, demands, pruning)
+    assert assert_same_as_linprog(problem) == "optimal"
+    total = lp.run_highs(problem).objective
+    overhead = cap_and_recost(problem, total, relay_cost, lp.FALLBACK_CAP_SLACK)
+    assert assert_same_as_linprog(overhead) == "optimal"
 
 
 def step3_subset(seed: int, level: float) -> tuple[Topology, DemandSet, HeuristicOutcome]:
     """An instance and its heuristic step III at ``level``."""
-    rng = np.random.default_rng(seed)
-    topology, demands = random_multicell_instance(
-        rng, n_cells=3, users_per_cell=3, n_demands=18, horizon=14, delays=(1, 2, 3, 4)
-    )
+    topology, demands = step3_instance(seed)
     return topology, demands, heuristic_min_spectrum(topology, demands, level)
 
 
 @pytest.mark.parametrize("pruning", [True, False])
-@pytest.mark.parametrize(
-    "instance", [toy_two_cell, ring3, complete2x2], ids=["toy-fig1", "ring3", "complete2x2"]
-)
+@over_named_instances
 def test_named_instances(instance, pruning):
-    topology, demands = instance()
-    assert_both_stages_same(topology, demands, pruning=pruning)
+    assert_both_stages_same(*fixture(instance), pruning=pruning)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.booleans())
 @settings(max_examples=20, deadline=None)
 def test_random_multicell(seed, pruning):
-    rng = np.random.default_rng(seed)
-    topology, demands = random_multicell_instance(
-        rng,
-        n_cells=int(rng.integers(2, 5)),
-        users_per_cell=int(rng.integers(1, 4)),
-        n_demands=int(rng.integers(1, 20)),
-        horizon=int(rng.integers(4, 16)),
-        delays=(1, 2, 3, 4),
-        d2d_link_prob=float(rng.uniform(0.1, 0.6)),
-    )
-    assert_both_stages_same(topology, demands, pruning=pruning)
+    assert_both_stages_same(*random_instance(seed), pruning=pruning)
 
 
 @pytest.mark.parametrize("pruning", [True, False])
@@ -141,25 +128,25 @@ def test_no_d2d_cell_lp():
 
 
 def test_infeasible_lp():
-    p = lp.LpProblem("empty_interval")
+    p = LpBuilder("empty_interval")
     x = p.add_variable("x")
     p.set_objective({x: 1.0})
     p.add_constraint({x: 1.0}, "<=", 1.0)
     p.add_constraint({x: -1.0}, "<=", -2.0)
-    assert assert_same_as_linprog(p) == "infeasible"
+    assert assert_same_as_linprog(p.build()) == "infeasible"
 
 
 def test_unbounded_lp():
-    p = lp.LpProblem("ray")
+    p = LpBuilder("ray")
     x = p.add_variable("x")
     y = p.add_variable("y")
     p.set_objective({x: -1.0})
     p.add_constraint({x: 1.0, y: -1.0}, "=", 0.5)
-    assert assert_same_as_linprog(p) == "unbounded"
+    assert assert_same_as_linprog(p.build()) == "unbounded"
 
 
 def test_iteration_limited_lp(monkeypatch):
-    topology, demands = complete2x2()
+    topology, demands = fixture("complete(2,2,6)")
     problem = build_flow_lp(topology, demands).problem
     monkeypatch.setitem(lp.HIGHS_OPTIONS, "simplex_iteration_limit", 3)
     assert assert_same_as_linprog(problem) == "iteration_limit"
@@ -213,10 +200,11 @@ def test_units_at_1e9(k, status):
     assert assert_same_as_linprog(build_flow_lp(topology, demands).problem) == status
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
 class ReportedResidual(lp.LpProblem):
     """An LP whose residual at any point reads ``residual``."""
 
-    residual = 0.0
+    residual: float = 0.0
 
     def max_residual(self, x: np.ndarray) -> float:
         return self.residual
@@ -234,11 +222,10 @@ def test_post_solve_check(residual, status):
     # linprog's _check_result: an optimum off by more than 10 * sqrt(1e-9)
     # in a bound or a row, or with a NaN, is reported as an error
     assert lp.RESULT_CHECK_TOL == 10 * np.sqrt(1e-9)
-    p = ReportedResidual("checked")
-    x = p.add_variable("x")
-    p.set_objective({x: 1.0})
-    p.add_constraint({x: -1.0}, "<=", -3.0)
-    p.residual = residual
+    # min x subject to -x <= -3
+    p = ReportedResidual(
+        "checked", [1.0], [0.0], [np.inf], [0], [0], [-1.0], [-3.0], [False], residual
+    )
     s = lp.run_highs(p)
     assert s.status == status
     assert (s.x is not None) == (status == "optimal")
@@ -247,15 +234,12 @@ def test_post_solve_check(residual, status):
 def test_empty_problem_rejected():
     # linprog refuses a model without columns; so does the driver
     with pytest.raises(lp.LpError, match="no variables"):
-        lp.run_highs(lp.LpProblem("empty"))
+        lp.run_highs(LpBuilder("empty").build())
 
 
 # ---------------------------------------------------------------------------
 # Duality certificate of HiGHS optima
 # ---------------------------------------------------------------------------
-
-#: largest duality gap accepted on these flow LPs
-GAP_TOL = 1e-9
 
 
 def assert_certified(problem: lp.LpProblem) -> lp.LpSolution:
@@ -270,10 +254,9 @@ def assert_both_stages_certified(index) -> None:
     assert_certified(overhead_model(index, spectrum.objective, lp.FALLBACK_CAP_SLACK))
 
 
-@pytest.mark.parametrize("instance", [toy_two_cell, ring3], ids=["toy-fig1", "ring3"])
+@pytest.mark.parametrize("instance", ["toy-fig1", "ring(3,1.0)"], ids=["toy-fig1", "ring3"])
 def test_certificate_named_instances(instance):
-    topology, demands = instance()
-    assert_both_stages_certified(build_flow_lp(topology, demands))
+    assert_both_stages_certified(build_flow_lp(*fixture(instance)))
 
 
 def test_certificate_heuristic_subset():

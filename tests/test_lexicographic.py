@@ -14,74 +14,58 @@ certificate re-run must take no iteration.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
-from flow_lp_reference import assert_level_matches_reduced, step3_lp
+from flow_lp_reference import (
+    GAP_TOL,
+    assert_level_matches_reduced,
+    flow_model,
+    over_named_instances,
+    random_instance,
+    step3_instance,
+    step3_lp,
+)
 from hypothesis import strategies as st
 from two_stage_reference import flow_two_stage, solve_two_stage
 
 from d2dlb import lp
-from d2dlb.bounds import build_complete_instance, build_ring_instance
-from d2dlb.d2d_flow import build_flow_lp, solve_min_spectrum_d2d
+from d2dlb.d2d_flow import solve_min_spectrum_d2d
 from d2dlb.heuristic import heuristic_min_spectrum
 from d2dlb.model import DemandSet, Topology
-from d2dlb.scenario import random_multicell_instance, toy_two_cell
-
-#: largest duality gap accepted on these flow LPs
-GAP_TOL = 1e-9
+from d2dlb.scenario import fixture
 
 
-def assert_matches_two_stage(topology: Topology, demands: DemandSet, **kwargs) -> None:
-    flow = solve_min_spectrum_d2d(topology, demands, **kwargs)
-    assert not flow.solution.fallback
-    assert lp.dual_certificate_gap(flow.index.problem, flow.solution) <= GAP_TOL
-    f_ref, r_ref = flow_two_stage(build_flow_lp(topology, demands, **kwargs))
-    assert flow.total == pytest.approx(f_ref, rel=1e-9, abs=1e-12)
-    assert flow.relayed_traffic == pytest.approx(r_ref, rel=1e-6, abs=1e-9)
-
-
-def ring3() -> tuple[Topology, DemandSet]:
-    inst = build_ring_instance(3, volume=1.0)
-    return inst.topology, inst.demands
-
-
-def complete2x2() -> tuple[Topology, DemandSet]:
-    inst = build_complete_instance(2, 2, volume=6)
-    return inst.topology, inst.demands
+def assert_matches_two_stage(topology: Topology, demands: DemandSet, pruning: bool = True) -> None:
+    """The library's solve, or the unpruned reference LP's lexicographic solve, against two stages."""
+    if pruning:
+        flow = solve_min_spectrum_d2d(topology, demands)
+        problem, relay_cost, solution = flow.index.problem, flow.index.relay_cost, flow.solution
+    else:
+        problem, relay_cost = flow_model(topology, demands, pruning=False)
+        solution = lp.solve_lexicographic(problem, relay_cost)
+    assert solution.optimal and not solution.fallback
+    assert lp.dual_certificate_gap(problem, solution) <= GAP_TOL
+    f_ref, r_ref = flow_two_stage(problem, relay_cost)
+    assert solution.objective == pytest.approx(f_ref, rel=1e-9, abs=1e-12)
+    assert relay_cost @ solution.x == pytest.approx(r_ref, rel=1e-6, abs=1e-9)
 
 
 @pytest.mark.parametrize("pruning", [True, False])
-@pytest.mark.parametrize(
-    "instance", [toy_two_cell, ring3, complete2x2], ids=["toy-fig1", "ring3", "complete2x2"]
-)
+@over_named_instances
 def test_named_instances(instance, pruning):
-    assert_matches_two_stage(*instance(), pruning=pruning)
+    assert_matches_two_stage(*fixture(instance), pruning=pruning)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.booleans())
 @settings(max_examples=20, deadline=None)
 def test_random_multicell(seed, pruning):
-    rng = np.random.default_rng(seed)
-    topology, demands = random_multicell_instance(
-        rng,
-        n_cells=int(rng.integers(2, 5)),
-        users_per_cell=int(rng.integers(1, 4)),
-        n_demands=int(rng.integers(1, 20)),
-        horizon=int(rng.integers(4, 16)),
-        delays=(1, 2, 3, 4),
-        d2d_link_prob=float(rng.uniform(0.1, 0.6)),
-    )
-    assert_matches_two_stage(topology, demands, pruning=pruning)
+    assert_matches_two_stage(*random_instance(seed), pruning=pruning)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([0.25, 0.5, 0.75]))
 @settings(max_examples=15, deadline=None)
 def test_heuristic_step3_subset_with_residual(seed, level):
-    rng = np.random.default_rng(seed)
-    topology, demands = random_multicell_instance(
-        rng, n_cells=3, users_per_cell=3, n_demands=18, horizon=14, delays=(1, 2, 3, 4)
-    )
+    topology, demands = step3_instance(seed)
     outcome = heuristic_min_spectrum(topology, demands, level)
     if outcome.flow is not None:
         flow = outcome.flow

@@ -1,9 +1,8 @@
 """The dense reference simplex against HiGHS, the LP plumbing, and the lexicographic solve."""
 
-import math
-
 import numpy as np
 import pytest
+from lp_builder import LpBuilder
 from lp_format import to_lp_format
 from simplex_reference import solve_reference
 from two_stage_reference import solve_two_stage
@@ -19,12 +18,16 @@ from d2dlb.lp import (
 )
 
 
-def lower_bounded_min() -> LpProblem:
-    p = LpProblem("min_x_above_3")
+def lower_bounded_min_builder() -> LpBuilder:
+    p = LpBuilder("min_x_above_3")
     x = p.add_variable("x")
     p.set_objective({x: 1.0})
     p.add_constraint({x: -1.0}, "<=", -3.0)
     return p
+
+
+def lower_bounded_min() -> LpProblem:
+    return lower_bounded_min_builder().build()
 
 
 def random_feasible_lp(rng: np.random.Generator, n_max: int = 200) -> LpProblem:
@@ -37,7 +40,7 @@ def random_feasible_lp(rng: np.random.Generator, n_max: int = 200) -> LpProblem:
     x0 = rng.random(n)
     b = A @ x0
     c = rng.random(n)
-    p = LpProblem("random")
+    p = LpBuilder("random")
     for i in range(n):
         p.add_variable(f"x{i}")
     p.set_objective({i: float(c[i]) for i in range(n)})
@@ -49,13 +52,13 @@ def random_feasible_lp(rng: np.random.Generator, n_max: int = 200) -> LpProblem:
             p.add_constraint(row, "=", float(b[r]))
         else:
             p.add_constraint(row, "<=", float(b[r]) + float(rng.random()))
-    return p
+    return p.build()
 
 
 def loop_max_residual(p: LpProblem, x: np.ndarray) -> float:
     """Largest constraint/bound violation, one variable and one row at a time."""
     rows: list[dict[int, float]] = [{} for _ in range(p.n_constraints)]
-    for r, i, c in zip(*p.triplets()):
+    for r, i, c in zip(p.rows, p.cols, p.vals):
         rows[r][int(i)] = float(c)
     worst = 0.0
     for i in range(p.n_variables):
@@ -75,7 +78,7 @@ class TestReferenceSolver:
 
     def test_collapsed_single_cell_instance(self):
         # peak over two saturated slots of load 3 each
-        p = LpProblem("single_cell_peak")
+        p = LpBuilder("single_cell_peak")
         g1 = p.add_variable("load1")
         g2 = p.add_variable("load2")
         peak = p.add_variable("peak")
@@ -84,22 +87,22 @@ class TestReferenceSolver:
         p.add_constraint({g2: 1.0}, "=", 3.0)
         p.add_constraint({g1: 1.0, peak: -1.0}, "<=", 0.0)
         p.add_constraint({g2: 1.0, peak: -1.0}, "<=", 0.0)
-        s = solve_reference(p)
+        s = solve_reference(p.build())
         assert s.objective == pytest.approx(3.0, abs=1e-9)
 
     def test_infeasible(self):
-        p = LpProblem("empty_interval")
+        p = LpBuilder("empty_interval")
         x = p.add_variable("x")
         p.set_objective({x: 1.0})
         p.add_constraint({x: 1.0}, "<=", 1.0)
         p.add_constraint({x: -1.0}, "<=", -2.0)
-        assert solve_reference(p).status == "infeasible"
+        assert solve_reference(p.build()).status == "infeasible"
 
     def test_unbounded(self):
-        p = LpProblem("ray")
+        p = LpBuilder("ray")
         x = p.add_variable("x")
         p.set_objective({x: -1.0})
-        assert solve_reference(p).status == "unbounded"
+        assert solve_reference(p.build()).status == "unbounded"
 
     @pytest.mark.parametrize("solver", ["reference", "scipy"])
     def test_iteration_limit_reported(self, solver, monkeypatch):
@@ -116,13 +119,20 @@ class TestReferenceSolver:
         assert s.x is None
         assert s.iterations == 2
 
+    def test_time_limit_reported(self, monkeypatch):
+        p = random_feasible_lp(np.random.default_rng(5), n_max=60)
+        monkeypatch.setitem(lp.HIGHS_OPTIONS, "time_limit", 0.0)
+        s = solve(p)
+        assert s.status == "time_limit"
+        assert s.x is None
+
     def test_finite_upper_bounds(self):
-        p = LpProblem("boxed")
+        p = LpBuilder("boxed")
         x = p.add_variable("x", lower=1.0, upper=2.0)
         y = p.add_variable("y")
         p.set_objective({x: -1.0, y: 1.0})
         p.add_constraint({x: 1.0, y: -1.0}, "<=", 0.5)
-        s = solve_reference(p)
+        s = solve_reference(p.build())
         assert s.status == "optimal"
         # x to its cap, y as small as the constraint allows
         assert s.x[0] == pytest.approx(2.0, abs=1e-9)
@@ -131,25 +141,27 @@ class TestReferenceSolver:
     def test_redundant_equality_rows(self):
         # duplicated rows leave artificial variables basic at zero; the rows
         # must be dropped before phase 2, not priced back in
-        p = LpProblem("redundant")
-        x = p.add_variable("x")
-        y = p.add_variable("y")
-        p.set_objective({x: 2.0, y: 1.0})
-        p.add_constraint({x: 1.0, y: 1.0}, "=", 1.0)
-        p.add_constraint({x: 1.0, y: 1.0}, "=", 1.0)
-        p.add_constraint({x: 2.0, y: 2.0}, "=", 2.0)
+        b = LpBuilder("redundant")
+        x = b.add_variable("x")
+        y = b.add_variable("y")
+        b.set_objective({x: 2.0, y: 1.0})
+        b.add_constraint({x: 1.0, y: 1.0}, "=", 1.0)
+        b.add_constraint({x: 1.0, y: 1.0}, "=", 1.0)
+        b.add_constraint({x: 2.0, y: 2.0}, "=", 2.0)
+        p = b.build()
         s = solve_reference(p)
         assert s.status == "optimal"
         assert s.objective == pytest.approx(1.0, abs=1e-9)
         assert dual_certificate_gap(p, s) <= 1e-6
 
     def test_degenerate_chain(self):
-        p = LpProblem("degenerate")
-        v = [p.add_variable(f"x{i}") for i in range(6)]
-        p.set_objective({v[0]: 1.0, v[1]: 1.0, v[2]: -1.0})
+        b = LpBuilder("degenerate")
+        v = [b.add_variable(f"x{i}") for i in range(6)]
+        b.set_objective({v[0]: 1.0, v[1]: 1.0, v[2]: -1.0})
         for i in range(5):
-            p.add_constraint({v[i]: 1.0, v[i + 1]: -1.0}, "<=", 0.0)
-        p.add_constraint({v[5]: 1.0}, "<=", 2.0)
+            b.add_constraint({v[i]: 1.0, v[i + 1]: -1.0}, "<=", 0.0)
+        b.add_constraint({v[5]: 1.0}, "<=", 2.0)
+        p = b.build()
         s = solve_reference(p)
         assert s.status == "optimal"
         assert s.objective == pytest.approx(solve(p).objective, abs=1e-9)
@@ -174,30 +186,50 @@ class TestReferenceSolver:
             assert gap <= 1e-6 * (1.0 + abs(s.objective))
 
 
+def valid_fields() -> dict:
+    """The arrays of min x0 + x1 s.t. x0 - x1 = 0, x1 <= 1, with 0 <= x0 <= 2."""
+    return dict(
+        name="valid", objective=[1.0, 1.0], lower=[0.0, 0.0], upper=[2.0, np.inf],
+        rows=[0, 0, 1], cols=[0, 1, 1], vals=[1.0, -1.0, 1.0], rhs=[0.0, 1.0], equality=[True, False],
+    )
+
+
 class TestProblemContainer:
-    def test_validate_rejects_unknown_index(self):
-        p = LpProblem()
-        p.add_variable("x")
-        p.set_objective({0: 1.0})
-        p.add_constraint({3: 1.0}, "<=", 1.0)
-        with pytest.raises(LpError, match="unknown variable"):
-            solve(p)
+    def test_valid_record(self):
+        p = LpProblem(**valid_fields())
+        assert (p.n_variables, p.n_constraints) == (2, 2)
+        assert p.rows.dtype == p.cols.dtype == np.int64 and p.equality.dtype == bool
+        assert solve(p).objective == 0.0
 
-    def test_validate_rejects_nonfinite(self):
-        p = LpProblem()
-        p.add_variable("x")
-        p.add_constraint({0: 1.0}, "<=", math.inf)
-        with pytest.raises(LpError, match="non-finite"):
-            solve(p)
-
-    def test_negative_lower_bound_rejected(self):
-        p = LpProblem()
-        with pytest.raises(LpError, match="lower bound"):
-            p.add_variable("x", lower=-1.0)
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            pytest.param("objective", [[1.0, 1.0]], "objective of shape", id="objective-2d"),
+            pytest.param("lower", [0.0], "lower of shape", id="lower-short"),
+            pytest.param("upper", [2.0, np.inf, 1.0], "upper of shape", id="upper-long"),
+            pytest.param("cols", [0, 1], "cols of shape", id="cols-short"),
+            pytest.param("vals", [1.0, -1.0], "vals of shape", id="vals-short"),
+            pytest.param("rhs", [0.0], "rhs of shape", id="rhs-short"),
+            pytest.param("objective", [1.0, np.nan], "objective has non-finite", id="nan-cost"),
+            pytest.param("lower", [-1.0, 0.0], "lower bound", id="negative-lower"),
+            pytest.param("lower", [0.0, np.inf], "lower bound", id="infinite-lower"),
+            pytest.param("lower", [0.0, np.nan], "lower bound", id="nan-lower"),
+            pytest.param("upper", [-1.0, np.inf], "empty bound interval", id="upper-below-lower"),
+            pytest.param("upper", [np.nan, np.inf], "empty bound interval", id="nan-upper"),
+            pytest.param("cols", [0, 1, 2], "unknown variable index", id="column-too-large"),
+            pytest.param("cols", [0, -1, 1], "unknown variable index", id="negative-column"),
+            pytest.param("rows", [0, 0, 2], "unknown row index", id="row-too-large"),
+            pytest.param("vals", [1.0, np.inf, 1.0], "non-finite coefficient", id="inf-value"),
+            pytest.param("rhs", [0.0, np.inf], "non-finite rhs", id="inf-rhs"),
+        ],
+    )
+    def test_malformed_record_rejected(self, field, value, message):
+        with pytest.raises(LpError, match=message):
+            LpProblem(**{**valid_fields(), field: value})
 
     def test_lp_format_dump(self):
-        p = lower_bounded_min()
-        text = to_lp_format(p)
+        p = lower_bounded_min_builder()
+        text = to_lp_format(p.build(), p.var_names, p.row_names)
         assert text.startswith("\\ Problem: min_x_above_3")
         assert "Minimize" in text and "Subject To" in text and text.rstrip().endswith("End")
         assert "- 1 x" in text  # the flipped >= constraint
@@ -212,12 +244,12 @@ class TestProblemContainer:
 
 class TestLexicographic:
     def test_secondary_minimized_at_primary_optimum(self):
-        p = LpProblem("lex")
+        p = LpBuilder("lex")
         a = p.add_variable("a")
         b = p.add_variable("b")
         p.set_objective({a: 1.0, b: 1.0})
         p.add_constraint({a: -1.0, b: -1.0}, "<=", -2.0)
-        s = solve_lexicographic(p, np.array([1.0, 0.0]))
+        s = solve_lexicographic(p.build(), np.array([1.0, 0.0]))
         assert s.objective == pytest.approx(2.0, abs=1e-9)
         assert s.x[0] == pytest.approx(0.0, abs=1e-6)
         assert s.x[1] == pytest.approx(2.0, abs=1e-6)
@@ -236,8 +268,7 @@ class TestLexicographic:
         secondary = np.zeros(p.n_variables)
         secondary[:2] = (1.0, 2.0)
         tight = solve_lexicographic(p, secondary)
-        reference = random_feasible_lp(np.random.default_rng(11), n_max=60)
-        _, loose = solve_two_stage(reference, secondary, slack=1e-6)
+        _, loose = solve_two_stage(p, secondary, slack=1e-6)
         assert tight.status == loose.status == "optimal"
         rel = abs(secondary @ tight.x - loose.objective) / max(1.0, abs(loose.objective))
         assert rel <= 1e-4
@@ -247,8 +278,7 @@ class TestLexicographic:
             p = random_feasible_lp(np.random.default_rng(seed), n_max=80)
             secondary = np.random.default_rng(100 + seed).random(p.n_variables)
             got = solve_lexicographic(p, secondary)
-            reference = random_feasible_lp(np.random.default_rng(seed), n_max=80)
-            primary, second = solve_two_stage(reference, secondary)
+            primary, second = solve_two_stage(p, secondary)
             assert got.objective == pytest.approx(primary.objective, rel=1e-9, abs=1e-12)
             assert secondary @ got.x == pytest.approx(second.objective, rel=1e-6, abs=1e-9)
             assert dual_certificate_gap(p, got) <= 1e-6 * (1.0 + abs(got.objective))
@@ -256,23 +286,21 @@ class TestLexicographic:
     def test_fallback_when_the_rerun_iterates(self):
         # the weight 1e-5 / 1e3 on x outweighs y's extra 1e-7 of primary cost,
         # so the weighted optimum y = 1 is not optimal for the primary cost
-        def problem() -> LpProblem:
-            p = LpProblem("fallback")
-            x, y = p.add_variable("x"), p.add_variable("y")
-            p.set_objective(np.array([1.0, 1.0 + 1e-7]))
-            p.add_constraint({x: 1.0, y: 1.0}, "=", 1.0)
-            return p
-
+        b = LpBuilder("fallback")
+        x, y = b.add_variable("x"), b.add_variable("y")
+        b.set_objective(np.array([1.0, 1.0 + 1e-7]))
+        b.add_constraint({x: 1.0, y: 1.0}, "=", 1.0)
+        p = b.build()
         secondary = np.array([1e3, 0.0])
-        got = solve_lexicographic(problem(), secondary)
-        primary, second = solve_two_stage(problem(), secondary, slack=FALLBACK_CAP_SLACK)
+        got = solve_lexicographic(p, secondary)
+        primary, second = solve_two_stage(p, secondary, slack=FALLBACK_CAP_SLACK)
         assert got.fallback and got.optimal
         assert primary.x.tolist() == [1.0, 0.0]
         # the cap row's 1e-7 slope leaves x determined to about 1e-9 / 1e-7
         assert got.x == pytest.approx(second.x, abs=1e-6)
-        assert got.objective == pytest.approx(problem().objective_value(second.x), rel=1e-9)
+        assert got.objective == pytest.approx(p.objective_value(second.x), rel=1e-9)
         assert secondary @ got.x == pytest.approx(second.objective, rel=1e-6)
-        assert dual_certificate_gap(problem(), got) <= 1e-6
+        assert dual_certificate_gap(p, got) <= 1e-6
 
     def test_warm_start_after_bound_changes_matches_cold(self):
         # fix a third of the columns at 0 and loosen the rows, as a heuristic
@@ -307,14 +335,17 @@ class TestLexicographic:
         rhs = p.rhs.copy()
         q = p.with_bounds(np.ones(p.n_variables), np.zeros(p.n_constraints), "boxed")
         assert q.name == "boxed"
-        assert all(np.array_equal(a, b) for a, b in zip(q.triplets(), p.triplets()))
-        assert np.array_equal(q.objective, p.objective) and np.array_equal(q.lower, p.lower)
-        assert np.array_equal(q.equality, p.equality)
+        assert q.rows is p.rows and q.cols is p.cols and q.vals is p.vals  # shared, not copied
+        assert q.objective is p.objective and q.lower is p.lower and q.equality is p.equality
+        assert np.array_equal(q.upper, np.ones(p.n_variables))
+        assert np.array_equal(q.rhs, np.zeros(p.n_constraints))
         assert np.isinf(p.upper).all() and np.array_equal(p.rhs, rhs)  # the original is untouched
         with pytest.raises(LpError, match="empty bound interval"):
             p.with_bounds(-np.ones(p.n_variables), p.rhs, "inverted")
-        with pytest.raises(LpError, match="bounds of shape"):
+        with pytest.raises(LpError, match="upper of shape"):
             p.with_bounds(np.ones(p.n_variables + 1), p.rhs, "too many")
+        with pytest.raises(LpError, match="rhs of shape"):
+            p.with_bounds(p.upper, np.zeros(p.n_constraints + 1), "too many rows")
 
     def test_secondary_cost_shape_checked(self):
         with pytest.raises(LpError, match="secondary cost has shape"):
