@@ -3,9 +3,15 @@
 A demand's traffic leaves its source user at the start slot, moves one hop
 per slot over real links (or waits on a virtual self-link), and must be at a
 base station by the deadline.  Spectrum is billed to the receiving side's BS
-(receiver takeover): uplink transmissions into b count toward alpha_b(t),
-transmissions into users of b toward beta_b(t), and alpha + beta must stay
-under the per-BS peak being minimized.
+(receiver takeover): uplink transmissions into b (alpha_b(t)) plus
+transmissions into users of b (beta_b(t)) must stay under the per-BS peak
+F_b being minimized, one ``<=`` row per billed (BS, slot) with no alpha or
+beta column.  A demand has a source row and a conservation row per (node,
+slot) before its deadline, but no arrival row: pruning (below) leaves only
+columns into a BS in the deadline slot, so an arrival row would be the sum
+of the others (Ahuja, Magnanti and Orlin, *Network Flows*, 1993, section 2).
+The equality rows thus have full row rank, and HiGHS's presolve has no
+dependent row to remove.
 
 Variable pruning drops (link, slot) pairs a demand cannot use: the sender
 must be reachable from the source within t - start hops and some BS must be
@@ -31,7 +37,7 @@ no (demand, link, slot) triple is tested on its own.
 Every flow LP is solved by ``solve_flow_lp`` and yields one ``FlowSolve``.
 There is one builder, for the full problem (``solve_min_spectrum_d2d``).
 The heuristic's step III is that same LP with the columns of the demands it
-keeps fixed at 0, their source and arrival rows at 0, and each billed
+keeps fixed at 0, their source rows at 0, and each billed
 (BS, slot) peak row lowered by the kept load; ``TimeExpandedIndex`` names
 those rows, and ``solve_flow_lp`` re-solves the changed LP from the full
 optimum's basis.
@@ -89,16 +95,17 @@ UNREACHABLE = 10**9
 
 @dataclass
 class TimeExpandedIndex:
-    """Column layout of one assembled flow LP.
+    """Column and row layout of one assembled flow LP.
 
     Flow column c carries demand ``flow_demand[c]`` over the link
     ``(nodes[flow_src[c]], nodes[flow_dst[c]])`` in slot ``flow_slot[c]``;
-    flow columns come first in the LP, then the peaks, then the per-slot
-    alpha/beta pairs.  ``relay_cost`` is the relayed-traffic cost over all
+    flow columns come first in the LP, then one peak per BS
+    (``peak_vars``).  ``relay_cost`` is the relayed-traffic cost over all
     columns: a flow column's rate when it relays into a user before the
     demand's deadline, else 0.  Demand k of the instance (in its order) has
-    its source row ``source_row[k]`` and its arrival row ``arrival_row[k]``;
-    a billed (BS, slot) has its peak row ``peak_row[(bs, slot)]``.
+    its source row ``source_row[k]``, and needs no arrival row: its
+    deadline-slot columns all enter a BS, so its other rows imply one.  A
+    billed (BS, slot) has its peak row ``peak_row[(bs, slot)]``.
     """
 
     problem: lp.LpProblem
@@ -108,11 +115,8 @@ class TimeExpandedIndex:
     flow_dst: np.ndarray
     flow_slot: np.ndarray
     relay_cost: np.ndarray
-    alpha_vars: dict[tuple[str, int], int]
-    beta_vars: dict[tuple[str, int], int]
     peak_vars: dict[str, int]
     source_row: np.ndarray
-    arrival_row: np.ndarray
     peak_row: dict[tuple[str, int], int]
 
     @property
@@ -123,7 +127,7 @@ class TimeExpandedIndex:
         return {b: solution.value(col) for b, col in self.peak_vars.items()}
 
     def relayed_traffic(self, solution: lp.LpSolution) -> float:
-        return float(self.relay_cost @ solution.x)
+        return lp.ordered_dot(self.relay_cost, solution.x)
 
     def extract_schedule(self, solution: lp.LpSolution) -> Schedule:
         """The flow columns' nonzero values, in column order; a column fixed at 0 carries no flow.
@@ -151,10 +155,11 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
     Columns: per demand, per link (real links in
     ``topology.rate_map`` order, then one self-link per node in
     ``all_nodes()`` order), one column per slot of the link's interval; then
-    one peak per BS; then an (alpha, beta) pair per billed (BS, slot), in
-    (BS id, slot) order.  Rows: per demand its source row, its arrival row
-    and its nonempty conservation rows by (node, slot); then per billed
-    (BS, slot) its alpha, beta and peak rows.
+    one peak per BS.  Rows: per demand its source row and its nonempty
+    conservation rows by (node, slot), all ``=``; then per billed (BS, slot),
+    in (BS id, slot) order, its ``<=`` peak row: billed flows minus the
+    peak at most 0.  No row is implied by the others and no column restates
+    a sum of others.
     """
     demands.check_users(topology)
     table, dem = topology.arrays, demands.arrays
@@ -203,21 +208,19 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
     col = np.arange(n_flow)
 
     # flow rows, numbered by sorting integer keys:
-    # per demand: 0 source, 1 arrival, 2 + node * horizon + (slot - 1) conservation
+    # per demand: 0 source, 1 + node * horizon + (slot - 1) conservation
     horizon = demands.horizon
-    stride = 2 + n_nodes * horizon
+    stride = 1 + n_nodes * horizon
     n_active = len(source)
     demand_key = np.arange(n_active, dtype=np.int64) * stride
     is_source = (u == source[k]) & (t == start[k])
-    is_arrival = (v >= n_users) & (t == end[k])
     inflow = t < end[k]  # +rate into (v, t)
     outflow = t > start[k]  # -rate out of (u, t - 1)
     keys = np.concatenate(
         [
             demand_key,
-            demand_key + 1,
-            demand_key[k[inflow]] + 2 + v[inflow] * horizon + t[inflow] - 1,
-            demand_key[k[outflow]] + 2 + u[outflow] * horizon + t[outflow] - 2,
+            demand_key[k[inflow]] + 1 + v[inflow] * horizon + t[inflow] - 1,
+            demand_key[k[outflow]] + 1 + u[outflow] * horizon + t[outflow] - 2,
         ]
     )
     flow_keys, row_of = np.unique(keys, return_inverse=True)
@@ -225,11 +228,10 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
     n_in = int(inflow.sum())
     flow_rhs = np.zeros(n_flow_rows)
     flow_rhs[row_of[:n_active]] = volume
-    flow_rhs[row_of[n_active : 2 * n_active]] = volume
 
-    # billing (``NodeArrays.billed``): a real link into a BS counts toward
-    # its alpha, into a user toward the beta of the user's home BS; billed
-    # (BS, slot) pairs are keyed by the BS id's rank in sorted order
+    # billing (``NodeArrays.billed``): a real link into a BS, or into a user
+    # of that BS, counts toward the BS's load in its slot; billed (BS, slot)
+    # pairs are keyed by the BS id's rank in sorted order
     billed_rank = table.bs_rank[table.billed]
     real_col = col[link < n_real]
     bill_key = billed_rank[v[real_col]] * (horizon + 1) + t[real_col]
@@ -238,34 +240,20 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
     billed_bs = [topology.bs_ids[b] for b in table.bs_by_name[billed // (horizon + 1)].tolist()]
     billed_keys = list(zip(billed_bs, (billed % (horizon + 1)).tolist()))
 
-    # columns: flows, then the peaks, then an (alpha, beta) pair per billed slot
-    peak0, pair0 = n_flow, n_flow + n_bs
-    n_variables = pair0 + 2 * n_billed
-    peak_vars = {b: peak0 + i for i, b in enumerate(topology.bs_ids)}
-    alpha_col = pair0 + 2 * np.arange(n_billed)
-    peak_col = np.array([peak_vars[b] for b in billed_bs], dtype=np.int64)
-
-    # per billed slot i: alpha row 3i, beta row 3i + 1, peak row 3i + 2
-    bill_row = n_flow_rows + 3 * np.arange(n_billed)
-    into_user = v[real_col] < n_users  # billed to beta, one row below alpha
-    members_row = bill_row[np.searchsorted(billed, bill_key)] + into_user
-    ones = np.ones(n_billed)
-    first_in = 2 * n_active
+    # columns: flows, then the peaks; one peak row per billed slot
+    n_variables = n_flow + n_bs
+    peak_vars = {b: n_flow + i for i, b in enumerate(topology.bs_ids)}
+    peak_row = n_flow_rows + np.arange(n_billed)
     entries = [  # (rows, cols, values), one block per kind of nonzero
         (row_of[k[is_source]], col[is_source], rate[is_source]),
-        (row_of[n_active + k[is_arrival]], col[is_arrival], rate[is_arrival]),
-        (row_of[first_in : first_in + n_in], col[inflow], rate[inflow]),
-        (row_of[first_in + n_in :], col[outflow], -rate[outflow]),
-        (members_row, real_col, np.ones(len(real_col))),
-        (bill_row, alpha_col, -ones),
-        (bill_row + 1, alpha_col + 1, -ones),
-        (bill_row + 2, alpha_col, ones),
-        (bill_row + 2, alpha_col + 1, ones),
-        (bill_row + 2, peak_col, -ones),
+        (row_of[n_active : n_active + n_in], col[inflow], rate[inflow]),
+        (row_of[n_active + n_in :], col[outflow], -rate[outflow]),
+        (peak_row[np.searchsorted(billed, bill_key)], real_col, np.ones(len(real_col))),
+        (peak_row, np.array([peak_vars[b] for b in billed_bs], np.int64), -np.ones(n_billed)),
     ]
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
     cost = np.zeros(n_variables)
-    cost[peak0:pair0] = 1.0
+    cost[n_flow:] = 1.0
     problem = lp.LpProblem(
         name="min-spectrum-d2d",
         objective=cost,
@@ -274,10 +262,8 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
         rows=rows,
         cols=cols,
         vals=vals,
-        rhs=np.concatenate([flow_rhs, np.zeros(3 * n_billed)]),
-        equality=np.concatenate(
-            [np.ones(n_flow_rows, bool), np.tile([True, True, False], n_billed)]
-        ),
+        rhs=np.concatenate([flow_rhs, np.zeros(n_billed)]),
+        equality=np.arange(n_flow_rows + n_billed) < n_flow_rows,
     )
 
     return TimeExpandedIndex(
@@ -288,17 +274,11 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
         flow_dst=v,
         flow_slot=t,
         relay_cost=np.concatenate(
-            [
-                np.where((link < n_real) & (v < n_users) & inflow, rate, 0.0),
-                np.zeros(n_variables - n_flow),
-            ]
+            [np.where((link < n_real) & (v < n_users) & inflow, rate, 0.0), np.zeros(n_bs)]
         ),
-        alpha_vars={key: pair0 + 2 * i for i, key in enumerate(billed_keys)},
-        beta_vars={key: pair0 + 2 * i + 1 for i, key in enumerate(billed_keys)},
         peak_vars=peak_vars,
         source_row=row_of[:n_active],
-        arrival_row=row_of[n_active : 2 * n_active],
-        peak_row=dict(zip(billed_keys, (bill_row + 2).tolist())),
+        peak_row=dict(zip(billed_keys, peak_row.tolist())),
     )
 
 

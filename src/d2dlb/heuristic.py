@@ -9,8 +9,8 @@ demands only, on top of the kept allocations.
 level=0 reduces to the full problem, level=1 to the pure no-D2D solution;
 in between the split trades LP size against spectrum.  Step III's LP is the
 full problem's LP with every kept demand's columns fixed at 0, its source
-and arrival rows at 0, and each billed (BS, slot) peak row lowered by the
-kept load there.  Only bounds and right-hand sides differ, so each level is
+row at 0, and each billed (BS, slot) peak row lowered by the kept load
+there.  Only bounds and right-hand sides differ, so each level is
 solved on a new HiGHS object started from the basis of the full optimum,
 and its size (``step3_variables``) is the count of columns left free.
 
@@ -66,27 +66,36 @@ class SplitResult:
     nd_schedule: Schedule  # full Step-I schedule (all demands, direct links and storage)
 
 
+def nd_loads(topology: Topology, nd_schedule: Schedule) -> tuple[np.ndarray, ...]:
+    """``slot_loads`` of a no-D2D schedule as floats, and per BS the largest of them."""
+    bs, slot, load = slot_loads(nd_schedule, topology)
+    load = load.astype(float)
+    peaks = np.zeros(len(topology.bs_ids))
+    np.maximum.at(peaks, bs, load)
+    return bs, slot, load, peaks
+
+
 def split_demands(
     topology: Topology,
     demands: DemandSet,
     nd_schedule: Schedule,
     level: float,
+    *,
+    loads: tuple[np.ndarray, ...] | None = None,
 ) -> SplitResult:
     """Partition demands into D2D-eligible and locally-served sets.
 
     ``nd_schedule`` must be an optimal per-cell no-D2D schedule; its per-slot
     loads define the hot slots.  A demand is D2D-eligible iff it has a
     positive allocation in some hot slot of its cell.  Each kept load adds
-    its allocations in schedule order.
+    its allocations in schedule order.  ``loads`` are the schedule's
+    ``nd_loads``, when one schedule is split at several levels.
     """
     if not 0.0 <= level <= 1.0:
         raise ModelError(f"split level must lie in [0, 1], got {level}")
     table = topology.arrays
     n_bs = len(topology.bs_ids)
-    bs, slot, load = slot_loads(nd_schedule, topology)
-    load = load.astype(float)
-    peaks = np.zeros(n_bs)
-    np.maximum.at(peaks, bs, load)
+    bs, slot, load, peaks = loads if loads is not None else nd_loads(topology, nd_schedule)
     hot = load > level * peaks[bs] + HOT_SLOT_TOL
     span = int(nd_schedule.slot.max(initial=0)) + 1
     hot_cells = np.zeros((n_bs, span), dtype=bool)
@@ -107,7 +116,7 @@ def split_demands(
             b: frozenset(np.flatnonzero(hot_cells[i]).tolist()) for i, b in enumerate(ids)
         },
         d2d_demand_ids=d2d_ids,
-        nd_demand_ids=frozenset(j.id for j in demands.demands) - d2d_ids,
+        nd_demand_ids=frozenset(demands.arrays.ids.tolist()) - d2d_ids,
         residual_load={
             (ids[key // span], key % span): r
             for key, r in zip(keys.tolist(), residual.tolist())
@@ -149,13 +158,12 @@ def _step3_index(
     uplink is a column in every slot of its lifetime.
     """
     problem = full.problem
-    ids = np.array([j.id for j in demands.demands], dtype=np.int64)
+    ids = demands.arrays.ids
     kept = np.isin(ids, list(split.nd_demand_ids))
     upper = problem.upper.copy()
     upper[: full.n_flow_variables][np.isin(full.flow_demand, ids[kept])] = 0.0
     rhs = problem.rhs.copy()
     rhs[full.source_row[kept]] = 0.0
-    rhs[full.arrival_row[kept]] = 0.0
     for key, load in split.residual_load.items():
         if key not in full.peak_row:
             raise LpError(f"kept load at {key} has no peak row in the full flow LP")
@@ -268,11 +276,12 @@ def heuristic_sweep(
     if f_nd == 0:
         raise ModelError("spectrum reduction undefined: no-D2D total is zero")
     full = solve_flow_lp(build_flow_lp(topology, demands))
+    loads = nd_loads(topology, nd_schedule)
     solved: dict[frozenset[int], tuple[float, float, int, Schedule]] = {}
     rows = []
     for level in levels:
         t0 = time.perf_counter()
-        split = split_demands(topology, demands, nd_schedule, level)
+        split = split_demands(topology, demands, nd_schedule, level, loads=loads)
         key = split.d2d_demand_ids
         reused = key in solved
         if not reused:

@@ -11,8 +11,8 @@ Its constructor checks it once, so the solver passes it to HiGHS as it is.
 reading of the result, without ``linprog``'s input cleaning and
 bound-marginal copies.  The engine is loaded from its file
 (``_load_engine``) and the column-wise matrix is built with numpy
-(``column_wise``), so ``scipy.optimize`` and ``scipy.sparse`` are never
-imported.  The settings are one constant, ``HIGHS_OPTIONS``:
+(``column_wise``), so ``scipy``, ``scipy.optimize`` and ``scipy.sparse`` are
+never imported.  The settings are one constant, ``HIGHS_OPTIONS``:
 the formulation is solved one fixed way.  ``solve_lexicographic`` minimizes
 a second cost among the minimizers of the first with one model on one HiGHS
 object: a weighted solve, then a re-run of its basis on the first cost alone
@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 from types import ModuleType
 
 import numpy as np
-import scipy
 
 #: the full import name of the HiGHS engine scipy ships
 ENGINE = "scipy.optimize._highspy._core"
@@ -64,7 +63,8 @@ def _load_engine(directory: str) -> ModuleType:
     return module
 
 
-_highs = _load_engine(os.path.join(scipy.__path__[0], "optimize", "_highspy"))
+_scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]  # not imported
+_highs = _load_engine(os.path.join(_scipy_dir, "optimize", "_highspy"))
 
 
 #: a simplex basis as HiGHS reports it: one status per column and per row
@@ -80,6 +80,12 @@ _DTYPES = dict(
     objective=float, lower=float, upper=float, rows=np.int64, cols=np.int64, vals=float,
     rhs=float, equality=bool,
 )
+
+
+def ordered_dot(cost: np.ndarray, x: np.ndarray) -> float:
+    """cost'x over the nonzero costs, added one after another in column order from 0."""
+    used = np.flatnonzero(cost)
+    return float(np.bincount(np.zeros(used.size, np.intp), cost[used] * x[used], 1)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +151,7 @@ class LpProblem:
         return replace(self, name=name, upper=upper, rhs=rhs)
 
     def objective_value(self, x: np.ndarray) -> float:
-        return float(self.objective @ x)
+        return ordered_dot(self.objective, x)
 
     def max_residual(self, x: np.ndarray) -> float:
         """Largest constraint/bound violation at x."""

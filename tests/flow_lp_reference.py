@@ -6,6 +6,9 @@ library no longer builds on its own:
 
 - the unpruned LP (``pruning=False``), which ``prune_equivalence_check``
   solves against the library's pruned one;
+- the formulation before the LP had full row rank (``full_rank=False``):
+  an arrival row per demand, and per billed (BS, slot) an alpha and a beta
+  column, each equal to its share of the billed flows, under the peak;
 - step III as a reduced LP over the D2D-eligible demands only, with the
   kept load as a floor under each peak.  ``step3_reference`` solves that
   reduced LP cold, and ``assert_level_matches_reduced`` holds a step III
@@ -33,7 +36,13 @@ from d2dlb.d2d_flow import (
 )
 from d2dlb.heuristic import HeuristicOutcome, SplitResult
 from d2dlb.model import Demand, DemandSet, ModelError, Topology
-from d2dlb.scenario import random_multicell_instance
+from d2dlb.scenario import (
+    GeoParams,
+    generate_topology,
+    random_multicell_instance,
+    synthesize_demands,
+    synthesize_trace,
+)
 
 #: agreement required between a warm step III and the cold reduced LP
 LEVEL_REL_TOL = 1e-9
@@ -74,6 +83,33 @@ def step3_instance(seed: int) -> tuple[Topology, DemandSet]:
     )
 
 
+def pinned_day() -> tuple[Topology, DemandSet]:
+    """The benchmark's pinned day: 6 cells x 40 users, 48 windows of 8 demands."""
+    seed = 2027
+    topology = generate_topology(
+        [(300.0 * i, 0.0) for i in range(6)],
+        GeoParams(users_per_cell=40, seed=seed),
+        np.random.default_rng(seed),
+    )
+    records = synthesize_trace(
+        [f"b{i}" for i in range(1, 7)],
+        days=1,
+        profile="diurnal-offset",
+        rng=np.random.default_rng(seed + 1),
+        windows_per_day=48,
+        base_volume=60.0,
+    )
+    demands = synthesize_demands(
+        records,
+        topology,
+        np.random.default_rng(seed + 2),
+        delays=(3, 4, 5),
+        splits=8,
+        slot_seconds=300.0,
+    )
+    return topology, demands
+
+
 def loop_flow_lp(
     topology: Topology,
     demands: DemandSet,
@@ -82,8 +118,15 @@ def loop_flow_lp(
     residual_load: Mapping[tuple[str, int], float] | None = None,
     objective: str = "spectrum",
     spectrum_cap: float | None = None,
-) -> tuple[lp.LpProblem, dict, dict, dict, dict]:
-    """Reference builder: returns (problem, flow_vars, alpha_vars, beta_vars, peak_vars)."""
+    full_rank: bool = True,
+) -> tuple[lp.LpProblem, dict, dict, dict]:
+    """Reference builder: returns (problem, flow_vars, peak_vars, peak_rows).
+
+    ``peak_rows`` maps each billed (BS, slot) to its ``<=`` peak row.  With
+    ``full_rank`` a demand's arrival row is left out where it is implied,
+    when the LP is pruned (without pruning, flow may end at a user in the
+    deadline slot), and each peak row holds the billed flows themselves.
+    """
     if objective not in ("spectrum", "d2d_traffic"):
         raise ModelError(f"unknown objective {objective!r}")
     demands.check_users(topology)
@@ -135,13 +178,14 @@ def loop_flow_lp(
                 source_terms[col] = rate(j.user, v)
         problem.add_constraint(source_terms, "=", float(j.volume), f"source_j{j.id}")
 
-        arrival_terms = {}
-        for b in topology.bs_ids:
-            for v in (*in_real.get(b, ()), b):
-                col = flow_vars.get((j.id, v, b, j.end))
-                if col is not None:
-                    arrival_terms[col] = rate(v, b)
-        problem.add_constraint(arrival_terms, "=", float(j.volume), f"arrival_j{j.id}")
+        if not (full_rank and pruning):
+            arrival_terms = {}
+            for b in topology.bs_ids:
+                for v in (*in_real.get(b, ()), b):
+                    col = flow_vars.get((j.id, v, b, j.end))
+                    if col is not None:
+                        arrival_terms[col] = rate(v, b)
+            problem.add_constraint(arrival_terms, "=", float(j.volume), f"arrival_j{j.id}")
 
         for node in topology.all_nodes():
             for t in range(j.start, j.end):
@@ -169,19 +213,17 @@ def loop_flow_lp(
 
     peak_vars = {b: problem.add_variable(f"peak_{b}") for b in topology.bs_ids}
     billed_slots = sorted(set(alpha_members) | set(beta_members) | set(residual_load))
-    alpha_vars: dict[tuple[str, int], int] = {}
-    beta_vars: dict[tuple[str, int], int] = {}
+    peak_rows: dict[tuple[str, int], int] = {}
     for b, t in billed_slots:
-        a_col = problem.add_variable(f"alpha_{b}_t{t}")
-        b_col = problem.add_variable(f"beta_{b}_t{t}")
-        alpha_vars[(b, t)] = a_col
-        beta_vars[(b, t)] = b_col
-        problem.add_constraint({**alpha_members.get((b, t), {}), a_col: -1.0}, "=", 0.0)
-        problem.add_constraint({**beta_members.get((b, t), {}), b_col: -1.0}, "=", 0.0)
-        problem.add_constraint(
-            {a_col: 1.0, b_col: 1.0, peak_vars[b]: -1.0},
-            "<=",
-            -float(residual_load.get((b, t), 0.0)),
+        alpha, beta = alpha_members.get((b, t), {}), beta_members.get((b, t), {})
+        if not full_rank:
+            a_col = problem.add_variable(f"alpha_{b}_t{t}")
+            b_col = problem.add_variable(f"beta_{b}_t{t}")
+            problem.add_constraint({**alpha, a_col: -1.0}, "=", 0.0)
+            problem.add_constraint({**beta, b_col: -1.0}, "=", 0.0)
+            alpha, beta = {a_col: 1.0}, {b_col: 1.0}
+        peak_rows[(b, t)] = problem.add_constraint(
+            {**alpha, **beta, peak_vars[b]: -1.0}, "<=", -float(residual_load.get((b, t), 0.0))
         )
 
     if spectrum_cap is not None:
@@ -198,7 +240,7 @@ def loop_flow_lp(
             if u != v and v in user_set and t <= demand_end[jid] - 1:
                 obj[col] = rate(u, v)
         problem.set_objective(obj)
-    return problem.build(), flow_vars, alpha_vars, beta_vars, peak_vars
+    return problem.build(), flow_vars, peak_vars, peak_rows
 
 
 def flow_model(
@@ -250,7 +292,7 @@ def prune_equivalence_check(topology: Topology, demands: DemandSet) -> PruneRepo
 
 def step3_lp(
     topology: Topology, demands: DemandSet, split: SplitResult, pruning: bool = True, **kwargs
-) -> tuple[lp.LpProblem, dict, dict, dict, dict]:
+) -> tuple[lp.LpProblem, dict, dict, dict]:
     """The reduced step-III LP of ``split``: eligible demands only, kept load under the peaks."""
     subset = tuple(j for j in demands.demands if j.id in split.d2d_demand_ids)
     return loop_flow_lp(
@@ -267,7 +309,7 @@ def step3_reference(
     topology: Topology, demands: DemandSet, split: SplitResult, pruning: bool = True
 ) -> tuple[float, dict[str, float], float]:
     """(F, per-BS peaks, R) of the reduced step-III LP, solved lexicographically from cold."""
-    problem, _, _, _, peak_vars = step3_lp(topology, demands, split, pruning)
+    problem, _, peak_vars, _ = step3_lp(topology, demands, split, pruning)
     relay_cost = step3_lp(topology, demands, split, pruning, objective="d2d_traffic")[0].objective
     solution = lp.solve_lexicographic(problem, relay_cost)
     assert solution.optimal, solution.status

@@ -144,18 +144,18 @@ class TestMinSpectrumD2D:
         assert rho >= 0.5 - 1e-9
         assert rho == pytest.approx(0.5, abs=1e-8)  # the construction is optimal here
 
-    def test_beta_variables_match_schedule_loads(self, toy_instance):
+    def test_peak_rows_match_schedule_loads(self, toy_instance):
+        # a peak row's activity is the billed load, uplink (alpha) plus D2D
+        # (beta), less the BS's peak
         topology, demands = toy_instance
         outcome = solve_min_spectrum_d2d(topology, demands)
+        problem, x = outcome.index.problem, outcome.solution.x
+        activity = np.bincount(problem.rows, problem.vals * x[problem.cols], problem.n_constraints)
         uplink, d2d = split_loads(outcome.schedule, topology)
-        for (b, t), col in outcome.index.beta_vars.items():
-            assert outcome.solution.value(col) == pytest.approx(
-                float(d2d.get((b, t), 0.0)), abs=1e-9
-            )
-        for (b, t), col in outcome.index.alpha_vars.items():
-            assert outcome.solution.value(col) == pytest.approx(
-                float(uplink.get((b, t), 0.0)), abs=1e-9
-            )
+        assert set(uplink) | set(d2d) <= set(outcome.index.peak_row)
+        for (b, t), row in outcome.index.peak_row.items():
+            load = float(uplink.get((b, t), 0.0) + d2d.get((b, t), 0.0))
+            assert activity[row] + outcome.per_bs_peak[b] == pytest.approx(load, abs=1e-9)
 
     def test_loads_respect_per_bs_peaks(self, toy_instance):
         topology, demands = toy_instance

@@ -3,7 +3,8 @@
 ``d2dlb.lp`` loads ``scipy.optimize._highspy._core`` without running
 ``scipy/optimize/__init__.py`` and builds the compressed-column matrix with
 numpy instead of ``scipy.sparse``.  These tests hold it to both: a run of the
-CLI imports neither package, the engine is the one module ``linprog`` uses
+CLI imports neither package (importing the CLI does not even import
+``scipy``), the engine is the one module ``linprog`` uses
 in either import order, and HiGHS receives the arrays
 ``scipy.sparse.csc_array`` would build.
 """
@@ -49,13 +50,15 @@ def run_python(code: str, *args: str) -> dict:
 STARTUP = """
 import json, sys
 import d2dlb.cli
+imported_scipy = "scipy" in sys.modules
 out = sys.argv[1]
 codes = [
     d2dlb.cli.main(["d2d", "--fixture", "toy-fig1", "--out", out + "/d2d"]),
     d2dlb.cli.main(["heuristic", "--fixture", "heuristic-appF", "--out", out + "/heuristic"]),
 ]
 heavy = ("scipy.optimize", "scipy.sparse", "scipy.linalg")
-print(json.dumps({"codes": codes, "loaded": [m for m in heavy if m in sys.modules]}))
+loaded = [m for m in heavy if m in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded, "imported_scipy": imported_scipy}))
 """
 
 
@@ -63,6 +66,7 @@ def test_cli_runs_without_scipy_optimize_sparse_or_linalg(tmp_path):
     got = run_python(STARTUP, str(tmp_path))
     assert got["codes"] == [0, 0]
     assert got["loaded"] == []
+    assert not got["imported_scipy"]  # scipy/__init__.py is not run either
 
 
 IMPORT_ORDER = """

@@ -75,14 +75,13 @@ def column_keys(index: TimeExpandedIndex, columns: np.ndarray) -> list[tuple]:
 
 def assert_same_model(topology: Topology, demands: DemandSet) -> None:
     index = build_flow_lp(topology, demands)
-    ref, flow_vars, alpha_vars, beta_vars, peak_vars = loop_flow_lp(topology, demands)
+    ref, flow_vars, peak_vars, peak_rows = loop_flow_lp(topology, demands)
 
     keys = column_keys(index, np.arange(index.n_flow_variables))
     assert keys == list(flow_vars), "flow columns differ in set or order"
     assert list(flow_vars.values()) == list(range(len(flow_vars)))
-    assert index.alpha_vars == alpha_vars
-    assert index.beta_vars == beta_vars
     assert index.peak_vars == peak_vars
+    assert index.peak_row == peak_rows
     assert_same_problem(index.problem, ref)
 
 
@@ -145,7 +144,7 @@ def assert_step3_is_reduced_model(
 ) -> HeuristicOutcome:
     """A level's free columns are the reduced model's, and its optimum is the reduced model's."""
     outcome = heuristic_min_spectrum(topology, demands, level)
-    _, flow_vars, _, _, _ = step3_lp(topology, demands, outcome.split)
+    _, flow_vars, _, _ = step3_lp(topology, demands, outcome.split)
     assert outcome.step3_variables == len(flow_vars)
     if outcome.flow is not None:
         index = outcome.flow.index

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from flow_lp_reference import loop_flow_lp
 from hypothesis import strategies as st
 
-from d2dlb import lp
+from d2dlb import heuristic, lp
 from d2dlb.d2d_flow import solve_min_spectrum_d2d
 from d2dlb.heuristic import (
     _solve_level,
@@ -283,6 +283,14 @@ class TestSweep:
     def test_grid_out_of_order_gives_the_same_rows_property(self, seed):
         assert_grid_order_irrelevant(*random_instance(seed))
 
+    def test_sweep_computes_the_no_d2d_loads_once(self, monkeypatch):
+        # the hot slots of every level come from one set of loads and peaks
+        calls = []
+        loads = heuristic.slot_loads
+        monkeypatch.setattr(heuristic, "slot_loads", lambda *a: calls.append(a) or loads(*a))
+        heuristic_sweep(*heuristic_six_task(), SWEEP_LEVELS)
+        assert len(calls) == 1
+
     def test_toy_sweep_solves_one_lp(self):
         # levels 0-0.75 make every demand eligible, so they share the full
         # problem's lexicographic solve; level 1 makes none eligible and
@@ -329,7 +337,7 @@ class TestSweep:
         topology, demands = instance()
         outcome = heuristic_min_spectrum(topology, demands, 1.0)
         assert outcome.step3_variables == 0
-        problem, _, _, _, peak_vars = loop_flow_lp(
+        problem, _, peak_vars, _ = loop_flow_lp(
             topology, demands, demand_subset=(), residual_load=outcome.split.residual_load
         )
         solution = lp.solve(problem)

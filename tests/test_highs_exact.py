@@ -21,6 +21,7 @@ from flow_lp_reference import (
     assert_level_matches_reduced,
     flow_model,
     over_named_instances,
+    pinned_day,
     random_instance,
     step3_instance,
     step3_lp,
@@ -36,15 +37,7 @@ from d2dlb.d2d_flow import build_flow_lp, solve_min_spectrum_d2d
 from d2dlb.heuristic import HeuristicOutcome, heuristic_min_spectrum
 from d2dlb.model import DemandSet, Topology
 from d2dlb.no_d2d import CellInstance
-from d2dlb.scenario import (
-    GeoParams,
-    fixture,
-    generate_topology,
-    random_multicell_instance,
-    synthesize_demands,
-    synthesize_trace,
-    toy_two_cell,
-)
+from d2dlb.scenario import fixture, random_multicell_instance, toy_two_cell
 
 
 def assert_same_as_linprog(problem: lp.LpProblem) -> str:
@@ -192,12 +185,24 @@ def units_instance(k: int, scale: float) -> tuple[Topology, DemandSet]:
     return topology, scaled
 
 
-@pytest.mark.parametrize("k,status", [(4, "infeasible"), (10, "error")])
-def test_units_at_1e9(k, status):
-    # HiGHS's absolute tolerances against 1e9-bit volumes: the spectrum LP
-    # fails at this scale (ROADMAP item 1), the same way on both paths
+@pytest.mark.parametrize(
+    "k,weighted,status",
+    [(4, False, "optimal"), (10, False, "optimal"), (10, True, "unbounded")],
+    ids=["4-optimal", "10-optimal", "10-weighted-unbounded"],
+)
+def test_units_at_1e9(k, weighted, status):
+    # HiGHS's absolute tolerances against 1e9-bit volumes (ROADMAP item 2):
+    # the full-rank spectrum LP solves at this scale, but the weighted cost
+    # that solve_lexicographic passes first still fails, the same way on
+    # both paths
     topology, demands = units_instance(k, 1e9)
-    assert assert_same_as_linprog(build_flow_lp(topology, demands).problem) == status
+    index = build_flow_lp(topology, demands)
+    problem = index.problem
+    if weighted:
+        weight = lp.LEXICO_WEIGHT / np.abs(index.relay_cost).max()
+        cost = problem.objective + weight * index.relay_cost
+        problem = dataclasses.replace(problem, objective=cost)
+    assert assert_same_as_linprog(problem) == status
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -275,30 +280,7 @@ def test_certificate_heuristic_subset():
 
 
 def test_certificate_pinned_day():
-    # the benchmark's pinned day: 6 cells x 40 users, 48 windows of 8 demands
-    seed = 2027
-    topology = generate_topology(
-        [(300.0 * i, 0.0) for i in range(6)],
-        GeoParams(users_per_cell=40, seed=seed),
-        np.random.default_rng(seed),
-    )
-    records = synthesize_trace(
-        [f"b{i}" for i in range(1, 7)],
-        days=1,
-        profile="diurnal-offset",
-        rng=np.random.default_rng(seed + 1),
-        windows_per_day=48,
-        base_volume=60.0,
-    )
-    demands = synthesize_demands(
-        records,
-        topology,
-        np.random.default_rng(seed + 2),
-        delays=(3, 4, 5),
-        splits=8,
-        slot_seconds=300.0,
-    )
-    outcome = solve_min_spectrum_d2d(topology, demands)
+    outcome = solve_min_spectrum_d2d(*pinned_day())
     assert outcome.solution.objective == pytest.approx(7.559901967521047, rel=1e-9)  # its f_d2d
     assert lp.dual_certificate_gap(outcome.index.problem, outcome.solution) <= GAP_TOL
     assert not outcome.solution.fallback

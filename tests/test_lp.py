@@ -241,6 +241,23 @@ class TestProblemContainer:
             for x in (rng.normal(size=p.n_variables), solve(p).x):
                 assert p.max_residual(x) == loop_max_residual(p, x)
 
+    def test_objective_value_adds_in_column_order(self):
+        # c'x is F in d2d_result.json: its nonzero terms are added one after
+        # another from 0, as a loop would, whatever the zero costs around them
+        rng = np.random.default_rng(4)
+        for n in (1, 7, 1000):
+            cost = np.where(rng.random(n) < 0.3, rng.normal(size=n), 0.0)
+            x = rng.normal(scale=1e8, size=n)
+            want = 0.0
+            for c, v in zip(cost.tolist(), x.tolist()):
+                if c:
+                    want += c * v
+            assert lp.ordered_dot(cost, x) == want
+        x = np.array([1e16, 1.0, -1e16, 1.0])
+        assert lp.ordered_dot(np.array([1.0, 1.0, 1.0, 0.0]), x) == 0.0  # (1e16 + 1) - 1e16
+        p = LpProblem(**valid_fields())
+        assert p.objective_value(np.array([0.5, 0.25])) == 0.75
+
 
 class TestLexicographic:
     def test_secondary_minimized_at_primary_optimum(self):
