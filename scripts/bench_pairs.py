@@ -12,7 +12,10 @@ is the working tree.  For each workload and seed one pair runs
 tree, one after the other, the side that goes first alternating from pair
 to pair.  The output file has every pair's end-to-end metrics and, per
 metric, each side's median and quartiles and the number of pairs the
-change won (ties count for neither side).
+change won (ties count for neither side).  Beside the gated metrics it
+summarises ``wall_op_p50_s``, the median over a run's ops of each op's
+fastest raw wall time (the record's ``repeats_wall_s``), which the host
+normalisation of the gated times does not touch.
 """
 
 from __future__ import annotations
@@ -51,13 +54,24 @@ def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: benchmark exited {proc.returncode}:\n{proc.stderr}")
-    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    summary = json.loads(lines[-1])
     return {
         "correct": summary["correct"],
         "attempted": summary["attempted"],
         "failed": summary["failed"],
         "metrics": {k: m["value"] for k, m in summary["metrics"].items()},
+        "wall_op_p50_s": wall_op_p50(lines),
     }
+
+
+def wall_op_p50(lines: list[str]) -> float | None:
+    """The median over ops of each op's fastest raw wall time, from a run's ``record`` line."""
+    for line in lines:
+        if line.startswith("record "):
+            walls = json.loads(line[len("record "):])["repeats_wall_s"].values()
+            return statistics.median(min(w) for w in walls) if walls else None
+    return None
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -126,7 +140,13 @@ def main(argv: list[str] | None = None) -> int:
                     f" {pair['parent']['metrics']['solve_s']} change {pair['change']['metrics']['solve_s']}",
                     file=sys.stderr,
                 )
-            record["workloads"][workload] = {"pairs": pairs, "summary": summarise(pairs, better)}
+            walls = [{side: {"metrics": {"wall_op_p50_s": p[side]["wall_op_p50_s"]}}
+                      for side in ("parent", "change")} for p in pairs]
+            record["workloads"][workload] = {
+                "pairs": pairs,
+                "summary": summarise(pairs, better),
+                "raw_wall": summarise(walls, {"wall_op_p50_s": "lower"}),
+            }
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 

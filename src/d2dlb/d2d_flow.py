@@ -93,6 +93,34 @@ def hop_distances_to_bs(topology: Topology) -> dict[str, int]:
 UNREACHABLE = 10**9
 
 
+def hop_matrix(topology: Topology, sources: np.ndarray) -> np.ndarray:
+    """Hop counts along directed links from each of ``sources`` to every node.
+
+    ``sources`` and the columns index ``topology.arrays.nodes``; an
+    unreachable node reads ``UNREACHABLE``.  Row i equals
+    ``hop_distances_from(topology, nodes[sources[i]])``.  Every row's
+    breadth-first search advances at once, one hop per step: the frontier is
+    a set of (row, node) pairs, and the next one holds the ends of their
+    out-links (``NodeArrays.link_key``, sorted by sender) that no earlier
+    step reached.  No dense matrix product is formed.
+    """
+    n = len(topology.arrays.nodes)
+    sender, receiver = np.divmod(topology.arrays.link_key, n)  # self-links reach nothing new
+    first_out = np.searchsorted(sender, np.arange(n + 1))
+    hops = np.full(len(sources) * n, UNREACHABLE, np.int64)  # flat: row * n + node
+    frontier = np.arange(len(sources)) * n + sources
+    step = 0
+    while frontier.size:
+        hops[frontier] = step
+        step += 1
+        row, u = np.divmod(frontier, n)
+        count = first_out[u + 1] - first_out[u]
+        link = np.repeat(first_out[u] - np.cumsum(count) + count, count) + np.arange(count.sum())
+        reached = np.repeat(row * n, count) + receiver[link]
+        frontier = np.unique(reached[hops[reached] == UNREACHABLE])
+    return hops.reshape(len(sources), n)
+
+
 @dataclass
 class TimeExpandedIndex:
     """Column and row layout of one assembled flow LP.
@@ -188,10 +216,9 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
     # (demand, link) pairs whose slot interval [lo, hi] is nonempty; demands
     # sharing a source share the hop distances, so they go in one block
     blocks = [np.zeros((4, 0), dtype=np.int64)]  # rows: demand, link, lo, count
-    for s in np.unique(source):
+    sources = np.unique(source)
+    for s, d_src in zip(sources, hop_matrix(topology, sources)):
         ks = np.flatnonzero(source == s)
-        from_src = hop_distances_from(topology, nodes[s])
-        d_src = np.array([from_src.get(v, UNREACHABLE) for v in nodes], dtype=np.int64)
         lo = start[ks, None] + d_src[link_u]
         count = end[ks, None] - d_bs[link_v] - lo + 1
         kk, ll = np.nonzero(count > 0)

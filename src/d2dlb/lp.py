@@ -15,24 +15,30 @@ bound-marginal copies.  The engine is loaded from its file
 never imported.  The settings are one constant, ``HIGHS_OPTIONS``:
 the formulation is solved one fixed way.  ``solve_lexicographic`` minimizes
 a second cost among the minimizers of the first with one model on one HiGHS
-object: a weighted solve, then a re-run of its basis on the first cost alone
-as the certificate, and, only if that re-run iterates, a capped second stage.
+object: a weighted solve, certified on the first cost alone from the
+factorization HiGHS ends with (one transposed solve for the row duals, then
+a dual-feasibility check of the reduced costs), so a certified optimum costs
+one HiGHS run.  Only when that check fails is the basis re-run on the first
+cost, and, only if that re-run iterates, a capped second stage follows.
 It can start from a given basis and returns the basis of the optimum it
 certifies, so a problem that differs from a solved one only in bounds and
 right-hand sides (``LpProblem.with_bounds``) is re-solved by dual simplex
-from where the solved one ended.
+from where the solved one ended; such a problem shares HiGHS's layout of the
+matrix (``HighsLayout``) with the one it came from.
 
-Every optimum carries row duals, so ``dual_certificate_gap`` certifies it.
+Every optimum carries row duals and their duality gap (``dual_gap``), so
+``dual_certificate_gap`` certifies it.
 """
 
 from __future__ import annotations
 
+import copy
 import importlib.machinery
 import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from types import ModuleType
 
 import numpy as np
@@ -82,10 +88,15 @@ _DTYPES = dict(
 )
 
 
+def ordered_sum(terms: np.ndarray) -> float:
+    """The terms added one after another from 0, in array order."""
+    return float(np.bincount(np.zeros(terms.size, np.intp), terms, 1)[0])
+
+
 def ordered_dot(cost: np.ndarray, x: np.ndarray) -> float:
     """cost'x over the nonzero costs, added one after another in column order from 0."""
     used = np.flatnonzero(cost)
-    return float(np.bincount(np.zeros(used.size, np.intp), cost[used] * x[used], 1)[0])
+    return ordered_sum(cost[used] * x[used])
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,12 +121,14 @@ class LpProblem:
     vals: np.ndarray
     rhs: np.ndarray
     equality: np.ndarray
+    #: HiGHS's layout of the matrix, once ``with_bounds`` has shared it
+    _layout: HighsLayout | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         for field, dtype in _DTYPES.items():
             object.__setattr__(self, field, np.asarray(getattr(self, field), dtype))
         n, m, nnz = self.objective.size, self.equality.size, self.rows.size
-        sizes = dict(objective=n, lower=n, upper=n, rows=nnz, cols=nnz, vals=nnz, rhs=m, equality=m)
+        sizes = dict(objective=n, lower=n, rows=nnz, cols=nnz, vals=nnz, equality=m)
         for field, size in sizes.items():
             shape = getattr(self, field).shape
             if shape != (size,):
@@ -124,14 +137,22 @@ class LpProblem:
             raise LpError(f"{self.name}: objective has non-finite coefficient")
         if not (np.isfinite(self.lower) & (self.lower >= 0)).all():
             raise LpError(f"{self.name}: lower bound must be finite and >= 0")
-        if not (self.upper >= self.lower).all():
-            raise LpError(f"{self.name}: empty bound interval")
         if nnz and not (0 <= self.cols.min() and self.cols.max() < n):
             raise LpError(f"{self.name}: constraint references unknown variable index")
         if nnz and not (0 <= self.rows.min() and self.rows.max() < m):
             raise LpError(f"{self.name}: constraint references unknown row index")
         if not np.isfinite(self.vals).all():
             raise LpError(f"{self.name}: constraint has non-finite coefficient")
+        self._check_upper_and_rhs()
+
+    def _check_upper_and_rhs(self) -> None:
+        """The checks of the two arrays ``with_bounds`` replaces."""
+        for field, size in (("upper", self.objective.size), ("rhs", self.equality.size)):
+            shape = getattr(self, field).shape
+            if shape != (size,):
+                raise LpError(f"{self.name}: {field} of shape {shape}, expected ({size},)")
+        if not (self.upper >= self.lower).all():
+            raise LpError(f"{self.name}: empty bound interval")
         if not np.isfinite(self.rhs).all():
             raise LpError(f"{self.name}: constraint has non-finite rhs")
 
@@ -143,12 +164,30 @@ class LpProblem:
     def n_constraints(self) -> int:
         return len(self.rhs)
 
+    @property
+    def highs_layout(self) -> HighsLayout:
+        """The matrix in HiGHS's row order (``HighsLayout``).
+
+        A record and its ``with_bounds`` copies share one layout, built by
+        the first copy.  A record without copies builds it on each call and
+        keeps none, so a lone solve holds nothing new while HiGHS runs.
+        """
+        return self._layout if self._layout is not None else HighsLayout.of(self)
+
     def with_bounds(self, upper: np.ndarray, rhs: np.ndarray, name: str) -> "LpProblem":
         """The same matrix, costs and lower bounds under new upper bounds and right-hand sides.
 
-        The new record shares every array but ``upper`` and ``rhs`` with this one.
+        The new record shares every array but ``upper`` and ``rhs`` with this
+        one, and its ``highs_layout``; only ``upper`` and ``rhs`` are checked.
         """
-        return replace(self, name=name, upper=upper, rhs=rhs)
+        if self._layout is None:
+            object.__setattr__(self, "_layout", HighsLayout.of(self))
+        bounded = copy.copy(self)
+        object.__setattr__(bounded, "name", name)
+        object.__setattr__(bounded, "upper", np.asarray(upper, float))
+        object.__setattr__(bounded, "rhs", np.asarray(rhs, float))
+        bounded._check_upper_and_rhs()
+        return bounded
 
     def objective_value(self, x: np.ndarray) -> float:
         return ordered_dot(self.objective, x)
@@ -176,8 +215,11 @@ class LpSolution:
     x: np.ndarray | None
     max_primal_residual: float | None
     duals: np.ndarray | None = None  # row multipliers y, reduced costs c - A'y
+    dual_gap: float | None = None  # |c'x - dual objective| of duals (``duality_gap``)
     iterations: int = 0
-    certificate_iterations: int = 0  # solve_lexicographic's re-run on the primary cost
+    # solve_lexicographic's re-run on the primary cost, which runs only when
+    # the factorization certificate fails
+    certificate_iterations: int = 0
     basis: Basis | None = None  # solve_lexicographic's primary-cost optimum
 
     @property
@@ -195,12 +237,41 @@ class LpSolution:
         return float(self.x[index])
 
 
+def reduced_costs(problem: LpProblem, y: np.ndarray) -> np.ndarray:
+    """c - A'y for row multipliers y in problem row order."""
+    col_dual = np.bincount(
+        problem.cols, weights=y[problem.rows] * problem.vals, minlength=problem.n_variables
+    )
+    return problem.objective - col_dual
+
+
+def duality_gap(problem: LpProblem, x: np.ndarray, y: np.ndarray, reduced: np.ndarray) -> float:
+    """|c'x - dual objective| for multipliers y with reduced costs ``reduced`` = c - A'y.
+
+    The dual objective is y'b plus one bound term per column: the binding
+    bound absorbs the reduced cost, the lower one unless a boxed variable's
+    reduced cost is negative.  c'x, -y'b and the negated bound terms are
+    added as one ordered sum (``ordered_sum``).
+    """
+    lower, upper = problem.lower, problem.upper
+    free_above = np.isinf(upper)
+    bound_terms = np.where(
+        free_above,
+        np.maximum(reduced, 0.0) * lower,
+        reduced * np.where(reduced >= 0, lower, upper),
+    )
+    used = np.flatnonzero(problem.objective)
+    terms = [problem.objective[used] * x[used], -(y * problem.rhs), -bound_terms]
+    return abs(ordered_sum(np.concatenate(terms)))
+
+
 def dual_certificate_gap(problem: LpProblem, solution: LpSolution) -> float:
     """Weak-duality certificate from a solution's row multipliers.
 
     Checks that the multipliers are dual feasible (nonpositive on <= rows,
     reduced costs >= 0 taking bounds into account) and returns the absolute
-    gap |c'x - dual objective|.  Raises LpError if the certificate fails.
+    gap |c'x - dual objective| (``duality_gap``).  Raises LpError if the
+    certificate fails.
     """
     if solution.duals is None or solution.x is None:
         raise LpError("solution carries no dual multipliers")
@@ -210,25 +281,12 @@ def dual_certificate_gap(problem: LpProblem, solution: LpSolution) -> float:
     if positive.size:
         r = int(positive[0])
         raise LpError(f"dual multiplier of <= row {r} is positive: {y[r]}")
-    col_dual = np.bincount(
-        problem.cols, weights=y[problem.rows] * problem.vals, minlength=problem.n_variables
-    )
-    reduced = problem.objective - col_dual
-    lower, upper = problem.lower, problem.upper
-    free_above = np.isinf(upper)
-    negative = np.flatnonzero(free_above & (reduced < -1e-6))
+    reduced = reduced_costs(problem, y)
+    negative = np.flatnonzero(np.isinf(problem.upper) & (reduced < -1e-6))
     if negative.size:
         i = int(negative[0])
         raise LpError(f"reduced cost of variable {i} negative: {reduced[i]}")
-    # the binding bound absorbs the reduced cost: the lower one unless a
-    # boxed variable's reduced cost is negative
-    bound_terms = np.where(
-        free_above,
-        np.maximum(reduced, 0.0) * lower,
-        reduced * np.where(reduced >= 0, lower, upper),
-    )
-    dual_obj = float(y @ problem.rhs) + float(bound_terms.sum())
-    gap = abs((solution.objective or 0.0) - dual_obj)
+    gap = duality_gap(problem, solution.x, y, reduced)
     if gap > tol:
         raise LpError(f"duality gap {gap} exceeds tolerance {tol}")
     return gap
@@ -299,24 +357,45 @@ def column_wise(
     return indptr.astype(np.int32), indices.astype(np.int32), data
 
 
+@dataclass(frozen=True, eq=False)
+class HighsLayout:
+    """A problem's matrix as HiGHS holds it, which bounds and right-hand sides do not change.
+
+    HiGHS's row order is ``linprog``'s: the ``<=`` rows above the ``=`` rows,
+    each group in problem order.  HiGHS row i is problem row ``order[i]``;
+    problem row r is HiGHS row ``position[r]``.  ``indptr``, ``indices`` and
+    ``data`` are the matrix in that row order, column-wise (``column_wise``).
+    """
+
+    order: np.ndarray
+    position: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def of(cls, problem: LpProblem) -> "HighsLayout":
+        n, m, eq = problem.n_variables, problem.n_constraints, problem.equality
+        order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
+        position = np.empty(m, np.int64)
+        position[order] = np.arange(m)
+        matrix = column_wise(position[problem.rows], problem.cols, problem.vals, m, n)
+        return cls(order, position, *matrix)
+
+
 def _pass_model(problem: LpProblem, cost: np.ndarray) -> tuple[_highs._Highs | None, np.ndarray]:
     """One HiGHS object holding ``problem`` with objective ``cost``, set up as ``linprog`` would.
 
     Every ``HIGHS_OPTIONS`` setting is applied; one that HiGHS refuses raises
     ``LpError``.  Returns the object (None when HiGHS refuses the model, which
     ``linprog`` reports as "infeasible") and, per problem row, its position in
-    HiGHS's row order: ``linprog``'s, the ``<=`` rows above the ``=`` rows,
-    each group in problem order.
+    HiGHS's row order (``HighsLayout``).
     """
     n, m = problem.n_variables, problem.n_constraints
     if n == 0:
         raise LpError(f"{problem.name}: no variables")  # linprog refuses it too
-    eq = problem.equality
-    order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
-    position = np.empty(m, np.int64)
-    position[order] = np.arange(m)
-    indptr, indices, data = column_wise(position[problem.rows], problem.cols, problem.vals, m, n)
-    rhs = problem.rhs[order]
+    layout = problem.highs_layout
+    rhs = problem.rhs[layout.order]
     highs = _highs._Highs()
     for name, value in HIGHS_OPTIONS.items():
         if highs.setOptionValue(name, value) != _highs.HighsStatus.kOk:
@@ -324,21 +403,21 @@ def _pass_model(problem: LpProblem, cost: np.ndarray) -> tuple[_highs._Highs | N
     passed = highs.passModel(
         n,
         m,
-        data.size,
+        layout.data.size,
         int(_highs.MatrixFormat.kColwise),
         int(_highs.ObjSense.kMinimize),
         0.0,  # objective offset
         cost,
         problem.lower,
         np.where(np.isinf(problem.upper), _highs.kHighsInf, problem.upper),
-        np.where(eq[order], rhs, -_highs.kHighsInf),
+        np.where(problem.equality[layout.order], rhs, -_highs.kHighsInf),
         rhs,
-        indptr,
-        indices,
-        data,
+        layout.indptr,
+        layout.indices,
+        layout.data,
         np.zeros(n, np.int32),  # every column continuous: an LP, as in linprog
     )
-    return (None if passed == _highs.HighsStatus.kError else highs), position
+    return (None if passed == _highs.HighsStatus.kError else highs), layout.position
 
 
 def _run(highs: _highs._Highs) -> tuple[str, int]:
@@ -363,17 +442,25 @@ def _checked(
     iterations: int,
     certificate_iterations: int = 0,
     basis: Basis | None = None,
+    reduced: np.ndarray | None = None,
 ) -> LpSolution:
-    """``linprog``'s post-solve check: a NaN or a residual above ``RESULT_CHECK_TOL`` errs."""
+    """``linprog``'s post-solve check: a NaN or a residual above ``RESULT_CHECK_TOL`` errs.
+
+    An optimum carries the duality gap of ``duals``, whose reduced costs are
+    ``reduced`` (computed here when not given).
+    """
     residual = problem.max_residual(x)
     if not residual <= RESULT_CHECK_TOL:  # a NaN in x makes the residual NaN
         return LpSolution("error", None, None, None, iterations=iterations)
+    if reduced is None:
+        reduced = reduced_costs(problem, duals)
     return LpSolution(
         status="optimal",
         objective=problem.objective_value(x),
         x=x,
         max_primal_residual=residual,
         duals=duals,
+        dual_gap=duality_gap(problem, x, duals, reduced),
         iterations=iterations,
         certificate_iterations=certificate_iterations,
         basis=basis,
@@ -410,21 +497,63 @@ LEXICO_WEIGHT = 1e-5
 FALLBACK_CAP_SLACK = 1e-9
 
 
+def _factor_certificate(
+    problem: LpProblem, highs: _highs._Highs, position: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Row duals and reduced costs of ``problem``'s cost c at HiGHS's final basis, if c-optimal.
+
+    The row duals y solve B'y = c_B, one transposed solve on the
+    factorization HiGHS holds from its last run, and are mapped to problem row
+    order through ``position``.  The basis is c-optimal when y and the
+    reduced costs d = c - A'y are dual feasible to HiGHS's
+    ``dual_feasibility_tolerance``: d is at least -tol on each nonbasic
+    column at its lower bound and at most tol at its upper bound (a fixed
+    column may take either sign), and y is at most tol on each ``<=`` row.
+    Returns (y, d), or None when the basis is not c-optimal or HiGHS holds no
+    factorization.
+    """
+    status, basic = highs.getBasicVariables()
+    if status != _highs.HighsStatus.kOk:
+        return None
+    basic = np.asarray(basic)
+    structural = basic >= 0  # a basic row is -(1 + row), at cost 0
+    c_basic = np.zeros(basic.size)
+    c_basic[structural] = problem.objective[basic[structural]]
+    status, y = highs.getBasisTransposeSolve(c_basic)
+    if status != _highs.HighsStatus.kOk:
+        return None
+    y = np.asarray(y)[position]
+    reduced = reduced_costs(problem, y)
+    tol = HIGHS_OPTIONS["dual_feasibility_tolerance"]
+    nonbasic = problem.upper > problem.lower
+    nonbasic[basic[structural]] = False
+    wrong_sign = np.where(x >= problem.upper, reduced > tol, reduced < -tol)
+    if (nonbasic & wrong_sign).any() or (y[~problem.equality] > tol).any():
+        return None
+    return y, reduced
+
+
 def solve_lexicographic(
     problem: LpProblem, secondary_cost: np.ndarray, basis: Basis | None = None
 ) -> LpSolution:
     """Minimize ``problem``'s cost c, then ``secondary_cost`` s among the minimizers of c.
 
     The model goes to a new HiGHS object once, with the cost c + eps*s, where
-    eps = ``LEXICO_WEIGHT`` / max|s|.  The optimal basis is then re-run on c
-    alone.  A re-run that takes no iteration certifies x: the basis is
-    optimal for c, so c'x is the optimum F*, and any x' with c'x' = F* and
-    s'x' < s'x would beat x on c + eps*s, so x is lexicographically optimal
-    (Sherali, "Equivalent weights for lexicographic multi-objective
-    programs", EJOR 1982).  A re-run that iterates ends at F*; the fallback
-    then adds the row c'x <= F* + ``FALLBACK_CAP_SLACK`` * max(1, |F*|) to
-    the same object and minimizes s, the two-stage answer, and the solution's
-    ``fallback`` is set.
+    eps = ``LEXICO_WEIGHT`` / max|s|.  The optimal basis B is then checked on
+    c alone from the factorization HiGHS ends with (``_factor_certificate``):
+    one solve of B'y = c_B gives the row duals y and the reduced costs
+    c - A'y.  When they are dual feasible, B is optimal for c, so c'x is the
+    optimum F*, and any x' with c'x' = F* and s'x' < s'x would beat x on
+    c + eps*s, so x is lexicographically optimal (Sherali, "Equivalent
+    weights for lexicographic multi-objective programs", EJOR 1982).  Such
+    a solve costs one HiGHS run.
+
+    Only when that check fails, or HiGHS holds no factorization, is the basis
+    re-run on c alone, and the re-run certifies x when it takes no
+    iteration.  A re-run that iterates ends at F*; the fallback then adds the
+    row c'x <= F* + ``FALLBACK_CAP_SLACK`` * max(1, |F*|) to the same object
+    and minimizes s, the two-stage answer, and the solution's ``fallback``
+    is set.
 
     ``basis``, the ``basis`` of an earlier solution of a problem with the
     same matrix and costs, starts the weighted solve there; HiGHS then skips
@@ -435,9 +564,10 @@ def solve_lexicographic(
     depends only on the problem and the basis.
 
     ``objective`` is c'x, ``duals`` are the row duals of ``problem`` at its
-    c-optimum (so ``dual_certificate_gap`` certifies F* on either path),
-    ``basis`` is the basis of that optimum, ``iterations`` counts every run
-    and ``certificate_iterations`` the re-run on c.
+    c-optimum (so ``dual_certificate_gap`` certifies F* on either path) and
+    ``dual_gap`` their duality gap, ``basis`` is the basis of that optimum,
+    ``iterations`` counts every run and ``certificate_iterations`` the
+    re-run on c (0 when the factorization certified x).
     """
     c = problem.objective
     s = np.asarray(secondary_cost, dtype=float)
@@ -451,12 +581,17 @@ def solve_lexicographic(
     if basis is not None and highs.setBasis(basis) != _highs.HighsStatus.kOk:
         raise LpError(f"{problem.name}: HiGHS refused the starting basis")
     status, iterations = _run(highs)
-    rerun = 0
-    if status == "optimal":
-        columns = np.arange(problem.n_variables, dtype=np.int32)
-        highs.changeColsCost(columns.size, columns, c)
-        status, rerun = _run(highs)
-        iterations += rerun
+    if status != "optimal":
+        return LpSolution(status, None, None, None, iterations=iterations)
+    x = np.array(highs.getSolution().col_value)
+    certified = _factor_certificate(problem, highs, position, x)
+    if certified is not None:
+        y, reduced = certified
+        return _checked(problem, x, y, iterations, 0, highs.getBasis(), reduced)
+    columns = np.arange(problem.n_variables, dtype=np.int32)
+    highs.changeColsCost(columns.size, columns, c)
+    status, rerun = _run(highs)
+    iterations += rerun
     if status != "optimal":
         return LpSolution(status, None, None, None, iterations=iterations)
     x, duals = _read(highs, position)

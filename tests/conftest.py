@@ -3,6 +3,7 @@
 The ``bound_suite`` fixture carries 50 random multi-cell instances together
 with their solved no-D2D totals, D2D optima, and overhead-minimal schedules;
 the bound and heuristic acceptance criteria both run against the same list.
+The ``highs_runs`` fixture counts HiGHS runs.
 """
 
 from __future__ import annotations
@@ -12,10 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from d2dlb import lp
 from d2dlb.d2d_flow import solve_min_overhead, solve_min_spectrum_d2d
 from d2dlb.model import DemandSet, Schedule, Topology, compute_volumes, fill_storage
 from d2dlb.no_d2d import min_spectrum_no_d2d
 from d2dlb.scenario import random_multicell_instance, toy_two_cell
+
+
+@pytest.fixture
+def highs_runs(monkeypatch) -> list:
+    """A list that gets one entry per HiGHS run (``lp._run``) while the test runs."""
+    runs = []
+    run = lp._run
+
+    def counted(highs):
+        runs.append(highs)
+        return run(highs)
+
+    monkeypatch.setattr(lp, "_run", counted)
+    return runs
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import draw_instance
 from hypothesis import given, settings
-from flow_lp_reference import prune_equivalence_check
+from flow_lp_reference import pinned_day, prune_equivalence_check
 from hypothesis import strategies as st
 from lp_format import to_lp_format
 from simplex_reference import solve_reference
@@ -13,10 +14,12 @@ from two_stage_reference import overhead_model
 
 from d2dlb.bounds import build_complete_instance, build_ring_instance
 from d2dlb.d2d_flow import (
+    UNREACHABLE,
     InfeasibleDemandError,
     build_flow_lp,
     hop_distances_from,
     hop_distances_to_bs,
+    hop_matrix,
     solve_min_overhead,
     solve_min_spectrum_d2d,
 )
@@ -75,6 +78,32 @@ class TestHopDistances:
         dist = hop_distances_to_bs(topology)
         assert dist["alpha"] == 0 and dist["beta"] == 0
         assert dist["a"] == 1 and dist["b"] == 1 and dist["c"] == 1 and dist["d"] == 1
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            pytest.param(toy_two_cell, id="toy"),
+            pytest.param(lambda: (build_ring_instance(5).topology, None), id="ring5"),
+            pytest.param(lambda: (build_complete_instance(3, 2).topology, None), id="complete3x2"),
+            pytest.param(pinned_day, id="pinned-day"),
+            *(
+                pytest.param(
+                    lambda seed=seed: draw_instance(np.random.default_rng(seed)), id=f"drawn{seed}"
+                )
+                for seed in range(10)
+            ),
+        ],
+    )
+    def test_hop_matrix_rows_are_breadth_first_searches(self, instance):
+        topology, _ = instance()
+        nodes = topology.arrays.nodes
+        sources = np.arange(len(nodes))[::-1]  # every node, in an order of its own
+        hops = hop_matrix(topology, sources)
+        assert hops.shape == (len(nodes), len(nodes)) and hops.dtype == np.int64
+        for source, row in zip(sources, hops):
+            dist = hop_distances_from(topology, nodes[source])
+            assert row.tolist() == [dist.get(v, UNREACHABLE) for v in nodes]
+        assert (hops == UNREACHABLE).any()  # a BS reaches no user
 
 
 class TestMinSpectrumD2D:

@@ -1,15 +1,18 @@
 """The flow LP's one lexicographic solve against the two-stage reference.
 
 ``solve_flow_lp`` solves the flow LP once with the relayed traffic as a
-weighted secondary cost and certifies the result by a zero-iteration re-run
-on the spectrum cost.  The reference solves the spectrum model, caps the sum
+weighted secondary cost and certifies the result on the spectrum cost from
+HiGHS's final factorization: one transposed solve for the row duals, then a
+dual-feasibility check of the reduced costs (``tests/test_factor_certificate.py``
+holds it to the zero-iteration re-run it replaced, which now runs only when
+that check fails).  The reference solves the spectrum model, caps the sum
 of peaks at its optimum F and minimizes the relayed traffic R in a second
 solve.  Both must give the same F (rel 1e-9) and R (rel 1e-6), every
 certified optimum must pass the duality certificate on the spectrum model,
 and none of these instances may need the fallback.  Heuristic step III,
 solved as the full model with fixed columns from the full optimum's basis,
-is held to the two-stage answer of the reference's reduced model, and its
-certificate re-run must take no iteration.
+is held to the two-stage answer of the reference's reduced model, and it must be
+certified without a re-run that iterates (``certificate_iterations`` 0).
 """
 
 from __future__ import annotations

@@ -300,7 +300,7 @@ class TestLexicographic:
             assert secondary @ got.x == pytest.approx(second.objective, rel=1e-6, abs=1e-9)
             assert dual_certificate_gap(p, got) <= 1e-6 * (1.0 + abs(got.objective))
 
-    def test_fallback_when_the_rerun_iterates(self):
+    def test_fallback_when_the_rerun_iterates(self, highs_runs):
         # the weight 1e-5 / 1e3 on x outweighs y's extra 1e-7 of primary cost,
         # so the weighted optimum y = 1 is not optimal for the primary cost
         b = LpBuilder("fallback")
@@ -310,6 +310,7 @@ class TestLexicographic:
         p = b.build()
         secondary = np.array([1e3, 0.0])
         got = solve_lexicographic(p, secondary)
+        assert len(highs_runs) >= 2  # the factorization refused the weighted basis
         primary, second = solve_two_stage(p, secondary, slack=FALLBACK_CAP_SLACK)
         assert got.fallback and got.optimal
         assert primary.x.tolist() == [1.0, 0.0]
@@ -354,6 +355,7 @@ class TestLexicographic:
         assert q.name == "boxed"
         assert q.rows is p.rows and q.cols is p.cols and q.vals is p.vals  # shared, not copied
         assert q.objective is p.objective and q.lower is p.lower and q.equality is p.equality
+        assert q.highs_layout is p.highs_layout  # HiGHS's row order and matrix, built once
         assert np.array_equal(q.upper, np.ones(p.n_variables))
         assert np.array_equal(q.rhs, np.zeros(p.n_constraints))
         assert np.isinf(p.upper).all() and np.array_equal(p.rhs, rhs)  # the original is untouched

@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -62,6 +63,9 @@ def test_bench_pairs_summary_counts_wins_and_quartiles():
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
     assert bench_pairs.parse_seeds("3,17,901-903") == [3, 17, 901, 902, 903]
+    record = {"repeats_wall_s": {"a.0": [0.3, 0.2], "b.0": [0.5], "c.0": [0.1, 0.4]}}
+    lines = ["workload", "record " + json.dumps(record), "{}"]
+    assert bench_pairs.wall_op_p50(lines) == 0.2  # the median of the fastest repeats 0.2, 0.5, 0.1
     runs = [(1.0, 0.5), (1.0, 1.0), (0.8, 0.9), (1.2, 0.6)]  # (parent, change)
     pairs = [
         {"parent": {"metrics": {"solve_s": p, "x": p}}, "change": {"metrics": {"solve_s": c, "x": c}}}
