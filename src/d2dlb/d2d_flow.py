@@ -1,17 +1,26 @@
 """Time-expanded flow LPs for spectrum minimization with D2D relaying.
 
 A demand's traffic leaves its source user at the start slot, moves one hop
-per slot over real links (or waits on a virtual self-link), and must be at a
-base station by the deadline.  Spectrum is billed to the receiving side's BS
-(receiver takeover): uplink transmissions into b (alpha_b(t)) plus
-transmissions into users of b (beta_b(t)) must stay under the per-BS peak
-F_b being minimized, one ``<=`` row per billed (BS, slot) with no alpha or
-beta column.  A demand has a source row and a conservation row per (node,
-slot) before its deadline, but no arrival row: pruning (below) leaves only
-columns into a BS in the deadline slot, so an arrival row would be the sum
-of the others (Ahuja, Magnanti and Orlin, *Network Flows*, 1993, section 2).
-The equality rows thus have full row rank, and HiGHS's presolve has no
-dependent row to remove.
+per slot over real links (or waits at a user on a virtual self-link), and
+must be at a base station by the deadline.  Spectrum is billed to the
+receiving side's BS (receiver takeover): uplink transmissions into b
+(alpha_b(t)) plus transmissions into users of b (beta_b(t)) must stay under
+the per-BS peak F_b being minimized, one ``<=`` row per billed (BS, slot)
+with no alpha or beta column.
+
+A BS is the sink of the time-expanded network (Ahuja, Magnanti and Orlin,
+*Network Flows*, 1993): data that enters it in any slot up to the deadline
+is delivered, so a BS has no self-link column and no conservation row.  A
+demand has a source row and a conservation row per (user, slot) before its
+deadline, and no arrival row.  None is needed: pruning (below) leaves no
+column into a user in the deadline slot, so the user rows carry every bit of
+the volume into some BS by then, and an arrival row would be the sum of the
+others.  The equality rows thus have full row rank, and HiGHS's presolve
+has no dependent row and no chain of BS storage to remove (Andersen and
+Andersen, "Presolving in linear programming", 1995).  The schedule still
+lists what a BS holds as self-link entries: ``extract_schedule`` rebuilds
+each from the demand's arrivals there (``BsStorage``), so a schedule is
+conserving at every node, as ``model.validate_schedule`` checks.
 
 Variable pruning drops (link, slot) pairs a demand cannot use: the sender
 must be reachable from the source within t - start hops and some BS must be
@@ -45,8 +54,10 @@ optimum's basis.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,6 +104,11 @@ def hop_distances_to_bs(topology: Topology) -> dict[str, int]:
 UNREACHABLE = 10**9
 
 
+def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """lo[i], lo[i] + 1, ..., lo[i] + n[i] - 1 for each i, one run after another."""
+    return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+
+
 def hop_matrix(topology: Topology, sources: np.ndarray) -> np.ndarray:
     """Hop counts along directed links from each of ``sources`` to every node.
 
@@ -115,10 +131,30 @@ def hop_matrix(topology: Topology, sources: np.ndarray) -> np.ndarray:
         step += 1
         row, u = np.divmod(frontier, n)
         count = first_out[u + 1] - first_out[u]
-        link = np.repeat(first_out[u] - np.cumsum(count) + count, count) + np.arange(count.sum())
+        link = _ranges(first_out[u], count)
         reached = np.repeat(row * n, count) + receiver[link]
         frontier = np.unique(reached[hops[reached] == UNREACHABLE])
     return hops.reshape(len(sources), n)
+
+
+class BsStorage(NamedTuple):
+    """What each demand holds at each BS, which the flow LP has no column for.
+
+    Entry i is the self-link a BS would have in a slot of a demand's
+    lifetime: ``key[:, i]`` is its (demand, BS, BS, slot) as schedule
+    entries key them (nodes as positions in ``TimeExpandedIndex.nodes``),
+    entries sorted by demand in instance order, then BS, then slot.  Its
+    value is the sum, over the terms with ``entry == i`` in term (column)
+    order, of ``rate * x[col]``: the bits the demand's columns bring into
+    that BS in earlier slots.  In a schedule it goes after the entries of
+    the flow columns below ``after[i]``, where its demand's columns end.
+    """
+
+    key: np.ndarray
+    after: np.ndarray
+    entry: np.ndarray
+    col: np.ndarray
+    rate: np.ndarray
 
 
 @dataclass
@@ -128,12 +164,18 @@ class TimeExpandedIndex:
     Flow column c carries demand ``flow_demand[c]`` over the link
     ``(nodes[flow_src[c]], nodes[flow_dst[c]])`` in slot ``flow_slot[c]``;
     flow columns come first in the LP, then one peak per BS
-    (``peak_vars``).  ``relay_cost`` is the relayed-traffic cost over all
+    (``peak_vars``).  Only users have self-links: a BS keeps what it
+    receives, so it has no column out of it and no row, and what it holds
+    is ``storage``.  ``relay_cost`` is the relayed-traffic cost over all
     columns: a flow column's rate when it relays into a user before the
     demand's deadline, else 0.  Demand k of the instance (in its order) has
-    its source row ``source_row[k]``, and needs no arrival row: its
-    deadline-slot columns all enter a BS, so its other rows imply one.  A
-    billed (BS, slot) has its peak row ``peak_row[(bs, slot)]``.
+    its source row ``source_row[k]``, and needs no arrival row: its user
+    rows already carry every bit into a BS by the deadline.  A billed
+    (BS, slot) has its peak row ``peak_row[(bs, slot)]``.
+
+    The LP counts bits in units of ``unit``, a power of two (see
+    ``build_flow_lp``): the peaks, the relayed traffic and the schedule are
+    read back multiplied by it, which is exact.
     """
 
     problem: lp.LpProblem
@@ -146,48 +188,68 @@ class TimeExpandedIndex:
     peak_vars: dict[str, int]
     source_row: np.ndarray
     peak_row: dict[tuple[str, int], int]
+    storage: BsStorage
+    unit: float
 
     @property
     def n_flow_variables(self) -> int:
         return len(self.flow_slot)
 
     def peaks(self, solution: lp.LpSolution) -> dict[str, float]:
-        return {b: solution.value(col) for b, col in self.peak_vars.items()}
+        return {b: solution.value(col) * self.unit for b, col in self.peak_vars.items()}
 
     def relayed_traffic(self, solution: lp.LpSolution) -> float:
-        return lp.ordered_dot(self.relay_cost, solution.x)
+        return lp.ordered_dot(self.relay_cost, solution.x) * self.unit
 
     def extract_schedule(self, solution: lp.LpSolution) -> Schedule:
-        """The flow columns' nonzero values, in column order; a column fixed at 0 carries no flow.
+        """The free flow columns' nonzero values in column order, and the nonzero BS storage.
 
         HiGHS can return a basic fixed column a few ulps off its bound, so
-        fixed columns are left out rather than trusted to read 0.
+        fixed columns are left out rather than trusted to read 0, and add
+        nothing to the storage.  A demand's storage entries (``BsStorage``)
+        follow its flow entries, by BS and then slot, where BS self-link
+        columns would sit; an entry is nonzero from the slot after the
+        demand's first arrival at that BS to the deadline.
         """
         if solution.x is None:
             raise lp.LpError("no solution values available")
-        x = solution.x[: self.n_flow_variables]
-        used = np.flatnonzero((x != 0.0) & (self.problem.upper[: self.n_flow_variables] > 0))
-        return Schedule(
-            self.nodes,
-            self.flow_demand[used],
-            self.flow_src[used],
-            self.flow_dst[used],
-            self.flow_slot[used],
-            x[used],
-        )
+        n_flow, store = self.n_flow_variables, self.storage
+        x = np.where(self.problem.upper[:n_flow] > 0, solution.x[:n_flow] * self.unit, 0.0)
+        used = np.flatnonzero(x != 0.0)
+        held = np.bincount(store.entry, store.rate * x[store.col], store.after.size)
+        kept = np.flatnonzero(held != 0.0)
+        # flow entry c sorts as c, storage just below where its demand's columns end
+        order = np.argsort(np.concatenate([used, store.after[kept] - 0.5]), kind="stable")
+        flows = [a[used] for a in (self.flow_demand, self.flow_src, self.flow_dst, self.flow_slot)]
+        keys = np.concatenate([np.stack(flows), np.take(store.key, kept, axis=1)], axis=1)
+        value = np.concatenate([x[used], held[kept]])[order]
+        return Schedule(self.nodes, *np.take(keys, order, axis=1), value)
+
+
+def _expand(
+    pair_k: np.ndarray, pair_l: np.ndarray, pair_lo: np.ndarray, pair_n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(demand, link, slot) of each slot of each (demand, link) pair's interval, pair by pair."""
+    return np.repeat(pair_k, pair_n), np.repeat(pair_l, pair_n), _ranges(pair_lo, pair_n)
 
 
 def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
     """Assemble the pruned flow-over-time LP minimizing the sum of per-BS peaks.
 
     Columns: per demand, per link (real links in
-    ``topology.rate_map`` order, then one self-link per node in
-    ``all_nodes()`` order), one column per slot of the link's interval; then
+    ``topology.rate_map`` order, then one self-link per user in
+    ``user_ids`` order), one column per slot of the link's interval; then
     one peak per BS.  Rows: per demand its source row and its nonempty
-    conservation rows by (node, slot), all ``=``; then per billed (BS, slot),
+    conservation rows by (user, slot), all ``=``; then per billed (BS, slot),
     in (BS id, slot) order, its ``<=`` peak row: billed flows minus the
     peak at most 0.  No row is implied by the others and no column restates
     a sum of others.
+
+    The source rows' right-hand sides are the volumes in units of 2**e
+    bits (``TimeExpandedIndex.unit``), e the ``math.frexp`` exponent of the
+    largest volume, so the largest lies in [0.5, 1) at any input scale and
+    HiGHS's absolute tolerances mean the same thing at every scale.
+    Dividing by a power of two is exact.
     """
     demands.check_users(topology)
     table, dem = topology.arrays, demands.arrays
@@ -196,7 +258,8 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
     to_bs = hop_distances_to_bs(topology)
     d_bs = np.array([to_bs.get(v, UNREACHABLE) for v in nodes], dtype=np.int64)
 
-    # links: the real ones, then one self-link per node
+    # links: the real ones, then one self-link per node; a BS's self-link
+    # gets no column, as a BS keeps what it receives, but is its storage
     real = list(topology.rate_map.items())
     n_real = len(real)
     link_u = np.array([node_index[u] for (u, _), _ in real] + list(range(n_nodes)), np.int64)
@@ -224,25 +287,24 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
         kk, ll = np.nonzero(count > 0)
         blocks.append(np.stack([ks[kk], ll, lo[kk, ll], count[kk, ll]]))
     pairs = np.concatenate(blocks, axis=1)
-    pair_k, pair_l, pair_lo, pair_n = pairs[:, np.lexsort((pairs[1], pairs[0]))]
+    pairs = pairs[:, np.lexsort((pairs[1], pairs[0]))]
+    at_bs = pairs[1] >= n_real + n_users
 
-    # one column per (demand, link, slot)
-    n_flow = int(pair_n.sum())
-    k = np.repeat(pair_k, pair_n)
-    link = np.repeat(pair_l, pair_n)
-    t = np.repeat(pair_lo - (np.cumsum(pair_n) - pair_n), pair_n) + np.arange(n_flow)
+    # one column per (demand, link, slot), BS self-links apart
+    k, link, t = _expand(*pairs[:, ~at_bs])
+    n_flow = len(k)
     u, v, rate = link_u[link], link_v[link], link_rate[link]
     col = np.arange(n_flow)
 
     # flow rows, numbered by sorting integer keys:
-    # per demand: 0 source, 1 + node * horizon + (slot - 1) conservation
+    # per demand: 0 source, 1 + user * horizon + (slot - 1) conservation
     horizon = demands.horizon
-    stride = 1 + n_nodes * horizon
+    stride = 1 + n_users * horizon
     n_active = len(source)
     demand_key = np.arange(n_active, dtype=np.int64) * stride
     is_source = (u == source[k]) & (t == start[k])
-    inflow = t < end[k]  # +rate into (v, t)
-    outflow = t > start[k]  # -rate out of (u, t - 1)
+    inflow = (t < end[k]) & (v < n_users)  # +rate into (v, t); a BS absorbs what it receives
+    outflow = t > start[k]  # -rate out of (u, t - 1); only users send
     keys = np.concatenate(
         [
             demand_key,
@@ -254,7 +316,8 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
     n_flow_rows = len(flow_keys)
     n_in = int(inflow.sum())
     flow_rhs = np.zeros(n_flow_rows)
-    flow_rhs[row_of[:n_active]] = volume
+    unit = math.ldexp(1.0, math.frexp(float(volume.max(initial=0.0)))[1])
+    flow_rhs[row_of[:n_active]] = volume / unit
 
     # billing (``NodeArrays.billed``): a real link into a BS, or into a user
     # of that BS, counts toward the BS's load in its slot; billed (BS, slot)
@@ -266,6 +329,24 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
     n_billed = len(billed)
     billed_bs = [topology.bs_ids[b] for b in table.bs_by_name[billed // (horizon + 1)].tolist()]
     billed_keys = list(zip(billed_bs, (billed % (horizon + 1)).tolist()))
+
+    # BS storage, one entry per slot of a BS self-link's interval: what
+    # demand k holds at BS b in slot s is the bits of its columns into b in
+    # slots t < s, each column adding to the entries (k, b, t + 1..end_k)
+    store_k, store_link, store_t = _expand(*pairs[:, at_bs])
+    store_b = link_v[store_link]
+    store_key = (store_k * n_nodes + store_b) * (horizon + 1) + store_t
+    into_bs = col[(v >= n_users) & (t < end[k])]
+    held_for = end[k[into_bs]] - t[into_bs]
+    arrival_key = (k[into_bs] * n_nodes + v[into_bs]) * (horizon + 1) + t[into_bs]
+    first = np.searchsorted(store_key, arrival_key + 1)
+    storage = BsStorage(
+        key=np.stack([dem.ids[store_k], store_b, store_b, store_t]),
+        after=np.searchsorted(k, store_k, side="right"),
+        entry=_ranges(first, held_for),
+        col=np.repeat(into_bs, held_for),
+        rate=np.repeat(rate[into_bs], held_for),
+    )
 
     # columns: flows, then the peaks; one peak row per billed slot
     n_variables = n_flow + n_bs
@@ -300,12 +381,12 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
         flow_src=u,
         flow_dst=v,
         flow_slot=t,
-        relay_cost=np.concatenate(
-            [np.where((link < n_real) & (v < n_users) & inflow, rate, 0.0), np.zeros(n_bs)]
-        ),
+        relay_cost=np.concatenate([np.where((link < n_real) & inflow, rate, 0.0), np.zeros(n_bs)]),
         peak_vars=peak_vars,
         source_row=row_of[:n_active],
         peak_row=dict(zip(billed_keys, peak_row.tolist())),
+        storage=storage,
+        unit=unit,
     )
 
 
@@ -323,7 +404,7 @@ class FlowSolve:
 
     @property
     def total(self) -> float:
-        return float(self.solution.objective)
+        return float(self.solution.objective) * self.index.unit
 
     @property
     def per_bs_peak(self) -> dict[str, float]:

@@ -167,7 +167,7 @@ def _step3_index(
     for key, load in split.residual_load.items():
         if key not in full.peak_row:
             raise LpError(f"kept load at {key} has no peak row in the full flow LP")
-        rhs[full.peak_row[key]] = -float(load)
+        rhs[full.peak_row[key]] = -float(load) / full.unit
     name = f"heuristic-spectrum-level{split.level}"
     return replace(full, problem=problem.with_bounds(upper, rhs, name))
 

@@ -9,6 +9,9 @@ library no longer builds on its own:
 - the formulation before the LP had full row rank (``full_rank=False``):
   an arrival row per demand, and per billed (BS, slot) an alpha and a beta
   column, each equal to its share of the billed flows, under the peak;
+- the formulation before BSs absorbed what they receive (``bs_rows=True``):
+  a self-link at every BS and a conservation row per (BS, slot), so that
+  delivered data is carried to the deadline in BS storage;
 - step III as a reduced LP over the D2D-eligible demands only, with the
   kept load as a floor under each peak.  ``step3_reference`` solves that
   reduced LP cold, and ``assert_level_matches_reduced`` holds a step III
@@ -19,6 +22,7 @@ The instances the flow-LP exactness tests share are here too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -110,6 +114,12 @@ def pinned_day() -> tuple[Topology, DemandSet]:
     return topology, demands
 
 
+def lp_unit(demands: DemandSet) -> float:
+    """The bits per LP unit: 2**e, e the ``math.frexp`` exponent of the largest volume."""
+    largest = max((float(j.volume) for j in demands.demands), default=0.0)
+    return math.ldexp(1.0, math.frexp(largest)[1])
+
+
 def loop_flow_lp(
     topology: Topology,
     demands: DemandSet,
@@ -119,6 +129,7 @@ def loop_flow_lp(
     objective: str = "spectrum",
     spectrum_cap: float | None = None,
     full_rank: bool = True,
+    bs_rows: bool = False,
 ) -> tuple[lp.LpProblem, dict, dict, dict]:
     """Reference builder: returns (problem, flow_vars, peak_vars, peak_rows).
 
@@ -126,12 +137,17 @@ def loop_flow_lp(
     ``full_rank`` a demand's arrival row is left out where it is implied,
     when the LP is pruned (without pruning, flow may end at a user in the
     deadline slot), and each peak row holds the billed flows themselves.
+    Without ``bs_rows`` a BS has no self-link and no conservation row, and
+    an arrival row counts the data entering BSs in any slot; with it, the
+    data entering BSs in the deadline slot.  Volumes and kept loads are in
+    units of ``lp_unit(demands)``; ``spectrum_cap`` is in the LP's units.
     """
     if objective not in ("spectrum", "d2d_traffic"):
         raise ModelError(f"unknown objective {objective!r}")
     demands.check_users(topology)
     active = tuple(demand_subset) if demand_subset is not None else demands.demands
-    residual_load = dict(residual_load or {})
+    unit = lp_unit(demands)
+    residual_load = {key: load / unit for key, load in (residual_load or {}).items()}
     user_set = set(topology.user_ids)
     dist_to_bs = hop_distances_to_bs(topology)
 
@@ -158,7 +174,7 @@ def loop_flow_lp(
             for t in range(j.start, j.end + 1):
                 if admissible(u, v, t):
                     flow_vars[(j.id, u, v, t)] = problem.add_variable(f"x_j{j.id}_{u}_{v}_t{t}")
-        for node in topology.all_nodes():
+        for node in topology.all_nodes() if bs_rows else topology.user_ids:
             for t in range(j.start, j.end + 1):
                 if admissible(node, node, t):
                     flow_vars[(j.id, node, node, t)] = problem.add_variable(
@@ -176,18 +192,19 @@ def loop_flow_lp(
             col = flow_vars.get((j.id, j.user, v, j.start))
             if col is not None:
                 source_terms[col] = rate(j.user, v)
-        problem.add_constraint(source_terms, "=", float(j.volume), f"source_j{j.id}")
+        problem.add_constraint(source_terms, "=", float(j.volume) / unit, f"source_j{j.id}")
 
         if not (full_rank and pruning):
             arrival_terms = {}
             for b in topology.bs_ids:
                 for v in (*in_real.get(b, ()), b):
-                    col = flow_vars.get((j.id, v, b, j.end))
-                    if col is not None:
-                        arrival_terms[col] = rate(v, b)
-            problem.add_constraint(arrival_terms, "=", float(j.volume), f"arrival_j{j.id}")
+                    for t in (j.end,) if bs_rows else range(j.start, j.end + 1):
+                        col = flow_vars.get((j.id, v, b, t))
+                        if col is not None:
+                            arrival_terms[col] = rate(v, b)
+            problem.add_constraint(arrival_terms, "=", float(j.volume) / unit, f"arrival_j{j.id}")
 
-        for node in topology.all_nodes():
+        for node in topology.all_nodes() if bs_rows else topology.user_ids:
             for t in range(j.start, j.end):
                 terms: dict[int, float] = {}
                 for w in (*in_real.get(node, ()), node):
@@ -280,7 +297,7 @@ def prune_equivalence_check(topology: Topology, demands: DemandSet) -> PruneRepo
     problem, flow_vars, *_ = loop_flow_lp(topology, demands, pruning=False)
     unpruned = lp.run_highs(problem)
     assert unpruned.optimal, unpruned.status
-    f_p, f_u = pruned.total, unpruned.objective
+    f_p, f_u = pruned.total, unpruned.objective * lp_unit(demands)
     return PruneReport(
         optimum_pruned=f_p,
         optimum_unpruned=f_u,
@@ -313,8 +330,9 @@ def step3_reference(
     relay_cost = step3_lp(topology, demands, split, pruning, objective="d2d_traffic")[0].objective
     solution = lp.solve_lexicographic(problem, relay_cost)
     assert solution.optimal, solution.status
-    peaks = {b: solution.value(col) for b, col in peak_vars.items()}
-    return solution.objective, peaks, float(relay_cost @ solution.x)
+    unit = lp_unit(demands)
+    peaks = {b: solution.value(col) * unit for b, col in peak_vars.items()}
+    return solution.objective * unit, peaks, float(relay_cost @ solution.x) * unit
 
 
 def assert_level_matches_reduced(

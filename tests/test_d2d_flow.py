@@ -118,7 +118,8 @@ class TestMinSpectrumD2D:
 
     def test_schedule_leaves_out_columns_fixed_at_zero(self, toy_instance):
         # a basic column fixed at 0 can come back a few ulps off (-1.5e-14
-        # on one suite-sweep level); it carries no flow into the schedule
+        # on one suite-sweep level); it carries no flow into the schedule,
+        # and no BS storage is rebuilt from it
         topology, demands = toy_instance
         index = build_flow_lp(topology, demands)
         problem = index.problem
@@ -129,8 +130,10 @@ class TestMinSpectrumD2D:
         x = np.full(problem.n_variables, -1.5e-14)
         x[: fixed.size][~fixed] = 1.0
         schedule = level.extract_schedule(LpSolution("optimal", 0.0, x, 0.0))
-        assert len(schedule.allocations) == int((~fixed).sum())
-        assert all(j != demands.demands[0].id for j, *_ in schedule.allocations)
+        bs_storage = (schedule.src == schedule.dst) & (schedule.dst >= topology.arrays.n_users)
+        assert int((~bs_storage).sum()) == int((~fixed).sum())
+        assert bs_storage.any()
+        assert demands.demands[0].id not in schedule.demand
 
     def test_no_d2d_links_equals_no_d2d_total(self):
         topology, demands = no_d2d_topology()
@@ -175,10 +178,10 @@ class TestMinSpectrumD2D:
 
     def test_peak_rows_match_schedule_loads(self, toy_instance):
         # a peak row's activity is the billed load, uplink (alpha) plus D2D
-        # (beta), less the BS's peak
+        # (beta), less the BS's peak, in the LP's unit
         topology, demands = toy_instance
         outcome = solve_min_spectrum_d2d(topology, demands)
-        problem, x = outcome.index.problem, outcome.solution.x
+        problem, x = outcome.index.problem, outcome.solution.x * outcome.index.unit
         activity = np.bincount(problem.rows, problem.vals * x[problem.cols], problem.n_constraints)
         uplink, d2d = split_loads(outcome.schedule, topology)
         assert set(uplink) | set(d2d) <= set(outcome.index.peak_row)
@@ -195,8 +198,9 @@ class TestMinSpectrumD2D:
     def test_reference_backend_agrees_on_toy(self, toy_instance):
         # the dense simplex oracle on the toy's flow LP
         topology, demands = toy_instance
-        solution = solve_reference(build_flow_lp(topology, demands).problem)
-        assert solution.objective == pytest.approx(4.0, abs=1e-9)
+        index = build_flow_lp(topology, demands)
+        solution = solve_reference(index.problem)
+        assert solution.objective * index.unit == pytest.approx(4.0, abs=1e-9)
 
 
 class TestMinOverhead:

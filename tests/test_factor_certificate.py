@@ -99,8 +99,8 @@ def test_pinned_day(highs_runs):
     index = build_flow_lp(*pinned_day())
     solution = assert_certified_alike(index.problem, index.relay_cost, highs_runs)
     assert len(highs_runs) == 1 and not solution.fallback
-    assert solution.objective == pytest.approx(7.559901967521047, rel=1e-9)
-    assert solution.iterations == 4503
+    assert solution.objective * index.unit == pytest.approx(7.559901967521047, rel=1e-9)
+    assert solution.iterations == 4481
     assert solution.dual_gap <= 1e-6 * (1.0 + abs(solution.objective))
 
 

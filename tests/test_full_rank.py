@@ -4,8 +4,8 @@
 alpha or beta column.  ``loop_flow_lp(full_rank=False)`` builds the LP with
 them, over the same flow columns.  Both must reach the same least spectrum
 F and, at it, the same least relayed traffic R.  The full-rank LP's
-optimum must still deliver each demand's volume to the BSs in its deadline
-slot, and its equality rows must be independent.
+optimum must still deliver each demand's volume to the BSs by its
+deadline, and its equality rows must be independent.
 """
 
 from __future__ import annotations
@@ -32,19 +32,19 @@ over_instances = pytest.mark.parametrize(
 
 
 def delivered(index: TimeExpandedIndex, x: np.ndarray, topology: Topology, demands: DemandSet):
-    """Per demand, in instance order: the data its deadline-slot columns carry into BSs."""
+    """Per demand, in instance order: the data its columns carry into BSs, in any slot."""
     table, dem = topology.arrays, demands.arrays
     order = np.argsort(dem.ids)
     k = order[np.searchsorted(dem.ids[order], index.flow_demand)]
     last = np.flatnonzero(index.flow_slot == dem.end[k])
-    src, dst = index.flow_src[last], index.flow_dst[last]
-    assert (dst >= table.n_users).all(), "a deadline-slot column ends at a user"
+    assert (index.flow_dst[last] >= table.n_users).all(), "a deadline-slot column ends at a user"
+    into_bs = np.flatnonzero(index.flow_dst >= table.n_users)
+    src, dst = index.flow_src[into_bs], index.flow_dst[into_bs]
+    assert (src < table.n_users).all(), "a column leaves a BS"
     nodes = index.nodes
-    rate = [
-        1.0 if u == v else float(topology.rate_map[(nodes[u], nodes[v])])
-        for u, v in zip(src.tolist(), dst.tolist())
-    ]
-    return np.bincount(k[last], np.array(rate) * x[last], len(dem.ids))
+    pairs = zip(src.tolist(), dst.tolist())
+    rate = [float(topology.rate_map[(nodes[u], nodes[v])]) for u, v in pairs]
+    return np.bincount(k[into_bs], np.array(rate) * x[into_bs], len(dem.ids))
 
 
 def assert_same_optimum(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
@@ -60,12 +60,12 @@ def assert_same_optimum(topology: Topology, demands: DemandSet) -> TimeExpandedI
     relay_cost[:n_flow] = index.relay_cost[:n_flow]
     old = lp.solve_lexicographic(previous, relay_cost)
     assert old.optimal, old.status
-    assert flow.total == pytest.approx(old.objective, rel=REL_TOL)
+    assert flow.total == pytest.approx(old.objective * index.unit, rel=REL_TOL)
     assert flow.relayed_traffic == pytest.approx(
-        lp.ordered_dot(relay_cost, old.x), rel=REL_TOL, abs=1e-12
+        lp.ordered_dot(relay_cost, old.x) * index.unit, rel=REL_TOL, abs=1e-12
     )
     volume = demands.arrays.volume.astype(float)
-    got = delivered(index, flow.solution.x, topology, demands)
+    got = delivered(index, flow.solution.x * index.unit, topology, demands)
     assert got == pytest.approx(volume, rel=REL_TOL)
     return index
 
@@ -97,4 +97,4 @@ def test_previous_formulation_has_dependent_rows():
 
 def test_pinned_day():
     problem = assert_same_optimum(*pinned_day()).problem
-    assert (problem.n_constraints, problem.n_variables) == (23_907, 42_205)
+    assert (problem.n_constraints, problem.n_variables) == (15_998, 34_296)

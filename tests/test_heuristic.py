@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from flow_lp_reference import loop_flow_lp
+from flow_lp_reference import loop_flow_lp, lp_unit
 from hypothesis import strategies as st
 
 from d2dlb import heuristic, lp
@@ -340,9 +340,9 @@ class TestSweep:
         problem, _, peak_vars, _ = loop_flow_lp(
             topology, demands, demand_subset=(), residual_load=outcome.split.residual_load
         )
-        solution = lp.solve(problem)
-        assert solution.objective == pytest.approx(outcome.total_spectrum, rel=1e-12)
+        solution, unit = lp.solve(problem), lp_unit(demands)
+        assert solution.objective * unit == pytest.approx(outcome.total_spectrum, rel=1e-12)
         for b, col in peak_vars.items():
-            assert solution.value(col) == pytest.approx(
+            assert solution.value(col) * unit == pytest.approx(
                 outcome.per_bs_peak[b], rel=1e-12, abs=1e-12
             )

@@ -162,15 +162,15 @@ def test_refused_option_raises(monkeypatch, name, value):
         lp.run_highs(build_flow_lp(topology, demands).problem)
 
 
-def units_instance(k: int, scale: float) -> tuple[Topology, DemandSet]:
-    """Instance ``k`` of the unit-invariance family (run seed 0), volumes times ``scale``."""
+def units_instance(k: int, scale: float, seed: int = 0) -> tuple[Topology, DemandSet]:
+    """Instance ``k`` of the unit-invariance family (run seed ``seed``), volumes times ``scale``."""
     sizes = np.random.default_rng(5000 + k)
     n_cells = int(sizes.integers(3, 7))
     users = int(sizes.integers(2, 5))
     horizon = int(sizes.integers(18, 32))
     n_demands = int(sizes.integers(20, 55))
     topology, demands = random_multicell_instance(
-        np.random.default_rng([0, 3, k]),
+        np.random.default_rng([seed, 3, k]),
         n_cells=n_cells,
         users_per_cell=users,
         n_demands=n_demands,
@@ -186,15 +186,16 @@ def units_instance(k: int, scale: float) -> tuple[Topology, DemandSet]:
 
 
 @pytest.mark.parametrize(
-    "k,weighted,status",
-    [(4, False, "optimal"), (10, False, "optimal"), (10, True, "unbounded")],
-    ids=["4-optimal", "10-optimal", "10-weighted-unbounded"],
+    "k,weighted",
+    [(4, False), (10, False), (10, True)],
+    ids=["4-optimal", "10-optimal", "10-weighted-optimal"],
 )
-def test_units_at_1e9(k, weighted, status):
-    # HiGHS's absolute tolerances against 1e9-bit volumes (ROADMAP item 2):
-    # the full-rank spectrum LP solves at this scale, but the weighted cost
-    # that solve_lexicographic passes first still fails, the same way on
-    # both paths
+def test_units_at_1e9(k, weighted):
+    # the flow LP counts volumes in a power-of-two unit near the largest
+    # volume, so HiGHS's absolute tolerances mean the same at every scale:
+    # at 1e9 the spectrum LP and the weighted cost that solve_lexicographic
+    # passes first both solve, the same way on both paths (the weighted
+    # one read "unbounded" with volumes in bits)
     topology, demands = units_instance(k, 1e9)
     index = build_flow_lp(topology, demands)
     problem = index.problem
@@ -202,7 +203,17 @@ def test_units_at_1e9(k, weighted, status):
         weight = lp.LEXICO_WEIGHT / np.abs(index.relay_cost).max()
         cost = problem.objective + weight * index.relay_cost
         problem = dataclasses.replace(problem, objective=cost)
-    assert assert_same_as_linprog(problem) == status
+    assert assert_same_as_linprog(problem) == "optimal"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_units_family_at_1e9(seed):
+    # every instance of the benchmark's unit-invariance family solves at
+    # 1e9 with scale 1's least spectrum, to rounding
+    for k in range(20):
+        at_1 = solve_min_spectrum_d2d(*units_instance(k, 1.0, seed))
+        at_1e9 = solve_min_spectrum_d2d(*units_instance(k, 1e9, seed))
+        assert at_1e9.total / 1e9 == pytest.approx(at_1.total, rel=1e-12)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -281,7 +292,7 @@ def test_certificate_heuristic_subset():
 
 def test_certificate_pinned_day():
     outcome = solve_min_spectrum_d2d(*pinned_day())
-    assert outcome.solution.objective == pytest.approx(7.559901967521047, rel=1e-9)  # its f_d2d
+    assert outcome.total == pytest.approx(7.559901967521047, rel=1e-9)  # its f_d2d
     assert lp.dual_certificate_gap(outcome.index.problem, outcome.solution) <= GAP_TOL
     assert not outcome.solution.fallback
     assert_certified(

@@ -23,6 +23,7 @@ from flow_lp_reference import (
     GAP_TOL,
     assert_level_matches_reduced,
     flow_model,
+    lp_unit,
     over_named_instances,
     random_instance,
     step3_instance,
@@ -78,6 +79,7 @@ def test_heuristic_step3_subset_with_residual(seed, level):
     relay_cost = step3_lp(topology, demands, outcome.split, objective="d2d_traffic")[0].objective
     primary, secondary = solve_two_stage(problem, relay_cost)
     assert primary.optimal and secondary.optimal, (primary.status, secondary.status)
-    assert outcome.total_spectrum == pytest.approx(primary.objective, rel=1e-9, abs=1e-12)
-    assert outcome.relayed_traffic == pytest.approx(secondary.objective, rel=1e-6, abs=1e-9)
+    unit = lp_unit(demands)
+    assert outcome.total_spectrum == pytest.approx(primary.objective * unit, rel=1e-9, abs=1e-12)
+    assert outcome.relayed_traffic == pytest.approx(secondary.objective * unit, rel=1e-6, abs=1e-9)
     assert_level_matches_reduced(outcome, topology, demands)
