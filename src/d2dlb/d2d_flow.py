@@ -34,6 +34,22 @@ that slot unconstrained for non-source nodes, admitting sourceless
 circulations that can fake cheaper deliveries on heterogeneous-rate
 instances.
 
+The builder then does the substitutions HiGHS's presolve would otherwise
+spend most of its time on (Andersen and Andersen, on doubleton and
+implied-free columns).  A conservation row with exactly one departing
+column e reads rate_e * x_e = sum of rate_i * x_i over its arriving
+columns, so x_e is a nonnegative combination of them, its bound of 0 is
+implied, and the substitution is exact.  Every such row goes, e with it,
+and e's entries in its head row, its peak row and the relayed-traffic cost
+move onto the columns of its sum; a column of the sum that is itself
+substituted is replaced by its own sum, in rounds.  Source rows and peak
+rows always stay, since step III changes only their right-hand sides.
+On the benchmark's pinned day this takes the LP from 15,998 x 34,296 to
+11,885 x 30,183.  ``TimeExpandedIndex.flow_values`` rebuilds every
+substituted column from the LP's optimum, so the schedule keeps one entry
+per used (demand, link, slot).  (Substituting a row's single *arriving*
+column instead raises the pinned day's HiGHS iterations by a fifth.)
+
 Each rule bounds a demand's usable slots from one side only, so the slots
 demand j may use on a link (u, v), self-links included, form one interval:
 [start_j + d_src_j(u), end_j - d_bs(v)], where d_src_j counts hops from j's
@@ -157,21 +173,36 @@ class BsStorage(NamedTuple):
     rate: np.ndarray
 
 
+class Substitution(NamedTuple):
+    """The flow columns the LP has no column for, each a sum of LP columns.
+
+    Flow column ``col[i]`` carries ``coef[i]`` times LP column ``lp_col[i]``,
+    summed over the terms with that ``col``.
+    """
+
+    col: np.ndarray
+    lp_col: np.ndarray
+    coef: np.ndarray
+
+
 @dataclass
 class TimeExpandedIndex:
     """Column and row layout of one assembled flow LP.
 
     Flow column c carries demand ``flow_demand[c]`` over the link
-    ``(nodes[flow_src[c]], nodes[flow_dst[c]])`` in slot ``flow_slot[c]``;
-    flow columns come first in the LP, then one peak per BS
-    (``peak_vars``).  Only users have self-links: a BS keeps what it
+    ``(nodes[flow_src[c]], nodes[flow_dst[c]])`` in slot ``flow_slot[c]``.
+    The LP has a column for the flow columns ``lp_flow`` (LP column i is
+    flow column ``lp_flow[i]``), then one peak per BS (``peak_vars``); every
+    other flow column left its conservation row as a sum of LP columns
+    (``substitution``).  Only users have self-links: a BS keeps what it
     receives, so it has no column out of it and no row, and what it holds
-    is ``storage``.  ``relay_cost`` is the relayed-traffic cost over all
+    is ``storage``.  ``relay_cost`` is the relayed-traffic cost over the LP's
     columns: a flow column's rate when it relays into a user before the
-    demand's deadline, else 0.  Demand k of the instance (in its order) has
-    its source row ``source_row[k]``, and needs no arrival row: its user
-    rows already carry every bit into a BS by the deadline.  A billed
-    (BS, slot) has its peak row ``peak_row[(bs, slot)]``.
+    demand's deadline, else 0, with each substituted column's cost moved
+    onto its sum.  Demand k of the instance (in its order) has its source
+    row ``source_row[k]``, and needs no arrival row: its user rows already
+    carry every bit into a BS by the deadline.  A billed (BS, slot) has its
+    peak row ``peak_row[(bs, slot)]``.
 
     The LP counts bits in units of ``unit``, a power of two (see
     ``build_flow_lp``): the peaks, the relayed traffic and the schedule are
@@ -184,6 +215,8 @@ class TimeExpandedIndex:
     flow_src: np.ndarray
     flow_dst: np.ndarray
     flow_slot: np.ndarray
+    lp_flow: np.ndarray
+    substitution: Substitution
     relay_cost: np.ndarray
     peak_vars: dict[str, int]
     source_row: np.ndarray
@@ -195,26 +228,52 @@ class TimeExpandedIndex:
     def n_flow_variables(self) -> int:
         return len(self.flow_slot)
 
+    def free_flow(self) -> np.ndarray:
+        """Per flow column, whether the LP leaves it free of a bound at 0.
+
+        An LP column is free when its upper bound is positive, and a
+        substituted column when some LP column of its sum is.
+        """
+        free_lp = self.problem.upper[: self.lp_flow.size] > 0
+        free = np.zeros(self.n_flow_variables, bool)
+        free[self.lp_flow] = free_lp
+        sub = self.substitution
+        free[sub.col[free_lp[sub.lp_col]]] = True
+        return free
+
     def peaks(self, solution: lp.LpSolution) -> dict[str, float]:
         return {b: solution.value(col) * self.unit for b, col in self.peak_vars.items()}
 
     def relayed_traffic(self, solution: lp.LpSolution) -> float:
         return lp.ordered_dot(self.relay_cost, solution.x) * self.unit
 
+    def flow_values(self, solution: lp.LpSolution) -> np.ndarray:
+        """The value of every flow column, in bits: the LP's, and each substituted column's sum.
+
+        HiGHS can return a basic fixed column a few ulps off its bound, so
+        the LP's fixed columns read 0 rather than trusted to, first; the
+        substituted columns are then rebuilt from the rest, and a column
+        all of whose terms are fixed comes out exactly 0.
+        """
+        if solution.x is None:
+            raise lp.LpError("no solution values available")
+        n_lp, sub = self.lp_flow.size, self.substitution
+        x_lp = np.where(self.problem.upper[:n_lp] > 0, solution.x[:n_lp], 0.0)
+        x = np.bincount(sub.col, sub.coef * x_lp[sub.lp_col], self.n_flow_variables)
+        x = x.astype(float, copy=False)  # bincount of no terms counts in integers
+        x[self.lp_flow] = x_lp
+        return x * self.unit
+
     def extract_schedule(self, solution: lp.LpSolution) -> Schedule:
         """The free flow columns' nonzero values in column order, and the nonzero BS storage.
 
-        HiGHS can return a basic fixed column a few ulps off its bound, so
-        fixed columns are left out rather than trusted to read 0, and add
+        Fixed columns read 0 (``flow_values``), so they are left out and add
         nothing to the storage.  A demand's storage entries (``BsStorage``)
         follow its flow entries, by BS and then slot, where BS self-link
         columns would sit; an entry is nonzero from the slot after the
         demand's first arrival at that BS to the deadline.
         """
-        if solution.x is None:
-            raise lp.LpError("no solution values available")
-        n_flow, store = self.n_flow_variables, self.storage
-        x = np.where(self.problem.upper[:n_flow] > 0, solution.x[:n_flow] * self.unit, 0.0)
+        x, store = self.flow_values(solution), self.storage
         used = np.flatnonzero(x != 0.0)
         held = np.bincount(store.entry, store.rate * x[store.col], store.after.size)
         kept = np.flatnonzero(held != 0.0)
@@ -233,17 +292,106 @@ def _expand(
     return np.repeat(pair_k, pair_n), np.repeat(pair_l, pair_n), _ranges(pair_lo, pair_n)
 
 
+class _SingleExits(NamedTuple):
+    """The conservation rows with one departing column, and that column of each as a sum.
+
+    ``removed_row`` marks the rows and ``removed`` their departing columns.
+    Removed column ``col[i]`` carries ``coef[i]`` times the value of column
+    ``term[i]``, summed over its terms; no ``term`` is a removed column.
+    """
+
+    removed_row: np.ndarray
+    removed: np.ndarray
+    col: np.ndarray
+    term: np.ndarray
+    coef: np.ndarray
+
+
+def _single_exits(
+    in_row: np.ndarray,
+    in_col: np.ndarray,
+    out_row: np.ndarray,
+    out_col: np.ndarray,
+    rate: np.ndarray,
+    n_rows: int,
+) -> _SingleExits:
+    """Substitute out the one departing column of each conservation row that has one.
+
+    Column ``in_col[i]`` brings ``rate`` into row ``in_row[i]`` and
+    ``out_col[i]`` takes ``rate`` out of ``out_row[i]``.  A row with one
+    departing column e reads rate_e * x_e = sum of rate_i * x_i over its
+    arriving columns i, so x_e = sum of (rate_i / rate_e) * x_i.  An
+    arriving column that is itself removed is replaced by its own sum, in
+    rounds, until every term is a kept column; each round goes one slot
+    back, so there are at most a demand's lifetime of them.  Every column
+    arrives at one row, so no column appears twice in a sum.
+    """
+    removed_row = np.bincount(out_row, minlength=n_rows) == 1
+    single = removed_row[out_row]
+    exit_col = np.full(n_rows, -1, np.int64)
+    exit_col[out_row[single]] = out_col[single]
+    removed = np.zeros(rate.size, bool)
+    removed[out_col[single]] = True
+    base = np.flatnonzero(removed_row[in_row])
+    base_col, base_term = exit_col[in_row[base]], in_col[base]
+    base_coef = rate[base_term] / rate[base_col]
+    # the base terms of removed column c are base[first[c] : first[c] + count[c]]
+    order = np.argsort(base_col, kind="stable")
+    base_col, base_term, base_coef = base_col[order], base_term[order], base_coef[order]
+    first = np.searchsorted(base_col, np.arange(rate.size))
+    count = np.bincount(base_col, minlength=rate.size)
+    col, term, coef = base_col, base_term, base_coef
+    while (pending := removed[term]).any():
+        p, done = np.flatnonzero(pending), np.flatnonzero(~pending)
+        n = count[term[p]]
+        expanded = _ranges(first[term[p]], n)
+        col = np.concatenate([col[done], np.repeat(col[p], n)])
+        coef = np.concatenate([coef[done], np.repeat(coef[p], n) * base_coef[expanded]])
+        term = np.concatenate([term[done], base_term[expanded]])
+    return _SingleExits(removed_row, removed, col, term, coef)
+
+
+def _substitute(
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
+    sub: _SingleExits,
+    row_kept: np.ndarray,
+    col_kept: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries (rows, cols, vals) in kept rows, each removed column's sum in its place.
+
+    An entry a of removed column e in a kept row becomes the entries
+    a * ``coef`` on e's terms.
+    """
+    rows, cols, vals = entries
+    kept = row_kept[rows]
+    stay = np.flatnonzero(kept & col_kept[cols])
+    move = np.flatnonzero(kept & ~col_kept[cols])
+    order = np.argsort(sub.col, kind="stable")
+    first = np.searchsorted(sub.col[order], cols[move])
+    n = np.bincount(sub.col, minlength=col_kept.size)[cols[move]]
+    expanded = order[_ranges(first, n)]
+    return (
+        np.concatenate([rows[stay], np.repeat(rows[move], n)]),
+        np.concatenate([cols[stay], sub.term[expanded]]),
+        np.concatenate([vals[stay], np.repeat(vals[move], n) * sub.coef[expanded]]),
+    )
+
+
 def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
     """Assemble the pruned flow-over-time LP minimizing the sum of per-BS peaks.
 
-    Columns: per demand, per link (real links in
+    Flow columns: per demand, per link (real links in
     ``topology.rate_map`` order, then one self-link per user in
-    ``user_ids`` order), one column per slot of the link's interval; then
-    one peak per BS.  Rows: per demand its source row and its nonempty
-    conservation rows by (user, slot), all ``=``; then per billed (BS, slot),
-    in (BS id, slot) order, its ``<=`` peak row: billed flows minus the
-    peak at most 0.  No row is implied by the others and no column restates
-    a sum of others.
+    ``user_ids`` order), one column per slot of the link's interval.  Flow
+    rows: per demand its source row and its nonempty conservation rows by
+    (user, slot), all ``=``; then per billed (BS, slot), in (BS id, slot)
+    order, its ``<=`` peak row: billed flows minus the peak at most 0.  No
+    row is implied by the others and no column restates a sum of others.
+
+    Each conservation row with one departing column then goes, and that
+    column with it (``_single_exits``).  The LP's columns are the other
+    flow columns in order, then one peak per BS; its rows are the source
+    rows, the other conservation rows and the peak rows, in order.
 
     The source rows' right-hand sides are the volumes in units of 2**e
     bits (``TimeExpandedIndex.unit``), e the ``math.frexp`` exponent of the
@@ -348,30 +496,41 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
         rate=np.repeat(rate[into_bs], held_for),
     )
 
-    # columns: flows, then the peaks; one peak row per billed slot
-    n_variables = n_flow + n_bs
-    peak_vars = {b: n_flow + i for i, b in enumerate(topology.bs_ids)}
+    # the time-expanded LP's entries, columns flows then peaks, rows the flow
+    # rows then one peak row per billed slot
     peak_row = n_flow_rows + np.arange(n_billed)
+    peak_col = n_flow + table.bs_by_name[billed // (horizon + 1)]
+    in_row, out_row = row_of[n_active : n_active + n_in], row_of[n_active + n_in :]
     entries = [  # (rows, cols, values), one block per kind of nonzero
         (row_of[k[is_source]], col[is_source], rate[is_source]),
-        (row_of[n_active : n_active + n_in], col[inflow], rate[inflow]),
-        (row_of[n_active + n_in :], col[outflow], -rate[outflow]),
+        (in_row, col[inflow], rate[inflow]),
+        (out_row, col[outflow], -rate[outflow]),
         (peak_row[np.searchsorted(billed, bill_key)], real_col, np.ones(len(real_col))),
-        (peak_row, np.array([peak_vars[b] for b in billed_bs], np.int64), -np.ones(n_billed)),
+        (peak_row, peak_col, -np.ones(n_billed)),
     ]
-    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    relay = np.where((link < n_real) & inflow, rate, 0.0)
+    sub = _single_exits(in_row, col[inflow], out_row, col[outflow], rate, n_flow_rows)
+    lp_flow = np.flatnonzero(~sub.removed)
+    n_lp_flow = lp_flow.size
+    col_kept = np.concatenate([~sub.removed, np.ones(n_bs, bool)])
+    row_kept = np.concatenate([~sub.removed_row, np.ones(n_billed, bool)])
+    lp_col, lp_row = np.cumsum(col_kept) - 1, np.cumsum(row_kept) - 1
+    merged = tuple(np.concatenate(part) for part in zip(*entries))
+    rows, cols, vals = _substitute(merged, sub, row_kept, col_kept)
+    relay += np.bincount(sub.term, relay[sub.col] * sub.coef, n_flow)
+    n_variables, n_lp_rows = n_lp_flow + n_bs, int(row_kept.sum())
     cost = np.zeros(n_variables)
-    cost[n_flow:] = 1.0
+    cost[n_lp_flow:] = 1.0
     problem = lp.LpProblem(
         name="min-spectrum-d2d",
         objective=cost,
         lower=np.zeros(n_variables),
         upper=np.full(n_variables, np.inf),
-        rows=rows,
-        cols=cols,
+        rows=lp_row[rows],
+        cols=lp_col[cols],
         vals=vals,
-        rhs=np.concatenate([flow_rhs, np.zeros(n_billed)]),
-        equality=np.arange(n_flow_rows + n_billed) < n_flow_rows,
+        rhs=np.concatenate([flow_rhs[~sub.removed_row], np.zeros(n_billed)]),
+        equality=np.arange(n_lp_rows) < n_lp_rows - n_billed,
     )
 
     return TimeExpandedIndex(
@@ -381,10 +540,12 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
         flow_src=u,
         flow_dst=v,
         flow_slot=t,
-        relay_cost=np.concatenate([np.where((link < n_real) & inflow, rate, 0.0), np.zeros(n_bs)]),
-        peak_vars=peak_vars,
-        source_row=row_of[:n_active],
-        peak_row=dict(zip(billed_keys, peak_row.tolist())),
+        lp_flow=lp_flow,
+        substitution=Substitution(sub.col, lp_col[sub.term], sub.coef),
+        relay_cost=np.concatenate([relay[lp_flow], np.zeros(n_bs)]),
+        peak_vars={b: n_lp_flow + i for i, b in enumerate(topology.bs_ids)},
+        source_row=lp_row[row_of[:n_active]],
+        peak_row=dict(zip(billed_keys, lp_row[peak_row].tolist())),
         storage=storage,
         unit=unit,
     )
@@ -417,8 +578,7 @@ class FlowSolve:
     @property
     def n_variables(self) -> int:
         """Flow columns the solve was free to use: those not fixed at 0 by their bound."""
-        index = self.index
-        return int(np.count_nonzero(index.problem.upper[: index.n_flow_variables] > 0))
+        return int(np.count_nonzero(self.index.free_flow()))
 
 
 def solve_flow_lp(index: TimeExpandedIndex, basis: lp.Basis | None = None) -> FlowSolve:

@@ -161,7 +161,8 @@ def _step3_index(
     ids = demands.arrays.ids
     kept = np.isin(ids, list(split.nd_demand_ids))
     upper = problem.upper.copy()
-    upper[: full.n_flow_variables][np.isin(full.flow_demand, ids[kept])] = 0.0
+    lp_flow = full.lp_flow
+    upper[: lp_flow.size][np.isin(full.flow_demand[lp_flow], ids[kept])] = 0.0
     rhs = problem.rhs.copy()
     rhs[full.source_row[kept]] = 0.0
     for key, load in split.residual_load.items():

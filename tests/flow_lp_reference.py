@@ -260,6 +260,89 @@ def loop_flow_lp(
     return problem.build(), flow_vars, peak_vars, peak_rows
 
 
+@dataclass(frozen=True)
+class SingleExitLp:
+    """A flow LP with its single-exit rows substituted out, written one row at a time.
+
+    ``problem`` keeps the other rows and columns in order; ``kept`` are the
+    original columns it keeps, ``removed_rows`` the rows it drops and
+    ``sums`` each removed column as {kept original column: coefficient}.
+    """
+
+    problem: lp.LpProblem
+    kept: list[int]
+    removed_rows: list[int]
+    sums: dict[int, dict[int, float]]
+    secondary: np.ndarray | None
+
+
+def substitute_single_exits(
+    problem: lp.LpProblem, secondary: np.ndarray | None = None
+) -> SingleExitLp:
+    """Remove each ``=`` row with exactly one negative entry, and that entry's column.
+
+    In a flow LP built by ``loop_flow_lp`` (pruned, full rank, BSs as sinks)
+    these are the conservation rows with one departing column e:
+    a_e * x_e + sum of a_i * x_i = 0 with a_e < 0, so x_e is the sum of
+    (a_i / -a_e) * x_i.  A sum term that is itself removed is replaced by
+    its own sum, one level per pass, each new coefficient the old one times
+    the term's.  Every other row, the objective and ``secondary`` get the
+    sum in place of x_e; a column's own cost comes first, then what its
+    sums add, in removed-column order.
+    """
+    row_terms: list[dict[int, float]] = [{} for _ in range(problem.n_constraints)]
+    for r, c, v in zip(problem.rows.tolist(), problem.cols.tolist(), problem.vals.tolist()):
+        row_terms[r][c] = row_terms[r].get(c, 0.0) + v
+    base: dict[int, dict[int, float]] = {}
+    removed_rows = []
+    for r, terms in enumerate(row_terms):
+        exits = [c for c, v in terms.items() if v < 0]
+        if problem.equality[r] and len(exits) == 1:
+            (e,) = exits
+            base[e] = {c: v / -terms[e] for c, v in terms.items() if c != e}
+            removed_rows.append(r)
+    sums = {}
+    for e, terms in base.items():
+        while any(c in base for c in terms):
+            expanded: dict[int, float] = {}
+            for c, coef in terms.items():
+                for d, inner in (base[c].items() if c in base else [(c, 1.0)]):
+                    expanded[d] = coef * inner if c in base else coef
+            terms = expanded
+        sums[e] = terms
+    kept = [c for c in range(problem.n_variables) if c not in base]
+    position = {c: i for i, c in enumerate(kept)}
+
+    def substituted(cost: np.ndarray) -> np.ndarray:
+        out = cost[kept].copy()
+        added = np.zeros(problem.n_variables)
+        for e in sorted(sums):
+            for c, coef in sums[e].items():
+                added[c] += cost[e] * coef
+        return out + added[kept]
+
+    builder = LpBuilder(problem.name)
+    for c in kept:
+        builder.add_variable("", problem.lower[c], problem.upper[c])
+    dropped = set(removed_rows)
+    for r, terms in enumerate(row_terms):
+        if r in dropped:
+            continue
+        new: dict[int, float] = {}
+        for c, v in terms.items():
+            for d, coef in sums[c].items() if c in sums else [(c, 1.0)]:
+                new[position[d]] = new.get(position[d], 0.0) + (v * coef if c in sums else v)
+        builder.add_constraint(new, "=" if problem.equality[r] else "<=", problem.rhs[r])
+    builder.set_objective(substituted(problem.objective))
+    return SingleExitLp(
+        builder.build(),
+        kept,
+        removed_rows,
+        sums,
+        None if secondary is None else substituted(np.asarray(secondary, float)),
+    )
+
+
 def flow_model(
     topology: Topology, demands: DemandSet, pruning: bool
 ) -> tuple[lp.LpProblem, np.ndarray]:

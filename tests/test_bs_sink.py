@@ -56,38 +56,36 @@ def assert_same_numbers(total: float, relayed: float, old: lp.LpSolution, relay_
 def assert_storage_rebuilt(
     index: TimeExpandedIndex, demands: DemandSet, old: lp.LpSolution, flow_vars, peak_vars
 ) -> None:
-    """The schedule extracted from the old optimum's values has its BS self-links."""
+    """The schedule extracted from the old optimum's values has its BS self-links.
+
+    The LP's own columns keep the old optimum's values exactly; a BS
+    self-link and a substituted column are rebuilt from flow equations the
+    old optimum meets to its residual.
+    """
     nodes = index.nodes
-    keys = zip(
-        index.flow_demand.tolist(),
-        [nodes[i] for i in index.flow_src.tolist()],
-        [nodes[i] for i in index.flow_dst.tolist()],
-        index.flow_slot.tolist(),
+    keys = list(
+        zip(
+            index.flow_demand.tolist(),
+            [nodes[i] for i in index.flow_src.tolist()],
+            [nodes[i] for i in index.flow_dst.tolist()],
+            index.flow_slot.tolist(),
+        )
     )
-    at = [flow_vars[key] for key in keys] + [peak_vars[b] for b in index.peak_vars]
+    at = [flow_vars[keys[c]] for c in index.lp_flow.tolist()] + list(peak_vars.values())
     x = old.x[at]
     schedule = index.extract_schedule(lp.LpSolution("optimal", old.objective, x, 0.0))
+    exact = {keys[c] for c in index.lp_flow.tolist()}
 
-    def at_bs(key: tuple) -> bool:
-        return key[1] == key[2] and key[2] in index.peak_vars
-
-    got = {key: value for key, value in schedule.allocations.items() if at_bs(key)}
-    want = {
-        key: old.x[col] * index.unit
-        for key, col in flow_vars.items()
-        if at_bs(key) and old.x[col] != 0.0
-    }
+    got = schedule.allocations
+    want = {key: old.x[col] * index.unit for key, col in flow_vars.items() if old.x[col] != 0.0}
+    assert {key for key in got if key in exact} == {key for key in want if key in exact}
     volume = {j.id: float(j.volume) for j in demands.demands}
     for key in got.keys() | want.keys():
-        tol = FLOW_ABS_TOL * max(1.0, volume[key[0]])
-        assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0), abs=tol), key
-    # the rest of the schedule is the old optimum's other nonzero columns
-    rest = {key: value for key, value in schedule.allocations.items() if key not in got}
-    assert rest == {
-        key: old.x[col] * index.unit
-        for key, col in flow_vars.items()
-        if not at_bs(key) and old.x[col] != 0.0
-    }
+        if key in exact:
+            assert got[key] == want[key], key
+        else:
+            tol = FLOW_ABS_TOL * max(1.0, volume[key[0]])
+            assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0), abs=tol), key
 
 
 def assert_same_as_bs_rows(topology: Topology, demands: DemandSet) -> None:
@@ -96,7 +94,7 @@ def assert_same_as_bs_rows(topology: Topology, demands: DemandSet) -> None:
     problem, flow_vars, peak_vars, _ = loop_flow_lp(topology, demands, bs_rows=True)
     relay = loop_flow_lp(topology, demands, objective="d2d_traffic", bs_rows=True)[0]
     bs_storage = sum(u == v and v in topology.bs_set for _, u, v, _ in flow_vars)
-    assert problem.n_variables - index.problem.n_variables == bs_storage
+    assert problem.n_variables - index.n_flow_variables - len(index.peak_vars) == bs_storage
     old = solve_bs_rows(problem, relay)
     assert_same_numbers(flow.total, flow.relayed_traffic, old, relay.objective, index.unit)
     report = validate_schedule(flow.schedule, topology, demands)

@@ -123,7 +123,7 @@ class TestMinSpectrumD2D:
         topology, demands = toy_instance
         index = build_flow_lp(topology, demands)
         problem = index.problem
-        fixed = index.flow_demand == demands.demands[0].id
+        fixed = index.flow_demand[index.lp_flow] == demands.demands[0].id
         upper = np.where(np.arange(problem.n_variables) < fixed.size, 1.0, problem.upper)
         upper[: fixed.size][fixed] = 0.0
         level = dataclasses.replace(index, problem=problem.with_bounds(upper, problem.rhs, "l"))
@@ -131,7 +131,9 @@ class TestMinSpectrumD2D:
         x[: fixed.size][~fixed] = 1.0
         schedule = level.extract_schedule(LpSolution("optimal", 0.0, x, 0.0))
         bs_storage = (schedule.src == schedule.dst) & (schedule.dst >= topology.arrays.n_users)
-        assert int((~bs_storage).sum()) == int((~fixed).sum())
+        # every flow column of the other demands, substituted ones included
+        free = index.flow_demand != demands.demands[0].id
+        assert int((~bs_storage).sum()) == int(free.sum()) > int((~fixed).sum())
         assert bs_storage.any()
         assert demands.demands[0].id not in schedule.demand
 

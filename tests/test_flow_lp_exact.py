@@ -5,7 +5,10 @@ tests it one at a time, the way the flow LP was first written;
 ``build_flow_lp`` derives the same columns from one slot interval per
 (demand, link).  Both must hand the solver the same model: the same
 matrices, right-hand sides, costs and bounds, with columns and rows in the
-same order.  ``TimeExpandedIndex.relay_cost``, the secondary cost of the
+same order, once the single-exit rows are substituted out of the
+reference one row at a time (``substitute_single_exits``), and the same
+sums for the flow columns that leaves out.
+``TimeExpandedIndex.relay_cost``, the secondary cost of the
 lexicographic solve, must equal the reference's relayed-traffic objective:
 the two-stage reference's overhead model (the spectrum model with the cap
 row and that cost) must equal the reference's direct build with the
@@ -30,6 +33,7 @@ from flow_lp_reference import (
     random_instance,
     step3_instance,
     step3_lp,
+    substitute_single_exits,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,9 +84,19 @@ def assert_same_model(topology: Topology, demands: DemandSet) -> None:
     keys = column_keys(index, np.arange(index.n_flow_variables))
     assert keys == list(flow_vars), "flow columns differ in set or order"
     assert list(flow_vars.values()) == list(range(len(flow_vars)))
-    assert index.peak_vars == peak_vars
-    assert index.peak_row == peak_rows
-    assert_same_problem(index.problem, ref)
+    reduced = substitute_single_exits(ref)
+    n_lp_flow = index.lp_flow.size
+    assert index.lp_flow.tolist() == reduced.kept[:n_lp_flow]
+    lp_col = {c: i for i, c in enumerate(reduced.kept)}
+    assert index.peak_vars == {b: lp_col[col] for b, col in peak_vars.items()}
+    lp_row = np.cumsum(~np.isin(np.arange(ref.n_constraints), reduced.removed_rows)) - 1
+    assert index.peak_row == {key: int(lp_row[row]) for key, row in peak_rows.items()}
+    assert_same_problem(index.problem, reduced.problem)
+    sub = index.substitution
+    got = {}
+    for col, at, coef in zip(sub.col.tolist(), sub.lp_col.tolist(), sub.coef.tolist()):
+        got.setdefault(col, {})[reduced.kept[at]] = coef
+    assert got == reduced.sums
 
 
 def assert_same_overhead_model(
@@ -95,7 +109,7 @@ def assert_same_overhead_model(
     problem = overhead_model(build_flow_lp(topology, demands), total_spectrum, slack)
     cap = total_spectrum + slack * max(1.0, abs(total_spectrum))
     ref, *_ = loop_flow_lp(topology, demands, objective="d2d_traffic", spectrum_cap=cap)
-    assert_same_problem(problem, ref)
+    assert_same_problem(problem, substitute_single_exits(ref).problem)
 
 
 def assert_prunes_the_unpruned_layout(topology: Topology, demands: DemandSet) -> None:
@@ -148,7 +162,7 @@ def assert_step3_is_reduced_model(
     assert outcome.step3_variables == len(flow_vars)
     if outcome.flow is not None:
         index = outcome.flow.index
-        free = np.flatnonzero(index.problem.upper[: index.n_flow_variables] > 0)
+        free = np.flatnonzero(index.free_flow())
         assert column_keys(index, free) == list(flow_vars), "free columns differ"
     for pruning in (True, False):
         assert_level_matches_reduced(outcome, topology, demands, pruning)

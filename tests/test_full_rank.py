@@ -53,11 +53,16 @@ def assert_same_optimum(topology: Topology, demands: DemandSet) -> TimeExpandedI
     flow = solve_flow_lp(index)
     n_flow = index.n_flow_variables
     previous, flow_vars, peak_vars, _ = loop_flow_lp(topology, demands, full_rank=False)
-    assert len(flow_vars) == n_flow and peak_vars == index.peak_vars
+    assert len(flow_vars) == n_flow
+    n_lp_flow = index.lp_flow.size  # the peaks follow the flow columns in both
+    assert {b: c - n_flow for b, c in peak_vars.items()} == {
+        b: c - n_lp_flow for b, c in index.peak_vars.items()
+    }
     dropped = len(demands.demands) + 2 * len(index.peak_row)  # arrival, alpha and beta rows
-    assert previous.n_constraints - index.problem.n_constraints == dropped
-    relay_cost = np.zeros(previous.n_variables)
-    relay_cost[:n_flow] = index.relay_cost[:n_flow]
+    substituted = n_flow - n_lp_flow  # single-exit rows, one per column
+    assert previous.n_constraints - index.problem.n_constraints == dropped + substituted
+    relay = loop_flow_lp(topology, demands, objective="d2d_traffic", full_rank=False)[0]
+    relay_cost = relay.objective
     old = lp.solve_lexicographic(previous, relay_cost)
     assert old.optimal, old.status
     assert flow.total == pytest.approx(old.objective * index.unit, rel=REL_TOL)
@@ -65,7 +70,7 @@ def assert_same_optimum(topology: Topology, demands: DemandSet) -> TimeExpandedI
         lp.ordered_dot(relay_cost, old.x) * index.unit, rel=REL_TOL, abs=1e-12
     )
     volume = demands.arrays.volume.astype(float)
-    got = delivered(index, flow.solution.x * index.unit, topology, demands)
+    got = delivered(index, index.flow_values(flow.solution), topology, demands)
     assert got == pytest.approx(volume, rel=REL_TOL)
     return index
 
@@ -97,4 +102,4 @@ def test_previous_formulation_has_dependent_rows():
 
 def test_pinned_day():
     problem = assert_same_optimum(*pinned_day()).problem
-    assert (problem.n_constraints, problem.n_variables) == (15_998, 34_296)
+    assert (problem.n_constraints, problem.n_variables) == (11_885, 30_183)
