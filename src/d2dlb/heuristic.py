@@ -36,6 +36,7 @@ from .model import (
     ModelError,
     Schedule,
     Topology,
+    _demand_positions,
     compute_volumes,
     node_positions,
     slot_loads,
@@ -49,8 +50,10 @@ from .model import fill_storage, per_slot_loads  # noqa: F401
 from .no_d2d import min_spectrum_no_d2d
 
 #: slots count as hot only when the load clears the threshold by this much
+#: times the cell's no-D2D peak
 HOT_SLOT_TOL = 1e-9
-#: an allocation below this is treated as zero when splitting demands
+#: an allocation at most this much times its demand's volume is treated as
+#: zero when splitting demands
 ALLOC_TOL = 1e-9
 
 
@@ -86,8 +89,12 @@ def split_demands(
     """Partition demands into D2D-eligible and locally-served sets.
 
     ``nd_schedule`` must be an optimal per-cell no-D2D schedule; its per-slot
-    loads define the hot slots.  A demand is D2D-eligible iff it has a
-    positive allocation in some hot slot of its cell.  Each kept load adds
+    loads define the hot slots: a slot is hot when its load exceeds
+    ``level`` times the cell's peak by more than ``HOT_SLOT_TOL`` times the
+    peak.  A demand is D2D-eligible iff it has an allocation above
+    ``ALLOC_TOL`` times its volume in some hot slot of its cell.  Both
+    thresholds are relative, so the split does not depend on the volume
+    unit.  Each kept load adds
     its allocations in schedule order.  ``loads`` are the schedule's
     ``nd_loads``, when one schedule is split at several levels.
     """
@@ -96,7 +103,7 @@ def split_demands(
     table = topology.arrays
     n_bs = len(topology.bs_ids)
     bs, slot, load, peaks = loads if loads is not None else nd_loads(topology, nd_schedule)
-    hot = load > level * peaks[bs] + HOT_SLOT_TOL
+    hot = load > level * peaks[bs] + HOT_SLOT_TOL * peaks[bs]
     span = int(nd_schedule.slot.max(initial=0)) + 1
     hot_cells = np.zeros((n_bs, span), dtype=bool)
     hot_cells[bs[hot], slot[hot]] = True
@@ -104,7 +111,10 @@ def split_demands(
     real = np.flatnonzero(nd_schedule.src != nd_schedule.dst)
     cell = table.billed[node_positions(nd_schedule.nodes, topology)[nd_schedule.src[real]]]
     t, x = nd_schedule.slot[real], nd_schedule.value[real].astype(float)
-    eligible = np.unique(nd_schedule.demand[real[(x > ALLOC_TOL) & hot_cells[cell, t]]])
+    dem = demands.arrays
+    volume = dem.volume[_demand_positions(dem.ids, nd_schedule.demand[real])]
+    used = (x > ALLOC_TOL * volume) & hot_cells[cell, t]
+    eligible = np.unique(nd_schedule.demand[real[used]])
     kept = ~np.isin(nd_schedule.demand[real], eligible)
     keys, key_of = np.unique(cell[kept] * span + t[kept], return_inverse=True)
     residual = sum_by(key_of, x[kept], len(keys))

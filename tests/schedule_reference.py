@@ -197,12 +197,13 @@ def split_demands(
         peaks[b] = max(peaks[b], float(load))
     hot: dict[str, set[int]] = {b: set() for b in topology.bs_ids}
     for (b, t), load in loads.items():
-        if float(load) > level * peaks[b] + HOT_SLOT_TOL:
+        if float(load) > level * peaks[b] + HOT_SLOT_TOL * peaks[b]:
             hot[b].add(t)
 
+    volume = {j.id: float(j.volume) for j in demands.demands}
     d2d_ids: set[int] = set()
     for (jid, u, v, t), x in nd_schedule.allocations.items():
-        if u == v or float(x) <= ALLOC_TOL:
+        if u == v or float(x) <= ALLOC_TOL * volume[jid]:
             continue
         b = topology.home_bs[u]
         if t in hot[b]:

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import draw_instance
 from hypothesis import given, settings
 from flow_lp_reference import loop_flow_lp, lp_unit
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from d2dlb.heuristic import (
     overhead_ratio,
     split_demands,
 )
-from d2dlb.model import ModelError, compute_volumes, validate_schedule
+from d2dlb.model import DemandSet, ModelError, compute_volumes, validate_schedule
 from d2dlb.no_d2d import min_spectrum_no_d2d
 from d2dlb.scenario import heuristic_six_task, random_multicell_instance, toy_two_cell
 
@@ -72,6 +73,26 @@ class TestSplit:
             for lvl in (0.0, 0.25, 0.5, 0.75, 1.0)
         ]
         assert sizes == sorted(sizes, reverse=True)
+
+
+def eligible_sets(topology, demands, scale: float, levels=(0.25, 0.5, 0.75)) -> list:
+    """The split's eligible set at each level, with every volume times ``scale``."""
+    scaled = DemandSet.build(
+        demands.horizon,
+        [(j.user, j.start, j.end, float(j.volume) * scale) for j in demands.demands],
+    )
+    nd_schedule = min_spectrum_no_d2d(topology, scaled)[1]
+    return [split_demands(topology, scaled, nd_schedule, v).d2d_demand_ids for v in levels]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_split_does_not_depend_on_the_volume_unit(seed):
+    # the hot-slot and allocation thresholds are relative to the cell's
+    # peak and the demand's volume, so bits and gigabits split alike
+    topology, demands = draw_instance(np.random.default_rng(seed))
+    at_1 = eligible_sets(topology, demands, 1.0)
+    for scale in (1e-6, 1e3, 1e6, 1e9):
+        assert eligible_sets(topology, demands, scale) == at_1, scale
 
 
 class TestThreeSteps:
