@@ -297,7 +297,8 @@ class _SingleExits(NamedTuple):
 
     ``removed_row`` marks the rows and ``removed`` their departing columns.
     Removed column ``col[i]`` carries ``coef[i]`` times the value of column
-    ``term[i]``, summed over its terms; no ``term`` is a removed column.
+    ``term[i]``, summed over its terms, which are sorted by ``col``; no
+    ``term`` is a removed column.
     """
 
     removed_row: np.ndarray
@@ -348,7 +349,8 @@ def _single_exits(
         col = np.concatenate([col[done], np.repeat(col[p], n)])
         coef = np.concatenate([coef[done], np.repeat(coef[p], n) * base_coef[expanded]])
         term = np.concatenate([term[done], base_term[expanded]])
-    return _SingleExits(removed_row, removed, col, term, coef)
+    order = np.argsort(col, kind="stable")
+    return _SingleExits(removed_row, removed, col[order], term[order], coef[order])
 
 
 def _substitute(
@@ -366,10 +368,9 @@ def _substitute(
     kept = row_kept[rows]
     stay = np.flatnonzero(kept & col_kept[cols])
     move = np.flatnonzero(kept & ~col_kept[cols])
-    order = np.argsort(sub.col, kind="stable")
-    first = np.searchsorted(sub.col[order], cols[move])
-    n = np.bincount(sub.col, minlength=col_kept.size)[cols[move]]
-    expanded = order[_ranges(first, n)]
+    first = np.searchsorted(sub.col, cols[move])
+    n = np.searchsorted(sub.col, cols[move], side="right") - first
+    expanded = _ranges(first, n)
     return (
         np.concatenate([rows[stay], np.repeat(rows[move], n)]),
         np.concatenate([cols[stay], sub.term[expanded]]),
@@ -587,11 +588,17 @@ def solve_flow_lp(index: TimeExpandedIndex, basis: lp.Basis | None = None) -> Fl
     One ``lp.solve_lexicographic`` call yields both numbers, started from
     ``basis`` when given (the ``solution.basis`` of a solve of the same LP
     under other bounds and right-hand sides).  Raises ``LpError`` naming the
-    problem when the solve is not optimal.
+    problem when the solve is not optimal, or when its optimum's duality gap
+    exceeds ``lp.gap_tolerance``, the tolerance of ``lp.dual_certificate_gap``.
     """
     solution = lp.solve_lexicographic(index.problem, index.relay_cost, basis)
     if not solution.optimal:
         raise lp.LpError(f"{index.problem.name} terminated with status {solution.status}")
+    if solution.dual_gap > lp.gap_tolerance(solution.objective):
+        raise lp.LpError(
+            f"{index.problem.name}: duality gap {solution.dual_gap} exceeds tolerance"
+            f" {lp.gap_tolerance(solution.objective)}"
+        )
     return FlowSolve(index, solution, index.extract_schedule(solution))
 
 

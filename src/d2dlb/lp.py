@@ -265,6 +265,15 @@ def duality_gap(problem: LpProblem, x: np.ndarray, y: np.ndarray, reduced: np.nd
     return abs(ordered_sum(np.concatenate(terms)))
 
 
+#: the duality gap an optimum may carry, relative to 1 + |c'x|
+GAP_REL_TOL = 1e-6
+
+
+def gap_tolerance(objective: float | None) -> float:
+    """The largest duality gap certifying an optimum of value ``objective``."""
+    return GAP_REL_TOL * (1.0 + abs(objective or 0.0))
+
+
 def dual_certificate_gap(problem: LpProblem, solution: LpSolution) -> float:
     """Weak-duality certificate from a solution's row multipliers.
 
@@ -276,7 +285,7 @@ def dual_certificate_gap(problem: LpProblem, solution: LpSolution) -> float:
     if solution.duals is None or solution.x is None:
         raise LpError("solution carries no dual multipliers")
     y = solution.duals
-    tol = 1e-6 * (1.0 + abs(solution.objective or 0.0))
+    tol = gap_tolerance(solution.objective)
     positive = np.flatnonzero(~problem.equality & (y > 1e-7))
     if positive.size:
         r = int(positive[0])

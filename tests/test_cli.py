@@ -363,6 +363,17 @@ class TestErrorTaxonomy:
         err = capsys.readouterr().err
         assert err.startswith("solver error: ") and "status time_limit" in err, err
 
+    @pytest.mark.parametrize("command", ["d2d", "heuristic", "bounds"])
+    def test_uncertified_optimum_is_solver_error(self, tmp_path, capsys, monkeypatch, command):
+        # an optimum whose duals leave a duality gap above the certificate's
+        # tolerance is not written: exit 3, naming the gap
+        monkeypatch.setattr(lp, "duality_gap", lambda *args: 1.0)
+        code = main([command, "--fixture", "toy-fig1", "--out", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ") and "duality gap 1.0 exceeds" in err, err
+        assert not (tmp_path / "schedule.csv").exists()
+
     def test_invalid_bounds_schedule_is_violation(self, tmp_path, capsys, monkeypatch):
         # a D2D schedule granting 1 % more than the solve found fails
         # validation before bounds derives eta from it
