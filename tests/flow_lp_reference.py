@@ -288,7 +288,8 @@ def substitute_single_exits(
     its own sum, one level per pass, each new coefficient the old one times
     the term's.  Every other row, the objective and ``secondary`` get the
     sum in place of x_e; a column's own cost comes first, then what its
-    sums add, in removed-column order.
+    sums add, in removed-column order.  Every column arrives at one row, so
+    no column appears twice in a row once the sums are in.
     """
     row_terms: list[dict[int, float]] = [{} for _ in range(problem.n_constraints)]
     for r, c, v in zip(problem.rows.tolist(), problem.cols.tolist(), problem.vals.tolist()):
@@ -306,8 +307,10 @@ def substitute_single_exits(
         while any(c in base for c in terms):
             expanded: dict[int, float] = {}
             for c, coef in terms.items():
-                for d, inner in (base[c].items() if c in base else [(c, 1.0)]):
-                    expanded[d] = coef * inner if c in base else coef
+                if c in base:
+                    expanded.update({d: coef * inner for d, inner in base[c].items()})
+                else:
+                    expanded[c] = coef
             terms = expanded
         sums[e] = terms
     kept = [c for c in range(problem.n_variables) if c not in base]
@@ -330,8 +333,10 @@ def substitute_single_exits(
             continue
         new: dict[int, float] = {}
         for c, v in terms.items():
-            for d, coef in sums[c].items() if c in sums else [(c, 1.0)]:
-                new[position[d]] = new.get(position[d], 0.0) + (v * coef if c in sums else v)
+            if c in sums:
+                new.update({position[d]: v * coef for d, coef in sums[c].items()})
+            else:
+                new[position[c]] = v
         builder.add_constraint(new, "=" if problem.equality[r] else "<=", problem.rhs[r])
     builder.set_objective(substituted(problem.objective))
     return SingleExitLp(

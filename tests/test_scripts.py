@@ -76,3 +76,15 @@ def test_bench_pairs_summary_counts_wins_and_quartiles():
     assert (lower["change_wins"], lower["parent_wins"], lower["pairs"]) == (2, 1, 4)
     assert (higher["change_wins"], higher["parent_wins"]) == (1, 2)  # a tie counts for neither
     assert lower["parent"] == pytest.approx({"median": 1.0, "q1": 0.95, "q3": 1.05})
+
+
+def test_lp_profile_prints_each_lp_and_the_median_cpu_per_group():
+    lines = run_script("lp_profile.py", "--tiny", "--seed", "3", "--runs", "2").stdout.splitlines()
+    records, summary = [json.loads(line) for line in lines[:-1]], json.loads(lines[-1])
+    assert [r["group"] for r in records[:3]] == ["day", "day", "suite_full"]
+    for r in records:
+        assert r["rows"] > 0 and r["cols"] > 0 and r["nnz"] > 0 and r["iterations"] >= 0
+    counts = {g: sum(r["group"] == g for r in records) for g in summary["lps"]}
+    assert counts == summary["lps"] and counts["day"] == 2 and counts["suite_full"] == 2
+    assert summary["runs"] == 2 and set(summary["cpu_s"]) == set(summary["lps"])
+    assert all(t >= 0 for t in summary["cpu_s"].values())
