@@ -336,7 +336,7 @@ def _single_exits(
     base = np.flatnonzero(removed_row[in_row])
     base_col, base_term = exit_col[in_row[base]], in_col[base]
     base_coef = rate[base_term] / rate[base_col]
-    # the base terms of removed column c are base[first[c] : first[c] + count[c]]
+    # sorted by column, removed column c's base terms are the count[c] from first[c] on
     order = np.argsort(base_col, kind="stable")
     base_col, base_term, base_coef = base_col[order], base_term[order], base_coef[order]
     first = np.searchsorted(base_col, np.arange(rate.size))
@@ -594,10 +594,10 @@ def solve_flow_lp(index: TimeExpandedIndex, basis: lp.Basis | None = None) -> Fl
     solution = lp.solve_lexicographic(index.problem, index.relay_cost, basis)
     if not solution.optimal:
         raise lp.LpError(f"{index.problem.name} terminated with status {solution.status}")
-    if solution.dual_gap > lp.gap_tolerance(solution.objective):
+    tolerance = lp.gap_tolerance(solution.objective)
+    if solution.dual_gap > tolerance:
         raise lp.LpError(
-            f"{index.problem.name}: duality gap {solution.dual_gap} exceeds tolerance"
-            f" {lp.gap_tolerance(solution.objective)}"
+            f"{index.problem.name}: duality gap {solution.dual_gap} exceeds tolerance {tolerance}"
         )
     return FlowSolve(index, solution, index.extract_schedule(solution))
 

@@ -94,9 +94,9 @@ def split_demands(
     peak.  A demand is D2D-eligible iff it has an allocation above
     ``ALLOC_TOL`` times its volume in some hot slot of its cell.  Both
     thresholds are relative, so the split does not depend on the volume
-    unit.  Each kept load adds
-    its allocations in schedule order.  ``loads`` are the schedule's
-    ``nd_loads``, when one schedule is split at several levels.
+    unit.  Each kept load adds its allocations in schedule order.
+    ``loads`` are the schedule's ``nd_loads``, when one schedule is split
+    at several levels.
     """
     if not 0.0 <= level <= 1.0:
         raise ModelError(f"split level must lie in [0, 1], got {level}")
