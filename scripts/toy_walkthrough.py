@@ -14,6 +14,7 @@ from d2dlb import (
     solve_min_spectrum_d2d,
     validate_schedule,
 )
+from d2dlb.cli import SCHEDULE_FLOW_TOL
 from d2dlb.scenario import toy_two_cell
 
 
@@ -29,7 +30,7 @@ def main() -> None:
 
     outcome = solve_min_spectrum_d2d(topology, demands)
     schedule, v_d2d, _ = solve_min_overhead(topology, outcome)
-    assert validate_schedule(schedule, topology, demands, flow_abs_tol=1e-6).ok
+    assert validate_schedule(schedule, topology, demands, flow_abs_tol=SCHEDULE_FLOW_TOL).ok
     vd, vb = compute_volumes(schedule, topology)
     metrics = compute_metrics(nd_result.total, outcome.total, vd, vb)
 

@@ -79,6 +79,8 @@ EXIT_CONFIG = 4
 
 #: how far an nd witness's slot load may exceed its cell's minimum (relative)
 ND_PEAK_RTOL = 1e-9
+#: the flow tolerance every schedule is validated with before it is written
+SCHEDULE_FLOW_TOL = 1e-6
 #: --generate keys, each with its default and least allowed count
 GENERATE_COUNTS = {"cells": (3, 1), "users": (3, 1), "demands": (30, 0), "T": (30, 1)}
 DEFAULT_LAMBDA_GRID = tuple(round(0.1 * k, 1) for k in range(11))
@@ -231,7 +233,7 @@ def cmd_nd(config: ExperimentConfig) -> int:
     """
     topology, demands = _load_and_emit(config)
     result, schedule, intervals = min_spectrum_no_d2d(topology, demands)
-    report = validate_schedule(schedule, topology, demands, flow_abs_tol=1e-6)
+    report = validate_schedule(schedule, topology, demands, flow_abs_tol=SCHEDULE_FLOW_TOL)
     if not report.ok:
         print(report.summary(), file=sys.stderr)
         return EXIT_VIOLATION
@@ -287,7 +289,7 @@ def run_d2d(config: ExperimentConfig) -> D2DRun | None:
     nd_result, _, _ = min_spectrum_no_d2d(topology, demands)
     outcome = solve_min_spectrum_d2d(topology, demands)
     schedule, _, _ = solve_min_overhead(topology, outcome)
-    report = validate_schedule(schedule, topology, demands, flow_abs_tol=1e-6)
+    report = validate_schedule(schedule, topology, demands, flow_abs_tol=SCHEDULE_FLOW_TOL)
     if not report.ok:
         print(report.summary(), file=sys.stderr)
         return None
@@ -329,7 +331,7 @@ def cmd_heuristic(config: ExperimentConfig) -> int:
     for row in sweep.levels:
         if row.reused:
             continue
-        report = validate_schedule(row.schedule, topology, demands, flow_abs_tol=1e-6)
+        report = validate_schedule(row.schedule, topology, demands, flow_abs_tol=SCHEDULE_FLOW_TOL)
         if not report.ok:
             print(f"heuristic level={row.level}: {report.summary()}", file=sys.stderr)
             return EXIT_VIOLATION

@@ -17,10 +17,8 @@ column into a user in the deadline slot, so the user rows carry every bit of
 the volume into some BS by then, and an arrival row would be the sum of the
 others.  The equality rows thus have full row rank, and HiGHS's presolve
 has no dependent row and no chain of BS storage to remove (Andersen and
-Andersen, "Presolving in linear programming", 1995).  The schedule still
-lists what a BS holds as self-link entries: ``extract_schedule`` rebuilds
-each from the demand's arrivals there (``BsStorage``), so a schedule is
-conserving at every node, as ``model.validate_schedule`` checks.
+Andersen, "Presolving in linear programming", 1995).  Schedules keep the
+same rule: a schedule has self-links at users only (``model.Schedule``).
 
 Variable pruning drops (link, slot) pairs a demand cannot use: the sender
 must be reachable from the source within t - start hops and some BS must be
@@ -71,7 +69,6 @@ optimum's basis.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,32 +87,6 @@ class InfeasibleDemandError(ModelError):
     """A demand cannot reach any BS within its lifetime."""
 
 
-def hop_distances_from(topology: Topology, source: str) -> dict[str, int]:
-    """BFS hop counts from a node along directed links."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in topology.out_neighbors.get(u, ()):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
-def hop_distances_to_bs(topology: Topology) -> dict[str, int]:
-    """Minimum hops from each node to any BS (multi-source BFS on reversed links)."""
-    dist = {b: 0 for b in topology.bs_ids}
-    queue = deque(topology.bs_ids)
-    while queue:
-        v = queue.popleft()
-        for u in topology.in_neighbors.get(v, ()):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
-
-
 #: hop count standing for "no path"; large enough to empty any slot interval
 UNREACHABLE = 10**9
 
@@ -129,12 +100,12 @@ def hop_matrix(topology: Topology, sources: np.ndarray) -> np.ndarray:
     """Hop counts along directed links from each of ``sources`` to every node.
 
     ``sources`` and the columns index ``topology.arrays.nodes``; an
-    unreachable node reads ``UNREACHABLE``.  Row i equals
-    ``hop_distances_from(topology, nodes[sources[i]])``.  Every row's
-    breadth-first search advances at once, one hop per step: the frontier is
-    a set of (row, node) pairs, and the next one holds the ends of their
-    out-links (``NodeArrays.link_key``, sorted by sender) that no earlier
-    step reached.  No dense matrix product is formed.
+    unreachable node reads ``UNREACHABLE``.  Row i is a breadth-first search
+    from node ``sources[i]``, and every row's search advances at once, one
+    hop per step: the frontier is a set of (row, node) pairs, and the next
+    one holds the ends of their out-links (``NodeArrays.link_key``, sorted
+    by sender) that no earlier step reached.  No dense matrix product is
+    formed.
     """
     n = len(topology.arrays.nodes)
     sender, receiver = np.divmod(topology.arrays.link_key, n)  # self-links reach nothing new
@@ -151,26 +122,6 @@ def hop_matrix(topology: Topology, sources: np.ndarray) -> np.ndarray:
         reached = np.repeat(row * n, count) + receiver[link]
         frontier = np.unique(reached[hops[reached] == UNREACHABLE])
     return hops.reshape(len(sources), n)
-
-
-class BsStorage(NamedTuple):
-    """What each demand holds at each BS, which the flow LP has no column for.
-
-    Entry i is the self-link a BS would have in a slot of a demand's
-    lifetime: ``key[:, i]`` is its (demand, BS, BS, slot) as schedule
-    entries key them (nodes as positions in ``TimeExpandedIndex.nodes``),
-    entries sorted by demand in instance order, then BS, then slot.  Its
-    value is the sum, over the terms with ``entry == i`` in term (column)
-    order, of ``rate * x[col]``: the bits the demand's columns bring into
-    that BS in earlier slots.  In a schedule it goes after the entries of
-    the flow columns below ``after[i]``, where its demand's columns end.
-    """
-
-    key: np.ndarray
-    after: np.ndarray
-    entry: np.ndarray
-    col: np.ndarray
-    rate: np.ndarray
 
 
 class Substitution(NamedTuple):
@@ -194,15 +145,14 @@ class TimeExpandedIndex:
     The LP has a column for the flow columns ``lp_flow`` (LP column i is
     flow column ``lp_flow[i]``), then one peak per BS (``peak_vars``); every
     other flow column left its conservation row as a sum of LP columns
-    (``substitution``).  Only users have self-links: a BS keeps what it
-    receives, so it has no column out of it and no row, and what it holds
-    is ``storage``.  ``relay_cost`` is the relayed-traffic cost over the LP's
-    columns: a flow column's rate when it relays into a user before the
-    demand's deadline, else 0, with each substituted column's cost moved
-    onto its sum.  Demand k of the instance (in its order) has its source
-    row ``source_row[k]``, and needs no arrival row: its user rows already
-    carry every bit into a BS by the deadline.  A billed (BS, slot) has its
-    peak row ``peak_row[(bs, slot)]``.
+    (``substitution``).  Only users have self-links: a BS absorbs what it
+    receives, so it has no column out of it and no row.  ``relay_cost`` is
+    the relayed-traffic cost over the LP's columns: a flow column's rate
+    when it relays into a user before the demand's deadline, else 0, with
+    each substituted column's cost moved onto its sum.  Demand k of the
+    instance (in its order) has its source row ``source_row[k]``, and needs
+    no arrival row: its user rows already carry every bit into a BS by the
+    deadline.  A billed (BS, slot) has its peak row ``peak_row[(bs, slot)]``.
 
     The LP counts bits in units of ``unit``, a power of two (see
     ``build_flow_lp``): the peaks, the relayed traffic and the schedule are
@@ -221,7 +171,6 @@ class TimeExpandedIndex:
     peak_vars: dict[str, int]
     source_row: np.ndarray
     peak_row: dict[tuple[str, int], int]
-    storage: BsStorage
     unit: float
 
     @property
@@ -265,24 +214,11 @@ class TimeExpandedIndex:
         return x * self.unit
 
     def extract_schedule(self, solution: lp.LpSolution) -> Schedule:
-        """The free flow columns' nonzero values in column order, and the nonzero BS storage.
-
-        Fixed columns read 0 (``flow_values``), so they are left out and add
-        nothing to the storage.  A demand's storage entries (``BsStorage``)
-        follow its flow entries, by BS and then slot, where BS self-link
-        columns would sit; an entry is nonzero from the slot after the
-        demand's first arrival at that BS to the deadline.
-        """
-        x, store = self.flow_values(solution), self.storage
+        """The flow columns' nonzero values, in column order; fixed columns read 0 (``flow_values``)."""
+        x = self.flow_values(solution)
         used = np.flatnonzero(x != 0.0)
-        held = np.bincount(store.entry, store.rate * x[store.col], store.after.size)
-        kept = np.flatnonzero(held != 0.0)
-        # flow entry c sorts as c, storage just below where its demand's columns end
-        order = np.argsort(np.concatenate([used, store.after[kept] - 0.5]), kind="stable")
-        flows = [a[used] for a in (self.flow_demand, self.flow_src, self.flow_dst, self.flow_slot)]
-        keys = np.concatenate([np.stack(flows), np.take(store.key, kept, axis=1)], axis=1)
-        value = np.concatenate([x[used], held[kept]])[order]
-        return Schedule(self.nodes, *np.take(keys, order, axis=1), value)
+        flows = (self.flow_demand, self.flow_src, self.flow_dst, self.flow_slot)
+        return Schedule(self.nodes, *(a[used] for a in flows), x[used])
 
 
 def _expand(
@@ -403,17 +339,19 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
     demands.check_users(topology)
     table, dem = topology.arrays, demands.arrays
     nodes, node_index, n_users = table.nodes, table.index, table.n_users  # users, then BSs
-    n_nodes, n_bs = len(nodes), len(topology.bs_ids)
-    to_bs = hop_distances_to_bs(topology)
-    d_bs = np.array([to_bs.get(v, UNREACHABLE) for v in nodes], dtype=np.int64)
+    n_bs = len(topology.bs_ids)
+    # hops from every user, and each node's hops to the nearest BS (0 at a BS)
+    hops = hop_matrix(topology, np.arange(n_users))
+    to_bs = hops[:, n_users:].min(axis=1, initial=UNREACHABLE)
+    d_bs = np.concatenate([to_bs, np.zeros(n_bs, np.int64)])
 
-    # links: the real ones, then one self-link per node; a BS's self-link
-    # gets no column, as a BS keeps what it receives, but is its storage
+    # links: the real ones, then one self-link per user; a BS absorbs what it
+    # receives, so it has none
     real = list(topology.rate_map.items())
     n_real = len(real)
-    link_u = np.array([node_index[u] for (u, _), _ in real] + list(range(n_nodes)), np.int64)
-    link_v = np.array([node_index[v] for (_, v), _ in real] + list(range(n_nodes)), np.int64)
-    link_rate = np.array([float(r) for _, r in real] + [1.0] * n_nodes)
+    link_u = np.array([node_index[u] for (u, _), _ in real] + list(range(n_users)), np.int64)
+    link_v = np.array([node_index[v] for (_, v), _ in real] + list(range(n_users)), np.int64)
+    link_rate = np.array([float(r) for _, r in real] + [1.0] * n_users)
 
     source = np.array([node_index[u] for u in dem.users], dtype=np.int64)
     start, end, volume = dem.start, dem.end, dem.volume
@@ -428,19 +366,17 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
     # (demand, link) pairs whose slot interval [lo, hi] is nonempty; demands
     # sharing a source share the hop distances, so they go in one block
     blocks = [np.zeros((4, 0), dtype=np.int64)]  # rows: demand, link, lo, count
-    sources = np.unique(source)
-    for s, d_src in zip(sources, hop_matrix(topology, sources)):
+    for s in np.unique(source).tolist():
         ks = np.flatnonzero(source == s)
-        lo = start[ks, None] + d_src[link_u]
+        lo = start[ks, None] + hops[s, link_u]
         count = end[ks, None] - d_bs[link_v] - lo + 1
         kk, ll = np.nonzero(count > 0)
         blocks.append(np.stack([ks[kk], ll, lo[kk, ll], count[kk, ll]]))
     pairs = np.concatenate(blocks, axis=1)
     pairs = pairs[:, np.lexsort((pairs[1], pairs[0]))]
-    at_bs = pairs[1] >= n_real + n_users
 
-    # one column per (demand, link, slot), BS self-links apart
-    k, link, t = _expand(*pairs[:, ~at_bs])
+    # one column per (demand, link, slot)
+    k, link, t = _expand(*pairs)
     n_flow = len(k)
     u, v, rate = link_u[link], link_v[link], link_rate[link]
     col = np.arange(n_flow)
@@ -478,24 +414,6 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
     n_billed = len(billed)
     billed_bs = [topology.bs_ids[b] for b in table.bs_by_name[billed // (horizon + 1)].tolist()]
     billed_keys = list(zip(billed_bs, (billed % (horizon + 1)).tolist()))
-
-    # BS storage, one entry per slot of a BS self-link's interval: what
-    # demand k holds at BS b in slot s is the bits of its columns into b in
-    # slots t < s, each column adding to the entries (k, b, t + 1..end_k)
-    store_k, store_link, store_t = _expand(*pairs[:, at_bs])
-    store_b = link_v[store_link]
-    store_key = (store_k * n_nodes + store_b) * (horizon + 1) + store_t
-    into_bs = col[(v >= n_users) & (t < end[k])]
-    held_for = end[k[into_bs]] - t[into_bs]
-    arrival_key = (k[into_bs] * n_nodes + v[into_bs]) * (horizon + 1) + t[into_bs]
-    first = np.searchsorted(store_key, arrival_key + 1)
-    storage = BsStorage(
-        key=np.stack([dem.ids[store_k], store_b, store_b, store_t]),
-        after=np.searchsorted(k, store_k, side="right"),
-        entry=_ranges(first, held_for),
-        col=np.repeat(into_bs, held_for),
-        rate=np.repeat(rate[into_bs], held_for),
-    )
 
     # the time-expanded LP's entries, columns flows then peaks, rows the flow
     # rows then one peak row per billed slot
@@ -547,7 +465,6 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
         peak_vars={b: n_lp_flow + i for i, b in enumerate(topology.bs_ids)},
         source_row=lp_row[row_of[:n_active]],
         peak_row=dict(zip(billed_keys, lp_row[peak_row].tolist())),
-        storage=storage,
         unit=unit,
     )
 
@@ -589,7 +506,7 @@ def solve_flow_lp(index: TimeExpandedIndex, basis: lp.Basis | None = None) -> Fl
     ``basis`` when given (the ``solution.basis`` of a solve of the same LP
     under other bounds and right-hand sides).  Raises ``LpError`` naming the
     problem when the solve is not optimal, or when its optimum's duality gap
-    exceeds ``lp.gap_tolerance``, the tolerance of ``lp.dual_certificate_gap``.
+    (``LpSolution.dual_gap``) exceeds ``lp.gap_tolerance``.
     """
     solution = lp.solve_lexicographic(index.problem, index.relay_cost, basis)
     if not solution.optimal:

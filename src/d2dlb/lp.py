@@ -26,8 +26,8 @@ right-hand sides (``LpProblem.with_bounds``) is re-solved by dual simplex
 from where the solved one ended; such a problem shares HiGHS's layout of the
 matrix (``HighsLayout``) with the one it came from.
 
-Every optimum carries row duals and their duality gap (``dual_gap``), so
-``dual_certificate_gap`` certifies it.
+Every optimum carries row duals and their duality gap (``dual_gap``,
+``duality_gap``), which callers hold to ``gap_tolerance``.
 """
 
 from __future__ import annotations
@@ -272,33 +272,6 @@ GAP_REL_TOL = 1e-6
 def gap_tolerance(objective: float | None) -> float:
     """The largest duality gap certifying an optimum of value ``objective``."""
     return GAP_REL_TOL * (1.0 + abs(objective or 0.0))
-
-
-def dual_certificate_gap(problem: LpProblem, solution: LpSolution) -> float:
-    """Weak-duality certificate from a solution's row multipliers.
-
-    Checks that the multipliers are dual feasible (nonpositive on <= rows,
-    reduced costs >= 0 taking bounds into account) and returns the absolute
-    gap |c'x - dual objective| (``duality_gap``).  Raises LpError if the
-    certificate fails.
-    """
-    if solution.duals is None or solution.x is None:
-        raise LpError("solution carries no dual multipliers")
-    y = solution.duals
-    tol = gap_tolerance(solution.objective)
-    positive = np.flatnonzero(~problem.equality & (y > 1e-7))
-    if positive.size:
-        r = int(positive[0])
-        raise LpError(f"dual multiplier of <= row {r} is positive: {y[r]}")
-    reduced = reduced_costs(problem, y)
-    negative = np.flatnonzero(np.isinf(problem.upper) & (reduced < -1e-6))
-    if negative.size:
-        i = int(negative[0])
-        raise LpError(f"reduced cost of variable {i} negative: {reduced[i]}")
-    gap = duality_gap(problem, solution.x, y, reduced)
-    if gap > tol:
-        raise LpError(f"duality gap {gap} exceeds tolerance {tol}")
-    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +546,7 @@ def solve_lexicographic(
     depends only on the problem and the basis.
 
     ``objective`` is c'x, ``duals`` are the row duals of ``problem`` at its
-    c-optimum (so ``dual_certificate_gap`` certifies F* on either path) and
+    c-optimum (so they certify F* on either path) and
     ``dual_gap`` their duality gap, ``basis`` is the basis of that optimum,
     ``iterations`` counts every run and ``certificate_iterations`` the
     re-run on c (0 when the factorization certified x).

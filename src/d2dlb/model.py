@@ -4,8 +4,10 @@ Conventions used throughout the package:
   * slots are 1-indexed integers in [1, T];
   * spectrum is in Hz, traffic volume in bits, link rates in bits/slot/Hz;
   * a transmission of x Hz on link (u, v) in one slot moves x * rate(u, v) bits;
-  * self-links (u, u) have rate 1 and represent traffic stored at a node for
-    one slot; they never consume spectrum.
+  * self-links (u, u) exist at users only; they have rate 1, represent
+    traffic stored at the user for one slot and never consume spectrum;
+  * a base station is a sink: bits that enter it within a demand's lifetime
+    are delivered, so it stores nothing and has no self-link.
 
 All types are plain immutable-by-convention dataclasses; every operation in
 this module is a pure function.
@@ -69,7 +71,7 @@ class NodeArrays(NamedTuple):
     billed: np.ndarray  # per node: position in bs_ids of the BS billed for traffic into it
     bs_rank: np.ndarray  # per position in bs_ids: rank of the BS id in sorted order
     bs_by_name: np.ndarray  # positions in bs_ids, sorted by BS id
-    link_key: np.ndarray  # src * len(nodes) + dst of every link, self-links included, sorted
+    link_key: np.ndarray  # src * len(nodes) + dst of every link and user self-link, sorted
     link_rate: np.ndarray  # the rate of each of those links, as a float
 
     def rates(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -86,8 +88,8 @@ class Topology:
     """Directed uplink network of base stations, users and wireless links.
 
     ``links`` holds directed edges (src_user, dst_node, rate) where dst is a
-    user (D2D link) or a base station (uplink).  Self-links are implicit and
-    never listed here.
+    user (D2D link) or a base station (uplink).  Each user's self-link is
+    implicit and never listed here; a BS has none.
     """
 
     bs_ids: tuple[str, ...]
@@ -116,6 +118,8 @@ class Topology:
                 raise ModelError(f"user {u!r} has no home BS")
             if self.home_bs[u] not in bs_set:
                 raise ModelError(f"user {u!r} has unknown home BS {self.home_bs[u]!r}")
+        if len(self.home_bs) != len(user_set):  # so a node with a home BS is a user
+            raise ModelError(f"home BS given for non-users: {sorted(set(self.home_bs) - user_set)}")
         rate_map: dict[tuple[str, str], Number] = {}
         outs: dict[str, list[str]] = {v: [] for v in self.all_nodes()}
         ins: dict[str, list[str]] = {v: [] for v in self.all_nodes()}
@@ -150,9 +154,10 @@ class Topology:
         rank = np.empty(len(by_name), dtype=np.int64)
         rank[by_name] = np.arange(len(by_name))
         n = len(nodes)
-        keys = [index[u] * n + index[v] for u, v, _ in self.links] + [i * (n + 1) for i in range(n)]
+        users = range(len(self.user_ids))
+        keys = [index[u] * n + index[v] for u, v, _ in self.links] + [i * (n + 1) for i in users]
         order = np.argsort(np.array(keys, dtype=np.int64))
-        rates = np.array([float(r) for _, _, r in self.links] + [1.0] * n)
+        rates = np.array([float(r) for _, _, r in self.links] + [1.0] * len(users))
         return NodeArrays(
             nodes=nodes,
             index=index,
@@ -171,8 +176,8 @@ class Topology:
         return node in self.bs_set
 
     def rate(self, src: str, dst: str) -> Number:
-        """Rate of link (src, dst); self-links have rate 1 by definition."""
-        if src == dst:
+        """Rate of link (src, dst); a user's self-link has rate 1 by definition."""
+        if src == dst and src in self.home_bs:
             return 1
         try:
             return self.rate_map[(src, dst)]
@@ -180,7 +185,7 @@ class Topology:
             raise ModelError(f"no link ({src!r}, {dst!r})") from None
 
     def has_link(self, src: str, dst: str) -> bool:
-        return src == dst or (src, dst) in self.rate_map
+        return (src == dst and src in self.home_bs) or (src, dst) in self.rate_map
 
     def users_of(self, bs: str) -> tuple[str, ...]:
         return tuple(u for u in self.user_ids if self.home_bs[u] == bs)
@@ -356,8 +361,10 @@ class Schedule:
     The arrays are parallel, ``demand``/``src``/``dst``/``slot`` int64 and
     ``value`` float64, or an object array of exact numbers (``Fraction``)
     that every routine here keeps exact.  No (demand, src, dst, slot) key
-    appears twice.  Entries with src == dst are virtual self-links: the value
-    is traffic stored at the node during the slot (rate 1, no spectrum cost).
+    appears twice.  Entries with src == dst are virtual self-links at users:
+    the value is traffic stored at the user during the slot (rate 1, no
+    spectrum cost).  A BS is a sink and has none: what enters it within the
+    demand's lifetime is delivered.
     ``allocations`` is the same schedule as a read-only map keyed by
     (demand, src name, dst name, slot), in entry order.
     """
@@ -575,10 +582,11 @@ def _entry_rates(schedule: Schedule, topology: Topology) -> np.ndarray:
 def fill_storage(
     schedule: Schedule, topology: Topology, demands: DemandSet
 ) -> Schedule:
-    """Complete a schedule of real-link transmissions with self-link storage.
+    """Complete a schedule of real-link transmissions with self-link storage at users.
 
-    Self-link values are the unique ones making per-node flow conservation
-    hold, given the real transmissions.  The schedules it completes are
+    Self-link values are the unique ones making flow conservation hold at
+    every user, given the real transmissions.  Bits sent into a BS are
+    delivered and get no storage.  The schedules it completes are
     computed ones, so every failure is numerical and raises
     FlowResidualError: conservation would need negative storage, a non-source
     node transmits at the demand's start slot, or a user still holds volume
@@ -587,7 +595,7 @@ def fill_storage(
 
     Entries of demands outside ``demands`` are dropped.  The result lists,
     demand by demand in ``demands`` order, the transmissions in input order
-    and then the storage by (node, slot).  A node's storage in slot t is what
+    and then the storage by (user, slot).  A user's storage in slot t is what
     it holds after sending in t: a running sum over the demand's lifetime of
     the volume (at the source), minus the bits sent in each slot, plus the
     bits received in the slot before, added in that order and clamped at 0
@@ -612,11 +620,13 @@ def fill_storage(
     volume = np.array(d.volumes, dtype=object) if exact else d.volume
     tol = FLOW_ABS_TOL * np.maximum(1.0, d.volume)
 
-    # one row per (demand, node) the demand touches, its source included
+    # one row per (demand, user) the demand touches, its source included;
+    # only users send, and what a BS receives is delivered
     user = np.array([table.index[u] for u in d.users], dtype=np.int64)
     m = len(keep)
+    into = np.flatnonzero(dst < table.n_users)
     pairs, pair_of = np.unique(
-        np.concatenate([np.arange(n_demands) * n + user, k * n + src, k * n + dst]),
+        np.concatenate([np.arange(n_demands) * n + user, k * n + src, k[into] * n + dst[into]]),
         return_inverse=True,
     )
     rows = len(pairs)
@@ -627,12 +637,14 @@ def fill_storage(
     # per slot offset and row, the bits sent (negated) and the bits received
     offset = slot - d.start[k]
     sent = (offset >= 0) & (slot <= d.end[k])
-    received = (offset >= 0) & (slot < d.end[k])
+    received = (offset[into] >= 0) & (slot[into] < d.end[k[into]])
     neg_sent = sum_by(
         offset[sent] * rows + pair_of[n_demands : n_demands + m][sent], -bits[sent], span * rows
     ).reshape(span, rows)
     recv = sum_by(
-        offset[received] * rows + pair_of[n_demands + m :][received], bits[received], span * rows
+        offset[into][received] * rows + pair_of[n_demands + m :][received],
+        bits[into][received],
+        span * rows,
     ).reshape(span, rows)
 
     failures: list[tuple[int, int, str]] = []  # (demand position, order, message)
@@ -673,7 +685,7 @@ def fill_storage(
             )
         failures.append((int(pair_k[p]), 1, message))
     last = store[delay - 1, np.arange(rows)]
-    holding = (pair_node < table.n_users) & (last > row_tol).astype(bool) & (failed_at < 0)
+    holding = (last > row_tol).astype(bool) & (failed_at < 0)
     for p in np.flatnonzero(holding).tolist():
         j = demands.demands[pair_k[p]]
         failures.append(
@@ -761,8 +773,9 @@ def validate_schedule(
     """Check a schedule against the traffic-scheduling-policy constraints.
 
     Per demand: full volume leaves the source at its start slot, full volume
-    reaches base stations at its deadline, flow is conserved at every node in
-    every intermediate slot, and all allocations are nonnegative.  Violations
+    enters base stations within its lifetime (a BS is a sink), flow is
+    conserved at every user in every intermediate slot, and all allocations
+    are nonnegative.  A self-link at a BS is an ``unknown_link``.  Violations
     are reported with residuals, never raised: first those of single entries
     (unknown demand or link, negative value, slot outside the lifetime) in
     entry order, then per demand in ``demands`` order its source balance,
@@ -773,16 +786,13 @@ def validate_schedule(
     n = len(table.nodes)
     d = demands.arrays
     names = schedule.nodes
-    # nodes the topology lacks get positions after its own
-    at = node_positions(names, topology)
-    at = np.where(at >= 0, at, n + np.arange(len(names)))
+    at = node_positions(names, topology)  # -1 for a node the topology lacks, on no link
     src, dst, slot = at[schedule.src], at[schedule.dst], schedule.slot
     x = np.asarray(schedule.value, dtype=float)
     k = _demand_positions(d.ids, schedule.demand)
     known = k >= 0
     kk = np.where(known, k, 0)
-    self_link = schedule.src == schedule.dst
-    rate = np.where(self_link, 1.0, table.rates(np.where(src < n, src, -1), np.where(dst < n, dst, -1)))
+    rate = table.rates(src, dst)
     link = rate > 0
     negative = known & link & (x < -flow_abs_tol)
     inside = (d.start[kk] <= slot) & (slot <= d.end[kk])
@@ -808,9 +818,8 @@ def validate_schedule(
     start, end = d.start[k], d.end[k]
     flow_tol = flow_abs_tol * np.maximum(1.0, d.volume)
     vol_tol = np.maximum(flow_abs_tol, volume_rel_tol * d.volume)
-    n_demands, n_all = len(d.ids), n + len(names)
+    n_demands = len(d.ids)
     user = np.array([table.index.get(u, -1) for u in d.users], dtype=np.int64)
-    node_names = table.nodes + names
     found: list[tuple[tuple, Violation]] = []  # (sort key, violation)
 
     # source balance: the volume leaves the source at the start slot, nothing else does
@@ -822,32 +831,29 @@ def validate_schedule(
         found.append(((q, 0), Violation(j.id, "source_balance", j.user, j.start, float(res[q]))))
     others = np.flatnonzero(at_start & (src != user[k]))
     if others.size:
-        _, first, group = np.unique(k[others] * n_all + src[others], return_index=True, return_inverse=True)
+        _, first, group = np.unique(k[others] * n + src[others], return_index=True, return_inverse=True)
         sent = sum_by(group, bits[others], len(first))
         for g in np.flatnonzero(sent > flow_tol[k[others[first]]]).tolist():
             i = others[first[g]]
             j = demands.demands[k[i]]
-            violation = Violation(j.id, "source_balance", node_names[src[i]], j.start, float(sent[g]))
+            violation = Violation(j.id, "source_balance", table.nodes[src[i]], j.start, float(sent[g]))
             found.append(((int(k[i]), 1, int(i)), violation))
 
-    # arrival at base stations at the deadline: per (BS, slot) sums, added in first-seen order
-    arriving = np.flatnonzero((slot == end) & (dst >= table.n_users) & (dst < n))
-    _, first, group = np.unique(k[arriving] * n_all + dst[arriving], return_index=True, return_inverse=True)
-    per_bs = sum_by(group, bits[arriving], len(first))
-    seen = np.argsort(first, kind="stable")
-    res = sum_by(k[arriving[first[seen]]], per_bs[seen], n_demands) - d.volume
+    # arrival: the bits into base stations within the lifetime, added in entry order
+    arriving = np.flatnonzero(dst >= table.n_users)
+    res = sum_by(k[arriving], bits[arriving], n_demands) - d.volume
     for q in np.flatnonzero(np.abs(res) > vol_tol).tolist():
         j = demands.demands[q]
         found.append(((q, 2), Violation(j.id, "arrival", None, j.end, float(res[q]))))
 
-    # conservation: what (node, t) receives it sends on in t + 1, for t in [start, end)
-    into = slot < end
+    # conservation: what (user, t) receives it sends on in t + 1, for t in [start, end)
+    into = (slot < end) & (dst < table.n_users)
     out_of = slot > start
     span = int(d.end.max(initial=0)) + 2
     keys = np.concatenate(
         [
-            (k[into] * n_all + dst[into]) * span + slot[into],
-            (k[out_of] * n_all + src[out_of]) * span + slot[out_of] - 1,
+            (k[into] * n + dst[into]) * span + slot[into],
+            (k[out_of] * n + src[out_of]) * span + slot[out_of] - 1,
         ]
     )
     cells, cell_of = np.unique(keys, return_inverse=True)
@@ -855,11 +861,11 @@ def validate_schedule(
     res = sum_by(cell_of[:n_in], bits[into], len(cells)) - sum_by(
         cell_of[n_in:], bits[out_of], len(cells)
     )
-    cell_k = cells // span // n_all
+    cell_k = cells // span // n
     bad = np.flatnonzero(np.abs(res) > flow_tol[cell_k])
     for c in bad.tolist():
         q, t = int(cell_k[c]), int(cells[c] % span)
-        name = node_names[cells[c] // span % n_all]
+        name = table.nodes[cells[c] // span % n]
         violation = Violation(demands.demands[q].id, "conservation", name, t, float(res[c]))
         found.append(((q, 3, name, t), violation))
     found.sort(key=lambda item: item[0])

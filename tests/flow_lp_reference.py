@@ -17,12 +17,16 @@ library no longer builds on its own:
   reduced LP cold, and ``assert_level_matches_reduced`` holds a step III
   solved as the full LP with fixed columns, warm-started, to its numbers.
 
-The instances the flow-LP exactness tests share are here too.
+Its pruning reads hop counts from ``hop_distances_from`` and
+``hop_distances_to_bs``, one dict breadth-first search each, which the
+tests also hold ``d2d_flow.hop_matrix`` to.  The instances the flow-LP
+exactness tests share are here too.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -31,13 +35,7 @@ import pytest
 from lp_builder import LpBuilder
 
 from d2dlb import lp
-from d2dlb.d2d_flow import (
-    InfeasibleDemandError,
-    build_flow_lp,
-    hop_distances_from,
-    hop_distances_to_bs,
-    solve_min_spectrum_d2d,
-)
+from d2dlb.d2d_flow import InfeasibleDemandError, build_flow_lp, solve_min_spectrum_d2d
 from d2dlb.heuristic import HeuristicOutcome, SplitResult
 from d2dlb.model import Demand, DemandSet, ModelError, Topology
 from d2dlb.scenario import (
@@ -59,6 +57,32 @@ NAMED_INSTANCES = {"toy-fig1": "toy-fig1", "ring3": "ring(3,1.0)", "complete2x2"
 over_named_instances = pytest.mark.parametrize(
     "instance", list(NAMED_INSTANCES.values()), ids=list(NAMED_INSTANCES)
 )
+
+
+def hop_distances_from(topology: Topology, source: str) -> dict[str, int]:
+    """BFS hop counts from a node along directed links."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in topology.out_neighbors.get(u, ()):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def hop_distances_to_bs(topology: Topology) -> dict[str, int]:
+    """Minimum hops from each node to any BS (multi-source BFS on reversed links)."""
+    dist = {b: 0 for b in topology.bs_ids}
+    queue = deque(topology.bs_ids)
+    while queue:
+        v = queue.popleft()
+        for u in topology.in_neighbors.get(v, ()):
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
 
 
 def random_instance(seed: int) -> tuple[Topology, DemandSet]:

@@ -29,7 +29,7 @@ from d2dlb.model import (
 
 
 def fill_storage(schedule: Schedule, topology: Topology, demands: DemandSet) -> Schedule:
-    """Complete real-link transmissions with the self-link storage they imply."""
+    """Complete real-link transmissions with the storage they imply at users; a BS is a sink."""
     by_demand: dict[int, dict[tuple[str, str, int], Number]] = {}
     for (j, u, v, t), x in schedule.allocations.items():
         if u == v:
@@ -49,6 +49,7 @@ def fill_storage(schedule: Schedule, topology: Topology, demands: DemandSet) -> 
             sent[(u, t)] = sent.get((u, t), 0) + bits
             received[(v, t)] = received.get((v, t), 0) + bits
         nodes = {u for (u, _, _) in entries} | {v for (_, v, _) in entries} | {j.user}
+        nodes &= user_set
         for node in nodes:
             if node != j.user and sent.get((node, j.start), 0) > 0:
                 raise FlowResidualError(
@@ -74,8 +75,8 @@ def fill_storage(schedule: Schedule, topology: Topology, demands: DemandSet) -> 
                 if store_t > 0:
                     out[(j.id, node, node, t)] = store_t
                 store_prev = store_t
-            # users must not hold volume at the deadline; BS storage is delivery
-            if node in user_set and store_prev > FLOW_ABS_TOL * max(1.0, float(j.volume)):
+            # users must not hold volume at the deadline
+            if store_prev > FLOW_ABS_TOL * max(1.0, float(j.volume)):
                 raise FlowResidualError(
                     f"demand {j.id}: user {node!r} still holds {store_prev} at deadline"
                 )
@@ -128,13 +129,13 @@ def validate_schedule(
         for (u, t), bits in outflow.items():
             if t == j.start and u != j.user and bits > flow_tol:
                 violations.append(Violation(jid, "source_balance", u, t, float(bits)))
-        # arrival at base stations at the deadline
-        arrived = sum(bits for (v, t), bits in inflow.items() if t == j.end and v in bs_set)
+        # arrival: what enters base stations within the lifetime, entry by entry
+        arrived = sum(x * topology.rate(u, v) for u, v, _, x in entries if v in bs_set)
         res = float(arrived - j.volume)
         if abs(res) > vol_tol:
             violations.append(Violation(jid, "arrival", None, j.end, res))
-        # per-node conservation on the time-expanded graph
-        nodes = {u for (u, _) in inflow} | {u for (u, _) in outflow}
+        # per-user conservation on the time-expanded graph; a BS is a sink
+        nodes = ({u for (u, _) in inflow} | {u for (u, _) in outflow}) - bs_set
         for node in sorted(nodes):
             for t in range(j.start, j.end):
                 res = float(inflow.get((node, t), 0) - outflow.get((node, t + 1), 0))

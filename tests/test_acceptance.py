@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from flow_lp_reference import prune_equivalence_check
+from flow_lp_reference import hop_distances_from, prune_equivalence_check
 
 from d2dlb.bounds import (
     build_complete_instance,
@@ -20,11 +20,7 @@ from d2dlb.bounds import (
     overhead_upper_bound,
     simple_rho_upper_bound,
 )
-from d2dlb.d2d_flow import (
-    hop_distances_from,
-    solve_min_overhead,
-    solve_min_spectrum_d2d,
-)
+from d2dlb.d2d_flow import solve_min_overhead, solve_min_spectrum_d2d
 from d2dlb.heuristic import (
     check_heuristic_bounds,
     heuristic_min_overhead,

@@ -1,10 +1,12 @@
-"""The benchmark tracer's bindings: every name ``benchmark/spans.py`` wraps exists, every layer records.
+"""The benchmark against the program: every name the tracer wraps exists, every layer records.
 
-The tracer replaces functions under the names their callers look up, and a
-name it cannot find silently drops its whole layer from a traced run; so
-do names that still resolve but that no caller looks up any more.  These
-checks turn a rename, a dropped import or a layer whose bindings are all
-bypassed into a test failure.
+The tracer (``benchmark/spans.py``) replaces functions under the names
+their callers look up, and a name it cannot find silently drops its whole
+layer from a traced run; so do names that still resolve but that no caller
+looks up any more.  These checks turn a rename, a dropped import or a layer
+whose bindings are all bypassed into a test failure.  The benchmark's own
+copy of the CLI's schedule tolerance (``benchmark/workloads.py``) must
+equal the CLI's.
 """
 
 import importlib.util
@@ -15,15 +17,26 @@ import pytest
 
 from d2dlb import cli
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("d2dlb_benchmark_spans", SPANS)
+def load_benchmark_module(name: str):
+    """``benchmark/<name>.py``, loaded from its file; the file is only read."""
+    path = BENCHMARK / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"d2dlb_benchmark_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_benchmark_module("spans")
+
+
+def test_benchmark_validates_schedules_as_the_cli_does():
+    workloads = load_benchmark_module("workloads")
+    assert workloads.CLI_FLOW_TOL == cli.SCHEDULE_FLOW_TOL
 
 
 def test_every_traced_binding_resolves():

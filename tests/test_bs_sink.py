@@ -5,9 +5,9 @@ into a BS in any slot up to the deadline delivers.  ``loop_flow_lp(bs_rows=True)
 builds the LP that kept both, so delivered data waited at the BS on its
 self-link until the deadline.  Both must reach the same least spectrum F
 and, at it, the same least relayed traffic R, on the full problem and on
-heuristic step III.  ``TimeExpandedIndex.extract_schedule`` rebuilds the BS
-storage the sink LP has no column for: applied to the old LP's optimum, it
-must give that optimum's BS self-link values.
+heuristic step III.  A schedule has no BS self-link either: applied to the
+old LP's optimum, ``TimeExpandedIndex.extract_schedule`` must give that
+optimum's value on every other key.
 """
 
 from __future__ import annotations
@@ -53,14 +53,20 @@ def assert_same_numbers(total: float, relayed: float, old: lp.LpSolution, relay_
     assert relayed == pytest.approx(old_relayed, rel=REL_TOL, abs=1e-12)
 
 
-def assert_storage_rebuilt(
-    index: TimeExpandedIndex, demands: DemandSet, old: lp.LpSolution, flow_vars, peak_vars
+def assert_flows_rebuilt(
+    index: TimeExpandedIndex,
+    topology: Topology,
+    demands: DemandSet,
+    old: lp.LpSolution,
+    flow_vars,
+    peak_vars,
 ) -> None:
-    """The schedule extracted from the old optimum's values has its BS self-links.
+    """The schedule extracted from the old optimum's values has its flows, and no BS self-link.
 
-    The LP's own columns keep the old optimum's values exactly; a BS
-    self-link and a substituted column are rebuilt from flow equations the
-    old optimum meets to its residual.
+    The LP's own columns keep the old optimum's values exactly; a
+    substituted column is rebuilt from flow equations the old optimum meets
+    to its residual.  The old optimum's BS self-links carry what a BS holds,
+    which a schedule does not list.
     """
     nodes = index.nodes
     keys = list(
@@ -77,7 +83,11 @@ def assert_storage_rebuilt(
     exact = {keys[c] for c in index.lp_flow.tolist()}
 
     got = schedule.allocations
-    want = {key: old.x[col] * index.unit for key, col in flow_vars.items() if old.x[col] != 0.0}
+    want = {
+        key: old.x[col] * index.unit
+        for key, col in flow_vars.items()
+        if old.x[col] != 0.0 and not (key[1] == key[2] and key[2] in topology.bs_set)
+    }
     assert {key for key in got if key in exact} == {key for key in want if key in exact}
     volume = {j.id: float(j.volume) for j in demands.demands}
     for key in got.keys() | want.keys():
@@ -99,7 +109,7 @@ def assert_same_as_bs_rows(topology: Topology, demands: DemandSet) -> None:
     assert_same_numbers(flow.total, flow.relayed_traffic, old, relay.objective, index.unit)
     report = validate_schedule(flow.schedule, topology, demands)
     assert report.ok, report.summary()
-    assert_storage_rebuilt(index, demands, old, flow_vars, peak_vars)
+    assert_flows_rebuilt(index, topology, demands, old, flow_vars, peak_vars)
 
 
 @over_instances

@@ -15,6 +15,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from certificate_reference import dual_certificate_gap
 from hypothesis import given, settings
 from flow_lp_reference import (
     GAP_TOL,
@@ -261,7 +262,7 @@ def test_empty_problem_rejected():
 def assert_certified(problem: lp.LpProblem) -> lp.LpSolution:
     solution = lp.solve(problem)
     assert solution.optimal and solution.duals.shape == (problem.n_constraints,)
-    assert lp.dual_certificate_gap(problem, solution) <= GAP_TOL
+    assert dual_certificate_gap(problem, solution) <= GAP_TOL
     return solution
 
 
@@ -278,7 +279,7 @@ def test_certificate_named_instances(instance):
 def test_certificate_heuristic_subset():
     topology, demands, outcome = step3_subset(8, 0.5)
     flow = outcome.flow
-    assert lp.dual_certificate_gap(flow.index.problem, flow.solution) <= GAP_TOL
+    assert dual_certificate_gap(flow.index.problem, flow.solution) <= GAP_TOL
     assert not flow.solution.fallback
     problem = step3_lp(topology, demands, outcome.split)[0]
     spectrum = assert_certified(problem)
@@ -293,7 +294,7 @@ def test_certificate_heuristic_subset():
 def test_certificate_pinned_day():
     outcome = solve_min_spectrum_d2d(*pinned_day())
     assert outcome.total == pytest.approx(7.559901967521047, rel=1e-9)  # its f_d2d
-    assert lp.dual_certificate_gap(outcome.index.problem, outcome.solution) <= GAP_TOL
+    assert dual_certificate_gap(outcome.index.problem, outcome.solution) <= GAP_TOL
     assert not outcome.solution.fallback
     assert_certified(
         overhead_model(outcome.index, outcome.solution.objective, lp.FALLBACK_CAP_SLACK)
@@ -308,4 +309,4 @@ def test_certificate_rejects_a_wrong_dual():
     duals = solution.duals.copy()
     duals[le_rows[0]] = 1.0  # a <= row's multiplier must be nonpositive
     with pytest.raises(lp.LpError, match="positive"):
-        lp.dual_certificate_gap(problem, dataclasses.replace(solution, duals=duals))
+        dual_certificate_gap(problem, dataclasses.replace(solution, duals=duals))

@@ -18,6 +18,7 @@ certified without a re-run that iterates (``certificate_iterations`` 0).
 from __future__ import annotations
 
 import pytest
+from certificate_reference import dual_certificate_gap
 from hypothesis import given, settings
 from flow_lp_reference import (
     GAP_TOL,
@@ -48,7 +49,7 @@ def assert_matches_two_stage(topology: Topology, demands: DemandSet, pruning: bo
         problem, relay_cost = flow_model(topology, demands, pruning=False)
         solution = lp.solve_lexicographic(problem, relay_cost)
     assert solution.optimal and not solution.fallback
-    assert lp.dual_certificate_gap(problem, solution) <= GAP_TOL
+    assert dual_certificate_gap(problem, solution) <= GAP_TOL
     f_ref, r_ref = flow_two_stage(problem, relay_cost)
     assert solution.objective == pytest.approx(f_ref, rel=1e-9, abs=1e-12)
     assert relay_cost @ solution.x == pytest.approx(r_ref, rel=1e-6, abs=1e-9)
@@ -74,7 +75,7 @@ def test_heuristic_step3_subset_with_residual(seed, level):
     if outcome.flow is not None:
         flow = outcome.flow
         assert flow.solution.certificate_iterations == 0 and not flow.solution.fallback
-        assert lp.dual_certificate_gap(flow.index.problem, flow.solution) <= GAP_TOL
+        assert dual_certificate_gap(flow.index.problem, flow.solution) <= GAP_TOL
     problem = step3_lp(topology, demands, outcome.split)[0]
     relay_cost = step3_lp(topology, demands, outcome.split, objective="d2d_traffic")[0].objective
     primary, secondary = solve_two_stage(problem, relay_cost)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from certificate_reference import dual_certificate_gap
 from lp_builder import LpBuilder
 from lp_format import to_lp_format
 from simplex_reference import solve_reference
@@ -12,7 +13,6 @@ from d2dlb.lp import (
     FALLBACK_CAP_SLACK,
     LpError,
     LpProblem,
-    dual_certificate_gap,
     solve,
     solve_lexicographic,
 )

@@ -52,6 +52,11 @@ class TestTopology:
         with pytest.raises(ModelError, match="unknown home"):
             Topology(("b",), ("u",), {"u": "nope"}, ())
 
+    def test_rejects_a_home_bs_for_a_non_user(self):
+        # a node with a home BS is a user, and only a user has a self-link
+        with pytest.raises(ModelError, match=r"non-users: \['b'\]"):
+            Topology(("b",), ("u",), {"u": "b", "b": "b"}, ())
+
     def test_rejects_unknown_endpoint(self):
         with pytest.raises(ModelError, match="not a declared"):
             Topology(("b",), ("u",), {"u": "b"}, (("u", "ghost", 1),))

@@ -22,6 +22,7 @@ from d2dlb.heuristic import heuristic_sweep, split_demands
 from d2dlb.model import (
     DemandSet,
     FlowResidualError,
+    ModelError,
     Schedule,
     Topology,
     compute_volumes,
@@ -166,6 +167,34 @@ def test_fill_storage_clamps_a_small_overdraw_at_zero():
     got = fill_storage(real, topology, demands).allocations
     assert dict(got) == dict(ref.fill_storage(real, topology, demands).allocations)
     assert got[(0, "w", "w", 3)] == 0.25
+
+
+def bs_self_links(schedule: Schedule, topology: Topology) -> list:
+    return [key for key in schedule.allocations if key[1] == key[2] and key[2] in topology.bs_set]
+
+
+@given(SEEDS)
+@settings(max_examples=10, deadline=None)
+def test_a_bs_is_a_sink_without_a_self_link(seed):
+    # bits into a BS are delivered: neither storage fill gives them a BS
+    # self-link, no schedule has one, and both validations report one as an
+    # unknown link and nothing else
+    topology, demands, nd_schedule, d2d_schedule = solved(seed)
+    for schedule in (nd_schedule, d2d_schedule):
+        assert not bs_self_links(schedule, topology)
+        for fill in (fill_storage, ref.fill_storage):
+            assert not bs_self_links(fill(real_part(schedule), topology, demands), topology)
+    j, b = demands.demands[0], topology.bs_ids[0]
+    held = Schedule.from_allocations({(j.id, b, b, j.end): 1.0})
+    for schedule in (nd_schedule, d2d_schedule):
+        stored = Schedule.concatenate([schedule, held])
+        for validate in (validate_schedule, ref.validate_schedule):
+            got = violation_keys(validate(stored, topology, demands))
+            assert got == [("unknown_link", j.id, f"{b}->{b}", j.end)]
+    assert topology.has_link(j.user, j.user) and topology.rate(j.user, j.user) == 1
+    assert not topology.has_link(b, b)
+    with pytest.raises(ModelError, match="no link"):
+        topology.rate(b, b)
 
 
 @given(SEEDS)
