@@ -154,14 +154,15 @@ class Topology:
         rank = np.empty(len(by_name), dtype=np.int64)
         rank[by_name] = np.arange(len(by_name))
         n = len(nodes)
-        users = range(len(self.user_ids))
-        keys = [index[u] * n + index[v] for u, v, _ in self.links] + [i * (n + 1) for i in users]
+        n_users = len(self.user_ids)
+        self_links = [i * (n + 1) for i in range(n_users)]  # users come first; a BS has none
+        keys = [index[u] * n + index[v] for u, v, _ in self.links] + self_links
         order = np.argsort(np.array(keys, dtype=np.int64))
-        rates = np.array([float(r) for _, _, r in self.links] + [1.0] * len(users))
+        rates = np.array([float(r) for _, _, r in self.links] + [1.0] * n_users)
         return NodeArrays(
             nodes=nodes,
             index=index,
-            n_users=len(self.user_ids),
+            n_users=n_users,
             billed=np.array(
                 [bs_position[self.home_bs[u]] for u in self.user_ids] + list(range(len(self.bs_ids))),
                 dtype=np.int64,

@@ -30,17 +30,13 @@ def load_benchmark_module(name: str):
     return module
 
 
-def load_spans():
-    return load_benchmark_module("spans")
-
-
 def test_benchmark_validates_schedules_as_the_cli_does():
     workloads = load_benchmark_module("workloads")
     assert workloads.CLI_FLOW_TOL == cli.SCHEDULE_FLOW_TOL
 
 
 def test_every_traced_binding_resolves():
-    spans = load_spans()
+    spans = load_benchmark_module("spans")
     missing = []
     for target in spans.TARGETS:
         try:
@@ -59,7 +55,7 @@ TRACED_LAYERS = {
 
 @pytest.mark.parametrize("command, fixture", sorted(TRACED_LAYERS))
 def test_traced_run_records_every_layer(command, fixture, tmp_path):
-    spans = load_spans()
+    spans = load_benchmark_module("spans")
     recorder = spans.Recorder()
     with recorder.tracing(0):
         code = cli.main([command, "--fixture", fixture, "--out", str(tmp_path)])
