@@ -14,12 +14,13 @@ Instances come from ``benchmark/workloads.py``, which is only read.
 It prints one JSON line per LP: its group (``day``, ``suite_full`` or
 ``suite_step3``), name, rows, columns, nonzeros and HiGHS iterations.  Then
 it solves every LP ``--runs`` times, interleaved (each run solves every LP
-once, in order), timing ``lp.solve_lexicographic`` in CPU seconds, and
+once, in order), timing ``lp.solve`` in CPU seconds, and
 prints a last JSON line: per group, the median over runs of the group's
 summed CPU time.  Step III starts from the full optimum's basis, as the
 heuristic does.  Only the library's public layout is used (the index's
-``problem`` and ``relay_cost``), so the script profiles any revision of
-``src``.
+``problem`` and ``relay_cost``) and ``lp.solve``.  A revision from before
+``lp.solve`` became the one lexicographic solve gave that solve another
+name: profile it with that revision's own copy of this script.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def collect(seed: int, size: workloads.Size) -> list[dict]:
 def solve(entry: dict) -> tuple[float, lp.LpSolution]:
     index = entry["index"]
     t0 = time.process_time()
-    solution = lp.solve_lexicographic(index.problem, index.relay_cost, entry["basis"])
+    solution = lp.solve(index.problem, index.relay_cost, entry["basis"])
     return time.process_time() - t0, solution
 
 

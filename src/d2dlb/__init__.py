@@ -20,7 +20,7 @@ from .model import (
     per_slot_loads,
     validate_schedule,
 )
-from .lp import LpProblem, LpSolution, solve, solve_lexicographic
+from .lp import LpProblem, LpSolution, solve
 from .no_d2d import (
     CellInstance,
     edf_feasible,

@@ -502,13 +502,13 @@ class FlowSolve:
 def solve_flow_lp(index: TimeExpandedIndex, basis: lp.Basis | None = None) -> FlowSolve:
     """Solve a flow LP lexicographically: least total spectrum, then least relaying.
 
-    One ``lp.solve_lexicographic`` call yields both numbers, started from
+    One ``lp.solve`` call yields both numbers, started from
     ``basis`` when given (the ``solution.basis`` of a solve of the same LP
     under other bounds and right-hand sides).  Raises ``LpError`` naming the
     problem when the solve is not optimal, or when its optimum's duality gap
     (``LpSolution.dual_gap``) exceeds ``lp.gap_tolerance``.
     """
-    solution = lp.solve_lexicographic(index.problem, index.relay_cost, basis)
+    solution = lp.solve(index.problem, index.relay_cost, basis)
     if not solution.optimal:
         raise lp.LpError(f"{index.problem.name} terminated with status {solution.status}")
     tolerance = lp.gap_tolerance(solution.objective)

@@ -5,7 +5,7 @@ nonnegative (boxed) variables, a dense minimization objective, and ``=`` /
 ``<=`` rows whose matrix is kept as sparse (row, column, value) triplets.
 Its constructor checks it once, so the solver passes it to HiGHS as it is.
 
-``solve`` (``run_highs``) runs HiGHS on the engine scipy ships
+``solve`` runs HiGHS on the engine scipy ships
 (``scipy.optimize._highspy._core``), with the model and the settings
 ``scipy.optimize.linprog(method="highs")`` would build and ``linprog``'s
 reading of the result, without ``linprog``'s input cleaning and
@@ -13,13 +13,16 @@ bound-marginal copies.  The engine is loaded from its file
 (``_load_engine``) and the column-wise matrix is built with numpy
 (``column_wise``), so ``scipy``, ``scipy.optimize`` and ``scipy.sparse`` are
 never imported.  The settings are one constant, ``HIGHS_OPTIONS``:
-the formulation is solved one fixed way.  ``solve_lexicographic`` minimizes
-a second cost among the minimizers of the first with one model on one HiGHS
-object: a weighted solve, certified on the first cost alone from the
-factorization HiGHS ends with (one transposed solve for the row duals, then
-a dual-feasibility check of the reduced costs), so a certified optimum costs
-one HiGHS run.  Only when that check fails is the basis re-run on the first
-cost, and, only if that re-run iterates, a capped second stage follows.
+the formulation is solved one fixed way.  ``solve`` minimizes a second cost
+among the minimizers of the first with one model on one HiGHS object: a
+weighted solve, certified on the first cost alone from the factorization
+HiGHS ends with (one transposed solve for the row duals, then a
+dual-feasibility check of the reduced costs), so a certified optimum costs
+one HiGHS run; with a zero second cost it is a plain solve.  Only when that
+check fails is the basis re-run on the first cost, and, only if that re-run
+iterates, a face stage follows: the columns and rows the re-run's duals
+price are fixed at their bounds, and the second cost is minimized on what
+is left, the optimal face of the first.
 It can start from a given basis and returns the basis of the optimum it
 certifies, so a problem that differs from a solved one only in bounds and
 right-hand sides (``LpProblem.with_bounds``) is re-solved by dual simplex
@@ -217,10 +220,10 @@ class LpSolution:
     duals: np.ndarray | None = None  # row multipliers y, reduced costs c - A'y
     dual_gap: float | None = None  # |c'x - dual objective| of duals (``duality_gap``)
     iterations: int = 0
-    # solve_lexicographic's re-run on the primary cost, which runs only when
-    # the factorization certificate fails
+    # solve's re-run on the primary cost, which runs only when the
+    # factorization certificate fails
     certificate_iterations: int = 0
-    basis: Basis | None = None  # solve_lexicographic's primary-cost optimum
+    basis: Basis | None = None  # solve's primary-cost optimum
 
     @property
     def optimal(self) -> bool:
@@ -228,7 +231,7 @@ class LpSolution:
 
     @property
     def fallback(self) -> bool:
-        """solve_lexicographic's certificate re-run iterated, so the capped stage ran."""
+        """solve's certificate re-run iterated, so the face stage ran."""
         return self.certificate_iterations > 0
 
     def value(self, index: int) -> float:
@@ -421,21 +424,19 @@ def _checked(
     problem: LpProblem,
     x: np.ndarray,
     duals: np.ndarray,
+    reduced: np.ndarray,
     iterations: int,
-    certificate_iterations: int = 0,
-    basis: Basis | None = None,
-    reduced: np.ndarray | None = None,
+    certificate_iterations: int,
+    basis: Basis,
 ) -> LpSolution:
     """``linprog``'s post-solve check: a NaN or a residual above ``RESULT_CHECK_TOL`` errs.
 
     An optimum carries the duality gap of ``duals``, whose reduced costs are
-    ``reduced`` (computed here when not given).
+    ``reduced``.
     """
     residual = problem.max_residual(x)
     if not residual <= RESULT_CHECK_TOL:  # a NaN in x makes the residual NaN
         return LpSolution("error", None, None, None, iterations=iterations)
-    if reduced is None:
-        reduced = reduced_costs(problem, duals)
     return LpSolution(
         status="optimal",
         objective=problem.objective_value(x),
@@ -449,34 +450,9 @@ def _checked(
     )
 
 
-def run_highs(problem: LpProblem) -> LpSolution:
-    """Solve ``problem`` with HiGHS as ``scipy.optimize.linprog(method="highs")`` would.
-
-    HiGHS runs on ``scipy.optimize._highspy._core``, the engine ``linprog``
-    calls, with the same model and options (``HIGHS_OPTIONS``), so it takes
-    the same path; only
-    the primal point, the row duals and the iteration count are read back.
-    Statuses map as in ``linprog``, and an optimum that fails its post-solve
-    check (a NaN, or a residual above ``RESULT_CHECK_TOL``) is an "error".
-    ``duals`` are the row duals in problem row order (``c - A'y`` are the
-    reduced costs).
-    """
-    highs, position = _pass_model(problem, problem.objective)
-    if highs is None:
-        return LpSolution("infeasible", None, None, None)
-    status, iterations = _run(highs)
-    if status != "optimal":
-        return LpSolution(status, None, None, None, iterations=iterations)
-    return _checked(problem, *_read(highs, position), iterations)
-
-
-solve = run_highs
-
-#: weight of the secondary cost in ``solve_lexicographic``'s one solve,
-#: relative to the secondary cost's largest coefficient
+#: weight of the secondary cost in ``solve``'s one solve, relative to the
+#: secondary cost's largest coefficient
 LEXICO_WEIGHT = 1e-5
-#: relative slack (absolute below 1) on the primary optimum in the fallback's cap row
-FALLBACK_CAP_SLACK = 1e-9
 
 
 def _factor_certificate(
@@ -515,27 +491,55 @@ def _factor_certificate(
     return y, reduced
 
 
-def solve_lexicographic(
+def _fix_optimal_face(
+    problem: LpProblem,
+    highs: _highs._Highs,
+    position: np.ndarray,
+    duals: np.ndarray,
+    reduced: np.ndarray,
+) -> bool:
+    """Restrict ``highs`` to the optimal face of ``problem``'s cost c; False if HiGHS refuses.
+
+    ``duals`` are c-optimal row duals y, with reduced costs ``reduced`` =
+    c - A'y.  Every c-optimal point is complementary to them: a column whose
+    reduced cost is beyond HiGHS's ``dual_feasibility_tolerance`` sits at
+    the bound it prices (the lower one for a positive reduced cost), and a
+    ``<=`` row with y below -tol is tight.  Those columns are fixed at that
+    bound and those rows made equalities, one row at a time.  The point
+    HiGHS holds already satisfies both, so its basis stays primal feasible.
+    """
+    tol = HIGHS_OPTIONS["dual_feasibility_tolerance"]
+    fixed = np.flatnonzero(np.abs(reduced) > tol)
+    at = np.where(reduced[fixed] > 0, problem.lower[fixed], problem.upper[fixed])
+    ok = [highs.changeColsBounds(fixed.size, fixed.astype(np.int32), at, at)]
+    for row in np.flatnonzero(~problem.equality & (duals < -tol)):
+        ok.append(highs.changeRowBounds(int(position[row]), problem.rhs[row], problem.rhs[row]))
+    return all(status == _highs.HighsStatus.kOk for status in ok)
+
+
+def solve(
     problem: LpProblem, secondary_cost: np.ndarray, basis: Basis | None = None
 ) -> LpSolution:
     """Minimize ``problem``'s cost c, then ``secondary_cost`` s among the minimizers of c.
 
     The model goes to a new HiGHS object once, with the cost c + eps*s, where
-    eps = ``LEXICO_WEIGHT`` / max|s|.  The optimal basis B is then checked on
-    c alone from the factorization HiGHS ends with (``_factor_certificate``):
-    one solve of B'y = c_B gives the row duals y and the reduced costs
-    c - A'y.  When they are dual feasible, B is optimal for c, so c'x is the
-    optimum F*, and any x' with c'x' = F* and s'x' < s'x would beat x on
-    c + eps*s, so x is lexicographically optimal (Sherali, "Equivalent
-    weights for lexicographic multi-objective programs", EJOR 1982).  Such
-    a solve costs one HiGHS run.
+    eps = ``LEXICO_WEIGHT`` / max|s| (0 when s is 0: then this is a plain
+    solve of c, as ``linprog`` would make it).  The optimal basis B is then
+    checked on c alone from the factorization HiGHS ends with
+    (``_factor_certificate``): one solve of B'y = c_B gives the row duals y
+    and the reduced costs c - A'y.  When they are dual feasible, B is optimal
+    for c, so c'x is the optimum F*, and any x' with c'x' = F* and
+    s'x' < s'x would beat x on c + eps*s, so x is lexicographically optimal
+    (Sherali, "Equivalent weights for lexicographic multi-objective
+    programs", EJOR 1982).  Such a solve costs one HiGHS run.
 
     Only when that check fails, or HiGHS holds no factorization, is the basis
     re-run on c alone, on a new HiGHS object started from it, and the re-run
     certifies x when it takes no iteration.  A re-run that iterates ends at
-    F*; the fallback then adds the row c'x <= F* + ``FALLBACK_CAP_SLACK`` *
-    max(1, |F*|) to the re-run's object and minimizes s, the two-stage
-    answer, and the solution's ``fallback`` is set.
+    F* with duals y; the face stage then fixes the columns and rows that y
+    prices (``_fix_optimal_face``) on the re-run's object, so that what is
+    left is the set of minimizers of c, and minimizes s there.  The
+    solution's ``fallback`` is then set.
 
     ``basis``, the ``basis`` of an earlier solution of a problem with the
     same matrix and costs, starts the weighted solve there; HiGHS then skips
@@ -545,8 +549,10 @@ def solve_lexicographic(
     implementation", 2005).  The object is new either way, so the result
     depends only on the problem and the basis.
 
+    Statuses map as in ``linprog``, and an optimum that fails its post-solve
+    check (a NaN, or a residual above ``RESULT_CHECK_TOL``) is an "error".
     ``objective`` is c'x, ``duals`` are the row duals of ``problem`` at its
-    c-optimum (so they certify F* on either path) and
+    c-optimum in problem row order (so they certify F* on either path) and
     ``dual_gap`` their duality gap, ``basis`` is the basis of that optimum,
     ``iterations`` counts every run and ``certificate_iterations`` the
     re-run on c (0 when the factorization certified x).
@@ -569,7 +575,7 @@ def solve_lexicographic(
     certified = _factor_certificate(problem, highs, position, x)
     if certified is not None:
         y, reduced = certified
-        return _checked(problem, x, y, iterations, 0, highs.getBasis(), reduced)
+        return _checked(problem, x, y, reduced, iterations, 0, highs.getBasis())
     # the re-run starts from the weighted basis on a new object: re-run on
     # the weighted one after a cost change, HiGHS can perturb the costs and
     # start over in dual phase 1 (8,713 iterations where a new object takes 1)
@@ -582,19 +588,16 @@ def solve_lexicographic(
     if status != "optimal":
         return LpSolution(status, None, None, None, iterations=iterations)
     x, duals = _read(highs, position)
+    reduced = reduced_costs(problem, duals)
     optimum_basis = highs.getBasis()
     if rerun:
-        optimum = problem.objective_value(x)
-        cap = optimum + FALLBACK_CAP_SLACK * max(1.0, abs(optimum))
-        used = np.flatnonzero(c)
-        added = highs.addRow(-_highs.kHighsInf, cap, used.size, used.astype(np.int32), c[used])
-        if added != _highs.HighsStatus.kOk:
+        if not _fix_optimal_face(problem, highs, position, duals, reduced):
             return LpSolution("error", None, None, None, iterations=iterations)
         columns = np.arange(problem.n_variables, dtype=np.int32)
         highs.changeColsCost(columns.size, columns, s)
-        status, capped = _run(highs)
-        iterations += capped
+        status, face = _run(highs)
+        iterations += face
         if status != "optimal":
             return LpSolution(status, None, None, None, iterations=iterations)
         x = _read(highs, position)[0]
-    return _checked(problem, x, duals, iterations, rerun, optimum_basis)
+    return _checked(problem, x, duals, reduced, iterations, rerun, optimum_basis)

@@ -100,8 +100,6 @@ class Topology:
 
     # derived lookups, filled in __post_init__
     rate_map: dict[tuple[str, str], Number] = field(default_factory=dict, repr=False)
-    out_neighbors: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
-    in_neighbors: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
     bs_set: frozenset = field(default_factory=frozenset, repr=False)
 
     def __post_init__(self) -> None:
@@ -121,8 +119,6 @@ class Topology:
         if len(self.home_bs) != len(user_set):  # so a node with a home BS is a user
             raise ModelError(f"home BS given for non-users: {sorted(set(self.home_bs) - user_set)}")
         rate_map: dict[tuple[str, str], Number] = {}
-        outs: dict[str, list[str]] = {v: [] for v in self.all_nodes()}
-        ins: dict[str, list[str]] = {v: [] for v in self.all_nodes()}
         for src, dst, rate in self.links:
             if src not in user_set:
                 raise ModelError(f"link source {src!r} is not a declared user")
@@ -135,11 +131,7 @@ class Topology:
             if (src, dst) in rate_map:
                 raise ModelError(f"duplicate link ({src!r}, {dst!r})")
             rate_map[(src, dst)] = rate
-            outs[src].append(dst)
-            ins[dst].append(src)
         object.__setattr__(self, "rate_map", rate_map)
-        object.__setattr__(self, "out_neighbors", {v: tuple(ns) for v, ns in outs.items()})
-        object.__setattr__(self, "in_neighbors", {v: tuple(ns) for v, ns in ins.items()})
         object.__setattr__(self, "bs_set", frozenset(bs_set))
 
     def all_nodes(self) -> tuple[str, ...]:
@@ -1006,23 +998,16 @@ def discrepancy_params(topology: Topology) -> DiscrepancyParams:
     for u in topology.user_ids:
         if (u, topology.home_bs[u]) not in topology.rate_map:
             raise ModelError(f"user {u!r} has no direct link to its home BS")
-    per_user_intra: dict[str, float] = {}
-    per_user_to_cell: dict[tuple[str, str], float] = {}
-    for s in topology.user_ids:
-        denom = float(topology.rate_map[(s, topology.home_bs[s])])
-        intra = 0.0
-        to_cell: dict[str, float] = {}
-        for v in topology.out_neighbors.get(s, ()):
-            if v not in user_set:
-                continue
-            ratio = float(topology.rate_map[(s, v)]) / denom
-            bv = topology.home_bs[v]
-            to_cell[bv] = max(to_cell.get(bv, 0.0), ratio)
-            if bv == topology.home_bs[s]:
-                intra = max(intra, ratio)
-        per_user_intra[s] = intra
-        for b in topology.bs_ids:
-            per_user_to_cell[(s, b)] = to_cell.get(b, 0.0)
+    home = topology.home_bs
+    per_user_intra = dict.fromkeys(topology.user_ids, 0.0)
+    per_user_to_cell = {(s, b): 0.0 for s in topology.user_ids for b in topology.bs_ids}
+    for (s, v), rate in topology.rate_map.items():
+        if v not in user_set:
+            continue
+        ratio = float(rate) / float(topology.rate_map[(s, home[s])])
+        per_user_to_cell[(s, home[v])] = max(per_user_to_cell[(s, home[v])], ratio)
+        if home[v] == home[s]:
+            per_user_intra[s] = max(per_user_intra[s], ratio)
     per_cell_intra = {
         b: max((per_user_intra[s] for s in topology.users_of(b)), default=0.0)
         for b in topology.bs_ids

@@ -3,12 +3,16 @@
 The ``bound_suite`` fixture carries 50 random multi-cell instances together
 with their solved no-D2D totals, D2D optima, and overhead-minimal schedules;
 the bound and heuristic acceptance criteria both run against the same list.
-The ``highs_runs`` fixture counts HiGHS runs.
+The ``highs_runs`` fixture counts HiGHS runs, and ``load_benchmark_module``
+reads a module of the benchmark without changing it.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,18 @@ from d2dlb.d2d_flow import solve_min_overhead, solve_min_spectrum_d2d
 from d2dlb.model import DemandSet, Schedule, Topology, compute_volumes, fill_storage
 from d2dlb.no_d2d import min_spectrum_no_d2d
 from d2dlb.scenario import random_multicell_instance, toy_two_cell
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+
+
+def load_benchmark_module(name: str):
+    """``benchmark/<name>.py``, loaded from its file; the file is only read."""
+    path = BENCHMARK / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"d2dlb_benchmark_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import pytest
 from lp_builder import LpBuilder
+from two_stage_reference import plain_solve
 
 from d2dlb import lp
 from d2dlb.d2d_flow import InfeasibleDemandError, build_flow_lp, solve_min_spectrum_d2d
@@ -59,13 +60,24 @@ over_named_instances = pytest.mark.parametrize(
 )
 
 
+def neighbors(topology: Topology) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """(out-neighbors, in-neighbors) of every node along the real links, in link order."""
+    outs: dict[str, list[str]] = {v: [] for v in topology.all_nodes()}
+    ins: dict[str, list[str]] = {v: [] for v in topology.all_nodes()}
+    for u, v, _ in topology.links:
+        outs[u].append(v)
+        ins[v].append(u)
+    return outs, ins
+
+
 def hop_distances_from(topology: Topology, source: str) -> dict[str, int]:
     """BFS hop counts from a node along directed links."""
+    out_real = neighbors(topology)[0]
     dist = {source: 0}
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in topology.out_neighbors.get(u, ()):
+        for v in out_real[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -74,11 +86,12 @@ def hop_distances_from(topology: Topology, source: str) -> dict[str, int]:
 
 def hop_distances_to_bs(topology: Topology) -> dict[str, int]:
     """Minimum hops from each node to any BS (multi-source BFS on reversed links)."""
+    in_real = neighbors(topology)[1]
     dist = {b: 0 for b in topology.bs_ids}
     queue = deque(topology.bs_ids)
     while queue:
         v = queue.popleft()
-        for u in topology.in_neighbors.get(v, ()):
+        for u in in_real[v]:
             if u not in dist:
                 dist[u] = dist[v] + 1
                 queue.append(u)
@@ -208,8 +221,7 @@ def loop_flow_lp(
     def rate(u: str, v: str) -> float:
         return 1.0 if u == v else float(topology.rate_map[(u, v)])
 
-    in_real = topology.in_neighbors
-    out_real = topology.out_neighbors
+    out_real, in_real = neighbors(topology)
     for j in active:
         source_terms = {}
         for v in (*out_real.get(j.user, ()), j.user):
@@ -407,7 +419,7 @@ def prune_equivalence_check(topology: Topology, demands: DemandSet) -> PruneRepo
     """The library's pruned optimum and flow columns against the unpruned reference LP's."""
     pruned = solve_min_spectrum_d2d(topology, demands)
     problem, flow_vars, *_ = loop_flow_lp(topology, demands, pruning=False)
-    unpruned = lp.run_highs(problem)
+    unpruned = plain_solve(problem)
     assert unpruned.optimal, unpruned.status
     f_p, f_u = pruned.total, unpruned.objective * lp_unit(demands)
     return PruneReport(
@@ -440,7 +452,7 @@ def step3_reference(
     """(F, per-BS peaks, R) of the reduced step-III LP, solved lexicographically from cold."""
     problem, _, peak_vars, _ = step3_lp(topology, demands, split, pruning)
     relay_cost = step3_lp(topology, demands, split, pruning, objective="d2d_traffic")[0].objective
-    solution = lp.solve_lexicographic(problem, relay_cost)
+    solution = lp.solve(problem, relay_cost)
     assert solution.optimal, solution.status
     unit = lp_unit(demands)
     peaks = {b: solution.value(col) * unit for b, col in peak_vars.items()}

@@ -11,6 +11,7 @@ formulations that share none of its arithmetic.
 from __future__ import annotations
 
 from lp_builder import LpBuilder
+from two_stage_reference import plain_solve
 
 from d2dlb import lp
 from d2dlb.model import Schedule
@@ -69,7 +70,7 @@ def min_spectrum_nd_lp(cell: CellInstance) -> tuple[float, Schedule]:
     if not cell.demands:
         return 0.0, Schedule.from_allocations({})
     problem, index = build_min_spectrum_nd_lp(cell)
-    solution = lp.solve(problem)
+    solution = plain_solve(problem)
     if not solution.optimal:
         raise lp.LpError(f"cell {cell.bs}: LP terminated with status {solution.status}")
     users = {j.id: j.user for j in cell.demands}

@@ -9,25 +9,10 @@ copy of the CLI's schedule tolerance (``benchmark/workloads.py``) must
 equal the CLI's.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
+from conftest import load_benchmark_module
 
 from d2dlb import cli
-
-BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
-
-
-def load_benchmark_module(name: str):
-    """``benchmark/<name>.py``, loaded from its file; the file is only read."""
-    path = BENCHMARK / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"d2dlb_benchmark_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_benchmark_validates_schedules_as_the_cli_does():
@@ -48,8 +33,8 @@ def test_every_traced_binding_resolves():
 
 #: the layers a traced run of each command records spans in
 TRACED_LAYERS = {
-    ("d2d", "toy-fig1"): {"cli", "no_d2d", "d2d_flow", "model"},
-    ("heuristic", "heuristic-appF"): {"cli", "no_d2d", "d2d_flow", "model", "heuristic"},
+    ("d2d", "toy-fig1"): {"cli", "no_d2d", "d2d_flow", "lp", "model"},
+    ("heuristic", "heuristic-appF"): {"cli", "no_d2d", "d2d_flow", "lp", "model", "heuristic"},
 }
 
 

@@ -42,7 +42,7 @@ over_instances = pytest.mark.parametrize(
 
 
 def solve_bs_rows(problem: lp.LpProblem, relay: lp.LpProblem) -> lp.LpSolution:
-    solution = lp.solve_lexicographic(problem, relay.objective)
+    solution = lp.solve(problem, relay.objective)
     assert solution.optimal, solution.status
     return solution
 

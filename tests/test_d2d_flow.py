@@ -15,7 +15,7 @@ from flow_lp_reference import (
 from hypothesis import strategies as st
 from lp_format import to_lp_format
 from simplex_reference import solve_reference
-from two_stage_reference import overhead_model
+from two_stage_reference import overhead_model, plain_solve
 
 from d2dlb.bounds import build_complete_instance, build_ring_instance
 from d2dlb.d2d_flow import (
@@ -26,7 +26,7 @@ from d2dlb.d2d_flow import (
     solve_min_overhead,
     solve_min_spectrum_d2d,
 )
-from d2dlb.lp import LpSolution, solve
+from d2dlb.lp import LpSolution
 from d2dlb.model import (
     DemandSet,
     Number,
@@ -298,5 +298,5 @@ class TestStructuralProperties:
         cap = text.split("Bounds")[0].splitlines()[-1]  # the last row: the peaks' sum capped at 4
         assert cap.startswith(f" c{problem.n_constraints - 1}: ") and cap.endswith(" <= 4")
         assert cap.count(" x") == len(topology.bs_ids)
-        solution = solve(problem)
+        solution = plain_solve(problem)
         assert solution.status == "optimal"

@@ -1,6 +1,6 @@
-"""The factorization certificate of ``lp.solve_lexicographic`` against the re-run it replaces.
+"""The factorization certificate of ``lp.solve`` against the re-run it replaces.
 
-``solve_lexicographic`` certifies its weighted optimum on the primary cost
+``lp.solve`` certifies its weighted optimum on the primary cost
 from the factorization HiGHS ends with: one transposed solve for the row
 duals, then a dual-feasibility check of the reduced costs.  Before it, the
 certificate was a re-run of the weighted basis on the primary cost, which
@@ -30,7 +30,7 @@ LEVELS = (0.25, 0.5, 0.75)
 def rerun_certificate(
     problem: lp.LpProblem, secondary: np.ndarray, basis: lp.Basis | None = None
 ) -> tuple[bool, bool, np.ndarray, np.ndarray]:
-    """The weighted run as ``solve_lexicographic`` makes it, then its basis re-run on c alone.
+    """The weighted run as ``lp.solve`` makes it, then its basis re-run on c alone.
 
     Returns whether the factorization certifies the weighted basis, whether
     the re-run does (it takes no iteration), and the re-run's point and row
@@ -62,7 +62,7 @@ def assert_certified_alike(
     factor, rerun, x, duals = rerun_certificate(problem, secondary, basis)
     assert factor == rerun, problem.name
     runs.clear()
-    solution = lp.solve_lexicographic(problem, secondary, basis)
+    solution = lp.solve(problem, secondary, basis)
     assert solution.optimal
     assert np.array_equal(solution.x, x) and np.array_equal(solution.duals, duals)
     if factor:
@@ -122,8 +122,8 @@ def test_a_basis_that_is_not_c_optimal_is_refused(highs_runs):
     )
     assert rerun_certificate(problem, np.array([1e3, 0.0]))[:2] == (False, False)
     highs_runs.clear()
-    assert lp.solve_lexicographic(problem, np.array([1e3, 0.0])).fallback
-    assert len(highs_runs) == 3  # weighted, re-run, capped
+    assert lp.solve(problem, np.array([1e3, 0.0])).fallback
+    assert len(highs_runs) == 3  # weighted, re-run, face
 
 
 def test_a_column_at_its_upper_bound_needs_a_nonpositive_reduced_cost():

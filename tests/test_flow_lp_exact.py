@@ -38,7 +38,7 @@ from flow_lp_reference import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from linprog_reference import reference_arguments
-from two_stage_reference import overhead_model
+from two_stage_reference import CAP_SLACK, overhead_model
 
 from d2dlb import lp
 from d2dlb.d2d_flow import TimeExpandedIndex, build_flow_lp, solve_min_spectrum_d2d
@@ -103,7 +103,7 @@ def assert_same_overhead_model(
     topology: Topology,
     demands: DemandSet,
     total_spectrum: float,
-    slack: float = lp.FALLBACK_CAP_SLACK,
+    slack: float = CAP_SLACK,
 ) -> None:
     """The overhead model on the array-built spectrum model equals a direct build of it."""
     problem = overhead_model(build_flow_lp(topology, demands), total_spectrum, slack)
@@ -135,7 +135,7 @@ def test_d2d_traffic_objective_with_cap(toy_instance):
     # the relayed-traffic cost and the cap row on the spectrum model,
     # against the direct build
     topology, demands = toy_instance
-    for slack in (0.0, lp.FALLBACK_CAP_SLACK):
+    for slack in (0.0, CAP_SLACK):
         assert_same_overhead_model(topology, demands, 4.0, slack)
 
 

@@ -63,7 +63,7 @@ def assert_same_optimum(topology: Topology, demands: DemandSet) -> TimeExpandedI
     assert previous.n_constraints - index.problem.n_constraints == dropped + substituted
     relay = loop_flow_lp(topology, demands, objective="d2d_traffic", full_rank=False)[0]
     relay_cost = relay.objective
-    old = lp.solve_lexicographic(previous, relay_cost)
+    old = lp.solve(previous, relay_cost)
     assert old.optimal, old.status
     assert flow.total == pytest.approx(old.objective * index.unit, rel=REL_TOL)
     assert flow.relayed_traffic == pytest.approx(

@@ -1,10 +1,11 @@
 """The HiGHS driver against ``scipy.optimize.linprog``.
 
-``lp.run_highs`` hands HiGHS the model and settings ``linprog(method="highs")``
-builds, on the same engine, so on every model it must end where ``linprog``
-ends: the same status and iteration count, the same point bit for bit, the
-same objective and the same row duals.  The second half checks the duality
-certificate that those duals carry on flow-LP optima.  Heuristic step III is
+``lp.solve`` with a zero secondary cost (``plain_solve``) hands HiGHS the
+model and settings ``linprog(method="highs")`` builds, on the same engine,
+so on every model it must end where ``linprog`` ends: the same status and
+iteration count, the same point bit for bit, the same objective and the
+same row duals.  The second half checks the duality certificate that those
+duals carry on flow-LP optima.  Heuristic step III is
 checked both as the reference's reduced model and as the full model with
 fixed columns that the heuristic solves.
 """
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 from linprog_reference import STATUS, reference_solve
 from lp_builder import LpBuilder
 from no_d2d_reference import build_min_spectrum_nd_lp
-from two_stage_reference import cap_and_recost, overhead_model
+from two_stage_reference import CAP_SLACK, cap_and_recost, overhead_model, plain_solve
 
 from d2dlb import lp
 from d2dlb.d2d_flow import build_flow_lp, solve_min_spectrum_d2d
@@ -44,7 +45,7 @@ from d2dlb.scenario import fixture, random_multicell_instance, toy_two_cell
 def assert_same_as_linprog(problem: lp.LpProblem) -> str:
     """Solve with both paths, require the same outcome; returns the status."""
     ref = reference_solve(problem, lp.HIGHS_OPTIONS["simplex_iteration_limit"])
-    got = lp.run_highs(problem)
+    got = plain_solve(problem)
     assert got.status == STATUS[ref.status]
     assert got.iterations == ref.nit
     if not got.optimal:
@@ -67,8 +68,8 @@ def assert_both_stages_same(topology: Topology, demands: DemandSet, pruning: boo
     """
     problem, relay_cost = flow_model(topology, demands, pruning)
     assert assert_same_as_linprog(problem) == "optimal"
-    total = lp.run_highs(problem).objective
-    overhead = cap_and_recost(problem, total, relay_cost, lp.FALLBACK_CAP_SLACK)
+    total = plain_solve(problem).objective
+    overhead = cap_and_recost(problem, total, relay_cost, CAP_SLACK)
     assert assert_same_as_linprog(overhead) == "optimal"
 
 
@@ -100,8 +101,8 @@ def test_heuristic_step3_subset_with_residual(seed, level, pruning):
     assert split.d2d_demand_ids and split.residual_load
     problem = step3_lp(topology, demands, split, pruning)[0]
     assert assert_same_as_linprog(problem) == "optimal"
-    total = lp.run_highs(problem).objective
-    cap = total + lp.FALLBACK_CAP_SLACK * max(1.0, abs(total))
+    total = plain_solve(problem).objective
+    cap = total + CAP_SLACK * max(1.0, abs(total))
     overhead = step3_lp(
         topology, demands, split, pruning, objective="d2d_traffic", spectrum_cap=cap
     )[0]
@@ -144,7 +145,7 @@ def test_iteration_limited_lp(monkeypatch):
     problem = build_flow_lp(topology, demands).problem
     monkeypatch.setitem(lp.HIGHS_OPTIONS, "simplex_iteration_limit", 3)
     assert assert_same_as_linprog(problem) == "iteration_limit"
-    limited = lp.run_highs(problem)
+    limited = plain_solve(problem)
     assert limited.iterations == 3
     assert limited.x is None
 
@@ -160,7 +161,7 @@ def test_refused_option_raises(monkeypatch, name, value):
     monkeypatch.setitem(lp.HIGHS_OPTIONS, name, value)
     topology, demands = toy_two_cell()
     with pytest.raises(lp.LpError, match=f"refused option {name}"):
-        lp.run_highs(build_flow_lp(topology, demands).problem)
+        plain_solve(build_flow_lp(topology, demands).problem)
 
 
 def units_instance(k: int, scale: float, seed: int = 0) -> tuple[Topology, DemandSet]:
@@ -194,7 +195,7 @@ def units_instance(k: int, scale: float, seed: int = 0) -> tuple[Topology, Deman
 def test_units_at_1e9(k, weighted):
     # the flow LP counts volumes in a power-of-two unit near the largest
     # volume, so HiGHS's absolute tolerances mean the same at every scale:
-    # at 1e9 the spectrum LP and the weighted cost that solve_lexicographic
+    # at 1e9 the spectrum LP and the weighted cost that lp.solve
     # passes first both solve, the same way on both paths (the weighted
     # one read "unbounded" with volumes in bits)
     topology, demands = units_instance(k, 1e9)
@@ -243,7 +244,7 @@ def test_post_solve_check(residual, status):
     p = ReportedResidual(
         "checked", [1.0], [0.0], [np.inf], [0], [0], [-1.0], [-3.0], [False], residual
     )
-    s = lp.run_highs(p)
+    s = plain_solve(p)
     assert s.status == status
     assert (s.x is not None) == (status == "optimal")
 
@@ -251,7 +252,7 @@ def test_post_solve_check(residual, status):
 def test_empty_problem_rejected():
     # linprog refuses a model without columns; so does the driver
     with pytest.raises(lp.LpError, match="no variables"):
-        lp.run_highs(LpBuilder("empty").build())
+        plain_solve(LpBuilder("empty").build())
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +261,7 @@ def test_empty_problem_rejected():
 
 
 def assert_certified(problem: lp.LpProblem) -> lp.LpSolution:
-    solution = lp.solve(problem)
+    solution = plain_solve(problem)
     assert solution.optimal and solution.duals.shape == (problem.n_constraints,)
     assert dual_certificate_gap(problem, solution) <= GAP_TOL
     return solution
@@ -268,7 +269,7 @@ def assert_certified(problem: lp.LpProblem) -> lp.LpSolution:
 
 def assert_both_stages_certified(index) -> None:
     spectrum = assert_certified(index.problem)
-    assert_certified(overhead_model(index, spectrum.objective, lp.FALLBACK_CAP_SLACK))
+    assert_certified(overhead_model(index, spectrum.objective, CAP_SLACK))
 
 
 @pytest.mark.parametrize("instance", ["toy-fig1", "ring(3,1.0)"], ids=["toy-fig1", "ring3"])
@@ -283,7 +284,7 @@ def test_certificate_heuristic_subset():
     assert not flow.solution.fallback
     problem = step3_lp(topology, demands, outcome.split)[0]
     spectrum = assert_certified(problem)
-    cap = spectrum.objective + lp.FALLBACK_CAP_SLACK * max(1.0, abs(spectrum.objective))
+    cap = spectrum.objective + CAP_SLACK * max(1.0, abs(spectrum.objective))
     overhead = step3_lp(
         topology, demands, outcome.split, objective="d2d_traffic", spectrum_cap=cap
     )[0]
@@ -297,7 +298,7 @@ def test_certificate_pinned_day():
     assert dual_certificate_gap(outcome.index.problem, outcome.solution) <= GAP_TOL
     assert not outcome.solution.fallback
     assert_certified(
-        overhead_model(outcome.index, outcome.solution.objective, lp.FALLBACK_CAP_SLACK)
+        overhead_model(outcome.index, outcome.solution.objective, CAP_SLACK)
     )
 
 

@@ -9,7 +9,9 @@ that check fails).  The reference solves the spectrum model, caps the sum
 of peaks at its optimum F and minimizes the relayed traffic R in a second
 solve.  Both must give the same F (rel 1e-9) and R (rel 1e-6), every
 certified optimum must pass the duality certificate on the spectrum model,
-and none of these instances may need the fallback.  Heuristic step III,
+and none of these instances may need the fallback.  The one known day that
+does, a benchmark day, must still reach the spectrum optimum of a plain
+solve, with R at its lexicographic optimum.  Heuristic step III,
 solved as the full model with fixed columns from the full optimum's basis,
 is held to the two-stage answer of the reference's reduced model, and it must be
 certified without a re-run that iterates (``certificate_iterations`` 0).
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import pytest
 from certificate_reference import dual_certificate_gap
+from conftest import load_benchmark_module
 from hypothesis import given, settings
 from flow_lp_reference import (
     GAP_TOL,
@@ -31,10 +34,10 @@ from flow_lp_reference import (
     step3_lp,
 )
 from hypothesis import strategies as st
-from two_stage_reference import flow_two_stage, solve_two_stage
+from two_stage_reference import flow_two_stage, plain_solve, solve_two_stage
 
 from d2dlb import lp
-from d2dlb.d2d_flow import solve_min_spectrum_d2d
+from d2dlb.d2d_flow import build_flow_lp, solve_flow_lp, solve_min_spectrum_d2d
 from d2dlb.heuristic import heuristic_min_spectrum
 from d2dlb.model import DemandSet, Topology
 from d2dlb.scenario import fixture
@@ -47,7 +50,7 @@ def assert_matches_two_stage(topology: Topology, demands: DemandSet, pruning: bo
         problem, relay_cost, solution = flow.index.problem, flow.index.relay_cost, flow.solution
     else:
         problem, relay_cost = flow_model(topology, demands, pruning=False)
-        solution = lp.solve_lexicographic(problem, relay_cost)
+        solution = lp.solve(problem, relay_cost)
     assert solution.optimal and not solution.fallback
     assert dual_certificate_gap(problem, solution) <= GAP_TOL
     f_ref, r_ref = flow_two_stage(problem, relay_cost)
@@ -84,3 +87,17 @@ def test_heuristic_step3_subset_with_residual(seed, level):
     assert outcome.total_spectrum == pytest.approx(primary.objective * unit, rel=1e-9, abs=1e-12)
     assert outcome.relayed_traffic == pytest.approx(secondary.objective * unit, rel=1e-6, abs=1e-9)
     assert_level_matches_reduced(outcome, topology, demands)
+
+
+def test_fallback_day_keeps_the_spectrum_optimum():
+    # the benchmark's day-d2d day of traffic seed 46694: its weighted basis
+    # fails the certificate and the re-run on the spectrum cost iterates, so
+    # the face stage minimizes R on the spectrum cost's optimal face
+    workloads = load_benchmark_module("workloads")
+    index = build_flow_lp(*workloads.synth_day(workloads.FULL, 46694))
+    solution = solve_flow_lp(index).solution
+    assert solution.fallback
+    assert solution.objective == plain_solve(index.problem).objective
+    assert solution.dual_gap <= lp.gap_tolerance(solution.objective)
+    relayed = lp.ordered_dot(index.relay_cost, solution.x)
+    assert relayed == pytest.approx(19.821682514839523, rel=1e-9)

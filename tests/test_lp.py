@@ -6,16 +6,10 @@ from certificate_reference import dual_certificate_gap
 from lp_builder import LpBuilder
 from lp_format import to_lp_format
 from simplex_reference import solve_reference
-from two_stage_reference import solve_two_stage
+from two_stage_reference import plain_solve, solve_two_stage
 
 from d2dlb import lp
-from d2dlb.lp import (
-    FALLBACK_CAP_SLACK,
-    LpError,
-    LpProblem,
-    solve,
-    solve_lexicographic,
-)
+from d2dlb.lp import LpError, LpProblem, solve
 
 
 def lower_bounded_min_builder() -> LpBuilder:
@@ -112,9 +106,9 @@ class TestReferenceSolver:
             assert solve_reference(p).status == "optimal"
             s = solve_reference(p, max_iterations=2)
         else:
-            assert solve(p).status == "optimal"
+            assert plain_solve(p).status == "optimal"
             monkeypatch.setitem(lp.HIGHS_OPTIONS, "simplex_iteration_limit", 2)
-            s = solve(p)
+            s = plain_solve(p)
         assert s.status == "iteration_limit"
         assert s.x is None
         assert s.iterations == 2
@@ -122,7 +116,7 @@ class TestReferenceSolver:
     def test_time_limit_reported(self, monkeypatch):
         p = random_feasible_lp(np.random.default_rng(5), n_max=60)
         monkeypatch.setitem(lp.HIGHS_OPTIONS, "time_limit", 0.0)
-        s = solve(p)
+        s = plain_solve(p)
         assert s.status == "time_limit"
         assert s.x is None
 
@@ -164,14 +158,14 @@ class TestReferenceSolver:
         p = b.build()
         s = solve_reference(p)
         assert s.status == "optimal"
-        assert s.objective == pytest.approx(solve(p).objective, abs=1e-9)
+        assert s.objective == pytest.approx(plain_solve(p).objective, abs=1e-9)
 
     def test_matches_oracle_on_50_random_lps(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             p = random_feasible_lp(rng)
             ours = solve_reference(p)
-            oracle = solve(p)
+            oracle = plain_solve(p)
             assert ours.status == oracle.status == "optimal"
             rel = abs(ours.objective - oracle.objective) / max(1.0, abs(oracle.objective))
             assert rel <= 1e-6, f"objectives {ours.objective} vs {oracle.objective}"
@@ -199,7 +193,7 @@ class TestProblemContainer:
         p = LpProblem(**valid_fields())
         assert (p.n_variables, p.n_constraints) == (2, 2)
         assert p.rows.dtype == p.cols.dtype == np.int64 and p.equality.dtype == bool
-        assert solve(p).objective == 0.0
+        assert plain_solve(p).objective == 0.0
 
     @pytest.mark.parametrize(
         "field,value,message",
@@ -238,7 +232,7 @@ class TestProblemContainer:
         rng = np.random.default_rng(3)
         for _ in range(20):
             p = random_feasible_lp(rng)
-            for x in (rng.normal(size=p.n_variables), solve(p).x):
+            for x in (rng.normal(size=p.n_variables), plain_solve(p).x):
                 assert p.max_residual(x) == loop_max_residual(p, x)
 
     def test_objective_value_adds_in_column_order(self):
@@ -266,7 +260,7 @@ class TestLexicographic:
         b = p.add_variable("b")
         p.set_objective({a: 1.0, b: 1.0})
         p.add_constraint({a: -1.0, b: -1.0}, "<=", -2.0)
-        s = solve_lexicographic(p.build(), np.array([1.0, 0.0]))
+        s = solve(p.build(), np.array([1.0, 0.0]))
         assert s.objective == pytest.approx(2.0, abs=1e-9)
         assert s.x[0] == pytest.approx(0.0, abs=1e-6)
         assert s.x[1] == pytest.approx(2.0, abs=1e-6)
@@ -274,9 +268,9 @@ class TestLexicographic:
 
     def test_zero_secondary_objective_keeps_primary(self):
         p = lower_bounded_min()
-        s = solve_lexicographic(p, np.zeros(1))
+        s = solve(p, np.zeros(1))
         assert s.status == "optimal" and not s.fallback
-        assert s.objective == pytest.approx(solve(p).objective, rel=1e-9)
+        assert s.objective == pytest.approx(solve_reference(p).objective, rel=1e-9)
 
     def test_slack_zero_vs_tiny_slack_agree(self):
         # the lexicographic optimum (no slack on the primary) against the
@@ -284,7 +278,7 @@ class TestLexicographic:
         p = random_feasible_lp(np.random.default_rng(11), n_max=60)
         secondary = np.zeros(p.n_variables)
         secondary[:2] = (1.0, 2.0)
-        tight = solve_lexicographic(p, secondary)
+        tight = solve(p, secondary)
         _, loose = solve_two_stage(p, secondary, slack=1e-6)
         assert tight.status == loose.status == "optimal"
         rel = abs(secondary @ tight.x - loose.objective) / max(1.0, abs(loose.objective))
@@ -294,7 +288,7 @@ class TestLexicographic:
         for seed in range(20):
             p = random_feasible_lp(np.random.default_rng(seed), n_max=80)
             secondary = np.random.default_rng(100 + seed).random(p.n_variables)
-            got = solve_lexicographic(p, secondary)
+            got = solve(p, secondary)
             primary, second = solve_two_stage(p, secondary)
             assert got.objective == pytest.approx(primary.objective, rel=1e-9, abs=1e-12)
             assert secondary @ got.x == pytest.approx(second.objective, rel=1e-6, abs=1e-9)
@@ -302,22 +296,20 @@ class TestLexicographic:
 
     def test_fallback_when_the_rerun_iterates(self, highs_runs):
         # the weight 1e-5 / 1e3 on x outweighs y's extra 1e-7 of primary cost,
-        # so the weighted optimum y = 1 is not optimal for the primary cost
+        # so the weighted optimum y = 1 is not optimal for the primary cost;
+        # the re-run's duals price y at 1e-7, so the face stage fixes y at 0
+        # and the answer is the primary optimum itself, with no slack
         b = LpBuilder("fallback")
         x, y = b.add_variable("x"), b.add_variable("y")
         b.set_objective(np.array([1.0, 1.0 + 1e-7]))
         b.add_constraint({x: 1.0, y: 1.0}, "=", 1.0)
         p = b.build()
-        secondary = np.array([1e3, 0.0])
-        got = solve_lexicographic(p, secondary)
-        assert len(highs_runs) >= 2  # the factorization refused the weighted basis
-        primary, second = solve_two_stage(p, secondary, slack=FALLBACK_CAP_SLACK)
+        got = solve(p, np.array([1e3, 0.0]))
+        assert len(highs_runs) == 3  # weighted, re-run, face
         assert got.fallback and got.optimal
-        assert primary.x.tolist() == [1.0, 0.0]
-        # the cap row's 1e-7 slope leaves x determined to about 1e-9 / 1e-7
-        assert got.x == pytest.approx(second.x, abs=1e-6)
-        assert got.objective == pytest.approx(p.objective_value(second.x), rel=1e-9)
-        assert secondary @ got.x == pytest.approx(second.objective, rel=1e-6)
+        assert got.x.tolist() == [1.0, 0.0]
+        assert got.objective == 1.0
+        assert got.objective == plain_solve(p).objective
         assert dual_certificate_gap(p, got) <= 1e-6
 
     def test_warm_start_after_bound_changes_matches_cold(self):
@@ -328,12 +320,12 @@ class TestLexicographic:
             rng = np.random.default_rng(seed)
             p = random_feasible_lp(rng, n_max=80)
             secondary = rng.random(p.n_variables)
-            first = solve_lexicographic(p, secondary)
+            first = solve(p, secondary)
             assert first.optimal and first.basis is not None
             upper = np.where(rng.random(p.n_variables) < 1 / 3, 0.0, p.upper)
             q = p.with_bounds(upper, p.rhs + np.where(p.equality, 0.0, 1.0), "changed")
-            cold = solve_lexicographic(q, secondary)
-            warm = solve_lexicographic(q, secondary, first.basis)
+            cold = solve(q, secondary)
+            warm = solve(q, secondary, first.basis)
             assert warm.status == cold.status
             if cold.optimal:
                 assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
@@ -344,9 +336,9 @@ class TestLexicographic:
 
     def test_basis_of_another_shape_refused(self):
         p = random_feasible_lp(np.random.default_rng(1), n_max=60)
-        basis = solve_lexicographic(p, np.ones(p.n_variables)).basis
+        basis = solve(p, np.ones(p.n_variables)).basis
         with pytest.raises(LpError, match="refused the starting basis"):
-            solve_lexicographic(lower_bounded_min(), np.zeros(1), basis)
+            solve(lower_bounded_min(), np.zeros(1), basis)
 
     def test_with_bounds_keeps_the_matrix(self):
         p = random_feasible_lp(np.random.default_rng(2), n_max=30)
@@ -368,4 +360,4 @@ class TestLexicographic:
 
     def test_secondary_cost_shape_checked(self):
         with pytest.raises(LpError, match="secondary cost has shape"):
-            solve_lexicographic(lower_bounded_min(), np.zeros(2))
+            solve(lower_bounded_min(), np.zeros(2))

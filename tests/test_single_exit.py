@@ -95,7 +95,7 @@ def assert_same_as_unreduced(
     flow: FlowSolve, problem: lp.LpProblem, relay: np.ndarray, flow_vars, peak_vars, unit
 ) -> None:
     """F and R agree with the reference LP's optimum; the rebuilt flows satisfy its rows."""
-    old = lp.solve_lexicographic(problem, relay)
+    old = lp.solve(problem, relay)
     assert old.optimal, old.status
     assert flow.total == pytest.approx(old.objective * unit, rel=REL_TOL)
     old_relayed = lp.ordered_dot(relay, old.x) * unit
