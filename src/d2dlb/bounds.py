@@ -29,6 +29,9 @@ from .model import (
 )
 from .no_d2d import max_intensity, min_spectrum_no_d2d
 
+#: how far an observed ratio may pass its bound before it counts as a violation
+BOUND_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class BoundReport:

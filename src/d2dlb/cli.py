@@ -395,7 +395,7 @@ def cmd_bounds(config: ExperimentConfig) -> int:
     for name, bound, observed in rows:
         ok = None
         if observed is not None:
-            ok = float(observed) <= float(bound) + 1e-6
+            ok = float(observed) <= float(bound) + bounds_mod.BOUND_TOL
             violated |= not ok
         table.append([name, bound, observed if observed is not None else "", ok if ok is not None else ""])
     _write_csv(
@@ -456,26 +456,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             ) from None
         if any(not 0.0 <= v <= 1.0 for v in grid):
             raise ModelError("lambda grid values must lie in [0, 1]")
-    return ExperimentConfig(
-        command=args.command,
-        fixture=args.fixture,
-        trace=args.trace,
-        instance=args.instance,
-        generate=args.generate,
-        seed=args.seed,
-        lambda_grid=grid,
-        out=args.out,
-        users_per_cell=args.users_per_cell,
-        cell_radius_m=args.cell_radius_m,
-        d2d_range_m=args.d2d_range_m,
-        transmit_power_dbm=args.transmit_power_dbm,
-        noise_power_dbm=args.noise_power_dbm,
-        path_loss_exponent=args.path_loss_exponent,
-        splits=args.splits,
-        slot_seconds=args.slot_seconds,
-        reuse=getattr(args, "reuse", None),
-        reuse_d2d=getattr(args, "reuse_d2d", None),
-    )
+    return ExperimentConfig(**{**vars(args), "lambda_grid": grid})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,9 +16,10 @@ and its size (``step3_variables``) is the count of columns left free.
 
 One routine takes a split through step III (a ``FlowSolve`` of that LP, the
 full solve itself when every demand is eligible, or no LP when none is) to
-the combined schedule.  ``heuristic_min_spectrum`` runs it on one level;
-``heuristic_sweep`` runs it once per distinct eligible set of a grid of
-levels, all from one full solve.
+the combined schedule.  ``heuristic_sweep`` runs it once per distinct
+eligible set of a grid of levels, all from one full solve, and returns a
+``SweepLevel`` per level; ``heuristic_min_spectrum`` is the sweep of one
+level.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .bounds import BOUND_TOL
 from .d2d_flow import FlowSolve, TimeExpandedIndex, build_flow_lp, solve_flow_lp
 from .lp import LpError
 from .model import (
@@ -37,16 +39,16 @@ from .model import (
     Schedule,
     Topology,
     _demand_positions,
+    compute_metrics,
     compute_volumes,
     node_positions,
+    per_slot_loads,
     slot_loads,
-    sum_by,
 )
 
-# fill_storage and per_slot_loads are not called here, but benchmark/spans.py
-# traces the model layer under these names (tests/test_benchmark_targets.py
-# fails if they go)
-from .model import fill_storage, per_slot_loads  # noqa: F401
+# fill_storage is not called here, but benchmark/spans.py traces the model
+# layer under this name (tests/test_benchmark_targets.py fails if it goes)
+from .model import fill_storage  # noqa: F401
 from .no_d2d import min_spectrum_no_d2d
 
 #: slots count as hot only when the load clears the threshold by this much
@@ -94,7 +96,8 @@ def split_demands(
     peak.  A demand is D2D-eligible iff it has an allocation above
     ``ALLOC_TOL`` times its volume in some hot slot of its cell.  Both
     thresholds are relative, so the split does not depend on the volume
-    unit.  Each kept load adds its allocations in schedule order.
+    unit.  The kept load is ``per_slot_loads`` of the kept demands' entries,
+    billed to the receiving BS like every load.
     ``loads`` are the schedule's ``nd_loads``, when one schedule is split
     at several levels.
     """
@@ -109,15 +112,13 @@ def split_demands(
     hot_cells[bs[hot], slot[hot]] = True
 
     real = np.flatnonzero(nd_schedule.src != nd_schedule.dst)
-    cell = table.billed[node_positions(nd_schedule.nodes, topology)[nd_schedule.src[real]]]
+    cell = table.billed[node_positions(nd_schedule.nodes, topology)[nd_schedule.dst[real]]]
     t, x = nd_schedule.slot[real], nd_schedule.value[real].astype(float)
     dem = demands.arrays
     volume = dem.volume[_demand_positions(dem.ids, nd_schedule.demand[real])]
     used = (x > ALLOC_TOL * volume) & hot_cells[cell, t]
     eligible = np.unique(nd_schedule.demand[real[used]])
-    kept = ~np.isin(nd_schedule.demand[real], eligible)
-    keys, key_of = np.unique(cell[kept] * span + t[kept], return_inverse=True)
-    residual = sum_by(key_of, x[kept], len(keys))
+    kept = nd_schedule.select(~np.isin(nd_schedule.demand, eligible))
     ids = topology.bs_ids
     d2d_ids = frozenset(eligible.tolist())
     return SplitResult(
@@ -127,36 +128,9 @@ def split_demands(
         },
         d2d_demand_ids=d2d_ids,
         nd_demand_ids=frozenset(demands.arrays.ids.tolist()) - d2d_ids,
-        residual_load={
-            (ids[key // span], key % span): r
-            for key, r in zip(keys.tolist(), residual.tolist())
-        },
+        residual_load=per_slot_loads(kept, topology),
         nd_schedule=nd_schedule,
     )
-
-
-@dataclass(frozen=True)
-class HeuristicOutcome:
-    """One split level solved: the reduced problem's peaks and the combined schedule.
-
-    ``flow`` is the lexicographic solve of the reduced problem, or None when
-    no demand is eligible: then there is no flow to place and no LP, each
-    peak is the largest kept load of its BS and nothing is relayed.
-    """
-
-    split: SplitResult
-    per_bs_peak: Mapping[str, float]
-    total_spectrum: float
-    schedule: Schedule  # combined: kept ND allocations plus Step-III flows
-    flow: FlowSolve | None
-
-    @property
-    def step3_variables(self) -> int:
-        return self.flow.n_variables if self.flow is not None else 0
-
-    @property
-    def relayed_traffic(self) -> float:
-        return self.flow.relayed_traffic if self.flow is not None else 0.0
 
 
 def _step3_index(
@@ -184,83 +158,72 @@ def _step3_index(
 
 
 def _solve_level(
-    topology: Topology, demands: DemandSet, split: SplitResult, full: FlowSolve | None
-) -> HeuristicOutcome:
-    """Step III of one split and the schedule it combines with the kept allocations.
+    topology: Topology, demands: DemandSet, split: SplitResult, full: FlowSolve
+) -> tuple[FlowSolve | None, Mapping[str, float], float, Schedule]:
+    """Step III of one split: its flow solve, per-BS peaks, total and combined schedule.
 
     ``full`` is the full problem's solve; it is step III when every demand
-    is eligible, and otherwise the warm start of step III's LP.  It may be
-    None only when no demand is eligible.
+    is eligible, and otherwise the warm start of step III's LP.  When no
+    demand is eligible there is no flow to place and no LP: the flow solve
+    is None, each peak is the largest kept load of its BS and nothing is
+    relayed.
     """
     if not split.d2d_demand_ids:
         flow = None
-    elif not split.nd_demand_ids:
-        flow = full
-    else:
-        flow = solve_flow_lp(_step3_index(full.index, demands, split), full.solution.basis)
-    if flow is None:
         peaks = {b: 0.0 for b in topology.bs_ids}
         for (b, _t), load in split.residual_load.items():
             peaks[b] = max(peaks[b], load)
         total, flows = sum(peaks.values()), Schedule.empty(topology.arrays.nodes)
     else:
+        flow = full
+        if split.nd_demand_ids:
+            flow = solve_flow_lp(_step3_index(full.index, demands, split), full.solution.basis)
         peaks, total, flows = flow.per_bs_peak, flow.total, flow.schedule
     # a demand's storage follows from its own transmissions alone, so the
     # kept demands' entries of the filled no-D2D schedule are complete
     nd_schedule = split.nd_schedule
     nd_part = nd_schedule.select(np.isin(nd_schedule.demand, list(split.nd_demand_ids)))
-    return HeuristicOutcome(split, peaks, total, Schedule.concatenate([nd_part, flows]), flow)
-
-
-def heuristic_min_spectrum(
-    topology: Topology, demands: DemandSet, level: float
-) -> HeuristicOutcome:
-    """Run the three steps; returns the reduced-problem spectrum and schedule.
-
-    Step III starts from the full problem's optimum, so the full LP is
-    solved first unless no demand is eligible.
-    """
-    _, nd_schedule, _ = min_spectrum_no_d2d(topology, demands)
-    split = split_demands(topology, demands, nd_schedule, level)
-    full = solve_flow_lp(build_flow_lp(topology, demands)) if split.d2d_demand_ids else None
-    return _solve_level(topology, demands, split, full)
-
-
-def heuristic_min_overhead(
-    topology: Topology,
-    demands: DemandSet,
-    outcome: HeuristicOutcome,
-) -> tuple[Schedule, float]:
-    """The least D2D traffic of the reduced problem at its spectrum optimum.
-
-    ``heuristic_min_spectrum`` already minimized it, so nothing is solved
-    here; returns the combined schedule and the relayed traffic.
-    """
-    return outcome.schedule, outcome.relayed_traffic
-
-
-def overhead_ratio(v_d2d: float, v_bs: float) -> float:
-    """Share of the transmitted traffic carried on D2D hops; 0 when nothing moves."""
-    return float(v_d2d / (v_d2d + v_bs)) if v_d2d + v_bs > 0 else 0.0
+    return flow, peaks, total, Schedule.concatenate([nd_part, flows])
 
 
 @dataclass(frozen=True)
 class SweepLevel:
-    """One split level of a sweep; ``wall_seconds`` of a reused level is lookup time."""
+    """One split level solved: the reduced problem's peaks, its ratios and the combined schedule.
 
-    level: float
+    ``flow`` is the lexicographic solve of the reduced problem, or None when
+    no demand is eligible (then nothing is relayed and no LP is solved).
+    ``rho`` and ``eta`` are ``compute_metrics`` of the no-D2D total, this
+    level's total and the combined schedule's volumes.  A level with the
+    same eligible set as an earlier one of its sweep shares that level's
+    numbers, schedule and flow, and its ``wall_seconds`` is lookup time.
+    """
+
     split: SplitResult
+    per_bs_peak: Mapping[str, float]
     total_spectrum: float
     rho: float
     eta: float
-    step3_variables: int  # flow columns of the LP the row's numbers come from
     wall_seconds: float
     reused: bool  # an earlier level had the same eligible set
-    schedule: Schedule  # the combined schedule eta comes from, shared by reused levels
+    schedule: Schedule  # combined: kept ND allocations plus Step-III flows
+    flow: FlowSolve | None
+
+    @property
+    def level(self) -> float:
+        return self.split.level
 
     @property
     def n_d2d_demands(self) -> int:
         return len(self.split.d2d_demand_ids)
+
+    @property
+    def step3_variables(self) -> int:
+        """Flow columns of the LP the level's numbers come from."""
+        return self.flow.n_variables if self.flow is not None else 0
+
+    @property
+    def relayed_traffic(self) -> float:
+        return self.flow.relayed_traffic if self.flow is not None else 0.0
 
 
 @dataclass(frozen=True)
@@ -288,32 +251,48 @@ def heuristic_sweep(
         raise ModelError("spectrum reduction undefined: no-D2D total is zero")
     full = solve_flow_lp(build_flow_lp(topology, demands))
     loads = nd_loads(topology, nd_schedule)
-    solved: dict[frozenset[int], tuple[float, float, int, Schedule]] = {}
+    solved: dict[frozenset[int], SweepLevel] = {}
     rows = []
     for level in levels:
         t0 = time.perf_counter()
         split = split_demands(topology, demands, nd_schedule, level, loads=loads)
-        key = split.d2d_demand_ids
-        reused = key in solved
+        row = solved.get(split.d2d_demand_ids)
+        reused = row is not None
         if not reused:
-            outcome = _solve_level(topology, demands, split, full)
-            eta = overhead_ratio(*compute_volumes(outcome.schedule, topology))
-            solved[key] = (outcome.total_spectrum, eta, outcome.step3_variables, outcome.schedule)
-        total, eta, n_variables, schedule = solved[key]
-        rows.append(
-            SweepLevel(
-                level=level,
+            flow, peaks, total, schedule = _solve_level(topology, demands, split, full)
+            metrics = compute_metrics(f_nd, total, *compute_volumes(schedule, topology))
+            row = solved[split.d2d_demand_ids] = SweepLevel(
                 split=split,
+                per_bs_peak=peaks,
                 total_spectrum=total,
-                rho=(f_nd - total) / f_nd,
-                eta=eta,
-                step3_variables=n_variables,
-                wall_seconds=time.perf_counter() - t0,
-                reused=reused,
+                rho=float(metrics.spectrum_reduction),
+                eta=float(metrics.overhead_ratio),
+                wall_seconds=0.0,
+                reused=False,
                 schedule=schedule,
+                flow=flow,
             )
-        )
+        wall = time.perf_counter() - t0
+        rows.append(replace(row, split=split, wall_seconds=wall, reused=reused))
     return HeuristicSweep(f_nd, (f_nd - full.total) / f_nd, tuple(rows))
+
+
+def heuristic_min_spectrum(topology: Topology, demands: DemandSet, level: float) -> SweepLevel:
+    """The reduced problem at one split level: the sweep of that level alone."""
+    return heuristic_sweep(topology, demands, (level,)).levels[0]
+
+
+def heuristic_min_overhead(
+    topology: Topology,
+    demands: DemandSet,
+    outcome: SweepLevel,
+) -> tuple[Schedule, float]:
+    """The least D2D traffic of the reduced problem at its spectrum optimum.
+
+    ``heuristic_min_spectrum`` already minimized it, so nothing is solved
+    here; returns the combined schedule and the relayed traffic.
+    """
+    return outcome.schedule, outcome.relayed_traffic
 
 
 @dataclass(frozen=True)
@@ -338,9 +317,12 @@ def check_heuristic_bounds(
     rho_heuristic: float,
     eta_heuristic: float,
     d2d_demand_ids: frozenset[int],
-    tol: float = 1e-6,
 ) -> HeuristicBoundReport:
-    """Check the sandwich on the spectrum reduction and the refined overhead bound."""
+    """Check the sandwich on the spectrum reduction and the refined overhead bound.
+
+    A value counts as a violation only when it passes its bound by more
+    than ``BOUND_TOL``.
+    """
     d_max = demands.max_delay
     volume_d2d_eligible = float(
         sum(j.volume for j in demands.demands if j.id in d2d_demand_ids)
@@ -350,13 +332,13 @@ def check_heuristic_bounds(
     eta_bound = scaled / (scaled + total_volume) if scaled + total_volume > 0 else 0.0
     lower = (1.0 - level) * rho
     violations = []
-    if rho_heuristic < lower - tol:
+    if rho_heuristic < lower - BOUND_TOL:
         violations.append(
             f"spectrum reduction {rho_heuristic} below sandwich lower bound {lower}"
         )
-    if rho_heuristic > rho + tol:
+    if rho_heuristic > rho + BOUND_TOL:
         violations.append(f"spectrum reduction {rho_heuristic} above full-LP value {rho}")
-    if eta_heuristic > eta_bound + tol:
+    if eta_heuristic > eta_bound + BOUND_TOL:
         violations.append(f"overhead ratio {eta_heuristic} above bound {eta_bound}")
     return HeuristicBoundReport(
         level=level,
@@ -372,13 +354,11 @@ def check_heuristic_bounds(
 __all__ = [
     "SplitResult",
     "split_demands",
-    "HeuristicOutcome",
-    "heuristic_min_spectrum",
-    "heuristic_min_overhead",
     "SweepLevel",
     "HeuristicSweep",
     "heuristic_sweep",
-    "overhead_ratio",
+    "heuristic_min_spectrum",
+    "heuristic_min_overhead",
     "HeuristicBoundReport",
     "check_heuristic_bounds",
 ]

@@ -455,6 +455,12 @@ def _checked(
 LEXICO_WEIGHT = 1e-5
 
 
+def secondary_weight(secondary_cost: np.ndarray) -> float:
+    """The weight eps of ``solve``'s cost c + eps*s: ``LEXICO_WEIGHT`` / max|s|, 0 when s is 0."""
+    largest = float(np.abs(secondary_cost).max(initial=0.0))
+    return LEXICO_WEIGHT / largest if largest > 0 else 0.0
+
+
 def _factor_certificate(
     problem: LpProblem, highs: _highs._Highs, position: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -523,8 +529,8 @@ def solve(
     """Minimize ``problem``'s cost c, then ``secondary_cost`` s among the minimizers of c.
 
     The model goes to a new HiGHS object once, with the cost c + eps*s, where
-    eps = ``LEXICO_WEIGHT`` / max|s| (0 when s is 0: then this is a plain
-    solve of c, as ``linprog`` would make it).  The optimal basis B is then
+    eps = ``secondary_weight(s)`` (0 when s is 0: then this is a plain solve
+    of c, as ``linprog`` would make it).  The optimal basis B is then
     checked on c alone from the factorization HiGHS ends with
     (``_factor_certificate``): one solve of B'y = c_B gives the row duals y
     and the reduced costs c - A'y.  When they are dual feasible, B is optimal
@@ -561,9 +567,7 @@ def solve(
     s = np.asarray(secondary_cost, dtype=float)
     if s.shape != c.shape:
         raise LpError(f"secondary cost has shape {s.shape}, expected {c.shape}")
-    largest = float(np.abs(s).max(initial=0.0))
-    weight = LEXICO_WEIGHT / largest if largest > 0 else 0.0
-    highs, position = _pass_model(problem, c + weight * s)
+    highs, position = _pass_model(problem, c + secondary_weight(s) * s)
     if highs is None:
         return LpSolution("infeasible", None, None, None)
     if basis is not None and highs.setBasis(basis) != _highs.HighsStatus.kOk:

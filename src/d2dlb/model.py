@@ -761,7 +761,6 @@ def validate_schedule(
     topology: Topology,
     demands: DemandSet,
     flow_abs_tol: float = FLOW_ABS_TOL,
-    volume_rel_tol: float = VOLUME_REL_TOL,
 ) -> ValidationReport:
     """Check a schedule against the traffic-scheduling-policy constraints.
 
@@ -810,7 +809,7 @@ def validate_schedule(
     bits = x[use] * rate[use]
     start, end = d.start[k], d.end[k]
     flow_tol = flow_abs_tol * np.maximum(1.0, d.volume)
-    vol_tol = np.maximum(flow_abs_tol, volume_rel_tol * d.volume)
+    vol_tol = np.maximum(flow_abs_tol, VOLUME_REL_TOL * d.volume)
     n_demands = len(d.ids)
     user = np.array([table.index.get(u, -1) for u in d.users], dtype=np.int64)
     found: list[tuple[tuple, Violation]] = []  # (sort key, violation)

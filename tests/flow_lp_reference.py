@@ -37,7 +37,7 @@ from two_stage_reference import plain_solve
 
 from d2dlb import lp
 from d2dlb.d2d_flow import InfeasibleDemandError, build_flow_lp, solve_min_spectrum_d2d
-from d2dlb.heuristic import HeuristicOutcome, SplitResult
+from d2dlb.heuristic import SplitResult, SweepLevel
 from d2dlb.model import Demand, DemandSet, ModelError, Topology
 from d2dlb.scenario import (
     GeoParams,
@@ -460,7 +460,7 @@ def step3_reference(
 
 
 def assert_level_matches_reduced(
-    outcome: HeuristicOutcome, topology: Topology, demands: DemandSet, pruning: bool = True
+    outcome: SweepLevel, topology: Topology, demands: DemandSet, pruning: bool = True
 ) -> None:
     """A solved level's F, per-BS peaks and R equal the cold reduced LP's."""
     total, peaks, relayed = step3_reference(topology, demands, outcome.split, pruning)

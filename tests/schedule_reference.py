@@ -88,7 +88,6 @@ def validate_schedule(
     topology: Topology,
     demands: DemandSet,
     flow_abs_tol: float = FLOW_ABS_TOL,
-    volume_rel_tol: float = VOLUME_REL_TOL,
 ) -> ValidationReport:
     """Check a schedule against the traffic-scheduling-policy constraints."""
     violations: list[Violation] = []
@@ -113,7 +112,7 @@ def validate_schedule(
     for j in demands.demands:
         jid = j.id
         entries = by_demand.get(jid, [])
-        vol_tol = max(flow_abs_tol, volume_rel_tol * float(j.volume))
+        vol_tol = max(flow_abs_tol, VOLUME_REL_TOL * float(j.volume))
         flow_tol = flow_abs_tol * max(1.0, float(j.volume))
         inflow: dict[tuple[str, int], Number] = {}
         outflow: dict[tuple[str, int], Number] = {}

@@ -13,6 +13,7 @@ import pytest
 from flow_lp_reference import hop_distances_from, prune_equivalence_check
 
 from d2dlb.bounds import (
+    BOUND_TOL,
     build_complete_instance,
     build_ring_instance,
     construction_metrics,
@@ -158,6 +159,7 @@ def test_criterion_5_bound_suite():
 
 def test_criterion_6_heuristic_sandwich():
     with Criterion(6, "heuristic sandwich on the same 50 instances", 1800.0):
+        assert BOUND_TOL == 1e-6  # the slack check_heuristic_bounds allows
         for inst in get_bound_suite():
             for level in (0.0, 0.25, 0.5, 0.75, 1.0):
                 outcome = heuristic_min_spectrum(inst.topology, inst.demands, level)
@@ -167,7 +169,7 @@ def test_criterion_6_heuristic_sandwich():
                 eta_h = float(v_d2d / (v_d2d + v_bs))
                 report = check_heuristic_bounds(
                     inst.demands, level, inst.rho, rho_h, eta_h,
-                    outcome.split.d2d_demand_ids, tol=1e-6,
+                    outcome.split.d2d_demand_ids,
                 )
                 assert report.ok, f"seed {inst.seed} level {level}: {report.violations}"
                 if level == 0.0:

@@ -37,8 +37,7 @@ def rerun_certificate(
     duals in problem row order.
     """
     c = problem.objective
-    weight = lp.LEXICO_WEIGHT / np.abs(secondary).max()
-    highs, position = lp._pass_model(problem, c + weight * secondary)
+    highs, position = lp._pass_model(problem, c + lp.secondary_weight(secondary) * secondary)
     if basis is not None:
         assert highs.setBasis(basis) == lp._highs.HighsStatus.kOk
     assert lp._run(highs)[0] == "optimal"

@@ -42,7 +42,7 @@ from two_stage_reference import CAP_SLACK, overhead_model
 
 from d2dlb import lp
 from d2dlb.d2d_flow import TimeExpandedIndex, build_flow_lp, solve_min_spectrum_d2d
-from d2dlb.heuristic import HeuristicOutcome, heuristic_min_spectrum
+from d2dlb.heuristic import SweepLevel, heuristic_min_spectrum
 from d2dlb.model import DemandSet, Topology
 from d2dlb.scenario import fixture, random_multicell_instance
 
@@ -155,7 +155,7 @@ def test_random_multicell(seed):
 
 def assert_step3_is_reduced_model(
     topology: Topology, demands: DemandSet, level: float
-) -> HeuristicOutcome:
+) -> SweepLevel:
     """A level's free columns are the reduced model's, and its optimum is the reduced model's."""
     outcome = heuristic_min_spectrum(topology, demands, level)
     _, flow_vars, _, _ = step3_lp(topology, demands, outcome.split)

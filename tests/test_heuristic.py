@@ -18,7 +18,6 @@ from d2dlb.heuristic import (
     heuristic_min_overhead,
     heuristic_min_spectrum,
     heuristic_sweep,
-    overhead_ratio,
     split_demands,
 )
 from d2dlb.model import DemandSet, ModelError, compute_volumes, validate_schedule
@@ -132,6 +131,16 @@ class TestThreeSteps:
         report = validate_schedule(schedule, topology, demands, flow_abs_tol=1e-7)
         assert report.ok, report.summary()
 
+    def test_no_demands_leave_the_reduction_undefined(self):
+        # a level alone is the sweep of that level, so it refuses a no-D2D
+        # total of 0 as the sweep does rather than report a total of 0
+        topology, _ = heuristic_six_task()
+        empty = DemandSet(5, ())
+        with pytest.raises(ModelError, match="no-D2D total is zero"):
+            heuristic_sweep(topology, empty, (0.5,))
+        with pytest.raises(ModelError, match="no-D2D total is zero"):
+            heuristic_min_spectrum(topology, empty, 0.5)
+
     def test_step3_size_tracks_eligible_set(self):
         topology, demands = heuristic_six_task()
         sizes = {}
@@ -210,10 +219,11 @@ def level_alone(topology, demands, level) -> tuple:
     f_nd = float(nd_result.total)
     outcome = heuristic_min_spectrum(topology, demands, level)
     schedule, _ = heuristic_min_overhead(topology, demands, outcome)
+    v_d2d, v_bs = compute_volumes(schedule, topology)
     return (
         outcome.total_spectrum,
         (f_nd - outcome.total_spectrum) / f_nd,
-        overhead_ratio(*compute_volumes(schedule, topology)),
+        v_d2d / (v_d2d + v_bs),
         len(outcome.split.d2d_demand_ids),
         outcome.step3_variables,
     )

@@ -36,7 +36,7 @@ from two_stage_reference import CAP_SLACK, cap_and_recost, overhead_model, plain
 
 from d2dlb import lp
 from d2dlb.d2d_flow import build_flow_lp, solve_min_spectrum_d2d
-from d2dlb.heuristic import HeuristicOutcome, heuristic_min_spectrum
+from d2dlb.heuristic import SweepLevel, heuristic_min_spectrum
 from d2dlb.model import DemandSet, Topology
 from d2dlb.no_d2d import CellInstance
 from d2dlb.scenario import fixture, random_multicell_instance, toy_two_cell
@@ -73,7 +73,7 @@ def assert_both_stages_same(topology: Topology, demands: DemandSet, pruning: boo
     assert assert_same_as_linprog(overhead) == "optimal"
 
 
-def step3_subset(seed: int, level: float) -> tuple[Topology, DemandSet, HeuristicOutcome]:
+def step3_subset(seed: int, level: float) -> tuple[Topology, DemandSet, SweepLevel]:
     """An instance and its heuristic step III at ``level``."""
     topology, demands = step3_instance(seed)
     return topology, demands, heuristic_min_spectrum(topology, demands, level)
@@ -202,8 +202,7 @@ def test_units_at_1e9(k, weighted):
     index = build_flow_lp(topology, demands)
     problem = index.problem
     if weighted:
-        weight = lp.LEXICO_WEIGHT / np.abs(index.relay_cost).max()
-        cost = problem.objective + weight * index.relay_cost
+        cost = problem.objective + lp.secondary_weight(index.relay_cost) * index.relay_cost
         problem = dataclasses.replace(problem, objective=cost)
     assert assert_same_as_linprog(problem) == "optimal"
 
