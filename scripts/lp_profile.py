@@ -12,11 +12,12 @@ sweep's split levels that keeps some demands and makes others eligible).
 Instances come from ``benchmark/workloads.py``, which is only read.
 
 It prints one JSON line per LP: its group (``day``, ``suite_full`` or
-``suite_step3``), name, rows, columns, nonzeros and HiGHS iterations.  Then
-it solves every LP ``--runs`` times, interleaved (each run solves every LP
-once, in order), timing ``lp.solve`` in CPU seconds, and
-prints a last JSON line: per group, the median over runs of the group's
-summed CPU time.  Step III starts from the full optimum's basis, as the
+``suite_step3``), name, rows, columns, nonzeros, HiGHS iterations and
+whether ``lp.solve`` fell back to its face stage.  Then it solves every LP
+``--runs`` times, interleaved (each run solves every LP once, in order),
+timing ``lp.solve`` in CPU seconds, and prints a last JSON line: per group,
+the median over runs of the group's summed CPU time, and the group's
+summed iterations and number of fallbacks.  Step III starts from the full optimum's basis, as the
 heuristic does.  Only the library's public layout is used (the index's
 ``problem`` and ``relay_cost``) and ``lp.solve``.  A revision from before
 ``lp.solve`` became the one lexicographic solve gave that solve another
@@ -108,6 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     size = workloads.TINY if args.tiny else workloads.FULL
     lps = collect(args.seed, size)
     groups = sorted({entry["group"] for entry in lps})
+    iterations, fallbacks = dict.fromkeys(groups, 0), dict.fromkeys(groups, 0)
     for entry in lps:
         _, solution = solve(entry)
         if not solution.optimal:
@@ -120,7 +122,10 @@ def main(argv: list[str] | None = None) -> int:
             "cols": problem.n_variables,
             "nnz": int(problem.rows.size),
             "iterations": solution.iterations,
+            "fallback": solution.fallback,
         }
+        iterations[entry["group"]] += solution.iterations
+        fallbacks[entry["group"]] += solution.fallback
         print(json.dumps(record))
     per_run = {group: [] for group in groups}
     for _ in range(args.runs):
@@ -134,6 +139,8 @@ def main(argv: list[str] | None = None) -> int:
         "runs": args.runs,
         "lps": {group: sum(e["group"] == group for e in lps) for group in groups},
         "cpu_s": {group: statistics.median(per_run[group]) for group in groups},
+        "iterations": iterations,
+        "fallbacks": fallbacks,
     }
     print(json.dumps(summary))
     return 0

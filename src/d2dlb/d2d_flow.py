@@ -15,9 +15,9 @@ demand has a source row and a conservation row per (user, slot) before its
 deadline, and no arrival row.  None is needed: pruning (below) leaves no
 column into a user in the deadline slot, so the user rows carry every bit of
 the volume into some BS by then, and an arrival row would be the sum of the
-others.  The equality rows thus have full row rank, and HiGHS's presolve
-has no dependent row and no chain of BS storage to remove (Andersen and
-Andersen, "Presolving in linear programming", 1995).  Schedules keep the
+others.  The equality rows thus have full row rank, with no dependent row
+and no chain of BS storage for a presolve to remove (Andersen and Andersen,
+"Presolving in linear programming", 1995).  Schedules keep the
 same rule: a schedule has self-links at users only (``model.Schedule``).
 
 Variable pruning drops (link, slot) pairs a demand cannot use: the sender
@@ -34,19 +34,30 @@ instances.
 
 The builder then does the substitutions HiGHS's presolve would otherwise
 spend most of its time on (Andersen and Andersen, on doubleton and
-implied-free columns).  A conservation row with exactly one departing
-column e reads rate_e * x_e = sum of rate_i * x_i over its arriving
-columns, so x_e is a nonnegative combination of them, its bound of 0 is
-implied, and the substitution is exact.  Every such row goes, e with it,
-and e's entries in its head row, its peak row and the relayed-traffic cost
-move onto the columns of its sum; a column of the sum that is itself
-substituted is replaced by its own sum, in rounds.  Source rows and peak
-rows always stay, since step III changes only their right-hand sides.
-On the benchmark's pinned day this takes the LP from 15,998 x 34,296 to
-11,885 x 30,183.  ``TimeExpandedIndex.flow_values`` rebuilds every
-substituted column from the LP's optimum, so the schedule keeps one entry
-per used (demand, link, slot).  (Substituting a row's single *arriving*
-column instead raises the pinned day's HiGHS iterations by a fifth.)
+implied-free columns), in two passes (``_single_entries``).  A conservation
+row with exactly one departing column e reads rate_e * x_e = sum of
+rate_i * x_i over its arriving columns, so x_e is a nonnegative
+combination of them, its bound of 0 is implied, and the substitution is
+exact.  Every such row goes, e with it, and e's entries in its head row,
+its peak row and the relayed-traffic cost move onto the columns of its sum;
+a column of the sum that is itself substituted is replaced by its own sum,
+in rounds, back in time.  The second pass is the mirror image: a
+conservation row left with exactly one positive entry k (its one arriving
+column, once each removed column is its sum) makes x_k a nonnegative
+combination of the row's departing columns, and k goes the same way, its
+entries in its tail row, its source row and its peak rows moving onto its
+sum, composed forward in time.  Each column has at most one positive entry
+among the conservation rows the first pass leaves (where it arrives, or
+where the chain of sums it joined arrives), and substituting k turns only
+negative entries into negative ones, so the second pass removes the same
+rows in any order.  Source rows and peak rows always stay, since step III
+changes only their right-hand sides.  On the benchmark's pinned day the
+passes take the LP from 15,998 x 34,296 to 11,885 x 30,183 and then to
+6,666 x 24,964, the size HiGHS's presolve reached from the first, so HiGHS
+solves it without presolve (``lp.HIGHS_OPTIONS``).
+``TimeExpandedIndex.flow_values`` rebuilds every substituted column from
+the LP's optimum, so the schedule keeps one entry per used (demand, link,
+slot).
 
 Each rule bounds a demand's usable slots from one side only, so the slots
 demand j may use on a link (u, v), self-links included, form one interval:
@@ -228,90 +239,74 @@ def _expand(
     return np.repeat(pair_k, pair_n), np.repeat(pair_l, pair_n), _ranges(pair_lo, pair_n)
 
 
-class _SingleExits(NamedTuple):
-    """The conservation rows with one departing column, and that column of each as a sum.
+class _Sums(NamedTuple):
+    """Removed columns, each a sum of the columns that stay.
 
-    ``removed_row`` marks the rows and ``removed`` their departing columns.
     Removed column ``col[i]`` carries ``coef[i]`` times the value of column
-    ``term[i]``, summed over its terms, which are sorted by ``col``; no
-    ``term`` is a removed column.
+    ``term[i]``, summed over its terms, which are sorted by ``col``.
     """
 
-    removed_row: np.ndarray
-    removed: np.ndarray
     col: np.ndarray
     term: np.ndarray
     coef: np.ndarray
 
 
-def _single_exits(
-    in_row: np.ndarray,
-    in_col: np.ndarray,
-    out_row: np.ndarray,
-    out_col: np.ndarray,
-    rate: np.ndarray,
-    n_rows: int,
-) -> _SingleExits:
-    """Substitute out the one departing column of each conservation row that has one.
-
-    Column ``in_col[i]`` brings ``rate`` into row ``in_row[i]`` and
-    ``out_col[i]`` takes ``rate`` out of ``out_row[i]``.  A row with one
-    departing column e reads rate_e * x_e = sum of rate_i * x_i over its
-    arriving columns i, so x_e = sum of (rate_i / rate_e) * x_i.  An
-    arriving column that is itself removed is replaced by its own sum, in
-    rounds, until every term is a kept column; each round goes one slot
-    back, so there are at most a demand's lifetime of them.  Every column
-    arrives at one row, so no column appears twice in a sum.
-    """
-    removed_row = np.bincount(out_row, minlength=n_rows) == 1
-    single = removed_row[out_row]
-    exit_col = np.full(n_rows, -1, np.int64)
-    exit_col[out_row[single]] = out_col[single]
-    removed = np.zeros(rate.size, bool)
-    removed[out_col[single]] = True
-    base = np.flatnonzero(removed_row[in_row])
-    base_col, base_term = exit_col[in_row[base]], in_col[base]
-    base_coef = rate[base_term] / rate[base_col]
-    # sorted by column, removed column c's base terms are the count[c] from first[c] on
-    order = np.argsort(base_col, kind="stable")
-    base_col, base_term, base_coef = base_col[order], base_term[order], base_coef[order]
-    first = np.searchsorted(base_col, np.arange(rate.size))
-    count = np.bincount(base_col, minlength=rate.size)
-    col, term, coef = base_col, base_term, base_coef
-    while (pending := removed[term]).any():
-        p, done = np.flatnonzero(pending), np.flatnonzero(~pending)
-        n = count[term[p]]
-        expanded = _ranges(first[term[p]], n)
-        col = np.concatenate([col[done], np.repeat(col[p], n)])
-        coef = np.concatenate([coef[done], np.repeat(coef[p], n) * base_coef[expanded]])
-        term = np.concatenate([term[done], base_term[expanded]])
-    order = np.argsort(col, kind="stable")
-    return _SingleExits(removed_row, removed, col[order], term[order], coef[order])
-
-
 def _substitute(
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
-    sub: _SingleExits,
-    row_kept: np.ndarray,
-    col_kept: np.ndarray,
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray], sums: _Sums, removed: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries (rows, cols, vals) in kept rows, each removed column's sum in its place.
+    """The entries (rows, cols, vals), each removed column's sum in its place.
 
-    An entry a of removed column e in a kept row becomes the entries
-    a * ``coef`` on e's terms.
+    An entry a of removed column e becomes the entries a * ``coef`` on e's
+    terms; the other entries come first, in order.
     """
     rows, cols, vals = entries
-    kept = row_kept[rows]
-    stay = np.flatnonzero(kept & col_kept[cols])
-    move = np.flatnonzero(kept & ~col_kept[cols])
-    first = np.searchsorted(sub.col, cols[move])
-    n = np.searchsorted(sub.col, cols[move], side="right") - first
+    gone = removed[cols]
+    stay, move = np.flatnonzero(~gone), np.flatnonzero(gone)
+    first = np.searchsorted(sums.col, cols[move])
+    n = np.searchsorted(sums.col, cols[move], side="right") - first
     expanded = _ranges(first, n)
     return (
         np.concatenate([rows[stay], np.repeat(rows[move], n)]),
-        np.concatenate([cols[stay], sub.term[expanded]]),
-        np.concatenate([vals[stay], np.repeat(vals[move], n) * sub.coef[expanded]]),
+        np.concatenate([cols[stay], sums.term[expanded]]),
+        np.concatenate([vals[stay], np.repeat(vals[move], n) * sums.coef[expanded]]),
     )
+
+
+def _single_entries(
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
+    conservation: np.ndarray,
+    sign: float,
+    n_cols: int,
+) -> tuple[np.ndarray, np.ndarray, _Sums]:
+    """Substitute out each ``conservation`` row's one entry of sign ``sign``, where it has one.
+
+    Such a row reads a_k * x_k + sum of a_i * x_i = 0 with every a_i of the
+    other sign, so x_k = sum of (-a_i / a_k) * x_i, a nonnegative
+    combination: k's bound of 0 is implied and the substitution is exact.
+    A term that is itself removed is replaced by its own sum, in rounds,
+    until every term is a column that stays; each round goes one slot
+    further, so there are at most a demand's lifetime of them.  Returns the
+    removed rows and columns, as masks, and the removed columns' sums.
+    """
+    rows, cols, vals = entries
+    signed = conservation[rows] & (np.sign(vals) == sign)
+    removed_row = conservation & (np.bincount(rows[signed], minlength=conservation.size) == 1)
+    single = signed & removed_row[rows]
+    single_col = np.zeros(conservation.size, np.int64)
+    single_val = np.ones(conservation.size)
+    single_col[rows[single]], single_val[rows[single]] = cols[single], vals[single]
+    removed = np.zeros(n_cols, bool)
+    removed[cols[single]] = True
+    base = np.flatnonzero(removed_row[rows] & ~single)
+    row = rows[base]
+    col, term, coef = single_col[row], cols[base], -vals[base] / single_val[row]
+    order = np.argsort(col, kind="stable")
+    base_sums = _Sums(col[order], term[order], coef[order])
+    sums = base_sums
+    while removed[sums.term].any():
+        sums = _Sums(*_substitute(sums, base_sums, removed))
+    order = np.argsort(sums.col, kind="stable")
+    return removed_row, removed, _Sums(*(a[order] for a in sums))
 
 
 def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
@@ -326,9 +321,10 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
     row is implied by the others and no column restates a sum of others.
 
     Each conservation row with one departing column then goes, and that
-    column with it (``_single_exits``).  The LP's columns are the other
-    flow columns in order, then one peak per BS; its rows are the source
-    rows, the other conservation rows and the peak rows, in order.
+    column with it; then each conservation row left with one arriving
+    column, and that column (``_single_entries``).  The LP's columns are
+    the other flow columns in order, then one peak per BS; its rows are the
+    source rows, the other conservation rows and the peak rows, in order.
 
     The source rows' right-hand sides are the volumes in units of 2**e
     bits (``TimeExpandedIndex.unit``), e the ``math.frexp`` exponent of the
@@ -427,16 +423,25 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
         (peak_row[np.searchsorted(billed, bill_key)], real_col, np.ones(len(real_col))),
         (peak_row, peak_col, -np.ones(n_billed)),
     ]
-    relay = np.where((link < n_real) & inflow, rate, 0.0)
-    sub = _single_exits(in_row, col[inflow], out_row, col[outflow], rate, n_flow_rows)
-    lp_flow = np.flatnonzero(~sub.removed)
-    n_lp_flow = lp_flow.size
-    col_kept = np.concatenate([~sub.removed, np.ones(n_bs, bool)])
-    row_kept = np.concatenate([~sub.removed_row, np.ones(n_billed, bool)])
-    lp_col, lp_row = np.cumsum(col_kept) - 1, np.cumsum(row_kept) - 1
+    relay = np.concatenate([np.where((link < n_real) & inflow, rate, 0.0), np.zeros(n_bs)])
+    n_rows, n_cols = n_flow_rows + n_billed, n_flow + n_bs
+    conservation = np.arange(n_rows) < n_flow_rows
+    conservation[row_of[:n_active]] = False
+    row_kept, col_kept = np.ones(n_rows, bool), np.ones(n_cols, bool)
     merged = tuple(np.concatenate(part) for part in zip(*entries))
-    rows, cols, vals = _substitute(merged, sub, row_kept, col_kept)
-    relay += np.bincount(sub.term, relay[sub.col] * sub.coef, n_flow)
+    sums: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (col, term, coef) per pass
+    for sign in (-1.0, 1.0):  # the single exits, then the single arrivals
+        removed_row, removed, new = _single_entries(merged, conservation, sign, n_cols)
+        merged = _substitute(tuple(a[~removed_row[merged[0]]] for a in merged), new, removed)
+        relay += np.bincount(new.term, relay[new.col] * new.coef, n_cols)
+        sums = [_substitute(old, new, removed) for old in sums] + [new]
+        row_kept &= ~removed_row
+        col_kept &= ~removed
+    lp_col, lp_row = np.cumsum(col_kept) - 1, np.cumsum(row_kept) - 1
+    lp_flow = np.flatnonzero(col_kept[:n_flow])
+    n_lp_flow = lp_flow.size
+    rows, cols, vals = merged
+    sub_col, sub_term, sub_coef = (np.concatenate(part) for part in zip(*sums))
     n_variables, n_lp_rows = n_lp_flow + n_bs, int(row_kept.sum())
     cost = np.zeros(n_variables)
     cost[n_lp_flow:] = 1.0
@@ -448,7 +453,7 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
         rows=lp_row[rows],
         cols=lp_col[cols],
         vals=vals,
-        rhs=np.concatenate([flow_rhs[~sub.removed_row], np.zeros(n_billed)]),
+        rhs=np.concatenate([flow_rhs[row_kept[:n_flow_rows]], np.zeros(n_billed)]),
         equality=np.arange(n_lp_rows) < n_lp_rows - n_billed,
     )
 
@@ -460,8 +465,8 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
         flow_dst=v,
         flow_slot=t,
         lp_flow=lp_flow,
-        substitution=Substitution(sub.col, lp_col[sub.term], sub.coef),
-        relay_cost=np.concatenate([relay[lp_flow], np.zeros(n_bs)]),
+        substitution=Substitution(sub_col, lp_col[sub_term], sub_coef),
+        relay_cost=relay[col_kept],
         peak_vars={b: n_lp_flow + i for i, b in enumerate(topology.bs_ids)},
         source_row=lp_row[row_of[:n_active]],
         peak_row=dict(zip(billed_keys, lp_row[peak_row].tolist())),

@@ -6,14 +6,17 @@ nonnegative (boxed) variables, a dense minimization objective, and ``=`` /
 Its constructor checks it once, so the solver passes it to HiGHS as it is.
 
 ``solve`` runs HiGHS on the engine scipy ships
-(``scipy.optimize._highspy._core``), with the model and the settings
+(``scipy.optimize._highspy._core``), with the model
 ``scipy.optimize.linprog(method="highs")`` would build and ``linprog``'s
 reading of the result, without ``linprog``'s input cleaning and
 bound-marginal copies.  The engine is loaded from its file
 (``_load_engine``) and the column-wise matrix is built with numpy
 (``column_wise``), so ``scipy``, ``scipy.optimize`` and ``scipy.sparse`` are
 never imported.  The settings are one constant, ``HIGHS_OPTIONS``:
-the formulation is solved one fixed way.  ``solve`` minimizes a second cost
+the formulation is solved one fixed way.  The flow LPs arrive presolved
+(``d2d_flow.build_flow_lp`` makes HiGHS's presolve reductions itself), so
+HiGHS's presolve is off, and the simplex scales by max values, under which
+the presolved LP is the faster one.  ``solve`` minimizes a second cost
 among the minimizers of the first with one model on one HiGHS object: a
 weighted solve, certified on the first cost alone from the factorization
 HiGHS ends with (one transposed solve for the row duals, then a
@@ -298,15 +301,20 @@ _HIGHS_STATUS = {
 RESULT_CHECK_TOL = 10.0 * math.sqrt(1e-9)
 
 
-#: every HiGHS setting, as ``linprog(method="highs")`` passes them: quiet,
-#: presolve, dual simplex, 1e-9 feasibility tolerances, 100,000 iterations;
-#: and a wall-clock limit of 600 s per run (the benchmark's largest solve
-#: takes about 0.5 s), which ``linprog`` leaves unset
+#: every HiGHS setting: as ``linprog(method="highs")`` passes them, quiet,
+#: dual simplex, 1e-9 feasibility tolerances, 100,000 iterations; presolve
+#: off, since the flow LP builder makes presolve's reductions itself (on the
+#: benchmark's pinned day it hands HiGHS the size presolve reached, and
+#: presolve found nothing more); max-value scaling (strategy 4: with presolve
+#: off, the default scaling made the presolved LPs erratic, at up to three
+#: times the full LP's time); and a wall-clock limit of 600 s per run (the
+#: benchmark's largest solve takes about 0.5 s), which ``linprog`` leaves unset
 HIGHS_OPTIONS = {
     "output_flag": False,
     "log_to_console": False,
     "highs_debug_level": int(_highs.HighsDebugLevel.kHighsDebugLevelNone),
-    "presolve": "on",
+    "presolve": "off",
+    "simplex_scale_strategy": 4,
     "simplex_strategy": int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
@@ -468,7 +476,9 @@ def _factor_certificate(
 
     The row duals y solve B'y = c_B, one transposed solve on the
     factorization HiGHS holds from its last run, and are mapped to problem row
-    order through ``position``.  The basis is c-optimal when y and the
+    order through ``position``.  A basic row's dual is 0 (its slack is
+    basic), and it is set to 0 rather than to the solve's rounding of 0, as
+    HiGHS reports it.  The basis is c-optimal when y and the
     reduced costs d = c - A'y are dual feasible to HiGHS's
     ``dual_feasibility_tolerance``: d is at least -tol on each nonbasic
     column at its lower bound and at most tol at its upper bound (a fixed
@@ -486,7 +496,9 @@ def _factor_certificate(
     status, y = highs.getBasisTransposeSolve(c_basic)
     if status != _highs.HighsStatus.kOk:
         return None
-    y = np.asarray(y)[position]
+    y = np.asarray(y)
+    y[-1 - basic[~structural]] = 0.0
+    y = y[position]
     reduced = reduced_costs(problem, y)
     tol = HIGHS_OPTIONS["dual_feasibility_tolerance"]
     nonbasic = problem.upper > problem.lower
@@ -548,8 +560,8 @@ def solve(
     solution's ``fallback`` is then set.
 
     ``basis``, the ``basis`` of an earlier solution of a problem with the
-    same matrix and costs, starts the weighted solve there; HiGHS then skips
-    presolve and its own initial basis.  When only bounds and right-hand sides
+    same matrix and costs, starts the weighted solve there in place of HiGHS's
+    own initial basis.  When only bounds and right-hand sides
     differ, that basis stays dual feasible, and dual simplex goes on from it
     (Koberstein, "The dual simplex method, techniques for a fast and stable
     implementation", 2005).  The object is new either way, so the result

@@ -772,7 +772,10 @@ def validate_schedule(
     (unknown demand or link, negative value, slot outside the lifetime) in
     entry order, then per demand in ``demands`` order its source balance,
     arrival and conservation (by node name, then slot).  An exact schedule is
-    checked in floats.
+    checked in floats.  The entry and conservation checks of demand j allow
+    ``flow_abs_tol`` times max(1, V_j), and its source and arrival balances
+    max(``flow_abs_tol``, ``VOLUME_REL_TOL`` * V_j), so that a schedule is
+    held alike in any unit.
     """
     table = topology.arrays
     n = len(table.nodes)
@@ -786,7 +789,7 @@ def validate_schedule(
     kk = np.where(known, k, 0)
     rate = table.rates(src, dst)
     link = rate > 0
-    negative = known & link & (x < -flow_abs_tol)
+    negative = known & link & (x < -flow_abs_tol * np.maximum(1.0, d.volume[kk]))
     inside = (d.start[kk] <= slot) & (slot <= d.end[kk])
 
     violations: list[Violation] = []

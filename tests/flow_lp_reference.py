@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -297,12 +297,12 @@ def loop_flow_lp(
 
 
 @dataclass(frozen=True)
-class SingleExitLp:
-    """A flow LP with its single-exit rows substituted out, written one row at a time.
+class SubstitutedLp:
+    """A flow LP with rows and columns substituted out, written one row at a time.
 
     ``problem`` keeps the other rows and columns in order; ``kept`` are the
-    original columns it keeps, ``removed_rows`` the rows it drops and
-    ``sums`` each removed column as {kept original column: coefficient}.
+    original columns it keeps, ``removed_rows`` the original rows it drops
+    and ``sums`` each removed column as {kept original column: coefficient}.
     """
 
     problem: lp.LpProblem
@@ -312,20 +312,19 @@ class SingleExitLp:
     secondary: np.ndarray | None
 
 
-def substitute_single_exits(
-    problem: lp.LpProblem, secondary: np.ndarray | None = None
-) -> SingleExitLp:
-    """Remove each ``=`` row with exactly one negative entry, and that entry's column.
+def _substitute_rows(
+    problem: lp.LpProblem,
+    secondary: np.ndarray | None,
+    single: Callable[[int, dict[int, float]], int | None],
+) -> SubstitutedLp:
+    """Remove each row r for which ``single(r, terms)`` names a column e, and e.
 
-    In a flow LP built by ``loop_flow_lp`` (pruned, full rank, BSs as sinks)
-    these are the conservation rows with one departing column e:
-    a_e * x_e + sum of a_i * x_i = 0 with a_e < 0, so x_e is the sum of
-    (a_i / -a_e) * x_i.  A sum term that is itself removed is replaced by
-    its own sum, one level per pass, each new coefficient the old one times
-    the term's.  Every other row, the objective and ``secondary`` get the
-    sum in place of x_e; a column's own cost comes first, then what its
-    sums add, in removed-column order.  Every column arrives at one row, so
-    no column appears twice in a row once the sums are in.
+    Row r reads a_e * x_e + sum of a_i * x_i = 0 with every a_i of the
+    other sign, so x_e is the sum of (a_i / -a_e) * x_i.  A sum term that is
+    itself removed is replaced by its own sum, one level per pass, each new
+    coefficient the old one times the term's.  Every other row, the
+    objective and ``secondary`` get the sum in place of x_e; a column's own
+    cost comes first, then what its sums add, in removed-column order.
     """
     row_terms: list[dict[int, float]] = [{} for _ in range(problem.n_constraints)]
     for r, c, v in zip(problem.rows.tolist(), problem.cols.tolist(), problem.vals.tolist()):
@@ -333,9 +332,8 @@ def substitute_single_exits(
     base: dict[int, dict[int, float]] = {}
     removed_rows = []
     for r, terms in enumerate(row_terms):
-        exits = [c for c, v in terms.items() if v < 0]
-        if problem.equality[r] and len(exits) == 1:
-            (e,) = exits
+        e = single(r, terms)
+        if e is not None:
             base[e] = {c: v / -terms[e] for c, v in terms.items() if c != e}
             removed_rows.append(r)
     sums = {}
@@ -369,18 +367,87 @@ def substitute_single_exits(
             continue
         new: dict[int, float] = {}
         for c, v in terms.items():
-            if c in sums:
-                new.update({position[d]: v * coef for d, coef in sums[c].items()})
-            else:
-                new[position[c]] = v
+            for d, coef in sums.get(c, {c: 1.0}).items():
+                assert position[d] not in new, "a column appears twice in a row"
+                new[position[d]] = v * coef
         builder.add_constraint(new, "=" if problem.equality[r] else "<=", problem.rhs[r])
     builder.set_objective(substituted(problem.objective))
-    return SingleExitLp(
+    return SubstitutedLp(
         builder.build(),
         kept,
         removed_rows,
         sums,
         None if secondary is None else substituted(np.asarray(secondary, float)),
+    )
+
+
+def substitute_single_exits(
+    problem: lp.LpProblem, secondary: np.ndarray | None = None
+) -> SubstitutedLp:
+    """Remove each ``=`` row with exactly one negative entry, and that entry's column.
+
+    In a flow LP built by ``loop_flow_lp`` (pruned, full rank, BSs as sinks)
+    these are the conservation rows with one departing column e:
+    a_e * x_e + sum of a_i * x_i = 0 with a_e < 0, so x_e is the sum of
+    (a_i / -a_e) * x_i over the row's arriving columns.
+    """
+
+    def single_exit(r: int, terms: dict[int, float]) -> int | None:
+        exits = [c for c, v in terms.items() if v < 0]
+        return exits[0] if problem.equality[r] and len(exits) == 1 else None
+
+    return _substitute_rows(problem, secondary, single_exit)
+
+
+def substitute_single_arrivals(
+    problem: lp.LpProblem, secondary: np.ndarray | None = None
+) -> SubstitutedLp:
+    """Remove each ``=`` row of rhs 0 with exactly one positive entry, and that entry's column.
+
+    After ``substitute_single_exits`` these are the conservation rows left
+    with one arriving column k, once each removed arriving column is its sum:
+    x_k is a nonnegative combination of the row's departing columns.  The
+    source rows keep their positive right-hand sides, and so their columns.
+    """
+
+    def single_arrival(r: int, terms: dict[int, float]) -> int | None:
+        arrivals = [c for c, v in terms.items() if v > 0]
+        if problem.equality[r] and problem.rhs[r] == 0 and len(arrivals) == 1:
+            return arrivals[0]
+        return None
+
+    return _substitute_rows(problem, secondary, single_arrival)
+
+
+def substitute_flow_lp(
+    problem: lp.LpProblem, secondary: np.ndarray | None = None
+) -> SubstitutedLp:
+    """The single exits substituted out, then the single arrivals, as ``build_flow_lp`` does.
+
+    Rows, columns and sums are in ``problem``'s numbering: each single-exit
+    column's sum has the single-arrival columns among its terms replaced by
+    their own sums.
+    """
+    exits = substitute_single_exits(problem, secondary)
+    arrivals = substitute_single_arrivals(exits.problem, exits.secondary)
+    gone = set(exits.removed_rows)
+    kept_rows = [r for r in range(problem.n_constraints) if r not in gone]
+    arrival_sums = {
+        exits.kept[c]: {exits.kept[d]: coef for d, coef in terms.items()}
+        for c, terms in arrivals.sums.items()
+    }
+    sums = {}
+    for e, terms in exits.sums.items():
+        sums[e] = {}
+        for c, coef in terms.items():
+            for d, inner in arrival_sums.get(c, {c: 1.0}).items():
+                sums[e][d] = coef * inner
+    return SubstitutedLp(
+        arrivals.problem,
+        [exits.kept[c] for c in arrivals.kept],
+        sorted(exits.removed_rows + [kept_rows[r] for r in arrivals.removed_rows]),
+        {**sums, **arrival_sums},
+        arrivals.secondary,
     )
 
 

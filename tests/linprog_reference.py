@@ -9,6 +9,8 @@ and objective.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.optimize
 import scipy.sparse
@@ -50,17 +52,28 @@ def reference_arguments(problem: LpProblem) -> dict:
 
 
 def reference_solve(problem: LpProblem, max_iterations: int = 100_000):
-    """``linprog``'s result for ``problem`` under the driver's HiGHS settings."""
-    return scipy.optimize.linprog(
-        **reference_arguments(problem),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-9,
-            "dual_feasibility_tolerance": 1e-9,
-            "maxiter": max_iterations,
-            "time_limit": HIGHS_OPTIONS["time_limit"],
-        },
-    )
+    """``linprog``'s result for ``problem`` under the settings of ``lp.HIGHS_OPTIONS``.
+
+    ``linprog`` has no option of its own for HiGHS's scaling strategy; it
+    passes ``simplex_scale_strategy`` to HiGHS as it is, with an
+    ``OptimizeWarning`` for the unknown option, which is silenced here.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", "Unrecognized options", scipy.optimize.OptimizeWarning
+        )
+        return scipy.optimize.linprog(
+            **reference_arguments(problem),
+            method="highs",
+            options={
+                "presolve": HIGHS_OPTIONS["presolve"] == "on",
+                "simplex_scale_strategy": HIGHS_OPTIONS["simplex_scale_strategy"],
+                "primal_feasibility_tolerance": 1e-9,
+                "dual_feasibility_tolerance": 1e-9,
+                "maxiter": max_iterations,
+                "time_limit": HIGHS_OPTIONS["time_limit"],
+            },
+        )
 
 
 #: ``linprog``'s integer statuses in the backend's words

@@ -101,7 +101,7 @@ def validate_schedule(
         if not topology.has_link(u, v):
             violations.append(Violation(jid, "unknown_link", f"{u}->{v}", t, float(x)))
             continue
-        if x < -flow_abs_tol:
+        if x < -flow_abs_tol * max(1.0, float(j.volume)):
             violations.append(Violation(jid, "negative", f"{u}->{v}", t, float(x)))
         if not (j.start <= t <= j.end):
             violations.append(Violation(jid, "lifetime", f"{u}->{v}", t, float(x)))

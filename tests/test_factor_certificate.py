@@ -100,7 +100,7 @@ def test_pinned_day(highs_runs):
     solution = assert_certified_alike(index.problem, index.relay_cost, highs_runs)
     assert len(highs_runs) == 1 and not solution.fallback
     assert solution.objective * index.unit == pytest.approx(7.559901967521047, rel=1e-9)
-    assert solution.iterations == 4482
+    assert solution.iterations == 4362
     assert solution.dual_gap <= 1e-6 * (1.0 + abs(solution.objective))
 
 

@@ -5,9 +5,9 @@ tests it one at a time, the way the flow LP was first written;
 ``build_flow_lp`` derives the same columns from one slot interval per
 (demand, link).  Both must hand the solver the same model: the same
 matrices, right-hand sides, costs and bounds, with columns and rows in the
-same order, once the single-exit rows are substituted out of the
-reference one row at a time (``substitute_single_exits``), and the same
-sums for the flow columns that leaves out.
+same order, once the single-exit rows and then the single-arrival rows are
+substituted out of the reference one row at a time (``substitute_flow_lp``),
+and the same sums for the flow columns that leaves out.
 ``TimeExpandedIndex.relay_cost``, the secondary cost of the
 lexicographic solve, must equal the reference's relayed-traffic objective:
 the two-stage reference's overhead model (the spectrum model with the cap
@@ -33,7 +33,7 @@ from flow_lp_reference import (
     random_instance,
     step3_instance,
     step3_lp,
-    substitute_single_exits,
+    substitute_flow_lp,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,7 +84,7 @@ def assert_same_model(topology: Topology, demands: DemandSet) -> None:
     keys = column_keys(index, np.arange(index.n_flow_variables))
     assert keys == list(flow_vars), "flow columns differ in set or order"
     assert list(flow_vars.values()) == list(range(len(flow_vars)))
-    reduced = substitute_single_exits(ref)
+    reduced = substitute_flow_lp(ref)
     n_lp_flow = index.lp_flow.size
     assert index.lp_flow.tolist() == reduced.kept[:n_lp_flow]
     lp_col = {c: i for i, c in enumerate(reduced.kept)}
@@ -109,7 +109,7 @@ def assert_same_overhead_model(
     problem = overhead_model(build_flow_lp(topology, demands), total_spectrum, slack)
     cap = total_spectrum + slack * max(1.0, abs(total_spectrum))
     ref, *_ = loop_flow_lp(topology, demands, objective="d2d_traffic", spectrum_cap=cap)
-    assert_same_problem(problem, substitute_single_exits(ref).problem)
+    assert_same_problem(problem, substitute_flow_lp(ref).problem)
 
 
 def assert_prunes_the_unpruned_layout(topology: Topology, demands: DemandSet) -> None:

@@ -59,7 +59,7 @@ def assert_same_optimum(topology: Topology, demands: DemandSet) -> TimeExpandedI
         b: c - n_lp_flow for b, c in index.peak_vars.items()
     }
     dropped = len(demands.demands) + 2 * len(index.peak_row)  # arrival, alpha and beta rows
-    substituted = n_flow - n_lp_flow  # single-exit rows, one per column
+    substituted = n_flow - n_lp_flow  # single-exit and single-arrival rows, one per column
     assert previous.n_constraints - index.problem.n_constraints == dropped + substituted
     relay = loop_flow_lp(topology, demands, objective="d2d_traffic", full_rank=False)[0]
     relay_cost = relay.objective
@@ -102,4 +102,4 @@ def test_previous_formulation_has_dependent_rows():
 
 def test_pinned_day():
     problem = assert_same_optimum(*pinned_day()).problem
-    assert (problem.n_constraints, problem.n_variables) == (11_885, 30_183)
+    assert (problem.n_constraints, problem.n_variables) == (6_666, 24_964)

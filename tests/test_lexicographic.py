@@ -9,9 +9,10 @@ that check fails).  The reference solves the spectrum model, caps the sum
 of peaks at its optimum F and minimizes the relayed traffic R in a second
 solve.  Both must give the same F (rel 1e-9) and R (rel 1e-6), every
 certified optimum must pass the duality certificate on the spectrum model,
-and none of these instances may need the fallback.  The one known day that
-does, a benchmark day, must still reach the spectrum optimum of a plain
-solve, with R at its lexicographic optimum.  Heuristic step III,
+and none of these instances may need the fallback.  A benchmark day that
+once needed it is certified now; at ten times the secondary weight it needs
+the fallback again, and must still reach the spectrum optimum of a plain
+solve, to a few ulps, with R at its lexicographic optimum.  Heuristic step III,
 solved as the full model with fixed columns from the full optimum's basis,
 is held to the two-stage answer of the reference's reduced model, and it must be
 certified without a re-run that iterates (``certificate_iterations`` 0).
@@ -19,6 +20,7 @@ certified without a re-run that iterates (``certificate_iterations`` 0).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from certificate_reference import dual_certificate_gap
 from conftest import load_benchmark_module
@@ -89,15 +91,26 @@ def test_heuristic_step3_subset_with_residual(seed, level):
     assert_level_matches_reduced(outcome, topology, demands)
 
 
-def test_fallback_day_keeps_the_spectrum_optimum():
-    # the benchmark's day-d2d day of traffic seed 46694: its weighted basis
-    # fails the certificate and the re-run on the spectrum cost iterates, so
-    # the face stage minimizes R on the spectrum cost's optimal face
+def test_fallback_day_keeps_the_spectrum_optimum(monkeypatch):
+    # the benchmark's day-d2d day of traffic seed 46694, whose weighted basis
+    # failed the certificate under HiGHS's presolve and default scaling; the
+    # presolved LP under max-value scaling is certified at the default weight
     workloads = load_benchmark_module("workloads")
     index = build_flow_lp(*workloads.synth_day(workloads.FULL, 46694))
+    plain = plain_solve(index.problem).objective
+    solution = solve_flow_lp(index).solution
+    assert not solution.fallback
+    assert solution.objective == plain
+    relayed = lp.ordered_dot(index.relay_cost, solution.x)
+    assert relayed == pytest.approx(19.821682514839523, rel=1e-9)
+    # at ten times the weight the certificate fails and the re-run iterates,
+    # so the face stage minimizes R on the spectrum cost's optimal face; its
+    # vertex is another optimum of the spectrum cost, a few ulps from the
+    # plain solve's, and certified
+    monkeypatch.setattr(lp, "LEXICO_WEIGHT", 1e-4)
     solution = solve_flow_lp(index).solution
     assert solution.fallback
-    assert solution.objective == plain_solve(index.problem).objective
+    assert abs(solution.objective - plain) <= 4 * np.spacing(plain)
     assert solution.dual_gap <= lp.gap_tolerance(solution.objective)
     relayed = lp.ordered_dot(index.relay_cost, solution.x)
     assert relayed == pytest.approx(19.821682514839523, rel=1e-9)

@@ -88,3 +88,7 @@ def test_lp_profile_prints_each_lp_and_the_median_cpu_per_group():
     assert counts == summary["lps"] and counts["day"] == 2 and counts["suite_full"] == 2
     assert summary["runs"] == 2 and set(summary["cpu_s"]) == set(summary["lps"])
     assert all(t >= 0 for t in summary["cpu_s"].values())
+    for group in summary["lps"]:
+        mine = [r for r in records if r["group"] == group]
+        assert summary["iterations"][group] == sum(r["iterations"] for r in mine)
+        assert summary["fallbacks"][group] == sum(r["fallback"] for r in mine)

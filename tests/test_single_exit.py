@@ -1,15 +1,21 @@
-"""The flow LP with its single-exit columns substituted out, against the LP that keeps them.
+"""The flow LP with its single-entry columns substituted out, against the LP that keeps them.
 
 ``build_flow_lp`` drops each conservation row with exactly one departing
 column, and that column with it: the row defines the column as a
-nonnegative combination of the row's arriving columns.  The loop-built
-reference ``loop_flow_lp`` keeps every row and column.  The rows that go
-must be exactly those conservation rows; source rows and peak rows stay.
-Both LPs must reach the same least spectrum F and, at it, the same least
-relayed traffic R, on the full problem and on heuristic step III, and the
-flow values the library rebuilds for the columns it dropped must satisfy
-every row of the reference LP.  A line of users forces sums of sums, which
-no benchmark instance has.
+nonnegative combination of the row's arriving columns.  It then drops
+each conservation row left with exactly one positive entry, its single
+arriving column once the removed columns are sums, and that column with
+it: a nonnegative combination of the row's departing columns.  The
+loop-built reference ``loop_flow_lp`` keeps every row and column.  The
+rows that go must be exactly those conservation rows, and no column may
+have two positive entries among the conservation rows the first pass
+leaves (so the second pass removes the same rows in any order); source
+rows and peak rows stay.  Both LPs must reach the same least spectrum F
+and, at it, the same least relayed traffic R, on the full problem and on
+heuristic step III, and the flow values the library rebuilds for the
+columns it dropped must satisfy every row of the reference LP.  A line of
+users forces sums of sums backward in time, and a chain of users with long
+lifetimes forward in time; no benchmark instance has the first.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from flow_lp_reference import (
     random_instance,
     step3_instance,
     step3_lp,
+    substitute_flow_lp,
+    substitute_single_arrivals,
     substitute_single_exits,
 )
 from hypothesis import given, settings
@@ -56,6 +64,30 @@ def line_instance() -> tuple[Topology, DemandSet]:
     )
     demands = DemandSet.build(
         6, [("u2", 1, 3, 6.0), ("u2", 2, 6, 4.0), ("u1", 1, 2, 3.0), ("u", 3, 4, 1.0)]
+    )
+    return topology, demands
+
+
+def chain_instance() -> tuple[Topology, DemandSet]:
+    """Users u3 -> u2 -> u1 -> u -> BS b, each with a direct uplink too, and long lifetimes.
+
+    A user reached in the slot the data left the source has that one
+    arriving column and, before the deadline, two departing ones: its
+    self-link and the next link of the chain.  So the single arrivals come
+    one after another along the chain, and their sums hold sums.
+    """
+    users = ("u3", "u2", "u1", "u")
+    topology = Topology(
+        bs_ids=("b",),
+        user_ids=users,
+        home_bs=dict.fromkeys(users, "b"),
+        links=(
+            ("u3", "u2", 4.0), ("u2", "u1", 3.0), ("u1", "u", 5.0),
+            *((user, "b", 0.5 + i) for i, user in enumerate(users)),
+        ),
+    )
+    demands = DemandSet.build(
+        10, [("u3", 1, 8, 6.0), ("u3", 2, 9, 2.0), ("u2", 1, 7, 3.0), ("u1", 4, 10, 1.0)]
     )
     return topology, demands
 
@@ -114,8 +146,11 @@ def assert_certified(flow: FlowSolve) -> None:
     assert dual_certificate_gap(flow.index.problem, solution) == solution.dual_gap
 
 
-def assert_removed_rows(topology: Topology, demands: DemandSet) -> None:
-    """The LP lost exactly the reference's conservation rows with one departing column."""
+def assert_removed_rows(topology: Topology, demands: DemandSet) -> int:
+    """The LP lost exactly the reference's single-exit rows, then its single-arrival rows.
+
+    Returns the number of single-arrival rows.
+    """
     index = build_flow_lp(topology, demands)
     ref, flow_vars, _, peak_rows = loop_flow_lp(topology, demands)
     key_of = {col: key for key, col in flow_vars.items()}
@@ -136,13 +171,25 @@ def assert_removed_rows(topology: Topology, demands: DemandSet) -> None:
         assert len({key_of[c][1] for c in departing}) == 1
         if len(departing) == 1:
             single_exit.append(r)
-    reduced = substitute_single_exits(ref)
-    assert reduced.removed_rows == single_exit
-    assert index.problem.n_constraints == ref.n_constraints - len(single_exit)
-    assert index.n_flow_variables - index.lp_flow.size == len(single_exit)
-    lp_row = np.cumsum(~np.isin(np.arange(ref.n_constraints), single_exit)) - 1
+    exits = substitute_single_exits(ref)
+    assert exits.removed_rows == single_exit
+    # what the first pass leaves: conservation rows are its rows of rhs 0
+    left = exits.problem
+    conservation = left.equality & (left.rhs == 0)
+    positive = conservation[left.rows] & (left.vals > 0)
+    assert np.bincount(left.cols[positive], minlength=left.n_variables).max() <= 1
+    arrivals = np.bincount(left.rows[positive], minlength=left.n_constraints)
+    single_arrival = np.flatnonzero(conservation & (arrivals == 1))
+    assert substitute_single_arrivals(left).removed_rows == single_arrival.tolist()
+    kept_rows = np.setdiff1d(np.arange(ref.n_constraints), single_exit)
+    removed = sorted(single_exit + kept_rows[single_arrival].tolist())
+    assert substitute_flow_lp(ref).removed_rows == removed
+    assert index.problem.n_constraints == ref.n_constraints - len(removed)
+    assert index.n_flow_variables - index.lp_flow.size == len(removed)
+    lp_row = np.cumsum(~np.isin(np.arange(ref.n_constraints), removed)) - 1
     assert index.source_row.tolist() == lp_row[sources].tolist()
-    assert not set(single_exit) & set(peak_rows.values())
+    assert not set(removed) & (set(peak_rows.values()) | set(sources))
+    return int(single_arrival.size)
 
 
 def assert_full_problem(topology: Topology, demands: DemandSet) -> FlowSolve:
@@ -207,9 +254,29 @@ def test_line_forces_sums_of_sums():
     assert depth.max() >= 2
 
 
+def test_chain_forces_sums_of_sums_forward():
+    topology, demands = chain_instance()
+    assert assert_removed_rows(topology, demands) > 0
+    # some single-arrival row departs into a column that is itself a single
+    # arrival, so that column's sum goes into the first one's
+    ref = loop_flow_lp(topology, demands)[0]
+    left = substitute_single_exits(ref).problem
+    arrivals = substitute_single_arrivals(left)
+    removed_rows = np.isin(left.rows, arrivals.removed_rows)
+    departing = left.cols[removed_rows & (left.vals < 0)]
+    assert np.isin(departing, list(arrivals.sums)).any()
+    # the library composes the same sums, to the last bit
+    sub = assert_full_problem(topology, demands).index.substitution
+    reduced = substitute_flow_lp(ref)
+    got: dict[int, dict[int, float]] = {}
+    for col, at, coef in zip(sub.col.tolist(), sub.lp_col.tolist(), sub.coef.tolist()):
+        got.setdefault(col, {})[reduced.kept[at]] = coef
+    assert got == reduced.sums
+
+
 def test_pinned_day():
     flow = assert_full_problem(*pinned_day())
     problem = flow.index.problem
-    assert (problem.n_constraints, problem.n_variables) == (11_885, 30_183)
+    assert (problem.n_constraints, problem.n_variables) == (6_666, 24_964)
     assert flow.total == pytest.approx(7.559901967521046, rel=REL_TOL)
     assert not flow.solution.fallback

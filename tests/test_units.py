@@ -5,12 +5,16 @@ overhead ratio eta, and valid schedules.  Each drawn instance (the
 criterion-6 family of ``conftest.draw_instance``) is solved with its volumes
 at scale 1 and times each of ``SCALES``: through the library, and, on a few
 instances, through ``d2dlb d2d`` with the schedule it writes read back.
+Validation holds every entry to the same tolerance relative to its demand's
+volume, so a negative entry that is noise at one scale is an error at
+another.
 """
 
 import json
 import math
 
 import numpy as np
+import schedule_reference
 from conftest import draw_instance
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,3 +94,21 @@ def test_cli_results_do_not_depend_on_units(tmp_path):
             out = tmp_path / f"{seed}-{scale}"
             got_rho, got_eta = run_d2d(topology, scaled(demands, scale), out)
             assert same(got_rho, rho) and same(got_eta, eta), (scale, got_rho, rho, got_eta, eta)
+
+
+def test_negative_entry_is_held_to_the_volume():
+    # one entry of -1e-3 on a demand's uplink: within the flow tolerance of
+    # volumes times 1e9, and a negative entry at scale 1, in the library and
+    # in the loop reference alike
+    topology, demands = draw_instance(np.random.default_rng(1))
+    j = demands.demands[0]
+    assert topology.has_link(j.user, topology.home_bs[j.user])
+    entry = Schedule.from_allocations({(j.id, j.user, topology.home_bs[j.user], j.start): -1e-3})
+    for scale, kinds in ((1e9, set()), (1.0, {"negative"})):
+        at_scale = scaled(demands, scale)
+        solved = solve_min_spectrum_d2d(topology, at_scale).schedule
+        schedule = Schedule.concatenate([solved, entry])
+        for validate in (validate_schedule, schedule_reference.validate_schedule):
+            report = validate(schedule, topology, at_scale, flow_abs_tol=LIBRARY_FLOW_TOL)
+            assert kinds <= {v.kind for v in report.violations}, (scale, report.summary())
+            assert report.ok == (not kinds), (scale, report.summary())
