@@ -18,8 +18,9 @@ whether ``lp.solve`` fell back to its face stage.  Then it solves every LP
 timing ``lp.solve`` in CPU seconds, and prints a last JSON line: per group,
 the median over runs of the group's summed CPU time, and the group's
 summed iterations and number of fallbacks.  Step III starts from the full optimum's basis, as the
-heuristic does.  Only the library's public layout is used (the index's
-``problem`` and ``relay_cost``) and ``lp.solve``.  A revision from before
+heuristic does, on the LP ``TimeExpandedIndex.restricted`` builds.  Only
+the library's public layout is used (the index's ``problem`` and
+``relay_cost``) and ``lp.solve``.  A revision from before
 ``lp.solve`` became the one lexicographic solve gave that solve another
 name: profile it with that revision's own copy of this script.
 """
@@ -42,7 +43,7 @@ import workloads  # noqa: E402
 
 from d2dlb import lp  # noqa: E402
 from d2dlb.d2d_flow import build_flow_lp, solve_flow_lp  # noqa: E402
-from d2dlb.heuristic import _step3_index, nd_loads, split_demands  # noqa: E402
+from d2dlb.heuristic import nd_loads, split_demands  # noqa: E402
 from d2dlb.no_d2d import min_spectrum_no_d2d  # noqa: E402
 
 
@@ -72,7 +73,8 @@ def step3_levels(topology, demands, full) -> list:
         key = split.d2d_demand_ids
         if key and split.nd_demand_ids and key not in seen:
             seen.add(key)
-            indexes.append(_step3_index(full.index, demands, split))
+            name = f"heuristic-spectrum-level{level}"
+            indexes.append(full.index.restricted(topology, demands, split.kept, name))
     return indexes
 
 

@@ -12,8 +12,10 @@ Exit codes: 0 success, 2 invariant or bound violation (including a ``d2d``,
 ``bounds`` or ``heuristic`` level schedule that fails validation, and an
 ``nd`` witness that fails validation or exceeds its cell's minimum), 3
 solver or numerical failure (including an EDF witness of the no-D2D stage
-that misses a deadline), 4 configuration error (malformed input included)
-or infeasible instance.
+that misses a deadline, and a reported per-BS peak that its validated
+schedule's largest slot load contradicts), 4 configuration error (malformed
+input, an --out that cannot be created, and ``--reuse`` without
+``--reuse-d2d`` or the reverse included) or infeasible instance.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -46,6 +49,7 @@ from .heuristic import (  # noqa: F401
     heuristic_min_overhead,
     heuristic_min_spectrum,
     heuristic_sweep,
+    nd_loads,
 )
 from .model import (
     DemandSet,
@@ -81,6 +85,10 @@ EXIT_CONFIG = 4
 ND_PEAK_RTOL = 1e-9
 #: the flow tolerance every schedule is validated with before it is written
 SCHEDULE_FLOW_TOL = 1e-6
+#: how far a reported per-BS peak may be from its schedule's largest slot load,
+#: relative to the larger of the reported total and the schedule's sum of peaks;
+#: well above HiGHS's 1e-9 feasibility tolerance on the LP's peaks
+PEAK_RTOL = 1e-6
 #: --generate keys, each with its default and least allowed count
 GENERATE_COUNTS = {"cells": (3, 1), "users": (3, 1), "demands": (30, 0), "T": (30, 1)}
 DEFAULT_LAMBDA_GRID = tuple(round(0.1 * k, 1) for k in range(11))
@@ -217,12 +225,38 @@ def _load_and_emit(config: ExperimentConfig) -> tuple[Topology, DemandSet]:
     source = _read_instance(config) if config.instance else None
     topology, demands = load_instance(config, source)
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if source is not None:
-        (out / "instance.json").write_bytes(source)
-    else:
-        (out / "instance.json").write_text(instance_to_json(topology, demands))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        if source is not None:
+            (out / "instance.json").write_bytes(source)
+        else:
+            (out / "instance.json").write_text(instance_to_json(topology, demands))
+    except OSError as exc:
+        raise ModelError(f"--out {config.out}: {type(exc).__name__}: {exc}") from exc
     return topology, demands
+
+
+def _check_peaks(
+    label: str, per_bs_peak: Mapping[str, float], schedule: Schedule, topology: Topology
+) -> None:
+    """Raise ``LpError`` naming each BS whose reported peak its schedule's loads contradict.
+
+    Validation checks the schedule's delivery and conservation, not the
+    spectrum reported with it; a solve that undercuts its peak rows reports
+    a total the schedule does not fit in.  The reported peak must equal the
+    BS's largest slot load, to ``PEAK_RTOL`` times the larger of the
+    reported total and the schedule's sum of peaks (either may read 0).
+    """
+    peaks = nd_loads(topology, schedule)[3]
+    reported = np.array([float(per_bs_peak[b]) for b in topology.bs_ids])
+    tolerance = PEAK_RTOL * max(reported.sum(), peaks.sum())
+    bad = [
+        f"{label}: BS {topology.bs_ids[i]} reports peak {float(reported[i])!r} but its"
+        f" schedule's largest slot load is {float(peaks[i])!r}"
+        for i in np.flatnonzero(np.abs(reported - peaks) > tolerance).tolist()
+    ]
+    if bad:
+        raise lp.LpError("; ".join(bad))
 
 
 def cmd_nd(config: ExperimentConfig) -> int:
@@ -293,6 +327,7 @@ def run_d2d(config: ExperimentConfig) -> D2DRun | None:
     if not report.ok:
         print(report.summary(), file=sys.stderr)
         return None
+    _check_peaks(config.command, outcome.per_bs_peak, schedule, topology)
     vd, vb = compute_volumes(schedule, topology)
     metrics = compute_metrics(nd_result.total, outcome.total, vd, vb)
     return D2DRun(topology, demands, nd_result, outcome, schedule, vd, vb, metrics)
@@ -335,6 +370,7 @@ def cmd_heuristic(config: ExperimentConfig) -> int:
         if not report.ok:
             print(f"heuristic level={row.level}: {report.summary()}", file=sys.stderr)
             return EXIT_VIOLATION
+        _check_peaks(f"heuristic level={row.level}", row.per_bs_peak, row.schedule, topology)
     rows = []
     worst = EXIT_OK
     for row in sweep.levels:
@@ -367,6 +403,8 @@ def cmd_heuristic(config: ExperimentConfig) -> int:
 
 
 def cmd_bounds(config: ExperimentConfig) -> int:
+    if (config.reuse is None) != (config.reuse_d2d is None):
+        raise ModelError("--reuse and --reuse-d2d go together: give both or neither")
     run = run_d2d(config)
     if run is None:
         return EXIT_VIOLATION
@@ -387,7 +425,7 @@ def cmd_bounds(config: ExperimentConfig) -> int:
         ["inter_cell_rho_bound", repr(inter.bound), None],
         ["overhead_bound", repr(eta_bound), repr(eta)],
     ]
-    if config.reuse is not None and config.reuse_d2d is not None:
+    if config.reuse is not None:
         adjusted = bounds_mod.frequency_reuse_adjusted(rho, config.reuse, config.reuse_d2d)
         rows.append(["reuse_adjusted_rho", repr(adjusted), None])
     table = []

@@ -72,26 +72,25 @@ Every flow LP is solved by ``solve_flow_lp`` and yields one ``FlowSolve``.
 There is one builder, for the full problem (``solve_min_spectrum_d2d``).
 The heuristic's step III is that same LP with the columns of the demands it
 keeps fixed at 0, their source rows at 0, and each billed
-(BS, slot) peak row lowered by the kept load; ``TimeExpandedIndex`` names
-those rows, and ``solve_flow_lp`` re-solves the changed LP from the full
-optimum's basis.
+(BS, slot) peak row lowered by the kept load; ``TimeExpandedIndex.restricted``
+builds it from the kept allocations, and ``solve_flow_lp`` re-solves it from
+the full optimum's basis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import lp
-from .model import DemandSet, ModelError, Schedule, Topology
+from .model import DemandSet, ModelError, Schedule, Topology, per_slot_loads
 
-# compute_volumes and per_slot_loads are not called here, but benchmark/spans.py
-# traces the model layer under these names (tests/test_benchmark_targets.py
-# fails if they go)
-from .model import compute_volumes, per_slot_loads  # noqa: F401
+# compute_volumes is not called here, but benchmark/spans.py traces the model
+# layer under this name (tests/test_benchmark_targets.py fails if it goes)
+from .model import compute_volumes  # noqa: F401
 
 
 class InfeasibleDemandError(ModelError):
@@ -230,6 +229,31 @@ class TimeExpandedIndex:
         used = np.flatnonzero(x != 0.0)
         flows = (self.flow_demand, self.flow_src, self.flow_dst, self.flow_slot)
         return Schedule(self.nodes, *(a[used] for a in flows), x[used])
+
+    def restricted(
+        self, topology: Topology, demands: DemandSet, kept: Schedule, name: str
+    ) -> TimeExpandedIndex:
+        """This LP, named ``name``, for the demands with no entry in ``kept``, on top of ``kept``.
+
+        Each demand with an entry in ``kept`` is fixed: its columns get upper
+        bound 0 and its source row right-hand side 0.  Each billed (BS, slot)
+        peak row's right-hand side becomes minus ``kept``'s load there
+        (``per_slot_loads``), in the LP's unit.  Every kept (BS, slot) of a
+        demand's own no-D2D allocation has a peak row, since its direct
+        uplink is a column in every slot of its lifetime; a kept load with no
+        peak row raises ``LpError``.
+        """
+        ids = demands.arrays.ids
+        fixed = np.isin(ids, kept.demand)
+        upper = self.problem.upper.copy()
+        upper[: self.lp_flow.size][np.isin(self.flow_demand[self.lp_flow], ids[fixed])] = 0.0
+        rhs = self.problem.rhs.copy()
+        rhs[self.source_row[fixed]] = 0.0
+        for key, load in per_slot_loads(kept, topology).items():
+            if key not in self.peak_row:
+                raise lp.LpError(f"kept load at {key} has no peak row in the flow LP")
+            rhs[self.peak_row[key]] = -float(load) / self.unit
+        return replace(self, problem=self.problem.with_bounds(upper, rhs, name))
 
 
 def _expand(

@@ -8,11 +8,11 @@ demands only, on top of the kept allocations.
 
 level=0 reduces to the full problem, level=1 to the pure no-D2D solution;
 in between the split trades LP size against spectrum.  Step III's LP is the
-full problem's LP with every kept demand's columns fixed at 0, its source
-row at 0, and each billed (BS, slot) peak row lowered by the kept load
-there.  Only bounds and right-hand sides differ, so each level is
-solved on a new HiGHS object started from the basis of the full optimum,
-and its size (``step3_variables``) is the count of columns left free.
+full problem's LP restricted to the eligible demands on top of the kept
+allocations (``TimeExpandedIndex.restricted``).  Only bounds and right-hand
+sides differ, so each level is solved on a new HiGHS object started from
+the basis of the full optimum, and its size (``step3_variables``) is the
+count of columns left free.
 
 One routine takes a split through step III (a ``FlowSolve`` of that LP, the
 full solve itself when every demand is eligible, or no LP when none is) to
@@ -31,8 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bounds import BOUND_TOL
-from .d2d_flow import FlowSolve, TimeExpandedIndex, build_flow_lp, solve_flow_lp
-from .lp import LpError
+from .d2d_flow import FlowSolve, build_flow_lp, solve_flow_lp
 from .model import (
     DemandSet,
     ModelError,
@@ -61,19 +60,18 @@ ALLOC_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SplitResult:
-    """Step II outcome: hot slots, demand partition, and kept allocations."""
+    """Step II outcome: demand partition and kept allocations."""
 
     level: float
-    hot_slots: Mapping[str, frozenset[int]]
     d2d_demand_ids: frozenset[int]
     nd_demand_ids: frozenset[int]
-    residual_load: Mapping[tuple[str, int], float]  # per (BS, slot), ND demands only
+    kept: Schedule  # the ND demands' entries of nd_schedule
     nd_schedule: Schedule  # full Step-I schedule (all demands, direct links and storage)
 
 
-def nd_loads(topology: Topology, nd_schedule: Schedule) -> tuple[np.ndarray, ...]:
-    """``slot_loads`` of a no-D2D schedule as floats, and per BS the largest of them."""
-    bs, slot, load = slot_loads(nd_schedule, topology)
+def nd_loads(topology: Topology, schedule: Schedule) -> tuple[np.ndarray, ...]:
+    """``slot_loads`` of a schedule as floats, and per BS the largest of them."""
+    bs, slot, load = slot_loads(schedule, topology)
     load = load.astype(float)
     peaks = np.zeros(len(topology.bs_ids))
     np.maximum.at(peaks, bs, load)
@@ -96,8 +94,8 @@ def split_demands(
     peak.  A demand is D2D-eligible iff it has an allocation above
     ``ALLOC_TOL`` times its volume in some hot slot of its cell.  Both
     thresholds are relative, so the split does not depend on the volume
-    unit.  The kept load is ``per_slot_loads`` of the kept demands' entries,
-    billed to the receiving BS like every load.
+    unit.  The other demands keep their entries of ``nd_schedule``, storage
+    included (``kept``).
     ``loads`` are the schedule's ``nd_loads``, when one schedule is split
     at several levels.
     """
@@ -118,43 +116,14 @@ def split_demands(
     volume = dem.volume[_demand_positions(dem.ids, nd_schedule.demand[real])]
     used = (x > ALLOC_TOL * volume) & hot_cells[cell, t]
     eligible = np.unique(nd_schedule.demand[real[used]])
-    kept = nd_schedule.select(~np.isin(nd_schedule.demand, eligible))
-    ids = topology.bs_ids
     d2d_ids = frozenset(eligible.tolist())
     return SplitResult(
         level=level,
-        hot_slots={
-            b: frozenset(np.flatnonzero(hot_cells[i]).tolist()) for i, b in enumerate(ids)
-        },
         d2d_demand_ids=d2d_ids,
         nd_demand_ids=frozenset(demands.arrays.ids.tolist()) - d2d_ids,
-        residual_load=per_slot_loads(kept, topology),
+        kept=nd_schedule.select(~np.isin(nd_schedule.demand, eligible)),
         nd_schedule=nd_schedule,
     )
-
-
-def _step3_index(
-    full: TimeExpandedIndex, demands: DemandSet, split: SplitResult
-) -> TimeExpandedIndex:
-    """The full problem's LP restricted to the split's eligible demands over its kept load.
-
-    Every kept (BS, slot) already has a peak row: each demand's direct
-    uplink is a column in every slot of its lifetime.
-    """
-    problem = full.problem
-    ids = demands.arrays.ids
-    kept = np.isin(ids, list(split.nd_demand_ids))
-    upper = problem.upper.copy()
-    lp_flow = full.lp_flow
-    upper[: lp_flow.size][np.isin(full.flow_demand[lp_flow], ids[kept])] = 0.0
-    rhs = problem.rhs.copy()
-    rhs[full.source_row[kept]] = 0.0
-    for key, load in split.residual_load.items():
-        if key not in full.peak_row:
-            raise LpError(f"kept load at {key} has no peak row in the full flow LP")
-        rhs[full.peak_row[key]] = -float(load) / full.unit
-    name = f"heuristic-spectrum-level{split.level}"
-    return replace(full, problem=problem.with_bounds(upper, rhs, name))
 
 
 def _solve_level(
@@ -171,19 +140,19 @@ def _solve_level(
     if not split.d2d_demand_ids:
         flow = None
         peaks = {b: 0.0 for b in topology.bs_ids}
-        for (b, _t), load in split.residual_load.items():
+        for (b, _t), load in per_slot_loads(split.kept, topology).items():
             peaks[b] = max(peaks[b], load)
         total, flows = sum(peaks.values()), Schedule.empty(topology.arrays.nodes)
     else:
         flow = full
         if split.nd_demand_ids:
-            flow = solve_flow_lp(_step3_index(full.index, demands, split), full.solution.basis)
+            name = f"heuristic-spectrum-level{split.level}"
+            step3 = full.index.restricted(topology, demands, split.kept, name)
+            flow = solve_flow_lp(step3, full.solution.basis)
         peaks, total, flows = flow.per_bs_peak, flow.total, flow.schedule
     # a demand's storage follows from its own transmissions alone, so the
     # kept demands' entries of the filled no-D2D schedule are complete
-    nd_schedule = split.nd_schedule
-    nd_part = nd_schedule.select(np.isin(nd_schedule.demand, list(split.nd_demand_ids)))
-    return flow, peaks, total, Schedule.concatenate([nd_part, flows])
+    return flow, peaks, total, Schedule.concatenate([split.kept, flows])
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from two_stage_reference import plain_solve
 from d2dlb import lp
 from d2dlb.d2d_flow import InfeasibleDemandError, build_flow_lp, solve_min_spectrum_d2d
 from d2dlb.heuristic import SplitResult, SweepLevel
-from d2dlb.model import Demand, DemandSet, ModelError, Topology
+from d2dlb.model import Demand, DemandSet, ModelError, Topology, per_slot_loads
 from d2dlb.scenario import (
     GeoParams,
     generate_topology,
@@ -508,7 +508,7 @@ def step3_lp(
         demands,
         demand_subset=subset,
         pruning=pruning,
-        residual_load=split.residual_load,
+        residual_load=per_slot_loads(split.kept, topology),
         **kwargs,
     )
 

@@ -11,9 +11,9 @@ must keep.
 from __future__ import annotations
 
 import csv
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from d2dlb.heuristic import ALLOC_TOL, HOT_SLOT_TOL, SplitResult
+from d2dlb.heuristic import ALLOC_TOL, HOT_SLOT_TOL
 from d2dlb.model import (
     FLOW_ABS_TOL,
     VOLUME_REL_TOL,
@@ -185,9 +185,17 @@ def per_slot_loads(schedule: Schedule, topology: Topology) -> dict[tuple[str, in
     return loads
 
 
+class Split(NamedTuple):
+    """The demand partition of one split level and the kept demands' load per (BS, slot)."""
+
+    d2d_demand_ids: frozenset[int]
+    nd_demand_ids: frozenset[int]
+    residual_load: dict[tuple[str, int], float]
+
+
 def split_demands(
     topology: Topology, demands: DemandSet, nd_schedule: Schedule, level: float
-) -> SplitResult:
+) -> Split:
     """Partition demands into D2D-eligible and locally-served sets."""
     if not 0.0 <= level <= 1.0:
         raise ModelError(f"split level must lie in [0, 1], got {level}")
@@ -216,11 +224,4 @@ def split_demands(
             continue
         key = (topology.home_bs[u], t)
         residual[key] = residual.get(key, 0.0) + float(x)
-    return SplitResult(
-        level=level,
-        hot_slots={b: frozenset(ts) for b, ts in hot.items()},
-        d2d_demand_ids=frozenset(d2d_ids),
-        nd_demand_ids=frozenset(nd_ids),
-        residual_load=residual,
-        nd_schedule=nd_schedule,
-    )
+    return Split(frozenset(d2d_ids), frozenset(nd_ids), residual)

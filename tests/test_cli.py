@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import draw_instance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,6 +130,30 @@ class TestD2D:
         assert main(["d2d", "--instance", str(out / "in.json"), "--out", str(out)]) == EXIT_OK
         self.assert_peaks_are_schedule_maxima(out, topology)
 
+    @pytest.mark.parametrize(
+        "command,seed,output",
+        [
+            ("d2d", 0, "d2d_result.json"),
+            ("d2d", 4, "d2d_result.json"),
+            ("heuristic", 0, "heuristic_sweep.csv"),
+        ],
+    )
+    def test_peak_its_schedule_contradicts_is_solver_error(
+        self, tmp_path, capsys, command, seed, output
+    ):
+        # at rates x1e9 the LP's peaks are as small as HiGHS's feasibility
+        # tolerance: the solve reports peaks the schedule's loads exceed, and
+        # the schedule alone validates, so the peak check is what refuses it
+        topology, demands = draw_instance(np.random.default_rng(seed))
+        links = tuple((u, v, rate * 1e9) for u, v, rate in topology.links)
+        fast = Topology(topology.bs_ids, topology.user_ids, topology.home_bs, links)
+        (tmp_path / "in.json").write_text(instance_to_json(fast, demands))
+        code = main([command, "--instance", str(tmp_path / "in.json"), "--out", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith(f"solver error: {command}") and "largest slot load" in err, err
+        assert not (tmp_path / output).exists()
+
     def test_ring_reduction_reported(self, tmp_path):
         assert main(["d2d", "--fixture", "ring(3)", "--out", str(tmp_path)]) == EXIT_OK
         payload = json.loads((tmp_path / "d2d_result.json").read_text())
@@ -225,6 +250,14 @@ class TestBounds:
         rows = {r["bound"]: r for r in read_csv_rows(tmp_path / "bounds.csv")}
         assert "reuse_adjusted_rho" in rows
 
+    @pytest.mark.parametrize("flag", ["--reuse", "--reuse-d2d"])
+    def test_one_reuse_flag_alone_is_config_error(self, tmp_path, capsys, flag):
+        # either flag alone would drop the reuse_adjusted_rho row silently
+        code = main(["bounds", "--fixture", "toy-fig1", "--out", str(tmp_path), flag, "0.5"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --reuse and --reuse-d2d")
+        assert not (tmp_path / "bounds.csv").exists()
+
 
 class TestConfigHandling:
     def test_unknown_fixture_is_config_error(self, tmp_path):
@@ -235,6 +268,14 @@ class TestConfigHandling:
             ["d2d", "--fixture", "toy-fig1", "--generate", "cells=2", "--out", str(tmp_path)]
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["nd", "d2d", "heuristic", "bounds"])
+    def test_out_that_cannot_be_created_is_config_error(self, tmp_path, capsys, command):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        code = main([command, "--fixture", "toy-fig1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: --out {out}: NotADirectoryError")
 
     def test_no_source_rejected(self, tmp_path):
         assert main(["d2d", "--out", str(tmp_path)]) == EXIT_CONFIG

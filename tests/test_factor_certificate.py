@@ -21,7 +21,7 @@ from flow_lp_reference import pinned_day
 
 from d2dlb import lp
 from d2dlb.d2d_flow import TimeExpandedIndex, build_flow_lp, solve_flow_lp
-from d2dlb.heuristic import _step3_index, split_demands
+from d2dlb.heuristic import split_demands
 from d2dlb.no_d2d import min_spectrum_no_d2d
 
 LEVELS = (0.25, 0.5, 0.75)
@@ -77,7 +77,8 @@ def levels_of(topology, demands, full) -> list[TimeExpandedIndex]:
     for level in LEVELS:
         split = split_demands(topology, demands, nd_schedule, level)
         if split.d2d_demand_ids and split.nd_demand_ids:
-            indexes.append(_step3_index(full.index, demands, split))
+            name = f"heuristic-spectrum-level{level}"
+            indexes.append(full.index.restricted(topology, demands, split.kept, name))
     return indexes
 
 

@@ -43,7 +43,7 @@ from two_stage_reference import CAP_SLACK, overhead_model
 from d2dlb import lp
 from d2dlb.d2d_flow import TimeExpandedIndex, build_flow_lp, solve_min_spectrum_d2d
 from d2dlb.heuristic import SweepLevel, heuristic_min_spectrum
-from d2dlb.model import DemandSet, Topology
+from d2dlb.model import DemandSet, Topology, per_slot_loads
 from d2dlb.scenario import fixture, random_multicell_instance
 
 
@@ -191,4 +191,4 @@ def test_bs_ids_out_of_string_order():
         rng, n_cells=11, users_per_cell=2, n_demands=24, horizon=6, d2d_link_prob=0.3
     )
     outcome = assert_step3_is_reduced_model(topology, demands, 0.75)
-    assert ("b11", 4) in outcome.split.residual_load
+    assert ("b11", 4) in per_slot_loads(outcome.split.kept, topology)

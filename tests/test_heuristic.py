@@ -1,7 +1,5 @@
 """Split-level heuristic: the six-task example, endpoints, and the sandwich."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from conftest import draw_instance
@@ -13,14 +11,21 @@ from two_stage_reference import plain_solve
 from d2dlb import heuristic, lp
 from d2dlb.d2d_flow import solve_min_spectrum_d2d
 from d2dlb.heuristic import (
-    _solve_level,
+    HOT_SLOT_TOL,
     check_heuristic_bounds,
     heuristic_min_overhead,
     heuristic_min_spectrum,
     heuristic_sweep,
     split_demands,
 )
-from d2dlb.model import DemandSet, ModelError, compute_volumes, validate_schedule
+from d2dlb.model import (
+    DemandSet,
+    ModelError,
+    Schedule,
+    compute_volumes,
+    per_slot_loads,
+    validate_schedule,
+)
 from d2dlb.no_d2d import min_spectrum_no_d2d
 from d2dlb.scenario import heuristic_six_task, random_multicell_instance, toy_two_cell
 
@@ -41,8 +46,9 @@ class TestSplit:
         for (jid, u, v, t), x in schedule.allocations.items():
             if u != v:
                 loads[(topology.home_bs[u], t)] = loads.get((topology.home_bs[u], t), 0.0) + x
-        for (b, t), kept in split.residual_load.items():
-            assert t not in split.hot_slots[b]
+        peak = result.per_bs_peak
+        for (b, t), kept in per_slot_loads(split.kept, topology).items():
+            assert loads[(b, t)] <= 0.5 * peak[b] + HOT_SLOT_TOL * peak[b]  # not hot
             assert kept <= loads[(b, t)] + 1e-12
 
     def test_level_one_keeps_everything_local(self):
@@ -50,14 +56,14 @@ class TestSplit:
         _, schedule, _ = min_spectrum_no_d2d(topology, demands)
         split = split_demands(topology, demands, schedule, 1.0)
         assert split.d2d_demand_ids == frozenset()
-        assert all(not hot for hot in split.hot_slots.values())
+        assert split.kept.allocations == schedule.allocations
 
     def test_level_zero_moves_everything(self):
         topology, demands = heuristic_six_task()
         _, schedule, _ = min_spectrum_no_d2d(topology, demands)
         split = split_demands(topology, demands, schedule, 0.0)
         assert split.d2d_demand_ids == {j.id for j in demands.demands}
-        assert split.residual_load == {}
+        assert split.kept.value.size == 0
 
     def test_level_outside_range_rejected(self):
         topology, demands = heuristic_six_task()
@@ -357,10 +363,12 @@ class TestSweep:
         topology, demands = heuristic_six_task()
         _, schedule, _ = min_spectrum_no_d2d(topology, demands)
         split = split_demands(topology, demands, schedule, 0.5)
-        outside = ("b1", demands.horizon + 1)
-        split = dataclasses.replace(split, residual_load={**split.residual_load, outside: 1.0})
+        user = demands.demands[TASK_A].user
+        outside = {(TASK_A, user, topology.home_bs[user], demands.horizon + 1): 1.0}
+        kept = Schedule.concatenate([split.kept, Schedule.from_allocations(outside)])
+        index = solve_min_spectrum_d2d(topology, demands).index
         with pytest.raises(lp.LpError, match="no peak row"):
-            _solve_level(topology, demands, split, solve_min_spectrum_d2d(topology, demands))
+            index.restricted(topology, demands, kept, "outside")
 
     @pytest.mark.parametrize("instance", [heuristic_six_task, toy_two_cell])
     def test_empty_eligible_set_matches_its_lp(self, instance):
@@ -369,7 +377,10 @@ class TestSweep:
         outcome = heuristic_min_spectrum(topology, demands, 1.0)
         assert outcome.step3_variables == 0
         problem, _, peak_vars, _ = loop_flow_lp(
-            topology, demands, demand_subset=(), residual_load=outcome.split.residual_load
+            topology,
+            demands,
+            demand_subset=(),
+            residual_load=per_slot_loads(outcome.split.kept, topology),
         )
         solution, unit = plain_solve(problem), lp_unit(demands)
         assert solution.objective * unit == pytest.approx(outcome.total_spectrum, rel=1e-12)

@@ -37,7 +37,7 @@ from two_stage_reference import CAP_SLACK, cap_and_recost, overhead_model, plain
 from d2dlb import lp
 from d2dlb.d2d_flow import build_flow_lp, solve_min_spectrum_d2d
 from d2dlb.heuristic import SweepLevel, heuristic_min_spectrum
-from d2dlb.model import DemandSet, Topology
+from d2dlb.model import DemandSet, Topology, per_slot_loads
 from d2dlb.no_d2d import CellInstance
 from d2dlb.scenario import fixture, random_multicell_instance, toy_two_cell
 
@@ -98,7 +98,7 @@ def test_heuristic_step3_subset_with_residual(seed, level, pruning):
     # the heuristic solves warm: cold, each ends where linprog ends
     topology, demands, outcome = step3_subset(seed, level)
     split = outcome.split
-    assert split.d2d_demand_ids and split.residual_load
+    assert split.d2d_demand_ids and per_slot_loads(split.kept, topology)
     problem = step3_lp(topology, demands, split, pruning)[0]
     assert assert_same_as_linprog(problem) == "optimal"
     total = plain_solve(problem).objective
