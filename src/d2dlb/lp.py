@@ -18,14 +18,15 @@ the formulation is solved one fixed way.  The flow LPs arrive presolved
 HiGHS's presolve is off, and the simplex scales by max values, under which
 the presolved LP is the faster one.  ``solve`` minimizes a second cost
 among the minimizers of the first with one model on one HiGHS object: a
-weighted solve, certified on the first cost alone from the factorization
-HiGHS ends with (one transposed solve for the row duals, then a
-dual-feasibility check of the reduced costs), so a certified optimum costs
-one HiGHS run; with a zero second cost it is a plain solve.  Only when that
-check fails is the basis re-run on the first cost, and, only if that re-run
-iterates, a face stage follows: the columns and rows the re-run's duals
-price are fixed at their bounds, and the second cost is minimized on what
-is left, the optimal face of the first.
+weighted solve, certified on the first cost, and on the second cost over
+the first's optimal face, from the factorization HiGHS ends with (one
+transposed solve for each cost's row duals, then a dual-feasibility check of
+the reduced costs), so a certified optimum costs one HiGHS run; with a zero
+second cost it is a plain solve.  Only when the check on the first cost
+fails is the basis re-run on the first cost; when that re-run iterates, or
+the check on the second cost fails, a face stage follows: the columns and
+rows the first cost's duals price are fixed at their bounds, and the second
+cost is minimized on what is left, the optimal face of the first.
 It can start from a given basis and returns the basis of the optimum it
 certifies, so a problem that differs from a solved one only in bounds and
 right-hand sides (``LpProblem.with_bounds``) is re-solved by dual simplex
@@ -226,16 +227,14 @@ class LpSolution:
     # solve's re-run on the primary cost, which runs only when the
     # factorization certificate fails
     certificate_iterations: int = 0
+    # solve's face stage ran: the re-run iterated, or the certified optimum
+    # was not the least secondary cost on the primary cost's optimal face
+    fallback: bool = False
     basis: Basis | None = None  # solve's primary-cost optimum
 
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
-
-    @property
-    def fallback(self) -> bool:
-        """solve's certificate re-run iterated, so the face stage ran."""
-        return self.certificate_iterations > 0
 
     def value(self, index: int) -> float:
         if self.x is None:
@@ -243,12 +242,12 @@ class LpSolution:
         return float(self.x[index])
 
 
-def reduced_costs(problem: LpProblem, y: np.ndarray) -> np.ndarray:
-    """c - A'y for row multipliers y in problem row order."""
+def reduced_costs(problem: LpProblem, y: np.ndarray, cost: np.ndarray | None = None) -> np.ndarray:
+    """cost - A'y for row multipliers y in problem row order; cost is c unless given."""
     col_dual = np.bincount(
         problem.cols, weights=y[problem.rows] * problem.vals, minlength=problem.n_variables
     )
-    return problem.objective - col_dual
+    return (problem.objective if cost is None else cost) - col_dual
 
 
 def duality_gap(problem: LpProblem, x: np.ndarray, y: np.ndarray, reduced: np.ndarray) -> float:
@@ -435,6 +434,7 @@ def _checked(
     reduced: np.ndarray,
     iterations: int,
     certificate_iterations: int,
+    fallback: bool,
     basis: Basis,
 ) -> LpSolution:
     """``linprog``'s post-solve check: a NaN or a residual above ``RESULT_CHECK_TOL`` errs.
@@ -454,6 +454,7 @@ def _checked(
         dual_gap=duality_gap(problem, x, duals, reduced),
         iterations=iterations,
         certificate_iterations=certificate_iterations,
+        fallback=fallback,
         basis=basis,
     )
 
@@ -463,10 +464,62 @@ def _checked(
 LEXICO_WEIGHT = 1e-5
 
 
+#: the largest residual (``LpProblem.max_residual``) a weighted optimum may
+#: carry before ``solve`` recomputes it from a fresh factorization of its basis
+REFACTOR_RESIDUAL = 1e-13
+
+
 def secondary_weight(secondary_cost: np.ndarray) -> float:
     """The weight eps of ``solve``'s cost c + eps*s: ``LEXICO_WEIGHT`` / max|s|, 0 when s is 0."""
     largest = float(np.abs(secondary_cost).max(initial=0.0))
     return LEXICO_WEIGHT / largest if largest > 0 else 0.0
+
+
+def _basis_duals(
+    problem: LpProblem, highs: _highs._Highs, position: np.ndarray, cost: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Row duals and reduced costs of ``cost`` at HiGHS's final basis, and its basic columns.
+
+    The row duals y solve B'y = cost_B, one transposed solve on the
+    factorization HiGHS holds from its last run, and are mapped to problem row
+    order through ``position``.  A basic row's dual is 0 (its slack is
+    basic), and it is set to 0 rather than to the solve's rounding of 0, as
+    HiGHS reports it.  Returns (y, cost - A'y, basic columns), or None when
+    HiGHS holds no factorization.
+    """
+    status, basic = highs.getBasicVariables()
+    if status != _highs.HighsStatus.kOk:
+        return None
+    basic = np.asarray(basic)
+    structural = basic >= 0  # a basic row is -(1 + row), at cost 0
+    cost_basic = np.zeros(basic.size)
+    cost_basic[structural] = cost[basic[structural]]
+    status, y = highs.getBasisTransposeSolve(cost_basic)
+    if status != _highs.HighsStatus.kOk:
+        return None
+    y = np.asarray(y)
+    y[-1 - basic[~structural]] = 0.0
+    y = y[position]
+    return y, reduced_costs(problem, y, cost), basic[structural]
+
+
+def _dual_infeasible(
+    problem: LpProblem,
+    x: np.ndarray,
+    y: np.ndarray,
+    reduced: np.ndarray,
+    columns: np.ndarray,
+    rows: np.ndarray,
+) -> bool:
+    """Whether y or ``reduced`` has the wrong sign beyond HiGHS's ``dual_feasibility_tolerance``.
+
+    Only the ``columns`` and ``<=`` ``rows`` masked True are checked: a
+    reduced cost must be at least -tol at a column's lower bound and at most
+    tol at its upper bound, and a ``<=`` row's dual at most tol.
+    """
+    tol = HIGHS_OPTIONS["dual_feasibility_tolerance"]
+    wrong_sign = np.where(x >= problem.upper, reduced > tol, reduced < -tol)
+    return bool((columns & wrong_sign).any() or (rows & ~problem.equality & (y > tol)).any())
 
 
 def _factor_certificate(
@@ -474,39 +527,52 @@ def _factor_certificate(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Row duals and reduced costs of ``problem``'s cost c at HiGHS's final basis, if c-optimal.
 
-    The row duals y solve B'y = c_B, one transposed solve on the
-    factorization HiGHS holds from its last run, and are mapped to problem row
-    order through ``position``.  A basic row's dual is 0 (its slack is
-    basic), and it is set to 0 rather than to the solve's rounding of 0, as
-    HiGHS reports it.  The basis is c-optimal when y and the
-    reduced costs d = c - A'y are dual feasible to HiGHS's
-    ``dual_feasibility_tolerance``: d is at least -tol on each nonbasic
-    column at its lower bound and at most tol at its upper bound (a fixed
-    column may take either sign), and y is at most tol on each ``<=`` row.
+    The duals are ``_basis_duals`` of c.  The basis is c-optimal when they
+    are dual feasible (``_dual_infeasible`` is False) on every nonbasic
+    column (a fixed column may take either sign) and every ``<=`` row.
     Returns (y, d), or None when the basis is not c-optimal or HiGHS holds no
     factorization.
     """
-    status, basic = highs.getBasicVariables()
-    if status != _highs.HighsStatus.kOk:
+    duals = _basis_duals(problem, highs, position, problem.objective)
+    if duals is None:
         return None
-    basic = np.asarray(basic)
-    structural = basic >= 0  # a basic row is -(1 + row), at cost 0
-    c_basic = np.zeros(basic.size)
-    c_basic[structural] = problem.objective[basic[structural]]
-    status, y = highs.getBasisTransposeSolve(c_basic)
-    if status != _highs.HighsStatus.kOk:
-        return None
-    y = np.asarray(y)
-    y[-1 - basic[~structural]] = 0.0
-    y = y[position]
-    reduced = reduced_costs(problem, y)
-    tol = HIGHS_OPTIONS["dual_feasibility_tolerance"]
+    y, reduced, basic = duals
     nonbasic = problem.upper > problem.lower
-    nonbasic[basic[structural]] = False
-    wrong_sign = np.where(x >= problem.upper, reduced > tol, reduced < -tol)
-    if (nonbasic & wrong_sign).any() or (y[~problem.equality] > tol).any():
+    nonbasic[basic] = False
+    if _dual_infeasible(problem, x, y, reduced, nonbasic, np.ones(y.size, bool)):
         return None
     return y, reduced
+
+
+def _least_on_face(
+    problem: LpProblem,
+    highs: _highs._Highs,
+    position: np.ndarray,
+    secondary_cost: np.ndarray,
+    x: np.ndarray,
+    duals: np.ndarray,
+    reduced: np.ndarray,
+) -> bool:
+    """Whether HiGHS's final basis also minimizes ``secondary_cost`` s on c's optimal face.
+
+    ``duals`` are c-optimal row duals y at that basis, with reduced costs
+    ``reduced`` = c - A'y.  The face is what ``_fix_optimal_face`` leaves:
+    the nonbasic columns whose c reduced cost is within HiGHS's
+    ``dual_feasibility_tolerance`` and the ``<=`` rows whose y is not below
+    -tol can still move.  The basis minimizes s there when s's own duals
+    (``_basis_duals``) are dual feasible on those columns and rows.  The
+    weighted solve alone does not ensure it: HiGHS holds the reduced costs
+    of c + eps*s to the tolerance, and eps times s's reduced cost on the
+    face can be within it while s's is not.
+    """
+    tol = HIGHS_OPTIONS["dual_feasibility_tolerance"]
+    secondary = _basis_duals(problem, highs, position, secondary_cost)
+    if secondary is None:
+        return False
+    z, secondary_reduced, basic = secondary
+    free = (problem.upper > problem.lower) & (np.abs(reduced) <= tol)
+    free[basic] = False
+    return not _dual_infeasible(problem, x, z, secondary_reduced, free, duals >= -tol)
 
 
 def _fix_optimal_face(
@@ -549,15 +615,21 @@ def solve(
     for c, so c'x is the optimum F*, and any x' with c'x' = F* and
     s'x' < s'x would beat x on c + eps*s, so x is lexicographically optimal
     (Sherali, "Equivalent weights for lexicographic multi-objective
-    programs", EJOR 1982).  Such a solve costs one HiGHS run.
+    programs", EJOR 1982), up to HiGHS's tolerance on the weighted reduced
+    costs; a second transposed solve, of B'z = s_B, checks s on c's optimal
+    face to that tolerance itself (``_least_on_face``).  Such a solve costs
+    one HiGHS run.  A weighted point whose residual exceeds
+    ``REFACTOR_RESIDUAL`` is recomputed first, by one more run from its own
+    basis, which refactorizes it and takes no iteration when it stays optimal.
 
-    Only when that check fails, or HiGHS holds no factorization, is the basis
-    re-run on c alone, on a new HiGHS object started from it, and the re-run
-    certifies x when it takes no iteration.  A re-run that iterates ends at
-    F* with duals y; the face stage then fixes the columns and rows that y
-    prices (``_fix_optimal_face``) on the re-run's object, so that what is
-    left is the set of minimizers of c, and minimizes s there.  The
-    solution's ``fallback`` is then set.
+    Only when the check on c fails, or HiGHS holds no factorization, is the
+    basis re-run on c alone, on a new HiGHS object started from it, and the
+    re-run certifies x on c when it takes no iteration.  A re-run that
+    iterates ends at F* with duals y; the face stage then fixes the columns
+    and rows that y prices (``_fix_optimal_face``), so that what is left is
+    the set of minimizers of c, and minimizes s there.  The face stage also
+    runs, on the weighted object, when x is certified on c but not on s.
+    The solution's ``fallback`` is then set.
 
     ``basis``, the ``basis`` of an earlier solution of a problem with the
     same matrix and costs, starts the weighted solve there in place of HiGHS's
@@ -588,25 +660,38 @@ def solve(
     if status != "optimal":
         return LpSolution(status, None, None, None, iterations=iterations)
     x = np.array(highs.getSolution().col_value)
+    if s.any() and problem.max_residual(x) > REFACTOR_RESIDUAL:
+        # HiGHS's point comes from the factors it updated while iterating; a
+        # run from the basis it ended at refactorizes it and recomputes the point
+        if highs.setBasis(highs.getBasis()) != _highs.HighsStatus.kOk:
+            raise LpError(f"{problem.name}: HiGHS refused its own basis")
+        status, again = _run(highs)
+        iterations += again
+        if status != "optimal":
+            return LpSolution(status, None, None, None, iterations=iterations)
+        x = np.array(highs.getSolution().col_value)
     certified = _factor_certificate(problem, highs, position, x)
+    rerun = 0
     if certified is not None:
-        y, reduced = certified
-        return _checked(problem, x, y, reduced, iterations, 0, highs.getBasis())
-    # the re-run starts from the weighted basis on a new object: re-run on
-    # the weighted one after a cost change, HiGHS can perturb the costs and
-    # start over in dual phase 1 (8,713 iterations where a new object takes 1)
-    weighted_basis = highs.getBasis()
-    highs, position = _pass_model(problem, c)
-    if highs.setBasis(weighted_basis) != _highs.HighsStatus.kOk:
-        raise LpError(f"{problem.name}: HiGHS refused the weighted basis")
-    status, rerun = _run(highs)
-    iterations += rerun
-    if status != "optimal":
-        return LpSolution(status, None, None, None, iterations=iterations)
-    x, duals = _read(highs, position)
-    reduced = reduced_costs(problem, duals)
+        duals, reduced = certified
+    else:
+        # the re-run starts from the weighted basis on a new object: re-run on
+        # the weighted one after a cost change, HiGHS can perturb the costs and
+        # start over in dual phase 1 (8,713 iterations where a new object takes 1)
+        weighted_basis = highs.getBasis()
+        highs, position = _pass_model(problem, c)
+        if highs.setBasis(weighted_basis) != _highs.HighsStatus.kOk:
+            raise LpError(f"{problem.name}: HiGHS refused the weighted basis")
+        status, rerun = _run(highs)
+        iterations += rerun
+        if status != "optimal":
+            return LpSolution(status, None, None, None, iterations=iterations)
+        x, duals = _read(highs, position)
+        reduced = reduced_costs(problem, duals)
     optimum_basis = highs.getBasis()
-    if rerun:
+    least = not s.any() or _least_on_face(problem, highs, position, s, x, duals, reduced)
+    face_stage = bool(rerun) or not least
+    if face_stage:
         if not _fix_optimal_face(problem, highs, position, duals, reduced):
             return LpSolution("error", None, None, None, iterations=iterations)
         columns = np.arange(problem.n_variables, dtype=np.int32)
@@ -616,4 +701,4 @@ def solve(
         if status != "optimal":
             return LpSolution(status, None, None, None, iterations=iterations)
         x = _read(highs, position)[0]
-    return _checked(problem, x, duals, reduced, iterations, rerun, optimum_basis)
+    return _checked(problem, x, duals, reduced, iterations, rerun, face_stage, optimum_basis)

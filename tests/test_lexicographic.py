@@ -16,6 +16,9 @@ solve, to a few ulps, with R at its lexicographic optimum.  Heuristic step III,
 solved as the full model with fixed columns from the full optimum's basis,
 is held to the two-stage answer of the reference's reduced model, and it must be
 certified without a re-run that iterates (``certificate_iterations`` 0).
+Two drawn instances pin the checks that follow a weighted solve: one whose
+certified point is not the least R on the spectrum cost's optimal face, and
+one whose weighted point HiGHS reports with a residual of 1.5e-12.
 """
 
 from __future__ import annotations
@@ -114,3 +117,34 @@ def test_fallback_day_keeps_the_spectrum_optimum(monkeypatch):
     assert solution.dual_gap <= lp.gap_tolerance(solution.objective)
     relayed = lp.ordered_dot(index.relay_cost, solution.x)
     assert relayed == pytest.approx(19.821682514839523, rel=1e-9)
+
+
+def test_certified_on_c_but_not_least_on_its_face():
+    # the weighted basis of step3_instance(21477)'s full LP passes the check
+    # on c, but eps times r's reduced costs on c's optimal face are within
+    # HiGHS's 1e-9 tolerance while r's are not, and that point relays 8e-6
+    # (relative) more than the least; the check on r sends it to the face stage
+    topology, demands = step3_instance(21477)
+    flow = solve_min_spectrum_d2d(topology, demands)
+    solution, problem, relay_cost = flow.solution, flow.index.problem, flow.index.relay_cost
+    assert solution.certificate_iterations == 0 and solution.fallback
+    assert solution.dual_gap <= lp.gap_tolerance(solution.objective)
+    f_ref, r_ref = flow_two_stage(problem, relay_cost)
+    assert solution.objective == pytest.approx(f_ref, rel=1e-12)
+    assert lp.ordered_dot(relay_cost, solution.x) == pytest.approx(r_ref, rel=1e-12)
+
+
+def test_inexact_weighted_point_is_recomputed(monkeypatch):
+    # HiGHS's weighted point for random_instance(452) sits 1.5e-12 below a
+    # lower bound, and its R is 1.4e-12 (relative) above the two-stage one;
+    # recomputed from a fresh factorization of the same basis, it meets its
+    # rows and bounds to rounding and its R is the two-stage R
+    index = build_flow_lp(*random_instance(452))
+    solution = solve_flow_lp(index).solution
+    assert solution.max_primal_residual <= lp.REFACTOR_RESIDUAL and not solution.fallback
+    _, r_ref = flow_two_stage(index.problem, index.relay_cost)
+    assert lp.ordered_dot(index.relay_cost, solution.x) == pytest.approx(r_ref, rel=1e-14)
+    monkeypatch.setattr(lp, "REFACTOR_RESIDUAL", np.inf)
+    raw = solve_flow_lp(index).solution
+    assert raw.max_primal_residual > 1e-12
+    assert raw.iterations == solution.iterations
