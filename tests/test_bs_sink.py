@@ -22,7 +22,7 @@ from flow_lp_reference import (
     step3_instance,
     step3_lp,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from d2dlb import lp
@@ -118,6 +118,7 @@ def test_named_instances(instance):
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
+@example(618)  # a weighted point 4.6e-14 off its rows: R 2.5e-12 above the least unless recomputed
 @settings(max_examples=20, deadline=None)
 def test_random_multicell(seed):
     assert_same_as_bs_rows(*random_instance(seed))
