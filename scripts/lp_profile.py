@@ -43,7 +43,7 @@ import workloads  # noqa: E402
 
 from d2dlb import lp  # noqa: E402
 from d2dlb.d2d_flow import build_flow_lp, solve_flow_lp  # noqa: E402
-from d2dlb.heuristic import nd_loads, split_demands  # noqa: E402
+from d2dlb.heuristic import split_context, split_demands  # noqa: E402
 from d2dlb.no_d2d import min_spectrum_no_d2d  # noqa: E402
 
 
@@ -66,15 +66,15 @@ def suite_instances(seed: int, size: workloads.Size) -> list[tuple[str, tuple]]:
 def step3_levels(topology, demands, full) -> list:
     """The distinct warm step-III LPs of the sweep's levels."""
     nd_schedule = min_spectrum_no_d2d(topology, demands)[1]
-    loads = nd_loads(topology, nd_schedule)
+    context = split_context(topology, demands, nd_schedule)
     seen, indexes = set(), []
     for level in workloads.SWEEP_LEVELS:
-        split = split_demands(topology, demands, nd_schedule, level, loads=loads)
+        split = split_demands(topology, demands, nd_schedule, level, context=context)
         key = split.d2d_demand_ids
         if key and split.nd_demand_ids and key not in seen:
             seen.add(key)
             name = f"heuristic-spectrum-level{level}"
-            indexes.append(full.index.restricted(topology, demands, split.kept, name))
+            indexes.append(full.index.restricted(split.fixed, split.kept_loads, name))
     return indexes
 
 

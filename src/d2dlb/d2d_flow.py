@@ -71,26 +71,28 @@ no (demand, link, slot) triple is tested on its own.
 Every flow LP is solved by ``solve_flow_lp`` and yields one ``FlowSolve``.
 There is one builder, for the full problem (``solve_min_spectrum_d2d``).
 The heuristic's step III is that same LP with the columns of the demands it
-keeps fixed at 0, their source rows at 0, and each billed
-(BS, slot) peak row lowered by the kept load; ``TimeExpandedIndex.restricted``
-builds it from the kept allocations, and ``solve_flow_lp`` re-solves it from
-the full optimum's basis.
+keeps fixed at 0, their source rows at 0, and each billed (BS, slot) peak
+row lowered by the kept load; ``TimeExpandedIndex.restricted`` sets those
+bounds and right-hand sides by array assignment, and ``solve_flow_lp``
+re-solves it from the full optimum's basis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import lp
-from .model import DemandSet, ModelError, Schedule, Topology, per_slot_loads
+from .model import DemandSet, ModelError, Schedule, Topology
 
-# compute_volumes is not called here, but benchmark/spans.py traces the model
-# layer under this name (tests/test_benchmark_targets.py fails if it goes)
-from .model import compute_volumes  # noqa: F401
+# compute_volumes and per_slot_loads are not called here, but benchmark/spans.py
+# traces the model layer under these names (tests/test_benchmark_targets.py
+# fails if they go)
+from .model import compute_volumes, per_slot_loads  # noqa: F401
 
 
 class InfeasibleDemandError(ModelError):
@@ -162,7 +164,10 @@ class TimeExpandedIndex:
     each substituted column's cost moved onto its sum.  Demand k of the
     instance (in its order) has its source row ``source_row[k]``, and needs
     no arrival row: its user rows already carry every bit into a BS by the
-    deadline.  A billed (BS, slot) has its peak row ``peak_row[(bs, slot)]``.
+    deadline; LP flow column i carries demand ``lp_demand[i]``, a position in
+    that order.  A billed (BS, slot) has its peak row ``peak_rows[b, slot]``,
+    b the BS's position in ``bs_ids`` (-1 where no such row exists), and
+    ``peak_row`` maps (BS id, slot) to it.
 
     The LP counts bits in units of ``unit``, a power of two (see
     ``build_flow_lp``): the peaks, the relayed traffic and the schedule are
@@ -180,8 +185,19 @@ class TimeExpandedIndex:
     relay_cost: np.ndarray
     peak_vars: dict[str, int]
     source_row: np.ndarray
-    peak_row: dict[tuple[str, int], int]
+    lp_demand: np.ndarray
+    peak_rows: np.ndarray
     unit: float
+
+    @property
+    def peak_row(self) -> dict[tuple[str, int], int]:
+        """(BS id, slot) -> peak row, in row order."""
+        bs, slot = np.nonzero(self.peak_rows >= 0)
+        rows = self.peak_rows[bs, slot]
+        order = np.argsort(rows)
+        ids = list(self.peak_vars)
+        keys = zip(bs[order].tolist(), slot[order].tolist())
+        return {(ids[b], t): r for (b, t), r in zip(keys, rows[order].tolist())}
 
     @property
     def n_flow_variables(self) -> int:
@@ -231,28 +247,37 @@ class TimeExpandedIndex:
         return Schedule(self.nodes, *(a[used] for a in flows), x[used])
 
     def restricted(
-        self, topology: Topology, demands: DemandSet, kept: Schedule, name: str
+        self,
+        fixed: np.ndarray,
+        kept_loads: tuple[np.ndarray, np.ndarray, np.ndarray],
+        name: str,
     ) -> TimeExpandedIndex:
-        """This LP, named ``name``, for the demands with no entry in ``kept``, on top of ``kept``.
+        """This LP, named ``name``, with the ``fixed`` demands' allocations kept out of it.
 
-        Each demand with an entry in ``kept`` is fixed: its columns get upper
-        bound 0 and its source row right-hand side 0.  Each billed (BS, slot)
-        peak row's right-hand side becomes minus ``kept``'s load there
-        (``per_slot_loads``), in the LP's unit.  Every kept (BS, slot) of a
-        demand's own no-D2D allocation has a peak row, since its direct
+        ``fixed`` masks the demands, in the instance's order, whose no-D2D
+        allocations are kept: their columns get upper bound 0 and their
+        source rows right-hand side 0.  ``kept_loads`` are the kept
+        allocations' loads per billed (BS, slot) as ``model.slot_loads``
+        gives them (BS positions in ``bs_ids``, slots, loads); each one's
+        peak row gets the right-hand side minus its load, in the LP's unit,
+        by one array assignment through ``peak_rows``.  Every kept (BS, slot)
+        of a demand's own no-D2D allocation has a peak row, since its direct
         uplink is a column in every slot of its lifetime; a kept load with no
         peak row raises ``LpError``.
         """
-        ids = demands.arrays.ids
-        fixed = np.isin(ids, kept.demand)
+        bs, slot, load = kept_loads
+        row = np.full(len(bs), -1, np.int64)
+        inside = (slot >= 0) & (slot < self.peak_rows.shape[1])
+        row[inside] = self.peak_rows[bs[inside], slot[inside]]
+        if (row < 0).any():
+            i = int(np.argmax(row < 0))
+            key = (list(self.peak_vars)[bs[i]], int(slot[i]))
+            raise lp.LpError(f"kept load at {key} has no peak row in the flow LP")
         upper = self.problem.upper.copy()
-        upper[: self.lp_flow.size][np.isin(self.flow_demand[self.lp_flow], ids[fixed])] = 0.0
+        upper[: self.lp_flow.size][fixed[self.lp_demand]] = 0.0
         rhs = self.problem.rhs.copy()
         rhs[self.source_row[fixed]] = 0.0
-        for key, load in per_slot_loads(kept, topology).items():
-            if key not in self.peak_row:
-                raise lp.LpError(f"kept load at {key} has no peak row in the flow LP")
-            rhs[self.peak_row[key]] = -float(load) / self.unit
+        rhs[row] = -load / self.unit
         return replace(self, problem=self.problem.with_bounds(upper, rhs, name))
 
 
@@ -281,13 +306,14 @@ def _substitute(
     """The entries (rows, cols, vals), each removed column's sum in its place.
 
     An entry a of removed column e becomes the entries a * ``coef`` on e's
-    terms; the other entries come first, in order.
+    terms; the other entries come first, in order.  ``removed`` masks the
+    removed columns.
     """
     rows, cols, vals = entries
     gone = removed[cols]
     stay, move = np.flatnonzero(~gone), np.flatnonzero(gone)
-    first = np.searchsorted(sums.col, cols[move])
-    n = np.searchsorted(sums.col, cols[move], side="right") - first
+    terms = np.bincount(sums.col, minlength=removed.size)  # per column, its count of terms
+    first, n = (np.cumsum(terms) - terms)[cols[move]], terms[cols[move]]
     expanded = _ranges(first, n)
     return (
         np.concatenate([rows[stay], np.repeat(rows[move], n)]),
@@ -383,20 +409,39 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
             f" lifetime [{j.start}, {j.end}]"
         )
 
-    # (demand, link) pairs whose slot interval [lo, hi] is nonempty; demands
-    # sharing a source share the hop distances, so they go in one block
-    blocks = [np.zeros((4, 0), dtype=np.int64)]  # rows: demand, link, lo, count
-    for s in np.unique(source).tolist():
-        ks = np.flatnonzero(source == s)
-        lo = start[ks, None] + hops[s, link_u]
-        count = end[ks, None] - d_bs[link_v] - lo + 1
-        kk, ll = np.nonzero(count > 0)
-        blocks.append(np.stack([ks[kk], ll, lo[kk, ll], count[kk, ll]]))
-    pairs = np.concatenate(blocks, axis=1)
-    pairs = pairs[:, np.lexsort((pairs[1], pairs[0]))]
+    # (demand, link) pairs whose slot interval [lo, hi] is nonempty.  The
+    # interval has delay - need slots, where a link's need from a user is
+    # the hops from the user to the sender plus the receiver's hops to a BS;
+    # so a demand's links are those its source needs fewer hops than its
+    # delay for, a prefix of the source's links sorted by need.  Only the
+    # links out of senders a user reaches within its demands' longest delay
+    # are looked at.
+    delay = end - start + 1
+    longest = np.zeros(n_users, np.int64)
+    np.maximum.at(longest, source, delay)
+    user, sender = np.nonzero(hops < longest[:, None])
+    by_sender = np.argsort(link_u, kind="stable")
+    first_out = np.searchsorted(link_u[by_sender], np.arange(len(nodes) + 1))
+    n_out = first_out[sender + 1] - first_out[sender]
+    near = by_sender[_ranges(first_out[sender], n_out)]
+    user = np.repeat(user, n_out)
+    need = hops[user, link_u[near]] + d_bs[link_v[near]]
+    within = np.flatnonzero(need < longest[user])
+    by_need = within[np.lexsort((need[within], user[within]))]
+    span = int(delay.max(initial=0)) + 1
+    key = user[by_need] * span + need[by_need]
+    first = np.searchsorted(key, source * span)
+    count = np.searchsorted(key, source * span + delay) - first
+    picked = by_need[_ranges(first, count)]
+    pair_k = np.repeat(np.arange(len(source)), count)
+    by_pair = np.lexsort((near[picked], pair_k))
+    pair_k, picked = pair_k[by_pair], picked[by_pair]
+    pair_l = near[picked]
+    pair_lo = start[pair_k] + hops[user[picked], link_u[pair_l]]
+    pair_n = delay[pair_k] - need[picked]
 
     # one column per (demand, link, slot)
-    k, link, t = _expand(*pairs)
+    k, link, t = _expand(pair_k, pair_l, pair_lo, pair_n)
     n_flow = len(k)
     u, v, rate = link_u[link], link_v[link], link_rate[link]
     col = np.arange(n_flow)
@@ -432,8 +477,6 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
     bill_key = billed_rank[v[real_col]] * (horizon + 1) + t[real_col]
     billed = np.unique(bill_key)
     n_billed = len(billed)
-    billed_bs = [topology.bs_ids[b] for b in table.bs_by_name[billed // (horizon + 1)].tolist()]
-    billed_keys = list(zip(billed_bs, (billed % (horizon + 1)).tolist()))
 
     # the time-expanded LP's entries, columns flows then peaks, rows the flow
     # rows then one peak row per billed slot
@@ -456,13 +499,16 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
     sums: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (col, term, coef) per pass
     for sign in (-1.0, 1.0):  # the single exits, then the single arrivals
         removed_row, removed, new = _single_entries(merged, conservation, sign, n_cols)
-        merged = _substitute(tuple(a[~removed_row[merged[0]]] for a in merged), new, removed)
+        stay = ~removed_row[merged[0]]
+        merged = _substitute(tuple(a[stay] for a in merged), new, removed)
         relay += np.bincount(new.term, relay[new.col] * new.coef, n_cols)
         sums = [_substitute(old, new, removed) for old in sums] + [new]
         row_kept &= ~removed_row
         col_kept &= ~removed
     lp_col, lp_row = np.cumsum(col_kept) - 1, np.cumsum(row_kept) - 1
     lp_flow = np.flatnonzero(col_kept[:n_flow])
+    peak_rows = np.full((n_bs, horizon + 1), -1, np.int64)
+    peak_rows[table.bs_by_name[billed // (horizon + 1)], billed % (horizon + 1)] = lp_row[peak_row]
     n_lp_flow = lp_flow.size
     rows, cols, vals = merged
     sub_col, sub_term, sub_coef = (np.concatenate(part) for part in zip(*sums))
@@ -493,7 +539,8 @@ def build_flow_lp(topology: Topology, demands: DemandSet) -> TimeExpandedIndex:
         relay_cost=relay[col_kept],
         peak_vars={b: n_lp_flow + i for i, b in enumerate(topology.bs_ids)},
         source_row=lp_row[row_of[:n_active]],
-        peak_row=dict(zip(billed_keys, lp_row[peak_row].tolist())),
+        lp_demand=k[lp_flow],
+        peak_rows=peak_rows,
         unit=unit,
     )
 
@@ -522,7 +569,7 @@ class FlowSolve:
     def relayed_traffic(self) -> float:
         return self.index.relayed_traffic(self.solution)
 
-    @property
+    @cached_property
     def n_variables(self) -> int:
         """Flow columns the solve was free to use: those not fixed at 0 by their bound."""
         return int(np.count_nonzero(self.index.free_flow()))

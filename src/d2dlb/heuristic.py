@@ -17,16 +17,16 @@ count of columns left free.
 One routine takes a split through step III (a ``FlowSolve`` of that LP, the
 full solve itself when every demand is eligible, or no LP when none is) to
 the combined schedule.  ``heuristic_sweep`` runs it once per distinct
-eligible set of a grid of levels, all from one full solve, and returns a
-``SweepLevel`` per level; ``heuristic_min_spectrum`` is the sweep of one
-level.
+eligible set of a grid of levels, all from one full solve and one
+``split_context`` of the no-D2D schedule, and returns a ``SweepLevel`` per
+level; ``heuristic_min_spectrum`` is the sweep of one level.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,16 +38,17 @@ from .model import (
     Schedule,
     Topology,
     _demand_positions,
+    billed_slots,
     compute_metrics,
     compute_volumes,
-    node_positions,
-    per_slot_loads,
     slot_loads,
+    sum_by,
 )
 
-# fill_storage is not called here, but benchmark/spans.py traces the model
-# layer under this name (tests/test_benchmark_targets.py fails if it goes)
-from .model import fill_storage  # noqa: F401
+# fill_storage and per_slot_loads are not called here, but benchmark/spans.py
+# traces the model layer under these names (tests/test_benchmark_targets.py
+# fails if they go)
+from .model import fill_storage, per_slot_loads  # noqa: F401
 from .no_d2d import min_spectrum_no_d2d
 
 #: slots count as hot only when the load clears the threshold by this much
@@ -58,15 +59,23 @@ HOT_SLOT_TOL = 1e-9
 ALLOC_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitResult:
-    """Step II outcome: demand partition and kept allocations."""
+    """Step II outcome: demand partition and kept allocations.
+
+    ``fixed`` and ``kept_loads`` are what step III's LP reads of the kept
+    allocations (``TimeExpandedIndex.restricted``).
+    """
 
     level: float
     d2d_demand_ids: frozenset[int]
     nd_demand_ids: frozenset[int]
     kept: Schedule  # the ND demands' entries of nd_schedule
     nd_schedule: Schedule  # full Step-I schedule (all demands, direct links and storage)
+    # per demand, in the instance's order: it has entries in ``kept``
+    fixed: np.ndarray
+    # ``slot_loads`` of ``kept``: BS positions, slots and loads
+    kept_loads: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def nd_loads(topology: Topology, schedule: Schedule) -> tuple[np.ndarray, ...]:
@@ -78,13 +87,57 @@ def nd_loads(topology: Topology, schedule: Schedule) -> tuple[np.ndarray, ...]:
     return bs, slot, load, peaks
 
 
+class SplitContext(NamedTuple):
+    """A no-D2D schedule as ``split_demands`` reads it at every level (``split_context``).
+
+    Rows are the schedule's billed (BS, slot) pairs (``billed_slots``):
+    their BSs, slots and loads, and each row's BS peak.  Per real entry,
+    ``real_row`` is its pair, ``real_value`` its spectrum and
+    ``real_demand`` its demand's position in the instance, and
+    ``candidate`` holds when it is above ``ALLOC_TOL`` times the demand's
+    volume.  ``demand`` is every entry's demand position, storage included,
+    and ``has_entry`` masks the demands with some entry.
+    """
+
+    ids: np.ndarray
+    bs: np.ndarray
+    slot: np.ndarray
+    load: np.ndarray
+    peak: np.ndarray
+    real_row: np.ndarray
+    real_value: np.ndarray
+    real_demand: np.ndarray
+    candidate: np.ndarray
+    demand: np.ndarray
+    has_entry: np.ndarray
+
+
+def split_context(topology: Topology, demands: DemandSet, nd_schedule: Schedule) -> SplitContext:
+    """What splitting ``nd_schedule`` needs at any level, computed once."""
+    real, row, bs, slot = billed_slots(nd_schedule, topology)
+    value = nd_schedule.value[real]
+    load = sum_by(row, value, len(bs)).astype(float)
+    peaks = np.zeros(len(topology.bs_ids))
+    np.maximum.at(peaks, bs, load)
+    dem = demands.arrays
+    demand = _demand_positions(dem, nd_schedule.demand)
+    if (demand < 0).any():
+        unknown = int(nd_schedule.demand[np.argmin(demand)])
+        raise ModelError(f"no-D2D schedule has an entry of unknown demand {unknown}")
+    candidate = value.astype(float) > ALLOC_TOL * dem.volume[demand[real]]
+    has_entry = np.bincount(demand, minlength=len(dem.ids)) > 0
+    return SplitContext(
+        dem.ids, bs, slot, load, peaks[bs], row, value, demand[real], candidate, demand, has_entry
+    )
+
+
 def split_demands(
     topology: Topology,
     demands: DemandSet,
     nd_schedule: Schedule,
     level: float,
     *,
-    loads: tuple[np.ndarray, ...] | None = None,
+    context: SplitContext | None = None,
 ) -> SplitResult:
     """Partition demands into D2D-eligible and locally-served sets.
 
@@ -96,33 +149,28 @@ def split_demands(
     thresholds are relative, so the split does not depend on the volume
     unit.  The other demands keep their entries of ``nd_schedule``, storage
     included (``kept``).
-    ``loads`` are the schedule's ``nd_loads``, when one schedule is split
-    at several levels.
+    ``context`` is the schedule's ``split_context``, when one schedule is
+    split at several levels.
     """
     if not 0.0 <= level <= 1.0:
         raise ModelError(f"split level must lie in [0, 1], got {level}")
-    table = topology.arrays
-    n_bs = len(topology.bs_ids)
-    bs, slot, load, peaks = loads if loads is not None else nd_loads(topology, nd_schedule)
-    hot = load > level * peaks[bs] + HOT_SLOT_TOL * peaks[bs]
-    span = int(nd_schedule.slot.max(initial=0)) + 1
-    hot_cells = np.zeros((n_bs, span), dtype=bool)
-    hot_cells[bs[hot], slot[hot]] = True
-
-    real = np.flatnonzero(nd_schedule.src != nd_schedule.dst)
-    cell = table.billed[node_positions(nd_schedule.nodes, topology)[nd_schedule.dst[real]]]
-    t, x = nd_schedule.slot[real], nd_schedule.value[real].astype(float)
-    dem = demands.arrays
-    volume = dem.volume[_demand_positions(dem.ids, nd_schedule.demand[real])]
-    used = (x > ALLOC_TOL * volume) & hot_cells[cell, t]
-    eligible = np.unique(nd_schedule.demand[real[used]])
-    d2d_ids = frozenset(eligible.tolist())
+    ctx = context if context is not None else split_context(topology, demands, nd_schedule)
+    hot = ctx.load > level * ctx.peak + HOT_SLOT_TOL * ctx.peak
+    eligible = np.zeros(ctx.ids.size, bool)
+    eligible[ctx.real_demand[ctx.candidate & hot[ctx.real_row]]] = True
+    d2d_ids = frozenset(ctx.ids[eligible].tolist())
+    kept_real = ~eligible[ctx.real_demand]
+    rows = ctx.real_row[kept_real]
+    present = np.bincount(rows, minlength=ctx.bs.size) > 0
+    kept_load = sum_by(rows, ctx.real_value[kept_real], ctx.bs.size)
     return SplitResult(
         level=level,
         d2d_demand_ids=d2d_ids,
-        nd_demand_ids=frozenset(demands.arrays.ids.tolist()) - d2d_ids,
-        kept=nd_schedule.select(~np.isin(nd_schedule.demand, eligible)),
+        nd_demand_ids=frozenset(ctx.ids.tolist()) - d2d_ids,
+        kept=nd_schedule.select(~eligible[ctx.demand]),
         nd_schedule=nd_schedule,
+        fixed=ctx.has_entry & ~eligible,
+        kept_loads=(ctx.bs[present], ctx.slot[present], kept_load[present]),
     )
 
 
@@ -139,15 +187,16 @@ def _solve_level(
     """
     if not split.d2d_demand_ids:
         flow = None
-        peaks = {b: 0.0 for b in topology.bs_ids}
-        for (b, _t), load in per_slot_loads(split.kept, topology).items():
-            peaks[b] = max(peaks[b], load)
+        bs, _, load = split.kept_loads
+        largest = np.zeros(len(topology.bs_ids))
+        np.maximum.at(largest, bs, load)
+        peaks = dict(zip(topology.bs_ids, largest.tolist()))
         total, flows = sum(peaks.values()), Schedule.empty(topology.arrays.nodes)
     else:
         flow = full
         if split.nd_demand_ids:
             name = f"heuristic-spectrum-level{split.level}"
-            step3 = full.index.restricted(topology, demands, split.kept, name)
+            step3 = full.index.restricted(split.fixed, split.kept_loads, name)
             flow = solve_flow_lp(step3, full.solution.basis)
         peaks, total, flows = flow.per_bs_peak, flow.total, flow.schedule
     # a demand's storage follows from its own transmissions alone, so the
@@ -218,13 +267,15 @@ def heuristic_sweep(
     f_nd = float(nd_result.total)
     if f_nd == 0:
         raise ModelError("spectrum reduction undefined: no-D2D total is zero")
-    full = solve_flow_lp(build_flow_lp(topology, demands))
-    loads = nd_loads(topology, nd_schedule)
+    index = build_flow_lp(topology, demands)
+    index.problem.share_layout()  # each step III is this LP under other bounds
+    full = solve_flow_lp(index)
+    context = split_context(topology, demands, nd_schedule)
     solved: dict[frozenset[int], SweepLevel] = {}
     rows = []
     for level in levels:
         t0 = time.perf_counter()
-        split = split_demands(topology, demands, nd_schedule, level, loads=loads)
+        split = split_demands(topology, demands, nd_schedule, level, context=context)
         row = solved.get(split.d2d_demand_ids)
         reused = row is not None
         if not reused:

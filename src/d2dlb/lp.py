@@ -128,7 +128,7 @@ class LpProblem:
     vals: np.ndarray
     rhs: np.ndarray
     equality: np.ndarray
-    #: HiGHS's layout of the matrix, once ``with_bounds`` has shared it
+    #: HiGHS's layout of the matrix, once ``share_layout`` has built it
     _layout: HighsLayout | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -175,20 +175,31 @@ class LpProblem:
     def highs_layout(self) -> HighsLayout:
         """The matrix in HiGHS's row order (``HighsLayout``).
 
-        A record and its ``with_bounds`` copies share one layout, built by
-        the first copy.  A record without copies builds it on each call and
-        keeps none, so a lone solve holds nothing new while HiGHS runs.
+        A record that shares its layout (``share_layout``) and its
+        ``with_bounds`` copies build it once.  Any other record builds it on
+        each call and keeps none, so a lone solve holds nothing new while
+        HiGHS runs.
         """
         return self._layout if self._layout is not None else HighsLayout.of(self)
+
+    def share_layout(self) -> None:
+        """Build ``highs_layout`` now and keep it for this record and its ``with_bounds`` copies.
+
+        ``with_bounds`` calls it; a caller that solves this record before
+        making copies calls it first, so that the solve builds no layout of
+        its own.
+        """
+        if self._layout is None:
+            object.__setattr__(self, "_layout", HighsLayout.of(self))
 
     def with_bounds(self, upper: np.ndarray, rhs: np.ndarray, name: str) -> "LpProblem":
         """The same matrix, costs and lower bounds under new upper bounds and right-hand sides.
 
         The new record shares every array but ``upper`` and ``rhs`` with this
-        one, and its ``highs_layout``; only ``upper`` and ``rhs`` are checked.
+        one, and its ``highs_layout`` (``share_layout``); only ``upper`` and
+        ``rhs`` are checked.
         """
-        if self._layout is None:
-            object.__setattr__(self, "_layout", HighsLayout.of(self))
+        self.share_layout()
         bounded = copy.copy(self)
         object.__setattr__(bounded, "name", name)
         object.__setattr__(bounded, "upper", np.asarray(upper, float))
@@ -430,6 +441,7 @@ def _read(highs: _highs._Highs, position: np.ndarray) -> tuple[np.ndarray, np.nd
 def _checked(
     problem: LpProblem,
     x: np.ndarray,
+    residual: float | None,
     duals: np.ndarray,
     reduced: np.ndarray,
     iterations: int,
@@ -439,10 +451,12 @@ def _checked(
 ) -> LpSolution:
     """``linprog``'s post-solve check: a NaN or a residual above ``RESULT_CHECK_TOL`` errs.
 
-    An optimum carries the duality gap of ``duals``, whose reduced costs are
+    ``residual`` is x's ``max_residual``, computed here when None.  An
+    optimum carries the duality gap of ``duals``, whose reduced costs are
     ``reduced``.
     """
-    residual = problem.max_residual(x)
+    if residual is None:
+        residual = problem.max_residual(x)
     if not residual <= RESULT_CHECK_TOL:  # a NaN in x makes the residual NaN
         return LpSolution("error", None, None, None, iterations=iterations)
     return LpSolution(
@@ -477,22 +491,34 @@ def secondary_weight(secondary_cost: np.ndarray) -> float:
     return LEXICO_WEIGHT / largest if largest > 0 else 0.0
 
 
+def _basic_variables(highs: _highs._Highs) -> np.ndarray | None:
+    """HiGHS's basic variables, in the order of its factorization, or None when it holds none.
+
+    A basic column is its index and a basic row -(1 + its HiGHS row).
+    """
+    status, basic = highs.getBasicVariables()
+    return np.asarray(basic) if status == _highs.HighsStatus.kOk else None
+
+
 def _basis_duals(
-    problem: LpProblem, highs: _highs._Highs, position: np.ndarray, cost: np.ndarray
+    problem: LpProblem,
+    highs: _highs._Highs,
+    position: np.ndarray,
+    basic: np.ndarray | None,
+    cost: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Row duals and reduced costs of ``cost`` at HiGHS's final basis, and its basic columns.
 
-    The row duals y solve B'y = cost_B, one transposed solve on the
-    factorization HiGHS holds from its last run, and are mapped to problem row
-    order through ``position``.  A basic row's dual is 0 (its slack is
-    basic), and it is set to 0 rather than to the solve's rounding of 0, as
-    HiGHS reports it.  Returns (y, cost - A'y, basic columns), or None when
-    HiGHS holds no factorization.
+    ``basic`` is that basis (``_basic_variables``).  The row duals y solve
+    B'y = cost_B, one transposed solve on the factorization HiGHS holds
+    from its last run, and are mapped to problem row order through
+    ``position``.  A basic row's dual is 0 (its slack is basic), and it is
+    set to 0 rather than to the solve's rounding of 0, as HiGHS reports it.
+    Returns (y, cost - A'y, basic columns), or None when HiGHS holds no
+    factorization.
     """
-    status, basic = highs.getBasicVariables()
-    if status != _highs.HighsStatus.kOk:
+    if basic is None:
         return None
-    basic = np.asarray(basic)
     structural = basic >= 0  # a basic row is -(1 + row), at cost 0
     cost_basic = np.zeros(basic.size)
     cost_basic[structural] = cost[basic[structural]]
@@ -525,17 +551,21 @@ def _dual_infeasible(
 
 
 def _factor_certificate(
-    problem: LpProblem, highs: _highs._Highs, position: np.ndarray, x: np.ndarray
+    problem: LpProblem,
+    highs: _highs._Highs,
+    position: np.ndarray,
+    x: np.ndarray,
+    basic: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Row duals and reduced costs of ``problem``'s cost c at HiGHS's final basis, if c-optimal.
 
-    The duals are ``_basis_duals`` of c.  The basis is c-optimal when they
-    are dual feasible (``_dual_infeasible`` is False) on every nonbasic
-    column (a fixed column may take either sign) and every ``<=`` row.
-    Returns (y, d), or None when the basis is not c-optimal or HiGHS holds no
-    factorization.
+    The duals are ``_basis_duals`` of c at that basis, ``basic``.  The basis
+    is c-optimal when they are dual feasible (``_dual_infeasible`` is False)
+    on every nonbasic column (a fixed column may take either sign) and every
+    ``<=`` row.  Returns (y, d), or None when the basis is not c-optimal or
+    HiGHS holds no factorization.
     """
-    duals = _basis_duals(problem, highs, position, problem.objective)
+    duals = _basis_duals(problem, highs, position, basic, problem.objective)
     if duals is None:
         return None
     y, reduced, basic = duals
@@ -550,6 +580,7 @@ def _least_on_face(
     problem: LpProblem,
     highs: _highs._Highs,
     position: np.ndarray,
+    basic: np.ndarray | None,
     secondary_cost: np.ndarray,
     x: np.ndarray,
     duals: np.ndarray,
@@ -568,7 +599,7 @@ def _least_on_face(
     face can be within it while s's is not.
     """
     tol = HIGHS_OPTIONS["dual_feasibility_tolerance"]
-    secondary = _basis_duals(problem, highs, position, secondary_cost)
+    secondary = _basis_duals(problem, highs, position, basic, secondary_cost)
     if secondary is None:
         return False
     z, secondary_reduced, basic = secondary
@@ -662,7 +693,8 @@ def solve(
     if status != "optimal":
         return LpSolution(status, None, None, None, iterations=iterations)
     x = np.array(highs.getSolution().col_value)
-    if s.any() and problem.max_residual(x) > REFACTOR_RESIDUAL:
+    residual = problem.max_residual(x) if s.any() else None
+    if residual is not None and residual > REFACTOR_RESIDUAL:
         # HiGHS's point comes from the factors it updated while iterating; a
         # run from the basis it ended at refactorizes it and recomputes the point
         if highs.setBasis(highs.getBasis()) != _highs.HighsStatus.kOk:
@@ -671,8 +703,9 @@ def solve(
         iterations += again
         if status != "optimal":
             return LpSolution(status, None, None, None, iterations=iterations)
-        x = np.array(highs.getSolution().col_value)
-    certified = _factor_certificate(problem, highs, position, x)
+        x, residual = np.array(highs.getSolution().col_value), None
+    basic = _basic_variables(highs)
+    certified = _factor_certificate(problem, highs, position, x, basic)
     rerun = 0
     if certified is not None:
         duals, reduced = certified
@@ -689,9 +722,10 @@ def solve(
         if status != "optimal":
             return LpSolution(status, None, None, None, iterations=iterations)
         x, duals = _read(highs, position)
-        reduced = reduced_costs(problem, duals)
+        residual, reduced = None, reduced_costs(problem, duals)
+        basic = _basic_variables(highs)
     optimum_basis = highs.getBasis()
-    least = not s.any() or _least_on_face(problem, highs, position, s, x, duals, reduced)
+    least = not s.any() or _least_on_face(problem, highs, position, basic, s, x, duals, reduced)
     face_stage = bool(rerun) or not least
     if face_stage:
         if not _fix_optimal_face(problem, highs, position, duals, reduced):
@@ -702,5 +736,7 @@ def solve(
         iterations += face
         if status != "optimal":
             return LpSolution(status, None, None, None, iterations=iterations)
-        x = _read(highs, position)[0]
-    return _checked(problem, x, duals, reduced, iterations, rerun, face_stage, optimum_basis)
+        x, residual = _read(highs, position)[0], None
+    return _checked(
+        problem, x, residual, duals, reduced, iterations, rerun, face_stage, optimum_basis
+    )

@@ -234,6 +234,7 @@ class DemandArrays(NamedTuple):
     end: np.ndarray
     volume: np.ndarray  # as floats
     volumes: tuple[Number, ...]  # as given, exact numbers included
+    by_id: np.ndarray  # the positions sorted by id, for ``_demand_positions``
 
 
 @dataclass(frozen=True)
@@ -267,30 +268,48 @@ class DemandSet:
         return DemandSet(horizon, demands)
 
     def check_users(self, topology: Topology) -> None:
-        users = set(topology.user_ids)
-        for j in self.demands:
-            if j.user not in users:
-                raise ModelError(f"demand {j.id}: unknown user {j.user!r}")
+        at = self.user_positions(topology)
+        unknown = np.flatnonzero((at < 0) | (at >= topology.arrays.n_users))
+        if unknown.size:
+            j = self.demands[unknown[0]]
+            raise ModelError(f"demand {j.id}: unknown user {j.user!r}")
 
     @cached_property
     def arrays(self) -> DemandArrays:
         ds = self.demands
+        ids = np.array([j.id for j in ds], dtype=np.int64)
         return DemandArrays(
-            ids=np.array([j.id for j in ds], dtype=np.int64),
+            ids=ids,
             users=tuple(j.user for j in ds),
             start=np.array([j.start for j in ds], dtype=np.int64),
             end=np.array([j.end for j in ds], dtype=np.int64),
             volume=np.array([float(j.volume) for j in ds]),
             volumes=tuple(j.volume for j in ds),
+            by_id=np.argsort(ids, kind="stable"),
         )
 
-    @property
+    def user_positions(self, topology: Topology) -> np.ndarray:
+        """Per demand, its user's position in ``topology.all_nodes()``; -1 for a node it lacks.
+
+        Both are immutable, so the array is kept for the last topology asked:
+        ``check_users``, storage fill and every validation of a schedule of
+        the instance read it.
+        """
+        kept = self.__dict__.get("_user_positions")
+        if kept is None or kept[0] is not topology:
+            index = topology.arrays.index
+            at = np.array([index.get(u, -1) for u in self.arrays.users], dtype=np.int64)
+            at.flags.writeable = False
+            kept = self.__dict__["_user_positions"] = (topology, at)
+        return kept[1]
+
+    @cached_property
     def max_delay(self) -> int:
         if not self.demands:
             return 1
         return max(j.delay for j in self.demands)
 
-    @property
+    @cached_property
     def total_volume(self) -> Number:
         return sum(j.volume for j in self.demands)
 
@@ -601,7 +620,7 @@ def fill_storage(
     n_demands = len(d.ids)
     if n_demands == 0:
         return Schedule.empty(table.nodes)
-    k = _demand_positions(d.ids, schedule.demand)
+    k = _demand_positions(d, schedule.demand)
     keep = np.flatnonzero((schedule.src != schedule.dst) & (k >= 0))
     keep = keep[np.argsort(k[keep], kind="stable")]
     k = k[keep]
@@ -615,7 +634,7 @@ def fill_storage(
 
     # one row per (demand, user) the demand touches, its source included;
     # only users send, and what a BS receives is delivered
-    user = np.array([table.index[u] for u in d.users], dtype=np.int64)
+    user = demands.user_positions(topology)
     m = len(keep)
     into = np.flatnonzero(dst < table.n_users)
     pairs, pair_of = np.unique(
@@ -706,13 +725,12 @@ def fill_storage(
     )
 
 
-def _demand_positions(ids: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Position in ``ids`` of each queried demand id; -1 for an id not there."""
-    if len(ids) == 0:
+def _demand_positions(d: DemandArrays, query: np.ndarray) -> np.ndarray:
+    """Position in ``d.ids`` of each queried demand id; -1 for an id not there."""
+    if len(d.ids) == 0:
         return np.full(len(query), -1, dtype=np.int64)
-    order = np.argsort(ids, kind="stable")
-    at = np.minimum(np.searchsorted(ids[order], query), len(ids) - 1)
-    return np.where(ids[order][at] == query, order[at], -1)
+    at = d.by_id[np.minimum(np.searchsorted(d.ids, query, sorter=d.by_id), len(d.ids) - 1)]
+    return np.where(d.ids[at] == query, at, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +802,7 @@ def validate_schedule(
     at = node_positions(names, topology)  # -1 for a node the topology lacks, on no link
     src, dst, slot = at[schedule.src], at[schedule.dst], schedule.slot
     x = np.asarray(schedule.value, dtype=float)
-    k = _demand_positions(d.ids, schedule.demand)
+    k = _demand_positions(d, schedule.demand)
     known = k >= 0
     kk = np.where(known, k, 0)
     rate = table.rates(src, dst)
@@ -814,7 +832,7 @@ def validate_schedule(
     flow_tol = flow_abs_tol * np.maximum(1.0, d.volume)
     vol_tol = np.maximum(flow_abs_tol, VOLUME_REL_TOL * d.volume)
     n_demands = len(d.ids)
-    user = np.array([table.index.get(u, -1) for u in d.users], dtype=np.int64)
+    user = demands.user_positions(topology)
     found: list[tuple[tuple, Violation]] = []  # (sort key, violation)
 
     # source balance: the volume leaves the source at the start slot, nothing else does
@@ -885,14 +903,14 @@ def compute_volumes(schedule: Schedule, topology: Topology) -> tuple[Number, Num
     return _total(bits[into_user & (at[real.src] < n_users)]), _total(bits[~into_user])
 
 
-def slot_loads(schedule: Schedule, topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectrum billed to each (BS, slot) under the receiver-takeover rule, as arrays.
+def billed_slots(
+    schedule: Schedule, topology: Topology
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (BS, slot) pairs a schedule's real entries are billed to (``slot_loads``).
 
-    Uplink transmissions into a BS are billed to that BS; D2D transmissions
-    are billed to the receiving user's BS; self-links cost nothing.  Returns
-    (BS as a position in ``topology.bs_ids``, slot, load) of every billed
-    (BS, slot), sorted by BS id, then slot; each load adds its entries in
-    entry order.
+    Returns the real (not self-link) entries, each one's pair as a position
+    in the pairs, and the pairs' BSs (positions in ``topology.bs_ids``) and
+    slots, sorted by BS id, then slot.
     """
     table = topology.arrays
     real = np.flatnonzero(schedule.src != schedule.dst)
@@ -906,8 +924,20 @@ def slot_loads(schedule: Schedule, topology: Topology) -> tuple[np.ndarray, np.n
     keys, key_of = np.unique(
         table.bs_rank[table.billed[receiver]] * span + (slot - first), return_inverse=True
     )
-    load = sum_by(key_of, schedule.value[real], len(keys))
-    return table.bs_by_name[keys // span], keys % span + first, load
+    return real, key_of, table.bs_by_name[keys // span], keys % span + first
+
+
+def slot_loads(schedule: Schedule, topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spectrum billed to each (BS, slot) under the receiver-takeover rule, as arrays.
+
+    Uplink transmissions into a BS are billed to that BS; D2D transmissions
+    are billed to the receiving user's BS; self-links cost nothing.  Returns
+    (BS as a position in ``topology.bs_ids``, slot, load) of every billed
+    (BS, slot), sorted by BS id, then slot; each load adds its entries in
+    entry order.
+    """
+    real, pair, bs, slot = billed_slots(schedule, topology)
+    return bs, slot, sum_by(pair, schedule.value[real], len(bs))
 
 
 def per_slot_loads(

@@ -47,6 +47,24 @@ class CellInstance:
         cell_demands = tuple(
             j for j in demands.demands if topology.home_bs[j.user] == bs
         )
+        return CellInstance.of_demands(topology, demands.horizon, bs, cell_demands)
+
+    @staticmethod
+    def every_cell(topology: Topology, demands: DemandSet) -> list["CellInstance"]:
+        """``from_instance`` of every BS, in ``bs_ids`` order, the demands grouped in one pass."""
+        by_bs: dict[str, list[Demand]] = {bs: [] for bs in topology.bs_ids}
+        for j in demands.demands:
+            by_bs[topology.home_bs[j.user]].append(j)
+        return [
+            CellInstance.of_demands(topology, demands.horizon, bs, tuple(cell_demands))
+            for bs, cell_demands in by_bs.items()
+        ]
+
+    @staticmethod
+    def of_demands(
+        topology: Topology, horizon: int, bs: str, cell_demands: tuple[Demand, ...]
+    ) -> "CellInstance":
+        """The cell of ``bs`` serving ``cell_demands``, its users' demands in instance order."""
         rates: dict[int, Number] = {}
         for j in cell_demands:
             if (j.user, bs) not in topology.rate_map:
@@ -54,7 +72,7 @@ class CellInstance:
                     f"user {j.user!r} of cell {bs!r} has no direct link to its BS"
                 )
             rates[j.id] = topology.rate_map[(j.user, bs)]
-        return CellInstance(bs, demands.horizon, cell_demands, rates)
+        return CellInstance(bs, horizon, cell_demands, rates)
 
     def work(self, j: Demand) -> float:
         """Service requirement of a demand in Hz-slots (volume over rate)."""
@@ -181,8 +199,8 @@ def min_spectrum_no_d2d(
     per_bs: dict[str, Number] = {}
     intervals: dict[str, tuple[int, int]] = {}
     witnesses: list[Schedule] = []
-    for bs in topology.bs_ids:
-        cell = CellInstance.from_instance(topology, demands, bs)
+    for cell in CellInstance.every_cell(topology, demands):
+        bs = cell.bs
         f_b, interval = yds_min_spectrum(cell)
         feasible, schedule = edf_feasible(cell, f_b)
         if not feasible:

@@ -36,9 +36,14 @@ from lp_builder import LpBuilder
 from two_stage_reference import plain_solve
 
 from d2dlb import lp
-from d2dlb.d2d_flow import InfeasibleDemandError, build_flow_lp, solve_min_spectrum_d2d
+from d2dlb.d2d_flow import (
+    InfeasibleDemandError,
+    TimeExpandedIndex,
+    build_flow_lp,
+    solve_min_spectrum_d2d,
+)
 from d2dlb.heuristic import SplitResult, SweepLevel
-from d2dlb.model import Demand, DemandSet, ModelError, Topology, per_slot_loads
+from d2dlb.model import Demand, DemandSet, ModelError, Schedule, Topology, per_slot_loads
 from d2dlb.scenario import (
     GeoParams,
     generate_topology,
@@ -511,6 +516,28 @@ def step3_lp(
         residual_load=per_slot_loads(split.kept, topology),
         **kwargs,
     )
+
+
+def restricted_bounds(
+    index: TimeExpandedIndex, topology: Topology, demands: DemandSet, kept: Schedule
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step III's upper bounds and right-hand sides on ``index``'s LP, built by walking a dict.
+
+    A demand with an entry in ``kept`` gets upper bound 0 on its columns and
+    right-hand side 0 on its source row; each (BS, slot) of
+    ``per_slot_loads(kept)`` gets the right-hand side minus its load, in the
+    LP's unit, on its peak row, found by key in ``index.peak_row``.
+    """
+    ids = demands.arrays.ids
+    fixed = np.isin(ids, kept.demand)
+    upper = index.problem.upper.copy()
+    upper[: index.lp_flow.size][np.isin(index.flow_demand[index.lp_flow], ids[fixed])] = 0.0
+    rhs = index.problem.rhs.copy()
+    rhs[index.source_row[fixed]] = 0.0
+    peak_row = index.peak_row
+    for key, load in per_slot_loads(kept, topology).items():
+        rhs[peak_row[key]] = -float(load) / index.unit
+    return upper, rhs
 
 
 def step3_reference(

@@ -42,7 +42,9 @@ def rerun_certificate(
         assert highs.setBasis(basis) == lp._highs.HighsStatus.kOk
     assert lp._run(highs)[0] == "optimal"
     weighted_x = np.array(highs.getSolution().col_value)
-    factor = lp._factor_certificate(problem, highs, position, weighted_x)
+    factor = lp._factor_certificate(
+        problem, highs, position, weighted_x, lp._basic_variables(highs)
+    )
     columns = np.arange(problem.n_variables, dtype=np.int32)
     highs.changeColsCost(columns.size, columns, c)
     status, rerun = lp._run(highs)
@@ -78,7 +80,7 @@ def levels_of(topology, demands, full) -> list[TimeExpandedIndex]:
         split = split_demands(topology, demands, nd_schedule, level)
         if split.d2d_demand_ids and split.nd_demand_ids:
             name = f"heuristic-spectrum-level{level}"
-            indexes.append(full.index.restricted(topology, demands, split.kept, name))
+            indexes.append(full.index.restricted(split.fixed, split.kept_loads, name))
     return indexes
 
 
@@ -148,8 +150,9 @@ def test_a_column_at_its_upper_bound_needs_a_nonpositive_reduced_cost():
     assert lp._run(highs)[0] == "optimal"
     x = np.array(highs.getSolution().col_value)
     assert x.tolist() == [1.0, 0.5]
-    y, reduced = lp._factor_certificate(problem, highs, position, x)
+    basic = lp._basic_variables(highs)
+    y, reduced = lp._factor_certificate(problem, highs, position, x, basic)
     assert y.tolist() == [-1.0] and reduced.tolist() == [-1.0, 0.0]
     # at a cost of 1 on x, the same basis leaves x a reduced cost of 2 at its
     # upper bound: not optimal
-    assert lp._factor_certificate(boxed(1.0), highs, position, x) is None
+    assert lp._factor_certificate(boxed(1.0), highs, position, x, basic) is None

@@ -19,7 +19,10 @@ the unpruned reference's columns, in the same order.
 
 Heuristic step III is the full model with the kept demands' columns fixed
 at 0: its free columns must be the reference's reduced model's columns, in
-the same order, and its optimum the reduced model's.
+the same order, and its optimum the reduced model's.  Its upper bounds and
+right-hand sides, set by array assignment (``TimeExpandedIndex.restricted``),
+must equal bit for bit those of a walk over the kept loads by (BS, slot) key
+(``flow_lp_reference.restricted_bounds``).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from flow_lp_reference import (
     loop_flow_lp,
     over_named_instances,
     random_instance,
+    restricted_bounds,
     step3_instance,
     step3_lp,
     substitute_flow_lp,
@@ -42,8 +46,9 @@ from two_stage_reference import CAP_SLACK, overhead_model
 
 from d2dlb import lp
 from d2dlb.d2d_flow import TimeExpandedIndex, build_flow_lp, solve_min_spectrum_d2d
-from d2dlb.heuristic import SweepLevel, heuristic_min_spectrum
+from d2dlb.heuristic import SweepLevel, heuristic_min_spectrum, split_context, split_demands
 from d2dlb.model import DemandSet, Topology, per_slot_loads
+from d2dlb.no_d2d import min_spectrum_no_d2d
 from d2dlb.scenario import fixture, random_multicell_instance
 
 
@@ -176,6 +181,24 @@ def test_heuristic_step3_subset_with_residual(seed, level):
     assert_step3_is_reduced_model(topology, demands, level)
 
 
+def assert_restricted_bounds_are_the_dict_walk(topology: Topology, demands: DemandSet) -> None:
+    index = build_flow_lp(topology, demands)
+    nd_schedule = min_spectrum_no_d2d(topology, demands)[1]
+    context = split_context(topology, demands, nd_schedule)
+    for level in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0):
+        split = split_demands(topology, demands, nd_schedule, level, context=context)
+        got = index.restricted(split.fixed, split.kept_loads, "step3").problem
+        upper, rhs = restricted_bounds(index, topology, demands, split.kept)
+        assert got.upper.tobytes() == upper.tobytes(), level
+        assert got.rhs.tobytes() == rhs.tobytes(), level
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=15, deadline=None)
+def test_restricted_bounds_are_the_dict_walk(seed):
+    assert_restricted_bounds_are_the_dict_walk(*step3_instance(seed))
+
+
 def test_bs_ids_out_of_string_order():
     # b10 and b11 sort before b2: the billed (BS, slot) pairs follow the ids'
     # string order, the peaks follow the topology's BS order
@@ -192,3 +215,4 @@ def test_bs_ids_out_of_string_order():
     )
     outcome = assert_step3_is_reduced_model(topology, demands, 0.75)
     assert ("b11", 4) in per_slot_loads(outcome.split.kept, topology)
+    assert_restricted_bounds_are_the_dict_walk(topology, demands)

@@ -24,6 +24,7 @@ from d2dlb.model import (
     Schedule,
     compute_volumes,
     per_slot_loads,
+    slot_loads,
     validate_schedule,
 )
 from d2dlb.no_d2d import min_spectrum_no_d2d
@@ -321,12 +322,27 @@ class TestSweep:
         assert_grid_order_irrelevant(*random_instance(seed))
 
     def test_sweep_computes_the_no_d2d_loads_once(self, monkeypatch):
-        # the hot slots of every level come from one set of loads and peaks
+        # the hot slots of every level come from one set of loads and peaks,
+        # the sweep's split context
         calls = []
-        loads = heuristic.slot_loads
-        monkeypatch.setattr(heuristic, "slot_loads", lambda *a: calls.append(a) or loads(*a))
+        billed = heuristic.billed_slots
+        monkeypatch.setattr(heuristic, "billed_slots", lambda *a: calls.append(a) or billed(*a))
         heuristic_sweep(*heuristic_six_task(), SWEEP_LEVELS)
         assert len(calls) == 1
+
+    def test_sweep_builds_the_full_lps_layout_once(self, monkeypatch):
+        # the cold full solve and every warm step III share one HighsLayout
+        built = []
+        of = lp.HighsLayout.of
+        monkeypatch.setattr(lp.HighsLayout, "of", lambda problem: built.append(problem) or of(problem))
+        rng = np.random.default_rng(77)  # three warm step-III levels
+        topology, demands = random_multicell_instance(
+            rng, n_cells=3, users_per_cell=3, n_demands=18, horizon=15
+        )
+        sweep = heuristic_sweep(topology, demands, SHUFFLED_LEVELS)
+        names = {row.flow.index.problem.name for row in sweep.levels if row.flow is not None}
+        assert len(names - {"min-spectrum-d2d"}) == 3
+        assert len(built) == 1 and built[0].name == "min-spectrum-d2d"
 
     def test_toy_sweep_solves_one_lp(self):
         # levels 0-0.75 make every demand eligible, so they share the full
@@ -368,7 +384,7 @@ class TestSweep:
         kept = Schedule.concatenate([split.kept, Schedule.from_allocations(outside)])
         index = solve_min_spectrum_d2d(topology, demands).index
         with pytest.raises(lp.LpError, match="no peak row"):
-            index.restricted(topology, demands, kept, "outside")
+            index.restricted(split.fixed, slot_loads(kept, topology), "outside")
 
     @pytest.mark.parametrize("instance", [heuristic_six_task, toy_two_cell])
     def test_empty_eligible_set_matches_its_lp(self, instance):

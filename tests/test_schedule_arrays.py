@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from d2dlb.bounds import build_complete_instance, build_ring_instance
 from d2dlb.d2d_flow import solve_min_spectrum_d2d
-from d2dlb.heuristic import heuristic_sweep, split_demands
+from d2dlb.heuristic import heuristic_sweep, split_context, split_demands
 from d2dlb.model import (
     DemandSet,
     FlowResidualError,
@@ -86,6 +86,34 @@ def test_volumes_loads_and_split_are_identical(seed):
         assert got.d2d_demand_ids == want.d2d_demand_ids
         assert got.nd_demand_ids == want.nd_demand_ids
         assert per_slot_loads(got.kept, topology) == want.residual_load
+
+
+#: split levels of a sweep grid: the benchmark's, arbitrary ones, and both ends
+GRID_LEVELS = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+)
+
+
+@given(SEEDS, st.lists(GRID_LEVELS, min_size=1, max_size=8))
+@settings(max_examples=15, deadline=None)
+def test_split_from_one_context_is_the_reference_split(seed, levels):
+    # one split context serves a whole grid, levels repeated and in any order
+    topology, demands, nd_schedule, _ = solved(seed)
+    context = split_context(topology, demands, nd_schedule)
+    bs_ids = topology.bs_ids
+    for level in levels + levels[::-1]:
+        got = split_demands(topology, demands, nd_schedule, level, context=context)
+        want = ref.split_demands(topology, demands, nd_schedule, level)
+        assert got.d2d_demand_ids == want.d2d_demand_ids
+        assert got.nd_demand_ids == want.nd_demand_ids
+        assert got.kept.allocations == {
+            key: x for key, x in nd_schedule.allocations.items() if key[0] in want.nd_demand_ids
+        }
+        assert per_slot_loads(got.kept, topology) == want.residual_load
+        bs, slot, load = got.kept_loads
+        kept_loads = {(bs_ids[b], t): x for b, t, x in zip(bs.tolist(), slot.tolist(), load.tolist())}
+        assert kept_loads == want.residual_load
+        assert got.fixed.tolist() == [j.id in want.nd_demand_ids for j in demands.demands]
 
 
 @given(seed=SEEDS)

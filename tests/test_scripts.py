@@ -92,3 +92,16 @@ def test_lp_profile_prints_each_lp_and_the_median_cpu_per_group():
         mine = [r for r in records if r["group"] == group]
         assert summary["iterations"][group] == sum(r["iterations"] for r in mine)
         assert summary["fallbacks"][group] == sum(r["fallback"] for r in mine)
+
+
+def test_op_ab_times_both_trees_and_the_control():
+    src = str(ROOT / "src")
+    args = ("--a", src, "--b", src, "--workload", "suite-sweep", "--seed", "3", "--repeats", "2")
+    result = json.loads(run_script("op_ab.py", *args, "--tiny").stdout.splitlines()[-1])
+    assert (result["workload"], result["seed"], result["repeats"]) == ("suite-sweep", 3, 2)
+    for comparison in ("b_vs_a", "a_vs_a"):
+        assert result[comparison]["ops"] == 2  # the TINY suite's pool
+        assert 0 <= result[comparison]["second_wins"] <= 2
+        assert result[comparison]["ratio_of_means"] > 0
+    assert result["failed_ops"] == {"a": 0, "a2": 0, "b": 0}
+    assert all(t > 0 for t in result["mean_op_s"].values())
