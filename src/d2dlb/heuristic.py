@@ -373,6 +373,8 @@ def check_heuristic_bounds(
 
 __all__ = [
     "SplitResult",
+    "SplitContext",
+    "split_context",
     "split_demands",
     "SweepLevel",
     "HeuristicSweep",
